@@ -9,6 +9,7 @@ acceptance suite (the same runners the test suite uses).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,6 +106,9 @@ def monomial_to_json(m):
 
 
 def monomial_from_json(data, spec=None):
+    if not isinstance(data, dict):
+        raise UsageError("monomial JSON must be an object with integer fields "
+                         "h, a, b, got %s" % (json.dumps(data),))
     try:
         m = PbwMonomial(
             int(data["h"]),
@@ -393,6 +397,10 @@ def cmd_verma_basis(args):
         constraint = args.level
     else:
         raw = json.loads(args.weight)
+        if not isinstance(raw, dict) or not all(
+                isinstance(val, str) for val in raw.values()):
+            raise UsageError('--weight must be a JSON object of scalar strings, '
+                             'e.g. {"D": "-delta+2"}, got %s' % (args.weight,))
         constraint = {key: parse_scalar(val) for key, val in raw.items()}
     monos = level_basis(cfg.spec, constraint, params=cfg.params)
     if cfg.output == "json":
@@ -785,7 +793,9 @@ def acceptance_criteria():
 
 # --- parser ----------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process (parsing never mutates it)."""
     parser = argparse.ArgumentParser(
         prog="cgk",
         description="Exact toolkit for conformal Galilei algebras, their "

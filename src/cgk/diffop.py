@@ -260,27 +260,51 @@ def _subindices(alpha):
 
 
 def compose(a, b):
-    """Operator product a . b in canonical normal order (Leibniz rule)."""
+    """Operator product a . b in canonical normal order (Leibniz rule).
+
+    One pass over the Leibniz sum
+
+        pa d^alpha . pb d^beta
+            = sum_{gamma <= alpha} C(alpha, gamma) pa (d^gamma pb) d^(alpha-gamma+beta),
+
+    with no intermediate operators: each term c x^e of pb contributes
+    c * ff(e, gamma) x^(e-gamma) to d^gamma pb, where ff is the product of
+    the falling factorials e_i (e_i - 1) ... (e_i - gamma_i + 1).  That
+    integer and C(alpha, gamma) fold into one int before the one Scalar
+    product per pair of terms, and the products accumulate in a
+    {dexpo: {expo: Scalar}} map from which the DiffOp is built once.
+    """
     _check_chart(a, b)
     chart = a.chart
+    b_terms = [(beta, list(pb.terms.items())) for beta, pb in b.terms.items()]
     out = {}
     for alpha, pa in a.terms.items():
-        for beta, pb in b.terms.items():
-            for gamma in _subindices(alpha):
-                dq = pb.derivative(0, gamma[0])
-                for i in range(1, len(gamma)):
-                    if gamma[i]:
-                        dq = dq.derivative(i, gamma[i])
-                if dq.is_zero():
-                    continue
-                binom = 1
-                for ai, gi in zip(alpha, gamma):
-                    binom *= comb(ai, gi)
-                dexpo = tuple(ai - gi + bi for ai, gi, bi in zip(alpha, gamma, beta))
-                piece = (pa * dq).scaled(binom)
-                cur = out.get(dexpo)
-                out[dexpo] = piece if cur is None else cur + piece
-    return DiffOp(chart, out)
+        pa_terms = list(pa.terms.items())
+        for gamma in _subindices(alpha):
+            binom = 1
+            for ai, gi in zip(alpha, gamma):
+                binom *= comb(ai, gi)
+            shift = tuple(ai - gi for ai, gi in zip(alpha, gamma))
+            for beta, pb_terms in b_terms:
+                dexpo = tuple(si + bi for si, bi in zip(shift, beta))
+                acc = out.get(dexpo)
+                if acc is None:
+                    acc = out[dexpo] = {}
+                for eb, cb in pb_terms:
+                    k = binom
+                    for e, g in zip(eb, gamma):
+                        for j in range(g):
+                            k *= e - j  # reaches 0 when g > e
+                    if not k:
+                        continue
+                    rest = tuple(e - g for e, g in zip(eb, gamma))
+                    cbk = cb * k
+                    for ea, ca in pa_terms:
+                        expo = tuple(x + y for x, y in zip(ea, rest))
+                        term = ca * cbk
+                        prev = acc.get(expo)
+                        acc[expo] = term if prev is None else prev + term
+    return DiffOp(chart, {d: CoefPoly(chart, t) for d, t in out.items()})
 
 
 def commutator(a, b):
@@ -407,9 +431,9 @@ class _OpParser:
                 raise ValueError("exponent must be an integer")
             n = int(tok)
             if neg:
-                out = _invert_scalar_op(op_power_guarded(out, n))
+                out = _invert_scalar_op(op_power(out, n))
             else:
-                out = op_power_guarded(out, n)
+                out = op_power(out, n)
         return out
 
     def atom(self):
@@ -428,10 +452,6 @@ class _OpParser:
             return DiffOp.of_poly(CoefPoly.var(self.chart, Var.parse(tok)))
         # parameter symbol
         return DiffOp.const(self.chart, parse_scalar(tok))
-
-
-def op_power_guarded(a, n):
-    return op_power(a, n)
 
 
 def _invert_scalar_op(a):

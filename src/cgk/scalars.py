@@ -336,12 +336,28 @@ def poly_gcd(a, b):
     return _monic(_from_univariate(pb, v) * cg)
 
 
+# The one denominator of every Scalar whose denominator has no parameters.
+# Arithmetic tests for it by identity; it is never mutated.
+_POLY_ONE = ParamPoly.const(1)
+
+
+def _scalar_over_one(num):
+    """num / 1 built without normalisation: canonical for any num."""
+    out = Scalar.__new__(Scalar)
+    out.num = num
+    out.den = _POLY_ONE
+    return out
+
+
 class Scalar:
     """Canonical quotient of two ParamPoly.
 
     Normal form: gcd(num, den) = 1 and the denominator is monic under the
     grlex order, so equality is plain structural equality and zero-testing
-    inspects the numerator.
+    inspects the numerator.  A denominator without parameters is always the
+    shared one-polynomial ``_POLY_ONE`` (the same object), so ``+``, ``*``
+    and ``* int`` on two such scalars combine the numerators directly and
+    skip the gcd and the rescale.
     """
 
     __slots__ = ("num", "den")
@@ -350,21 +366,24 @@ class Scalar:
         if not isinstance(num, ParamPoly):
             num = ParamPoly.const(num)
         if den is None:
-            den = ParamPoly.const(1)
+            den = _POLY_ONE
         elif not isinstance(den, ParamPoly):
             den = ParamPoly.const(den)
         if den.is_zero:
             raise DivisionByZero("scalar with zero denominator")
         if num.is_zero:
-            den = ParamPoly.const(1)
-        elif den.is_const():
-            num = num * (1 / den.const_value())
-            den = ParamPoly.const(1)
-        else:
+            den = _POLY_ONE
+        elif not den.is_const():
             g = poly_gcd(num, den)
             if not g.is_const() or g.const_value() != 1:
                 num = poly_div_exact(num, g)
                 den = poly_div_exact(den, g)
+        if den.is_const():
+            c = den.const_value()
+            if c != 1:
+                num = num * (1 / c)
+            den = _POLY_ONE
+        else:
             _, lc = den.leading()
             if lc != 1:
                 inv = 1 / lc
@@ -375,29 +394,29 @@ class Scalar:
 
     @classmethod
     def zero(cls):
-        return cls(0)
+        return _scalar_over_one(ParamPoly())
 
     @classmethod
     def one(cls):
-        return cls(1)
+        return cls.const(1)
 
     @classmethod
     def const(cls, value):
-        return cls(ParamPoly.const(value))
+        return _scalar_over_one(ParamPoly.const(value))
 
     @classmethod
     def symbol(cls, name):
-        return cls(ParamPoly.symbol(name))
+        return _scalar_over_one(ParamPoly.symbol(name))
 
     @property
     def is_zero(self):
         return self.num.is_zero
 
     def is_one(self):
-        return self.num == ParamPoly.const(1) and self.den == ParamPoly.const(1)
+        return self.den is _POLY_ONE and self.num == _POLY_ONE
 
     def is_rational(self):
-        return self.num.is_const() and self.den.is_const()
+        return self.den is _POLY_ONE and self.num.is_const()
 
     def rational_value(self):
         """The Fraction value of a parameter-free Scalar."""
@@ -417,6 +436,11 @@ class Scalar:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    def __reduce__(self):
+        # copies and unpickled scalars go through the constructor, so they
+        # share _POLY_ONE too
+        return Scalar, (self.num, self.den)
+
     def __neg__(self):
         out = Scalar.__new__(Scalar)
         out.num = -self.num
@@ -427,6 +451,8 @@ class Scalar:
         other = _coerce_scalar(other)
         if other is None:
             return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return _scalar_over_one(self.num + other.num)
         return Scalar(self.num * other.den + other.num * self.den,
                       self.den * other.den)
 
@@ -442,9 +468,13 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if self.den is _POLY_ONE and isinstance(other, int):
+            return _scalar_over_one(self.num * other)
         other = _coerce_scalar(other)
         if other is None:
             return NotImplemented
+        if self.den is _POLY_ONE and other.den is _POLY_ONE:
+            return _scalar_over_one(self.num * other.num)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -489,19 +519,6 @@ def _coerce_scalar(value):
     if isinstance(value, ParamPoly):
         return Scalar(value)
     return None
-
-
-def scalar_arith(a, b, op):
-    """Field arithmetic entry point: op is one of add, sub, mul, div."""
-    table = {
-        "add": lambda: a + b,
-        "sub": lambda: a - b,
-        "mul": lambda: a * b,
-        "div": lambda: a / b,
-    }
-    if op not in table:
-        raise ValueError("unknown op %r" % (op,))
-    return table[op]()
 
 
 def central_constant(spec, m):
@@ -562,7 +579,7 @@ def render_poly(p):
 
 def render_scalar(s):
     num = render_poly(s.num)
-    if s.den == ParamPoly.const(1):
+    if s.den is _POLY_ONE:
         return num
     den = render_poly(s.den)
     if len(s.num.terms) > 1:
@@ -706,6 +723,6 @@ def _latex_fraction(frac):
 
 
 def latex_scalar(s):
-    if s.den == ParamPoly.const(1):
+    if s.den is _POLY_ONE:
         return latex_poly(s.num)
     return r"\frac{%s}{%s}" % (latex_poly(s.num), latex_poly(s.den))

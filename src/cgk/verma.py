@@ -468,7 +468,7 @@ def _closed_form_mass(spec, x, m, pvals):
                 add(k - i, a, _bump(b, j, -1), coef)
             else:
                 add(k - i, _bump(a, j, -1), b, coef)
-        for i in range(n - half, k + 1):
+        for i in range(n - half, min(k, n) + 1):
             coef = _fact(i) * _comb(k, i) * _comb(n, i)
             if x.sign == "+":
                 add(k - i, _bump(a, n - i, 1), b, coef)
@@ -538,7 +538,7 @@ def _closed_form_exotic(spec, x, m, pvals):
             coef = theta * Scalar.const(
                 _fact(i) * _comb(h, i) * _comb(n, i) * b[j] * mag_I(n - i))
             add(h - i, a, _bump(b, j, -1), coef)
-        for i in range(n - ell, h + 1):
+        for i in range(n - ell, min(h, n) + 1):
             add(h - i, _bump(a, n - i, 1), b,
                 _fact(i) * _comb(h, i) * _comb(n, i))
     elif x.tag == "P":  # sign "-", annihilator, n >= l
@@ -550,7 +550,7 @@ def _closed_form_exotic(spec, x, m, pvals):
             coef = theta * Scalar.const(
                 -_fact(i) * _comb(h, i) * _comb(n, i) * a[j] * mag_I(n - i))
             add(h - i, _bump(a, j, -1), b, coef)
-        for i in range(n - ell + 1, h + 1):
+        for i in range(n - ell + 1, min(h, n) + 1):
             add(h - i, a, _bump(b, n - i, 1),
                 _fact(i) * _comb(h, i) * _comb(n, i))
     else:

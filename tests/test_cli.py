@@ -7,6 +7,7 @@ import pytest
 
 from cgk.algebra import AlgebraSpec, Gen
 from cgk.cli import (
+    build_parser,
     diffop_from_json,
     diffop_to_json,
     monomial_from_json,
@@ -99,6 +100,50 @@ def test_verma_basis_level_and_weight(capsys):
     )
     assert code == 0
     assert [monomial_from_json(m) for m in json.loads(out)["basis"]] == basis
+
+
+def test_closed_action_beyond_annihilator_range(capsys):
+    # h >= n + 2 once an annihilator's sum reaches past i = n
+    argv = [
+        "verma", "act", "--d", "2", "--two-ell", "1", "--ext", "mass",
+        "--gen", "P1+", "--monomial", '{"h":3,"a":[0],"b":[0]}',
+    ]
+    for action in ("closed", "generic"):
+        code, out, err = invoke(capsys, *argv, "--action", action)
+        assert (code, out, err) == (0, "3*|2;1;0>\n", ""), action
+
+
+def test_non_object_json_is_usage_error(capsys):
+    family = ["--d", "2", "--two-ell", "1", "--ext", "mass"]
+    cases = [
+        ["verma", "basis", *family, "--weight", "[1]"],
+        ["verma", "basis", *family, "--weight", '{"D": 1}'],
+        ["verma", "act", *family, "--gen", "H", "--monomial", "[1]"],
+        ["verma", "weight", *family, "--monomial", "5"],
+    ]
+    for argv in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+def test_parser_reused_across_calls(capsys):
+    calls = [
+        ["pde", "emit", "--d", "1", "--two-ell", "1", "--ext", "mass", "--q", "2"],
+        ["verma", "basis", "--d", "1", "--two-ell", "1", "--ext", "mass",
+         "--level", "2", "--render", "json"],
+        ["reps", "left", "--d", "1", "--two-ell", "3", "--ext", "mass",
+         "--gen", "C"],
+        ["nonsense"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        assert [invoke(capsys, *argv) for argv in calls] == fresh
 
 
 def test_verma_weight_output(capsys):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from cgk.diffop import (
     DiffOp,
     Var,
     VariableMismatch,
+    _subindices,
     apply_op,
     commutator,
     compose,
@@ -16,7 +18,7 @@ from cgk.diffop import (
     parse_diffop,
     render_diffop,
 )
-from cgk.scalars import Scalar
+from cgk.scalars import _POLY_ONE, Scalar
 
 TX = make_chart("t", "x0")
 MU = Scalar.symbol("mu")
@@ -180,3 +182,65 @@ def test_latex_output():
     d = parse_diffop("delta - 2*t*d/dt", TX)
     tex2 = latex_diffop(d)
     assert "\\delta" in tex2 and "\\partial_{t}" in tex2
+
+
+def _reference_compose(a, b):
+    """The Leibniz rule written with whole intermediate operators: the
+    oracle for the single-pass ``compose``."""
+    out = {}
+    for alpha, pa in a.terms.items():
+        for beta, pb in b.terms.items():
+            for gamma in _subindices(alpha):
+                dq = pb.derivative(0, gamma[0])
+                for i in range(1, len(gamma)):
+                    if gamma[i]:
+                        dq = dq.derivative(i, gamma[i])
+                if dq.is_zero():
+                    continue
+                binom = 1
+                for ai, gi in zip(alpha, gamma):
+                    binom *= comb(ai, gi)
+                dexpo = tuple(ai - gi + bi for ai, gi, bi in zip(alpha, gamma, beta))
+                piece = (pa * dq).scaled(binom)
+                cur = out.get(dexpo)
+                out[dexpo] = piece if cur is None else cur + piece
+    return DiffOp(a.chart, out)
+
+
+def test_compose_matches_reference_on_fixed_operators():
+    a = heat()
+    d = parse_diffop("delta - 2*t*d/dt - x0*d/dx0", TX)
+    m = parse_diffop("1/(delta+1)*t*x0^2*(d/dx0)^2 + mu^-1*x0*d/dt", TX)
+    for x in (a, d, m):
+        for y in (a, d, m):
+            assert compose(x, y) == _reference_compose(x, y)
+
+
+def test_compose_matches_reference_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # numerators over 1, delta+1 or mu: the products mix the shared
+    # one-denominator fast path with the normalising constructor
+    coefs = st.builds(
+        lambda n, s, den: Scalar.const(n) * s / den,
+        st.integers(-3, 3).filter(bool),
+        st.sampled_from([Scalar.one(), DELTA, MU]),
+        st.sampled_from([Scalar.one(), DELTA + 1, MU]),
+    )
+    expos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    ops = st.dictionaries(
+        expos, st.dictionaries(expos, coefs, min_size=1, max_size=3),
+        min_size=1, max_size=3,
+    ).map(lambda t: DiffOp(TX, {d: CoefPoly(TX, p) for d, p in t.items()}))
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(ops, ops)
+    def check(a, b):
+        got = compose(a, b)
+        assert got == _reference_compose(a, b)
+        for poly in got.terms.values():
+            for coef in poly.terms.values():
+                assert coef.den is _POLY_ONE or not coef.den.is_const()
+
+    check()

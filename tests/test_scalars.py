@@ -1,3 +1,6 @@
+import copy
+import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 
 from cgk.algebra import AlgebraSpec
 from cgk.scalars import (
+    _POLY_ONE,
     DivisionByZero,
     ParamPoly,
     Scalar,
@@ -14,7 +18,6 @@ from cgk.scalars import (
     poly_div_exact,
     poly_gcd,
     render_scalar,
-    scalar_arith,
 )
 
 
@@ -24,15 +27,15 @@ def sym(name):
 
 def test_arith_examples():
     delta, mu = sym("delta"), sym("mu")
-    assert scalar_arith(delta, delta, "sub") == Scalar.zero()
-    assert scalar_arith(mu / delta, delta, "mul") == mu
+    assert delta - delta == Scalar.zero()
+    assert (mu / delta) * delta == mu
     two_d1 = 2 * delta + 1
-    assert scalar_arith(two_d1 / mu, two_d1, "div") == 1 / mu
+    assert (two_d1 / mu) / two_d1 == 1 / mu
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        scalar_arith(sym("delta"), Scalar.zero(), "div")
+        sym("delta") / Scalar.zero()
     with pytest.raises(DivisionByZero):
         Scalar(ParamPoly.const(1), ParamPoly.zero())
 
@@ -86,10 +89,11 @@ def _random_scalar(rng, depth=2):
         return Scalar.symbol(rng.choice(("delta", "mu", "r", "theta", "kappa")))
     a = _random_scalar(rng, depth - 1)
     b = _random_scalar(rng, depth - 1)
-    op = rng.choice(("add", "sub", "mul", "mul", "div"))
-    if op == "div" and b.is_zero:
-        op = "add"
-    return scalar_arith(a, b, op)
+    op = rng.choice((operator.add, operator.sub, operator.mul, operator.mul,
+                     operator.truediv))
+    if op is operator.truediv and b.is_zero:
+        op = operator.add
+    return op(a, b)
 
 
 def test_field_axioms_random():
@@ -163,3 +167,52 @@ def test_random_render_round_trip():
     for _ in range(150):
         s = _random_scalar(rng, depth=3)
         assert parse_scalar(render_scalar(s)) == s
+
+
+def test_parameter_free_denominator_is_shared():
+    delta, mu = sym("delta"), sym("mu")
+    for s in (Scalar.zero(), Scalar.one(), Scalar.const(Fraction(-3, 4)), delta,
+              Scalar(2 * delta.num, ParamPoly.const(4)),
+              ((delta + 1) * mu) / (delta + 1), delta / delta - 1):
+        assert s.den is _POLY_ONE, s
+    rng = random.Random(11)
+    for _ in range(200):
+        s = _random_scalar(rng, depth=3)
+        assert s.den is _POLY_ONE or not s.den.is_const(), s
+
+
+def test_fast_path_matches_constructor_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    expos = st.tuples(*[st.integers(0, 2)] * 5)
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    polys = st.dictionaries(expos, fracs, max_size=4).map(ParamPoly)
+    scalars = polys.map(Scalar)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(scalars, scalars, st.integers(-4, 4))
+    def check(a, b, k):
+        # the oracle: the normalising constructor over a fresh constant
+        # denominator (not the shared object, and not always 1)
+        three = ParamPoly.const(3)
+        cases = [
+            (a + b, Scalar((a.num + b.num) * 3, three)),
+            (a - b, Scalar((a.num - b.num) * 3, three)),
+            (a * b, Scalar(a.num * b.num * 3, three)),
+            (a * k, Scalar(a.num * (3 * k), three)),
+            (k * a, Scalar(a.num * k, ParamPoly.const(1))),
+        ]
+        for got, want in cases:
+            assert got.num == want.num and got.den == want.den
+            assert got.den is _POLY_ONE and want.den is _POLY_ONE
+
+    check()
+
+
+def test_copies_keep_the_shared_denominator():
+    for s in (Scalar.const(Fraction(5, 3)), 2 * sym("delta") + 1,
+              sym("mu") / (sym("delta") + 1)):
+        for again in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert again == s and render_scalar(again) == render_scalar(s)
+            assert (again.den is _POLY_ONE) == (s.den is _POLY_ONE)

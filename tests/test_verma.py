@@ -289,3 +289,16 @@ def test_centerless_weight_includes_g0_only_on_eigenvectors():
     assert w0[Gen("P", 1)] == -KAPPA
     w1 = weight_of(NONE, mono(1, (0,)))
     assert Gen("P", 1) not in w1
+
+
+def test_closed_form_matches_generic_levels_6_and_7():
+    # from level 6 on, the annihilators meet monomials with h >= n + 2,
+    # where the closed-form sums must stop at i = n
+    for spec in (M1, EX2, M3):
+        gens = enumerate_generators(spec)
+        for p in (6, 7):
+            for m in level_basis(spec, p):
+                v = ModuleVector.of(m)
+                for x in gens:
+                    assert act_closed_form(spec, x, v) == act_generic(spec, x, v), (
+                        spec, p, x, m)
