@@ -921,6 +921,11 @@ def run(argv=None):
             ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other failure is still one line and a usage-class exit code:
+        # 1 is reserved for a verification that ran and failed
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 def main(argv=None):

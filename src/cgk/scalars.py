@@ -3,9 +3,16 @@
 Everything downstream (structure constants, module actions, differential
 operators) computes over the field of rational functions in the five weight
 parameters.  This module provides that field: sparse multivariate polynomials
-with Fraction coefficients (ParamPoly), normalized quotients of them (Scalar),
-a polynomial gcd so quotients stay canonical, a text grammar, and the integer
-constants attached to the central extensions.
+with rational coefficients (ParamPoly), normalized quotients of them
+(Scalar), a polynomial gcd so quotients stay canonical, a text grammar, and
+the integer constants attached to the central extensions.
+
+Coefficients are exact and fraction-free where they can be: an integral
+coefficient is a plain ``int`` and only a non-integral one is a
+``Fraction``.  Both compare equal, hash alike and print alike, so the
+representation never shows in results.  Divisions take an exact quotient
+(``_quotient``: integer division when it leaves no remainder, a ``Fraction``
+otherwise), so no ``float`` can appear.
 
 Half-integer labels never appear: the label ell is carried as the integer
 twoEll and every formula is written in terms of it.
@@ -16,14 +23,49 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 SYMBOLS = ("delta", "mu", "r", "theta", "kappa")
 NSYM = len(SYMBOLS)
 
 ZERO_EXPO = (0,) * NSYM
+_SYMBOL_EXPO = {name: tuple(int(j == i) for j in range(NSYM))
+                for i, name in enumerate(SYMBOLS)}
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+
+def _rational(value):
+    """value as an exact coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a, b):
+    """Exact quotient of two coefficients, canonical like _rational."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _rational(Fraction(a, b))
+
+
+def _as_poly(value):
+    """value as a ParamPoly (int and Fraction become constants), else None."""
+    if type(value) is ParamPoly:
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ParamPoly.const(value)
+    return None
+
+
+def _poly_of(terms):
+    """A ParamPoly over nonzero coefficients, integral Fractions made ints."""
+    for expo, coef in terms.items():
+        if type(coef) is Fraction and coef.denominator == 1:
+            terms[expo] = coef.numerator
+    out = ParamPoly.__new__(ParamPoly)
+    out.terms = terms
+    return out
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -43,8 +85,9 @@ class ParamPoly:
     """Sparse polynomial in the parameter symbols over the rationals.
 
     terms maps an exponent vector (one slot per entry of SYMBOLS) to a
-    nonzero Fraction; the zero polynomial has an empty map.  Instances are
-    treated as immutable once constructed.
+    nonzero coefficient: an ``int`` when it is integral, otherwise a
+    ``Fraction`` with denominator other than 1.  The zero polynomial has an
+    empty map.  Instances are treated as immutable once constructed.
     """
 
     __slots__ = ("terms",)
@@ -53,7 +96,7 @@ class ParamPoly:
         clean = {}
         if terms:
             for expo, coef in terms.items():
-                coef = Fraction(coef)
+                coef = _rational(coef)
                 if coef:
                     clean[tuple(expo)] = coef
         self.terms = clean
@@ -64,15 +107,14 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value):
-        return cls({ZERO_EXPO: Fraction(value)})
+        return cls({ZERO_EXPO: value})
 
     @classmethod
     def symbol(cls, name):
-        if name not in SYMBOLS:
+        expo = _SYMBOL_EXPO.get(name)
+        if expo is None:
             raise ValueError("unknown symbol %r" % (name,))
-        i = SYMBOLS.index(name)
-        expo = tuple(1 if j == i else 0 for j in range(NSYM))
-        return cls({expo: _F1})
+        return _poly_of({expo: 1})
 
     @property
     def is_zero(self):
@@ -85,7 +127,7 @@ class ParamPoly:
         """The Fraction value of a constant polynomial."""
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(ZERO_EXPO, _F0)
+        return Fraction(self.terms.get(ZERO_EXPO, 0))
 
     def total_degree(self):
         if not self.terms:
@@ -103,9 +145,8 @@ class ParamPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -113,30 +154,26 @@ class ParamPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return ParamPoly({e: -c for e, c in self.terms.items()})
+        return _poly_of({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         terms = dict(self.terms)
         for expo, coef in other.terms.items():
-            acc = terms.get(expo, _F0) + coef
+            acc = terms.get(expo, 0) + coef
             if acc:
                 terms[expo] = acc
             else:
                 terms.pop(expo, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = terms
-        return out
+        return _poly_of(terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.const(other)
-        if not isinstance(other, ParamPoly):
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -144,26 +181,23 @@ class ParamPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ParamPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return ParamPoly.zero()
-            out = ParamPoly.__new__(ParamPoly)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
+            other = _rational(other)
+            return _poly_of({e: c * other for e, c in self.terms.items()})
         acc = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(expo, _F0) + c1 * c2
+                expo = tuple(map(add, e1, e2))
+                s = acc.get(expo, 0) + c1 * c2
                 if s:
                     acc[expo] = s
                 else:
                     acc.pop(expo, None)
-        out = ParamPoly.__new__(ParamPoly)
-        out.terms = acc
-        return out
+        return _poly_of(acc)
 
     __rmul__ = __mul__
 
@@ -196,7 +230,7 @@ class ParamPoly:
                 if expo[i]:
                     term = term * val ** expo[i]
                     residual[i] = 0
-            out = out + term * ParamPoly({tuple(residual): _F1})
+            out = out + term * ParamPoly({tuple(residual): 1})
         return out
 
     def __repr__(self):
@@ -217,10 +251,10 @@ def poly_div_exact(a, b):
         expo = tuple(x - y for x, y in zip(ea, eb))
         if min(expo) < 0:
             return None
-        coef = ca / cb
+        coef = _quotient(ca, cb)
         quot[expo] = coef
-        rem = rem - ParamPoly({expo: coef}) * b
-    return ParamPoly(quot)
+        rem = rem - _poly_of({expo: coef}) * b
+    return _poly_of(quot)
 
 
 # gcd machinery: recursive content / primitive-part with a primitive
@@ -237,7 +271,7 @@ def _as_univariate(p, v):
         k = expo[v]
         rest = expo[:v] + (0,) + expo[v + 1:]
         out.setdefault(k, {})[rest] = coef
-    return {k: ParamPoly(d) for k, d in out.items()}
+    return {k: _poly_of(d) for k, d in out.items()}
 
 
 def _from_univariate(u, v):
@@ -245,7 +279,7 @@ def _from_univariate(u, v):
     for k, poly in u.items():
         for expo, coef in poly.terms.items():
             terms[expo[:v] + (k,) + expo[v + 1:]] = coef
-    return ParamPoly(terms)
+    return _poly_of(terms)
 
 
 def _uni_degree(u):
@@ -308,7 +342,7 @@ def _monic(p):
     if p.is_zero:
         return p
     _, lc = p.leading()
-    return p * (1 / lc)
+    return p * _quotient(1, lc)
 
 
 def poly_gcd(a, b):
@@ -381,12 +415,12 @@ class Scalar:
         if den.is_const():
             c = den.const_value()
             if c != 1:
-                num = num * (1 / c)
+                num = num * _quotient(1, c)
             den = _POLY_ONE
         else:
             _, lc = den.leading()
             if lc != 1:
-                inv = 1 / lc
+                inv = _quotient(1, lc)
                 num = num * inv
                 den = den * inv
         self.num = num

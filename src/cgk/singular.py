@@ -198,11 +198,14 @@ def verify_singular(spec, v, params=None, expect_weight=None):
 
 
 def _scalar_matrix_kernel(rows, ncols):
-    """Exact kernel basis of a Scalar matrix via fraction-free elimination.
+    """Exact kernel basis of a Scalar matrix by Gauss-Jordan elimination.
 
+    Every other row is reduced by a multiple of the pivot row divided by
+    the pivot, so entries grow into rational functions of the parameters.
     Returns (basis, caveats): each basis vector is a tuple of Scalars;
-    caveats lists non-constant pivots divided out (the kernel is correct
-    wherever they do not vanish).
+    caveats lists the non-constant pivots divided by (the kernel is correct
+    wherever they do not vanish; denominators that later entries pick up
+    are not listed).
     """
     mat = [list(r) for r in rows]
     caveats = []

@@ -17,14 +17,15 @@ Their agreement on a shared domain is one of the package's core checks.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 from .algebra import (
-    AlgebraSpec,
     Gen,
+    UnknownGenerator,
     bracket,
     creation_data,
-    decomposition,
+    enumerate_generators,
     normal_position,
     weight_table,
 )
@@ -207,16 +208,21 @@ def vacuum(spec, params=None):
 
 # --- gradings -------------------------------------------------------------
 
+def _int_value(coef):
+    """A structure constant as an int (every bracket coefficient is one)."""
+    val = coef.rational_value()
+    assert val.denominator == 1
+    return val.numerator
+
+
 def _int_bracket_coef(spec, diag, gen):
     """Integer c with [diag, gen] = c * gen (0 when the bracket vanishes)."""
     combo = bracket(spec, diag, gen)
     if not combo.terms:
         return 0
     [(g, c)] = combo.items()
-    assert g == gen and c.is_rational()
-    val = c.rational_value()
-    assert val.denominator == 1
-    return int(val)
+    assert g == gen
+    return _int_value(c)
 
 
 def _grading(spec):
@@ -298,39 +304,75 @@ def weight_of(spec, m, params=None):
 
 # --- generic action by normal-ordering words ------------------------------
 
-def _word_of(spec, m):
-    """The normal word of a basis monomial (position-descending letters)."""
-    top, a_gens, b_gens = creation_data(spec)
-    pos = normal_position(spec)
-    letters = [(pos[top], top)] * m.h
-    for gens, expo in ((a_gens, m.a), (b_gens, m.b)):
-        for gen, e in zip(gens, expo):
-            letters += [(pos[gen], gen)] * e
-    letters.sort(key=lambda pg: -pg[0])
-    return tuple(g for _, g in letters)
+@dataclass(frozen=True)
+class _Letters:
+    """A family's generators as integer letters, for the generic action.
+
+    Letter ``i`` is ``enumerate_generators(spec)[i]``.  ``pos[i]`` is its
+    normal-order position, ``brk[i][j]`` the bracket of letters ``i`` and
+    ``j`` as ``((letter, int coefficient), ...)``, ``slots`` the letters of
+    the basis factors in monomial order (top, a string, b string) and
+    ``order`` the slot indices by descending position, the order of the
+    factors in a normal word.
+    """
+
+    index: dict
+    pos: tuple
+    brk: tuple
+    slots: tuple
+    order: tuple
+    n_a: int
+
+    def word_of(self, m):
+        """The normal word of a basis monomial."""
+        expo = (m.h,) + m.a + m.b
+        word = ()
+        for s in self.order:
+            word += (self.slots[s],) * expo[s]
+        return word
+
+    def monomial_of(self, word):
+        """The basis monomial of a normal word, by counting each slot."""
+        counts = tuple(word.count(letter) for letter in self.slots)
+        return PbwMonomial(counts[0], counts[1:1 + self.n_a], counts[1 + self.n_a:])
 
 
-def _monomial_of(spec, word):
+@lru_cache(maxsize=None)
+def _letters(spec):
+    """The integer-letter tables of ``spec``, built from ``algebra.bracket``
+    on first use, so the generic action depends only on the bracket rules."""
+    gens = enumerate_generators(spec)
+    index = {g: i for i, g in enumerate(gens)}
+    position = normal_position(spec)
+    pos = tuple(position[g] for g in gens)
+    brk = tuple(
+        tuple(tuple((index[g], _int_value(c)) for g, c in bracket(spec, x, y).items())
+              for y in gens)
+        for x in gens
+    )
     top, a_gens, b_gens = creation_data(spec)
-    h = sum(1 for g in word if g == top)
-    a = tuple(sum(1 for g in word if g == gen) for gen in a_gens)
-    b = tuple(sum(1 for g in word if g == gen) for gen in b_gens)
-    return PbwMonomial(h, a, b)
+    slots = tuple(index[g] for g in (top,) + a_gens + b_gens)
+    order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
+    return _Letters(index, pos, brk, slots, order, len(a_gens))
 
 
 def act_generic(spec, x, v, params=None):
     """Action of generator ``x`` on vector ``v`` by word rewriting.
 
     Independent of every closed-form action: prepends ``x`` to each
-    monomial's word and normal-orders using only ``algebra.bracket``,
-    killing trailing annihilators and converting trailing diagonal
-    letters into their eigenvalues.
+    monomial's word and normal-orders using only ``algebra.bracket``
+    (through the family's integer structure-constant table), swapping the
+    leftmost adjacent inversion first, killing trailing annihilators and
+    converting trailing diagonal letters into their eigenvalues.
     """
     pvals = resolve_params(spec, params)
-    pos = normal_position(spec)
-    table = weight_table(spec)
-    eigen = {g: pvals[sym] * Scalar.const(sign) for g, (sym, sign) in table.items()}
-    minus = set(decomposition(spec)[2])
+    letters = _letters(spec)
+    first = letters.index.get(x)
+    if first is None:
+        raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
+    pos, brk = letters.pos, letters.brk
+    eigen = {letters.index[g]: pvals[sym] * sign
+             for g, (sym, sign) in weight_table(spec).items()}
 
     pending = {}
 
@@ -342,37 +384,33 @@ def act_generic(spec, x, v, params=None):
 
     for mono, coef in v.terms.items():
         check_monomial(spec, mono)
-        push((x,) + _word_of(spec, mono), coef)
+        push((first,) + letters.word_of(mono), coef)
 
     out = {}
     while pending:
         word, coef = pending.popitem()
         if coef.is_zero:
             continue
-        if not word:
-            mono = _monomial_of(spec, word)
-            out[mono] = out.get(mono, Scalar.zero()) + coef
-            continue
-        last = word[-1]
-        if pos[last] == 0:  # annihilator meets the lowest-weight vector
-            continue
-        if pos[last] == 1:  # diagonal letter: eigenvalue times the rest
-            push(word[:-1], coef * eigen[last])
-            continue
-        # find the leftmost adjacent inversion (ascending positions)
-        swap_at = None
-        for i in range(len(word) - 1):
-            if pos[word[i]] < pos[word[i + 1]]:
-                swap_at = i
-                break
-        if swap_at is None:
-            mono = _monomial_of(spec, word)
-            out[mono] = out.get(mono, Scalar.zero()) + coef
-            continue
-        i = swap_at
-        push(word[:i] + (word[i + 1], word[i]) + word[i + 2:], coef)
-        for gen, c in bracket(spec, word[i], word[i + 1]).items():
-            push(word[:i] + (gen,) + word[i + 2:], coef * c)
+        if word:
+            last = word[-1]
+            if pos[last] == 0:  # annihilator meets the lowest-weight vector
+                continue
+            if pos[last] == 1:  # diagonal letter: eigenvalue times the rest
+                push(word[:-1], coef * eigen[last])
+                continue
+            # find the leftmost adjacent inversion (ascending positions)
+            i, n = 0, len(word) - 1
+            while i < n and pos[word[i]] >= pos[word[i + 1]]:
+                i += 1
+            if i < n:
+                a, b = word[i], word[i + 1]
+                head, tail = word[:i], word[i + 2:]
+                push(head + (b, a) + tail, coef)
+                for letter, c in brk[a][b]:
+                    push(head + (letter,) + tail, coef * c)
+                continue
+        mono = letters.monomial_of(word)
+        out[mono] = out.get(mono, Scalar.zero()) + coef
     return ModuleVector(out)
 
 
@@ -386,22 +424,9 @@ def act_word(spec, gens, v, params=None, action=None):
 
 # --- closed-form actions for the planar families --------------------------
 
-def _comb(n, k):
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _central_mag(two_ell, m):
     """(2l-m)! m! — magnitude of the closing structure constant."""
-    return _fact(two_ell - m) * _fact(m)
+    return factorial(two_ell - m) * factorial(m)
 
 
 def _closed_form_mass(spec, x, m, pvals):
@@ -450,7 +475,7 @@ def _closed_form_mass(spec, x, m, pvals):
                 add(k, a, _bump(_bump(b, n, -1), n + 1, 1), (two_ell - n) * b[n])
     elif x.tag == "P" and x.n <= half:  # creation
         for i in range(0, min(k, x.n) + 1):
-            coef = _fact(i) * _comb(k, i) * _comb(x.n, i)
+            coef = factorial(i) * comb(k, i) * comb(x.n, i)
             if x.sign == "+":
                 add(k - i, _bump(a, x.n - i, 1), b, coef)
             else:
@@ -463,13 +488,13 @@ def _closed_form_mass(spec, x, m, pvals):
             if j > half or not other[j]:
                 continue
             coef = mu * Scalar.const(
-                -_fact(i) * _comb(k, i) * _comb(n, i) * other[j] * sign_I(n - i))
+                -factorial(i) * comb(k, i) * comb(n, i) * other[j] * sign_I(n - i))
             if x.sign == "+":
                 add(k - i, a, _bump(b, j, -1), coef)
             else:
                 add(k - i, _bump(a, j, -1), b, coef)
         for i in range(n - half, min(k, n) + 1):
-            coef = _fact(i) * _comb(k, i) * _comb(n, i)
+            coef = factorial(i) * comb(k, i) * comb(n, i)
             if x.sign == "+":
                 add(k - i, _bump(a, n - i, 1), b, coef)
             else:
@@ -524,11 +549,11 @@ def _closed_form_exotic(spec, x, m, pvals):
     elif x.tag == "P" and x.sign == "+" and x.n <= ell:  # creation
         for i in range(0, min(h, x.n) + 1):
             add(h - i, _bump(a, x.n - i, 1), b,
-                _fact(i) * _comb(h, i) * _comb(x.n, i))
+                factorial(i) * comb(h, i) * comb(x.n, i))
     elif x.tag == "P" and x.sign == "-" and x.n <= ell - 1:  # creation
         for i in range(0, min(h, x.n) + 1):
             add(h - i, a, _bump(b, x.n - i, 1),
-                _fact(i) * _comb(h, i) * _comb(x.n, i))
+                factorial(i) * comb(h, i) * comb(x.n, i))
     elif x.tag == "P" and x.sign == "+":  # annihilator, n >= l + 1
         n = x.n
         for i in range(0, n - ell):
@@ -536,11 +561,11 @@ def _closed_form_exotic(spec, x, m, pvals):
             if j > ell - 1 or not b[j]:
                 continue
             coef = theta * Scalar.const(
-                _fact(i) * _comb(h, i) * _comb(n, i) * b[j] * mag_I(n - i))
+                factorial(i) * comb(h, i) * comb(n, i) * b[j] * mag_I(n - i))
             add(h - i, a, _bump(b, j, -1), coef)
         for i in range(n - ell, min(h, n) + 1):
             add(h - i, _bump(a, n - i, 1), b,
-                _fact(i) * _comb(h, i) * _comb(n, i))
+                factorial(i) * comb(h, i) * comb(n, i))
     elif x.tag == "P":  # sign "-", annihilator, n >= l
         n = x.n
         for i in range(0, n - ell + 1):
@@ -548,11 +573,11 @@ def _closed_form_exotic(spec, x, m, pvals):
             if j > ell or not a[j]:
                 continue
             coef = theta * Scalar.const(
-                -_fact(i) * _comb(h, i) * _comb(n, i) * a[j] * mag_I(n - i))
+                -factorial(i) * comb(h, i) * comb(n, i) * a[j] * mag_I(n - i))
             add(h - i, _bump(a, j, -1), b, coef)
         for i in range(n - ell + 1, min(h, n) + 1):
             add(h - i, a, _bump(b, n - i, 1),
-                _fact(i) * _comb(h, i) * _comb(n, i))
+                factorial(i) * comb(h, i) * comb(n, i))
     else:
         raise UnsupportedFamily("no closed-form action for %s on %r" % (x, spec))
     return ModuleVector(out)
@@ -568,6 +593,8 @@ def act_closed_form(spec, x, v, params=None):
         raise UnsupportedFamily(
             "closed-form actions cover the planar extended families only"
         )
+    if x not in normal_position(spec):
+        raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     pvals = resolve_params(spec, params)
     impl = _closed_form_mass if spec.ext == "mass" else _closed_form_exotic
     total = ModuleVector.zero()
@@ -643,6 +670,11 @@ def level_basis(spec, constraint, params=None):
             eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
 
     pvals = resolve_params(spec, params)
+    # a constraint may be written in the parameters it was given values for
+    fixed = {name: val.rational_value() for name, val in pvals.items()
+             if val.is_rational()}
+    if fixed:
+        eigen = {gen: val.substitute(fixed) for gen, val in eigen.items()}
     table = weight_table(spec)
     for gen in eigen:
         if gen not in table:

@@ -1,10 +1,14 @@
 """Command-line interface: grammar, exit codes, and exact serialization."""
 
 import json
+import pathlib
+import re
+import shlex
 from fractions import Fraction
 
 import pytest
 
+from cgk import cli
 from cgk.algebra import AlgebraSpec, Gen
 from cgk.cli import (
     build_parser,
@@ -100,6 +104,53 @@ def test_verma_basis_level_and_weight(capsys):
     )
     assert code == 0
     assert [monomial_from_json(m) for m in json.loads(out)["basis"]] == basis
+
+
+def test_weight_constraint_in_given_parameters(capsys):
+    # a weight written in delta, with delta given, selects what the number does
+    family = ["verma", "basis", "--d", "2", "--two-ell", "1", "--ext", "mass",
+              "--delta", "0"]
+    symbolic = invoke(capsys, *family, "--weight", '{"D": "-delta+2"}')
+    numeric = invoke(capsys, *family, "--weight", '{"D": "2"}')
+    assert symbolic == numeric
+    code, out, err = symbolic
+    assert (code, err) == (0, "")
+    assert out.split() == ["|0;0;2>", "|0;1;1>", "|0;2;0>", "|1;0;0>"]
+
+
+def test_unexpected_exception_is_one_line_exit_two(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "level_basis", boom)
+    code, out, err = invoke(
+        capsys, "verma", "basis", "--d", "1", "--two-ell", "1", "--ext", "mass",
+        "--level", "2",
+    )
+    assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
+
+
+def _readme_commands():
+    """Every ``cgk ...`` line of the README's shell blocks, continuations joined."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "cgk":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    monkeypatch.delenv("CGK_CAPS_LEVEL", raising=False)
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    for argv in commands:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out and err == "", (argv, err)
 
 
 def test_closed_action_beyond_annihilator_range(capsys):
@@ -201,6 +252,8 @@ def test_usage_errors_exit_two(capsys):
          "--gen", "Q9", "--monomial", '{"h":0,"a":[0]}'],
         ["verma", "act", "--d", "1", "--two-ell", "1", "--ext", "mass",
          "--gen", "H", "--monomial", "not json"],
+        ["verma", "act", "--d", "2", "--two-ell", "1", "--ext", "mass",
+         "--gen", "P2+", "--monomial", '{"h":0,"a":[1],"b":[1]}', "--action", "closed"],
         ["verma", "basis", "--d", "1", "--two-ell", "1", "--ext", "mass"],
         ["pde", "check", "--d", "1", "--two-ell", "1", "--ext", "mass",
          "--q", "1"],

@@ -9,6 +9,8 @@ import pytest
 from cgk.algebra import AlgebraSpec
 from cgk.scalars import (
     _POLY_ONE,
+    NSYM,
+    SYMBOLS,
     DivisionByZero,
     ParamPoly,
     Scalar,
@@ -216,3 +218,52 @@ def test_copies_keep_the_shared_denominator():
         for again in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
             assert again == s and render_scalar(again) == render_scalar(s)
             assert (again.den is _POLY_ONE) == (s.den is _POLY_ONE)
+
+
+def _canonical(poly):
+    """Every coefficient an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in poly.terms.values())
+
+
+def test_coefficients_stay_canonical_against_sympy():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hyp.strategies
+    names = sympy.symbols(" ".join(SYMBOLS))
+
+    def to_sympy(poly):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*[s ** e for s, e in zip(names, expo)])
+                    for expo, c in poly.terms.items()), sympy.Integer(0))
+
+    expos = st.tuples(*[st.integers(0, 2)] * NSYM)
+    coefs = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    polys = st.dictionaries(expos, coefs, max_size=3).map(ParamPoly)
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(polys, polys, coefs)
+    def check(a, b, k):
+        A, B = to_sympy(a), to_sympy(b)
+        assert _canonical(a) and _canonical(b)
+        for got, want in ((a + b, A + B), (a - b, A - B), (a * b, A * B),
+                          (a * k, A * sympy.Rational(k.numerator, k.denominator))):
+            assert _canonical(got)
+            assert sympy.expand(to_sympy(got) - want) == 0
+        if b.is_zero:
+            return
+        quot = poly_div_exact(a * b, b)
+        assert _canonical(quot) and quot == a
+        g = poly_gcd(a, b)
+        assert _canonical(g)
+        ratio = sympy.cancel(to_sympy(g) / sympy.gcd(A, B))
+        assert ratio.is_number and ratio != 0
+        for s in (Scalar(a) / Scalar(b), Scalar(a, b), Scalar(a * b, b * 2)):
+            assert _canonical(s.num) and _canonical(s.den)
+        assert Scalar(a) / Scalar(b) == Scalar(a, b)
+        assert sympy.cancel(to_sympy(Scalar(a, b).num) / to_sympy(Scalar(a, b).den)
+                            - A / B) == 0
+
+    check()

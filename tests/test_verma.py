@@ -1,8 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from cgk.algebra import AlgebraSpec, Gen, bracket, decomposition, enumerate_generators
+from cgk.algebra import (
+    AlgebraSpec,
+    Gen,
+    UnknownGenerator,
+    bracket,
+    creation_data,
+    decomposition,
+    enumerate_generators,
+    normal_position,
+    supported_specs,
+    weight_table,
+)
 from cgk.scalars import Scalar, UnsupportedFamily
 from cgk.verma import (
     InfiniteSelection,
@@ -13,6 +25,7 @@ from cgk.verma import (
     act_closed_form,
     act_generic,
     act_word,
+    check_monomial,
     level_basis,
     level_of,
     resolve_params,
@@ -20,6 +33,7 @@ from cgk.verma import (
     vacuum,
     weight_of,
 )
+from cgk.verma import _letters
 
 D1 = AlgebraSpec(1, 1, "mass")
 D1_5 = AlgebraSpec(1, 5, "mass")
@@ -121,6 +135,10 @@ def test_closed_form_unsupported():
         act_closed_form(D1, Gen("H"), vacuum(D1))
     with pytest.raises(UnsupportedFamily):
         act_closed_form(NONE, Gen("C"), vacuum(NONE))
+    # P2+ belongs to twoEll >= 2 only; both actions refuse it
+    for action in (act_closed_form, act_generic):
+        with pytest.raises(UnknownGenerator):
+            action(M1, Gen("P", 2, "+"), ModuleVector.of(mono(0, (1,), (1,))))
 
 
 def test_exotic_central_pairing():
@@ -302,3 +320,96 @@ def test_closed_form_matches_generic_levels_6_and_7():
                 for x in gens:
                     assert act_closed_form(spec, x, v) == act_generic(spec, x, v), (
                         spec, p, x, m)
+
+
+def _reference_act_generic(spec, x, v, params=None):
+    """The generic action over Gen words, as first written: the oracle for
+    the integer-letter ``act_generic``."""
+    pvals = resolve_params(spec, params)
+    pos = normal_position(spec)
+    top, a_gens, b_gens = creation_data(spec)
+    eigen = {g: pvals[sym] * Scalar.const(sign)
+             for g, (sym, sign) in weight_table(spec).items()}
+
+    def word_of(m):
+        letters = [(pos[top], top)] * m.h
+        for gens, expo in ((a_gens, m.a), (b_gens, m.b)):
+            for gen, e in zip(gens, expo):
+                letters += [(pos[gen], gen)] * e
+        letters.sort(key=lambda pg: -pg[0])
+        return tuple(g for _, g in letters)
+
+    def monomial_of(word):
+        return PbwMonomial(sum(1 for g in word if g == top),
+                           tuple(sum(1 for g in word if g == gen) for gen in a_gens),
+                           tuple(sum(1 for g in word if g == gen) for gen in b_gens))
+
+    pending = {}
+
+    def push(word, coef):
+        if coef.is_zero:
+            return
+        prev = pending.get(word)
+        pending[word] = coef if prev is None else prev + coef
+
+    for m, coef in v.terms.items():
+        check_monomial(spec, m)
+        push((x,) + word_of(m), coef)
+
+    out = {}
+    while pending:
+        word, coef = pending.popitem()
+        if coef.is_zero:
+            continue
+        if not word:
+            m = monomial_of(word)
+            out[m] = out.get(m, Scalar.zero()) + coef
+            continue
+        last = word[-1]
+        if pos[last] == 0:
+            continue
+        if pos[last] == 1:
+            push(word[:-1], coef * eigen[last])
+            continue
+        swap_at = None
+        for i in range(len(word) - 1):
+            if pos[word[i]] < pos[word[i + 1]]:
+                swap_at = i
+                break
+        if swap_at is None:
+            m = monomial_of(word)
+            out[m] = out.get(m, Scalar.zero()) + coef
+            continue
+        i = swap_at
+        push(word[:i] + (word[i + 1], word[i]) + word[i + 2:], coef)
+        for gen, c in bracket(spec, word[i], word[i + 1]).items():
+            push(word[:i] + (gen,) + word[i + 2:], coef * c)
+    return ModuleVector(out)
+
+
+# a numeric point with non-integral values, r among them
+NUMERIC_POINT = {"delta": Fraction(-5, 2), "mu": Fraction(3, 7), "r": Fraction(2, 3),
+                 "theta": Fraction(-4, 5), "kappa": Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("params", [None, NUMERIC_POINT], ids=["symbolic", "numeric"])
+def test_generic_action_matches_reference(params):
+    for spec in supported_specs(5):
+        gens = enumerate_generators(spec)
+        for p in range(5):
+            for m in level_basis(spec, p):
+                v = ModuleVector.of(m)
+                for x in gens:
+                    assert act_generic(spec, x, v, params=params) == \
+                        _reference_act_generic(spec, x, v, params=params), (spec, x, m)
+
+
+def test_structure_table_equals_bracket():
+    for spec in supported_specs(6):
+        letters = _letters(spec)
+        gens = enumerate_generators(spec)
+        assert [letters.index[g] for g in gens] == list(range(len(gens)))
+        for i, x in enumerate(gens):
+            for j, y in enumerate(gens):
+                table = {gens[k]: Scalar.const(c) for k, c in letters.brk[i][j]}
+                assert table == bracket(spec, x, y).terms, (spec, x, y)
