@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -87,16 +87,11 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """One resolved invocation: family, parameters, caps, output shape."""
+    """One resolved invocation: family, parameters, output shape."""
 
     spec: AlgebraSpec
     params: dict | None
-    caps: dict = field(default_factory=dict)
     output: str = "text"
-
-    def __post_init__(self):
-        if any(v < 1 for v in self.caps.values()):
-            raise UsageError("caps must be positive integers")
 
 
 # --- exact serialization ---------------------------------------------------
@@ -279,7 +274,6 @@ def _config(args, q=None):
     return RunConfig(
         spec=spec,
         params=_params_of(spec, args, q=q),
-        caps={"level": _level_cap()},
         output=getattr(args, "render", "text"),
     )
 
@@ -609,6 +603,7 @@ def cmd_pde_check(args):
 
 
 def cmd_selftest(args):
+    _level_cap()  # a bad CGK_CAPS_LEVEL fails before any criterion runs
     lines = []
     all_ok = True
     for name, runner in acceptance_criteria():
@@ -919,7 +914,9 @@ def run(argv=None):
     except (InvalidSpec, UnknownGenerator, UnsupportedGenerator, UnsupportedFamily,
             MissingParameter, InfiniteSelection, DivisionByZero, VariableMismatch,
             ValueError, KeyError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # str() of a KeyError is the repr of its message, so print the message
+        print("error: %s" % (exc.args[0] if len(exc.args) == 1 else exc,),
+              file=sys.stderr)
         return 2
     except Exception as exc:
         # any other failure is still one line and a usage-class exit code:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import AlgebraSpec, Gen, decomposition, weight_table
-from .scalars import Scalar, UnsupportedFamily
+from .scalars import ParamPoly, Scalar, UnsupportedFamily, poly_div_exact, poly_gcd
 from .verma import (
     ModuleVector,
     PbwMonomial,
@@ -44,9 +44,11 @@ class SingularReport:
 class SearchResult:
     """Nullspace search outcome: vectors plus genericity caveats.
 
-    ``caveats`` lists the non-constant pivots cancelled during the exact
-    elimination; the reported dimension is valid wherever none of them
-    vanishes.
+    The system is solved by fraction-free forward elimination and back
+    substitution (see _scalar_matrix_kernel).  ``caveats`` lists the pivots
+    Gauss-Jordan elimination would divide by that are not rational,
+    recovered as b / (s_r * prev) from the fraction-free entries; the
+    reported dimension is valid wherever none of them vanishes.
     """
 
     vectors: list
@@ -197,59 +199,109 @@ def verify_singular(spec, v, params=None, expect_weight=None):
     return SingularReport(not failures, v, weight, failures)
 
 
-def _scalar_matrix_kernel(rows, ncols):
-    """Exact kernel basis of a Scalar matrix by Gauss-Jordan elimination.
+def _cleared_row(row):
+    """(polys, s) with row[c] = polys[c] / s, s the lcm of the row's
+    denominators (None when every denominator is 1)."""
+    dens = list(dict.fromkeys(x.den for x in row if not x.den.is_const()))
+    if not dens:
+        return [x.num for x in row], None
+    scale = dens[0]
+    for den in dens[1:]:
+        scale = poly_div_exact(scale * den, poly_gcd(scale, den))
+    return [x.num * poly_div_exact(scale, x.den) for x in row], scale
 
-    Every other row is reduced by a multiple of the pivot row divided by
-    the pivot, so entries grow into rational functions of the parameters.
-    Returns (basis, caveats): each basis vector is a tuple of Scalars;
-    caveats lists the non-constant pivots divided by (the kernel is correct
-    wherever they do not vanish; denominators that later entries pick up
-    are not listed).
+
+def _scalar_matrix_kernel(rows, ncols):
+    """Exact kernel basis of a Scalar matrix by fraction-free elimination.
+
+    Each row is multiplied once by the lcm s_r of its denominators.  The
+    forward pass is Bareiss's integer-preserving elimination: below a pivot
+    p every entry becomes (p*b_ij - b_ic*b_pj) / prev, an exact polynomial
+    division by the previous pivot; the rows above are left alone.
+
+    The Gauss-Jordan entry at the same place is b / (s_r * prev), so the
+    pivots are those Gauss-Jordan picks (minimal total degree of that
+    reduced quotient, the first row winning ties).  Returns (basis,
+    caveats): caveats lists those Gauss-Jordan pivots that are not rational
+    (the kernel is correct wherever they do not vanish; denominators that
+    later entries pick up are not listed).  Each basis vector is a tuple of
+    Scalars with 1 at one free column and 0 at the others, solved by back
+    substitution; the reduced row echelon form is unique, so these are the
+    Gauss-Jordan kernel vectors.
     """
-    mat = [list(r) for r in rows]
+    mat, scales = [], []
+    for r in rows:
+        polys, scale = _cleared_row(r)
+        mat.append(polys)
+        scales.append(scale)
+    nrows = len(mat)
     caveats = []
     pivots = []  # (row, col)
+    prev = ParamPoly.const(1)
     row = 0
     for col in range(ncols):
-        # choose a pivot of minimal total degree for stability of caveats
-        best = None
-        for r in range(row, len(mat)):
-            entry = mat[r][col]
-            if entry.is_zero:
+        if row == nrows:
+            break
+        # the Gauss-Jordan rule: a pivot of minimal total degree, reduced
+        best = None  # (degree, row, Gauss-Jordan entry)
+        for r in range(row, nrows):
+            b = mat[r][col]
+            if not b:
                 continue
+            den = prev if scales[r] is None else scales[r] * prev
+            bound = abs(b.total_degree() - den.total_degree())
+            if best is not None and bound >= best[0]:
+                continue  # reducing b / den cannot go below this degree
+            entry = Scalar(b, den)
             deg = entry.num.total_degree() + entry.den.total_degree()
             if best is None or deg < best[0]:
-                best = (deg, r)
+                best = (deg, r, entry)
+                if not deg:
+                    break
         if best is None:
             continue
-        _, r = best
+        _, r, entry = best
         mat[row], mat[r] = mat[r], mat[row]
-        piv = mat[row][col]
-        if not piv.is_rational():
-            caveats.append(piv)
-        for r2 in range(len(mat)):
-            if r2 == row:
-                continue
-            factor = mat[r2][col] / piv
-            if factor.is_zero:
-                continue
-            for c in range(ncols):
-                mat[r2][c] = mat[r2][c] - factor * mat[row][c]
+        scales[row], scales[r] = scales[r], scales[row]
+        if not entry.is_rational():
+            caveats.append(entry)
+        prow = mat[row]
+        piv = prow[col]
+        # the division by prev is exact; by a constant it is a product
+        inv = 1 / prev.const_value() if prev.is_const() else None
+        for line in mat[row + 1:]:
+            # columns up to col are never read again in the rows below
+            factor = line[col]
+            for c in range(col + 1, ncols):
+                b = line[c]
+                if b:
+                    b = b * piv
+                if factor and prow[c]:
+                    b = b - factor * prow[c]
+                if b and inv is None:
+                    b = poly_div_exact(b, prev)
+                elif b and inv != 1:
+                    b = b * inv
+                line[c] = b
         pivots.append((row, col))
+        prev = piv
         row += 1
-        if row == len(mat):
-            break
     pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         vec = [Scalar.zero()] * ncols
         vec[fc] = Scalar.const(1)
-        for prow, pcol in pivots:
-            # pivot_row: piv * x_pcol + sum over free cols = 0
-            piv = mat[prow][pcol]
-            vec[pcol] = -(mat[prow][fc] / piv)
+        for prow, pcol in reversed(pivots):
+            # b_pcol * x_pcol + sum of b_c * x_c over later columns = 0
+            line = mat[prow]
+            acc = Scalar.zero()
+            for c in range(pcol + 1, ncols):
+                if line[c] and vec[c]:
+                    acc = acc + vec[c] * Scalar(line[c])
+            if acc:
+                vec[pcol] = -(acc / Scalar(line[pcol]))
         basis.append(tuple(vec))
     return basis, caveats
 

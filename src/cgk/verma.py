@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 from .algebra import (
     Gen,
@@ -178,14 +179,23 @@ def symbolic_params(spec):
     """Parameter assignment leaving every family parameter symbolic."""
     return {name: Scalar.symbol(name) for name in required_parameters(spec)}
 
+
+@lru_cache(maxsize=None)
+def _symbolic_view(spec):
+    """symbolic_params(spec), built once per family and read-only."""
+    return MappingProxyType(symbolic_params(spec))
+
+
 def resolve_params(spec, params):
     """Coerce a user assignment to Scalars; default is fully symbolic.
 
-    Raises MissingParameter if a required name is absent (extra names are
-    ignored so one dict can serve several families).
+    The result is read-only to callers: the fully symbolic default is one
+    shared mapping per family.  Raises MissingParameter if a required name
+    is absent (extra names are ignored so one dict can serve several
+    families).
     """
     if params is None:
-        return symbolic_params(spec)
+        return _symbolic_view(spec)
     out = {}
     for name in required_parameters(spec):
         if name not in params:

@@ -268,6 +268,17 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
 
 
+def test_key_error_messages_print_without_quotes(capsys):
+    family = ["--d", "1", "--two-ell", "1", "--ext", "mass"]
+    code, out, err = invoke(capsys, "verma", "act", *family, "--gen", "P5",
+                            "--monomial", '{"h":0,"a":[0]}')
+    assert (code, out) == (2, "")
+    assert err == ("error: P5 is not a generator of "
+                   "AlgebraSpec(d=1, twoEll=1, ext='mass')\n")
+    code, out, err = invoke(capsys, "reps", "left", *family, "--gen", "P9")
+    assert (code, out, err) == (2, "", "error: no left realization of P9\n")
+
+
 def test_vector_json_round_trip():
     for spec, q in [(D1, 2), (D3, 1), (EX2, 1)]:
         v = singular_closed(spec, q)
@@ -324,5 +335,17 @@ def test_selftest_with_reduced_caps(capsys, monkeypatch):
 
 def test_bad_caps_env_rejected(capsys, monkeypatch):
     monkeypatch.setenv("CGK_CAPS_LEVEL", "many")
-    code, _, err = invoke(capsys, "selftest")
-    assert code == 2
+    # fails before the first criterion, not midway through the suite
+    monkeypatch.setattr(cli, "acceptance_criteria", lambda: pytest.fail("ran"))
+    assert invoke(capsys, "selftest") == (
+        2, "", "usage error: CGK_CAPS_LEVEL must be an integer, got 'many'\n")
+
+
+def test_caps_env_read_by_selftest_only(capsys, monkeypatch):
+    argv = ["singular", "search", "--d", "1", "--two-ell", "1", "--ext", "mass",
+            "--q", "1"]
+    want = invoke(capsys, *argv)
+    assert want[0] == 0
+    for value in ("0", "many"):
+        monkeypatch.setenv("CGK_CAPS_LEVEL", value)
+        assert invoke(capsys, *argv) == want

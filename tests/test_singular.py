@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from cgk import singular
 from cgk.algebra import AlgebraSpec, Gen
-from cgk.scalars import Scalar
+from cgk.scalars import Scalar, parse_scalar
 from cgk.singular import (
     SearchResult,
+    _scalar_matrix_kernel,
     delta_at_condition,
     predicted_weight,
     search_singular,
@@ -13,7 +15,14 @@ from cgk.singular import (
     singular_condition,
     verify_singular,
 )
-from cgk.verma import ModuleVector, PbwMonomial, act_generic, level_basis, vacuum
+from cgk.verma import (
+    ModuleVector,
+    PbwMonomial,
+    act_generic,
+    level_basis,
+    symbolic_params,
+    vacuum,
+)
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -153,3 +162,155 @@ def test_search_symbolic_reports_caveats_or_empty():
     assert isinstance(found, SearchResult)
     if found.vectors:
         assert found.caveats
+
+
+def _reference_kernel(rows, ncols):
+    """The former Gauss-Jordan kernel, kept as the oracle.
+
+    Every other row is reduced by a multiple of the pivot row divided by
+    the pivot; the pivot is of minimal total degree, the first row winning
+    ties, and each non-rational pivot is a caveat.
+    """
+    mat = [list(r) for r in rows]
+    caveats = []
+    pivots = []  # (row, col)
+    row = 0
+    for col in range(ncols):
+        best = None
+        for r in range(row, len(mat)):
+            entry = mat[r][col]
+            if entry.is_zero:
+                continue
+            deg = entry.num.total_degree() + entry.den.total_degree()
+            if best is None or deg < best[0]:
+                best = (deg, r)
+        if best is None:
+            continue
+        _, r = best
+        mat[row], mat[r] = mat[r], mat[row]
+        piv = mat[row][col]
+        if not piv.is_rational():
+            caveats.append(piv)
+        for r2 in range(len(mat)):
+            if r2 == row:
+                continue
+            factor = mat[r2][col] / piv
+            if factor.is_zero:
+                continue
+            for c in range(ncols):
+                mat[r2][c] = mat[r2][c] - factor * mat[row][c]
+        pivots.append((row, col))
+        row += 1
+        if row == len(mat):
+            break
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    basis = []
+    for fc in free_cols:
+        vec = [Scalar.zero()] * ncols
+        vec[fc] = Scalar.const(1)
+        for prow, pcol in pivots:
+            piv = mat[prow][pcol]
+            vec[pcol] = -(mat[prow][fc] / piv)
+        basis.append(tuple(vec))
+    return basis, caveats
+
+
+# (d, twoEll, ext, highest q): the singular cases the search benchmark runs
+SEARCH_GRID = ((1, 1, "mass", 3), (1, 3, "mass", 3), (1, 5, "mass", 3),
+               (2, 1, "mass", 3), (2, 3, "mass", 3), (2, 2, "exotic", 3),
+               (2, 4, "exotic", 2))
+
+
+def _search_grid():
+    """(spec, constraint, params) of every search: each singular case with
+    every parameter symbolic and at the numeric root, and the centerless
+    levels 1-5 with kappa symbolic and at kappa = 0."""
+    for d, two_ell, ext, q_max in SEARCH_GRID:
+        spec = AlgebraSpec(d, two_ell, ext)
+        for q in range(1, q_max + 1):
+            for params in (symbolic_params(spec), numeric_params_at_root(spec, q)):
+                yield spec, predicted_weight(spec, q, params=params).eigen, params
+    for level in range(1, 6):
+        for kappa in (Scalar.symbol("kappa"), 0):
+            yield NONE, level, {"delta": DELTA, "kappa": kappa}
+
+
+def test_kernel_matches_reference_on_search_grid(monkeypatch):
+    matrices = []
+
+    def both(rows, ncols):
+        got = _scalar_matrix_kernel(rows, ncols)
+        assert got == _reference_kernel(rows, ncols)
+        matrices.append(ncols)
+        return got
+
+    monkeypatch.setattr(singular, "_scalar_matrix_kernel", both)
+    for spec, constraint, params in _search_grid():
+        search_singular(spec, constraint, params=params)
+    assert len(matrices) == 50
+
+
+def test_kernel_matches_reference_random():
+    # sparse entries of degree <= 1, each in one symbol: denser ones make the
+    # reference's gcds take minutes on a 2x3 matrix
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def atoms(names):
+        return st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                         st.sampled_from(names)).map(
+            lambda t: Scalar.symbol(t[2]) * t[1] + Scalar.const(t[0]))
+
+    @st.composite
+    def matrices(draw, size, entries):
+        nrows = draw(st.integers(1, size))
+        ncols = draw(st.integers(1, size))
+        rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(nrows)))[:2]
+            k = draw(st.integers(-2, 2))
+            rows[i] = [x * k for x in rows[j]]
+        if ncols > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(ncols)))[:2]
+            for row in rows:
+                row[i] = row[j]
+        if draw(st.booleans()):
+            c = draw(st.integers(0, ncols - 1))
+            for row in rows:
+                row[c] = Scalar.zero()
+        return rows, ncols
+
+    zero = st.just(Scalar.zero())
+    atom3 = atoms(("delta", "mu", "r"))
+    quotients = st.one_of(zero, atom3, st.tuples(atom3, atom3.filter(bool)).map(
+        lambda p: p[0] / p[1]))
+    polys = st.one_of(zero, atoms(("delta", "mu")))
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(st.one_of(matrices(3, quotients), matrices(5, polys)))
+    def check(case):
+        rows, ncols = case
+        assert _scalar_matrix_kernel(rows, ncols) == _reference_kernel(rows, ncols)
+
+    check()
+
+
+def test_kernel_pinned_slow_reference_case():
+    # the Gauss-Jordan reference takes tens of seconds here; its answer is
+    # pinned instead of recomputed
+    rows = [[parse_scalar(x) for x in row] for row in (
+        ("(-mu-2)/(r-2*mu-3)", "0", "r+1"),
+        ("0", "r/(delta+3/2)", "0"),
+        ("(-2*r+3)/(mu+2)", "2", "mu+3"),
+        ("(delta*r-2*delta*mu+2*mu-3*delta+4)/(r-2*mu-3)", "1", "-2*delta-4"),
+    )]
+    basis, caveats = _scalar_matrix_kernel(rows, 3)
+    assert basis == []
+    assert [str(c) for c in caveats] == [
+        "(-mu-2)/(r-2*mu-3)",
+        "(delta*mu*r^2-2*delta*mu^2*r+r^3-2*mu*r^2+2*delta*r^2+2*mu^2*r"
+        "-6*delta*mu*r-1/2*mu^3-4*delta*mu^2-7/2*r^2+9*mu*r-4*delta*r"
+        "-11/2*mu^2-15*delta*mu+8*r-13*mu-14*delta-19/2)/(mu^2+4*mu+4)",
+    ]

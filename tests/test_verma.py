@@ -77,6 +77,18 @@ def test_missing_parameter():
     assert got["delta"] == Scalar.const(2)
 
 
+def test_symbolic_defaults_shared_and_copies_independent():
+    for spec in (D1, M1, EX2, NONE):
+        first = resolve_params(spec, None)
+        assert dict(first) == dict(resolve_params(spec, None)) == symbolic_params(spec)
+        with pytest.raises(TypeError):
+            first["delta"] = Scalar.const(0)
+        mine = symbolic_params(spec)
+        mine["delta"] = Scalar.const(0)
+        assert symbolic_params(spec)["delta"] == Scalar.symbol("delta")
+        assert resolve_params(spec, None)["delta"] == Scalar.symbol("delta")
+
+
 def test_h_raises_and_c_lowers_on_vacuum():
     for spec in (D1, D1_5, M1, M3, EX2):
         v = act_generic(spec, Gen("H"), vacuum(spec))
