@@ -325,14 +325,6 @@ def _bracket_raw(spec, x, y):
     return None
 
 
-def bracket_combo(spec, combo, y):
-    """[combo, y] extended linearly in the first slot."""
-    out = GenCombo.zero()
-    for gen, coef in combo.items():
-        out = out + bracket(spec, gen, y).scaled(coef)
-    return out
-
-
 def jacobi_check(spec, bracket_fn=None):
     """Audit [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 over all triples.
 

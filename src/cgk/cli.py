@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -604,14 +605,20 @@ def cmd_pde_check(args):
 
 def cmd_selftest(args):
     _level_cap()  # a bad CGK_CAPS_LEVEL fails before any criterion runs
-    lines = []
-    all_ok = True
+    results = []
     for name, runner in acceptance_criteria():
+        start = time.perf_counter()
         ok, detail = runner()
-        all_ok = all_ok and ok
-        lines.append("[%s] %s: %s" % ("PASS" if ok else "FAIL", name, detail))
-    lines.append("selftest: %s" % ("PASS" if all_ok else "FAIL"))
-    _emit(args, "\n".join(lines))
+        results.append({"name": name, "ok": ok, "detail": detail,
+                        "seconds": round(time.perf_counter() - start, 6)})
+    all_ok = all(r["ok"] for r in results)
+    if args.render == "json":
+        _emit_json(args, {"criteria": results, "ok": all_ok})
+    else:
+        lines = ["[%s] %s: %s" % ("PASS" if r["ok"] else "FAIL", r["name"], r["detail"])
+                 for r in results]
+        lines.append("selftest: %s" % ("PASS" if all_ok else "FAIL"))
+        _emit(args, "\n".join(lines))
     return 0 if all_ok else 1
 
 
@@ -732,7 +739,9 @@ def criterion_rep_audit():
     for spec in specs:
         failures = rep_check(spec, side="left")
         if failures:
-            return False, "%r: %d failing pairs" % (spec, len(failures))
+            x, y, residual = failures[0]
+            return False, "%r: %d failing pairs; first [%s, %s] residual: %s" % (
+                spec, len(failures), x, y, render_diffop(residual))
     return True, "all brackets reproduced for %d extended specs" % len(specs)
 
 
@@ -761,7 +770,9 @@ def criterion_intertwining():
         for q in (1, 2):
             failures = intertwining_check(spec, q, _root_params_numeric(spec, q))
             if failures:
-                return False, "%r q=%d: %d generators fail" % (spec, q, len(failures))
+                gen, residual = failures[0]
+                return False, "%r q=%d: %d generators fail; first %s residual: %s" % (
+                    spec, q, len(failures), gen, render_diffop(residual))
             residual = intertwining_residual(spec, Gen("C"), q)  # symbolic weight
             cond = singular_condition(spec, q)
             if residual.is_zero():
@@ -894,7 +905,7 @@ def build_parser():
     p.set_defaults(handler=cmd_pde_check)
 
     p_self = sub.add_parser("selftest", help="run the full acceptance suite")
-    p_self.add_argument("--out", help="write the result to FILE instead of stdout")
+    _add_output_args(p_self)
     p_self.set_defaults(handler=cmd_selftest)
 
     return parser

@@ -7,8 +7,19 @@ to coefficient polynomials, normal-ordered with all coefficients to the
 left of all derivatives.  Equality of canonical term maps is exact
 operator equality.  Composition uses the Leibniz rule and is the ring
 product; the textual grammar (`2*mu*d/dt + (d/dx0)^2`) round-trips.
+
+Products, commutators and intertwining residuals share one signed Leibniz
+accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw
+``{dexpo: {expo: Scalar}}`` map; the operator is built once from the map
+(``_op_of``), with no intermediate operator and no subtraction of whole
+operators.  ``compose`` calls it once, ``commutator`` twice with opposite
+signs, and ``twisted_commutator`` (s.b - c.s) twice plus one correction.
+A commutator skips the gamma = 0 Leibniz terms: in a.b they are
+pa pb d^(alpha+beta), in b.a the same product in the other order, and
+coefficients commute, so they always cancel.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,15 +263,29 @@ class DiffOp:
 
 
 def _subindices(alpha):
-    """All multi-indices gamma <= alpha (componentwise)."""
+    """All multi-indices gamma <= alpha (componentwise), gamma = 0 first."""
     out = [()]
     for a in alpha:
         out = [g + (i,) for g in out for i in range(a + 1)]
     return out
 
 
-def compose(a, b):
-    """Operator product a . b in canonical normal order (Leibniz rule).
+@functools.cache
+def _leibniz_table(alpha):
+    """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha,
+    gamma = 0 first; derivative multi-indices are few, so each is
+    tabulated once."""
+    out = []
+    for gamma in _subindices(alpha):
+        binom = 1
+        for ai, gi in zip(alpha, gamma):
+            binom *= comb(ai, gi)
+        out.append((gamma, binom, tuple(ai - gi for ai, gi in zip(alpha, gamma))))
+    return tuple(out)
+
+
+def _leibniz_into(out, a, b, sign, skip_order_zero=False):
+    """Add sign * (a . b) into the raw map out = {dexpo: {expo: Scalar}}.
 
     One pass over the Leibniz sum
 
@@ -269,22 +294,18 @@ def compose(a, b):
 
     with no intermediate operators: each term c x^e of pb contributes
     c * ff(e, gamma) x^(e-gamma) to d^gamma pb, where ff is the product of
-    the falling factorials e_i (e_i - 1) ... (e_i - gamma_i + 1).  That
-    integer and C(alpha, gamma) fold into one int before the one Scalar
-    product per pair of terms, and the products accumulate in a
-    {dexpo: {expo: Scalar}} map from which the DiffOp is built once.
+    the falling factorials e_i (e_i - 1) ... (e_i - gamma_i + 1), and the
+    term is dropped as soon as some gamma_i > e_i.  That integer, the sign
+    and C(alpha, gamma) fold into one int before the one Scalar product per
+    pair of terms.  ``skip_order_zero`` leaves out gamma = 0, the terms
+    pa pb d^(alpha+beta) that a.b and b.a share.
     """
-    _check_chart(a, b)
-    chart = a.chart
     b_terms = [(beta, list(pb.terms.items())) for beta, pb in b.terms.items()]
-    out = {}
     for alpha, pa in a.terms.items():
         pa_terms = list(pa.terms.items())
-        for gamma in _subindices(alpha):
-            binom = 1
-            for ai, gi in zip(alpha, gamma):
-                binom *= comb(ai, gi)
-            shift = tuple(ai - gi for ai, gi in zip(alpha, gamma))
+        table = _leibniz_table(alpha)
+        for gamma, binom, shift in table[1:] if skip_order_zero else table:
+            binom *= sign
             for beta, pb_terms in b_terms:
                 dexpo = tuple(si + bi for si, bi in zip(shift, beta))
                 acc = out.get(dexpo)
@@ -293,8 +314,11 @@ def compose(a, b):
                 for eb, cb in pb_terms:
                     k = binom
                     for e, g in zip(eb, gamma):
+                        if g > e:
+                            k = 0
+                            break
                         for j in range(g):
-                            k *= e - j  # reaches 0 when g > e
+                            k *= e - j
                     if not k:
                         continue
                     rest = tuple(e - g for e, g in zip(eb, gamma))
@@ -304,12 +328,89 @@ def compose(a, b):
                         term = ca * cbk
                         prev = acc.get(expo)
                         acc[expo] = term if prev is None else prev + term
-    return DiffOp(chart, {d: CoefPoly(chart, t) for d, t in out.items()})
 
 
-def commutator(a, b):
-    """[a, b] = a.b - b.a in canonical form."""
-    return compose(a, b) - compose(b, a)
+def _add_into(out, a, coef):
+    """Add coef * a into the raw map out (coef an int or a Scalar)."""
+    for dexpo, poly in a.terms.items():
+        acc = out.get(dexpo)
+        if acc is None:
+            acc = out[dexpo] = {}
+        for expo, c in poly.terms.items():
+            term = c * coef
+            prev = acc.get(expo)
+            acc[expo] = term if prev is None else prev + term
+
+
+def _op_of(chart, out):
+    """The DiffOp of a raw map: zero coefficients and empty slots dropped.
+
+    The map's keys and Scalars are canonical by construction, so the
+    CoefPoly and DiffOp are made without the constructors' validation.
+    """
+    terms = {}
+    for dexpo, acc in out.items():
+        clean = {expo: c for expo, c in acc.items() if c}
+        if clean:
+            poly = CoefPoly.__new__(CoefPoly)
+            poly.chart = chart
+            poly.terms = clean
+            terms[dexpo] = poly
+    op = DiffOp.__new__(DiffOp)
+    op.chart = chart
+    op.terms = terms
+    return op
+
+
+def compose(a, b):
+    """Operator product a . b in canonical normal order (Leibniz rule).
+
+    The signed Leibniz accumulator ``_leibniz_into`` called once with
+    sign +1; the DiffOp is built once from its raw map.
+    """
+    _check_chart(a, b)
+    out = {}
+    _leibniz_into(out, a, b, 1)
+    return _op_of(a.chart, out)
+
+
+def commutator(a, b, minus=()):
+    """[a, b] - sum(coef * z for z, coef in minus) in canonical form.
+
+    The accumulator adds a.b and then -(b.a) into one raw map.  Both
+    products leave out gamma = 0: those terms are pa pb d^(alpha+beta) in
+    a.b and pb pa d^(beta+alpha) in b.a, equal because coefficients
+    commute, so they cancel in every commutator.  ``minus`` subtracts a
+    linear combination in the same map, which is how a bracket audit
+    tests [pi X, pi Y] - pi([X, Y]) for zero without a second operator.
+    """
+    _check_chart(a, b)
+    out = {}
+    _leibniz_into(out, a, b, 1, skip_order_zero=True)
+    _leibniz_into(out, b, a, -1, skip_order_zero=True)
+    for z, coef in minus:
+        _check_chart(a, z)
+        _add_into(out, z, -_coerce(coef))
+    return _op_of(a.chart, out)
+
+
+def twisted_commutator(s, before, after):
+    """s . before - after . s, computed as [s, before] - (after - before) . s.
+
+    When ``after`` differs from ``before`` only in a few order-zero terms
+    (a weight shift), the commutator's gamma = 0 cancellation applies and
+    the correction is one small product.
+    """
+    _check_chart(s, before)
+    _check_chart(s, after)
+    diff = {}
+    _add_into(diff, after, 1)
+    _add_into(diff, before, -1)
+    out = {}
+    _leibniz_into(out, s, before, 1, skip_order_zero=True)
+    _leibniz_into(out, before, s, -1, skip_order_zero=True)
+    _leibniz_into(out, _op_of(s.chart, diff), s, -1)
+    return _op_of(s.chart, out)
 
 
 def apply_op(a, p):

@@ -8,6 +8,7 @@ Both honor [pi(X), pi(Y)] = pi([X, Y]) on their domains, and
 ``rep_check`` verifies that identity exactly, pair by pair.
 """
 
+import functools
 from math import comb, factorial
 
 from .algebra import Gen, bracket, decomposition, enumerate_generators
@@ -20,8 +21,13 @@ class UnsupportedGenerator(KeyError):
     """No printed realization exists for this generator in this family."""
 
 
+@functools.cache
 def chart(spec):
-    """The family's chart: t plus the creation-string coordinates."""
+    """The family's chart: t plus the creation-string coordinates.
+
+    Built once per family: ``AlgebraSpec`` is frozen and the chart is an
+    immutable tuple.
+    """
     two_ell = spec.twoEll
     if spec.ext == "none":
         return make_chart("t", "x0")
@@ -294,7 +300,9 @@ def rep_check(spec, side="left", params=None):
     """Exact check of [pi(X), pi(Y)] = pi([X, Y]) for all domain pairs.
 
     Returns the list of failing triples (x, y, residual DiffOp); an empty
-    list certifies the realization on its domain.
+    list certifies the realization on its domain.  Each residual
+    [pi(X), pi(Y)] - pi([X, Y]) is accumulated in one map by
+    ``commutator(..., minus=...)`` and tested for zero.
     """
     if side == "left":
         domain = enumerate_generators(spec)
@@ -308,14 +316,14 @@ def rep_check(spec, side="left", params=None):
     failures = []
     for i, x in enumerate(domain):
         for y in domain[i + 1:]:
-            want = DiffOp.zero(ops[x].chart)
+            image = []
             for gen, coef in bracket(spec, x, y).items():
                 if gen not in ops:
                     raise UnsupportedGenerator(
                         "[%s, %s] leaves the realized domain" % (x, y)
                     )
-                want = want + ops[gen].scaled(coef)
-            got = commutator(ops[x], ops[y])
-            if got != want:
-                failures.append((x, y, got - want))
+                image.append((ops[gen], coef))
+            residual = commutator(ops[x], ops[y], minus=image)
+            if not residual.is_zero():
+                failures.append((x, y, residual))
     return failures

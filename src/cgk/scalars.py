@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from operator import add
 
 SYMBOLS = ("delta", "mu", "r", "theta", "kappa")
@@ -329,6 +329,26 @@ def _uni_content(u):
     return cont
 
 
+def _uni_zprim(u):
+    """u rescaled to coprime integer coefficients; u itself when it has them.
+
+    The rational content of reduced fractions n_i/d_i is
+    gcd(n_i)/lcm(d_i), so one positive rescale by its inverse suffices.
+    """
+    num, den = 0, 1
+    for poly in u.values():
+        for c in poly.terms.values():
+            if type(c) is int:
+                num = gcd(num, c)
+            else:
+                num = gcd(num, c.numerator)
+                den = lcm(den, c.denominator)
+    if num == 1 and den == 1:
+        return u
+    scale = _quotient(den, num)
+    return {k: poly * scale for k, poly in u.items()}
+
+
 def _uni_div(u, d):
     out = {}
     for k, c in u.items():
@@ -365,8 +385,11 @@ def poly_gcd(a, b):
         rem = _pseudo_rem(pa, pb)
         if not rem:
             break
+        # the content in the other symbols is monic, so the remainder is
+        # also made primitive over the integers: without that rescale its
+        # coefficients grow exponentially along the sequence
         cont = _uni_content(rem)
-        pa, pb = pb, _uni_div(rem, cont)
+        pa, pb = pb, _uni_zprim(_uni_div(rem, cont))
     return _monic(_from_univariate(pb, v) * cg)
 
 

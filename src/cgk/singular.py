@@ -61,14 +61,6 @@ class SearchResult:
         return len(self.vectors)
 
 
-def _ell_data(spec):
-    two_ell = spec.twoEll
-    if spec.ext == "mass":
-        half = (two_ell - 1) // 2
-        return half, (two_ell + 1) // 2
-    return two_ell // 2, None
-
-
 def singular_condition(spec, q):
     """Scalar in the weight parameters whose vanishing admits the level-q
     closed-form singular vector.  The centerless family needs kappa = 0

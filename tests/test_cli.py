@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cgk import cli
-from cgk.algebra import AlgebraSpec, Gen
+from cgk.algebra import AlgebraSpec, Gen, enumerate_generators
 from cgk.cli import (
     build_parser,
     diffop_from_json,
@@ -20,12 +20,15 @@ from cgk.cli import (
     vector_from_json,
     vector_to_json,
 )
-from cgk.diffop import parse_diffop
+from cgk.diffop import parse_diffop, render_diffop
 from cgk.invariants import invariant_operator
 from cgk.reps import chart, left_action
 from cgk.scalars import Scalar
 from cgk.singular import singular_closed
-from cgk.verma import ModuleVector, PbwMonomial
+from cgk.verma import ModuleVector, PbwMonomial, resolve_params
+from test_diffop import _reference_residual
+from test_invariants import _corrupt_left_action, _shifted_params
+from test_reps import _reference_rep_check
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -349,3 +352,61 @@ def test_caps_env_read_by_selftest_only(capsys, monkeypatch):
     for value in ("0", "many"):
         monkeypatch.setenv("CGK_CAPS_LEVEL", value)
         assert invoke(capsys, *argv) == want
+
+
+def test_selftest_json_shape(capsys, monkeypatch):
+    monkeypatch.setenv("CGK_CAPS_LEVEL", "2")
+    code, out, err = invoke(capsys, "selftest", "--render", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert set(payload) == {"criteria", "ok"} and payload["ok"] is True
+    assert [c["name"] for c in payload["criteria"]] == [
+        name for name, _ in cli.acceptance_criteria()]
+    for entry in payload["criteria"]:
+        assert set(entry) == {"name", "ok", "detail", "seconds"}
+        assert entry["ok"] is True
+        assert isinstance(entry["detail"], str) and entry["detail"]
+        assert isinstance(entry["seconds"], float) and entry["seconds"] >= 0
+
+
+def test_selftest_reports_a_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "acceptance_criteria", lambda: [
+        ("holds", lambda: (True, "fine")), ("breaks", lambda: (False, "case x"))])
+    code, out, _ = invoke(capsys, "selftest")
+    assert (code, out) == (
+        1, "[PASS] holds: fine\n[FAIL] breaks: case x\nselftest: FAIL\n")
+    code, out, _ = invoke(capsys, "selftest", "--render", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False
+    assert [(c["name"], c["ok"], c["detail"]) for c in payload["criteria"]] == [
+        ("holds", True, "fine"), ("breaks", False, "case x")]
+
+
+def test_rep_audit_names_first_failing_pair(monkeypatch):
+    import cgk.reps as reps
+
+    patched = _corrupt_left_action(monkeypatch, reps, Gen("H"))
+    spec = cli._extended_specs(5)[0]
+    want = _reference_rep_check(spec, patched)
+    x, y, residual = want[0]
+    detail = "%r: %d failing pairs; first [%s, %s] residual: %s" % (
+        spec, len(want), x, y, render_diffop(residual))
+    assert cli.criterion_rep_audit() == (False, detail)
+
+
+def test_intertwining_names_first_failing_generator(monkeypatch):
+    import cgk.invariants as inv
+
+    patched = _corrupt_left_action(monkeypatch, inv, Gen("H"))
+    spec, q = cli._extended_specs(5)[0], 1
+    pvals = resolve_params(spec, cli._root_params_numeric(spec, q))
+    shifted = _shifted_params(pvals, q)
+    power = invariant_operator(spec, q, pvals)
+    want = [(gen, _reference_residual(power, patched(spec, gen, pvals),
+                                      patched(spec, gen, shifted)))
+            for gen in enumerate_generators(spec)]
+    want = [(gen, r) for gen, r in want if not r.is_zero()]
+    gen, residual = want[0]
+    detail = "%r q=%d: %d generators fail; first %s residual: %s" % (
+        spec, q, len(want), gen, render_diffop(residual))
+    assert cli.criterion_intertwining() == (False, detail)

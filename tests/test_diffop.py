@@ -17,6 +17,7 @@ from cgk.diffop import (
     op_power,
     parse_diffop,
     render_diffop,
+    twisted_commutator,
 )
 from cgk.scalars import _POLY_ONE, Scalar
 
@@ -216,11 +217,11 @@ def test_compose_matches_reference_on_fixed_operators():
             assert compose(x, y) == _reference_compose(x, y)
 
 
-def test_compose_matches_reference_random():
-    hyp = pytest.importorskip("hypothesis")
+def _op_strategy(hyp):
+    """Operators on TX whose coefficients have numerators over 1, delta+1
+    or mu: the products mix the shared one-denominator fast path with the
+    normalising constructor."""
     st = hyp.strategies
-    # numerators over 1, delta+1 or mu: the products mix the shared
-    # one-denominator fast path with the normalising constructor
     coefs = st.builds(
         lambda n, s, den: Scalar.const(n) * s / den,
         st.integers(-3, 3).filter(bool),
@@ -228,10 +229,15 @@ def test_compose_matches_reference_random():
         st.sampled_from([Scalar.one(), DELTA + 1, MU]),
     )
     expos = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    ops = st.dictionaries(
+    return st.dictionaries(
         expos, st.dictionaries(expos, coefs, min_size=1, max_size=3),
         min_size=1, max_size=3,
     ).map(lambda t: DiffOp(TX, {d: CoefPoly(TX, p) for d, p in t.items()}))
+
+
+def test_compose_matches_reference_random():
+    hyp = pytest.importorskip("hypothesis")
+    ops = _op_strategy(hyp)
 
     @hyp.settings(max_examples=60, deadline=None, derandomize=True,
                   database=None)
@@ -244,3 +250,67 @@ def test_compose_matches_reference_random():
                 assert coef.den is _POLY_ONE or not coef.den.is_const()
 
     check()
+
+
+def _reference_commutator(a, b):
+    """[a, b] as two whole products and an operator subtraction: the
+    oracle for the accumulated ``commutator``."""
+    return compose(a, b) - compose(b, a)
+
+
+def _reference_residual(s, before, after):
+    """s.before - after.s as two whole products and an operator
+    subtraction: the oracle for ``twisted_commutator``."""
+    return compose(s, before) - compose(after, s)
+
+
+def test_commutator_and_residual_match_reference_on_fixed_operators():
+    a = heat()
+    d = parse_diffop("delta - 2*t*d/dt - x0*d/dx0", TX)
+    d2 = parse_diffop("delta - 2 - 2*t*d/dt - x0*d/dx0", TX)
+    m = parse_diffop("1/(delta+1)*t*x0^2*(d/dx0)^2 + mu^-1*x0*d/dt", TX)
+    for x in (a, d, m):
+        for y in (a, d, m):
+            assert commutator(x, y) == _reference_commutator(x, y)
+            assert twisted_commutator(x, y, y) == _reference_commutator(x, y)
+            for z in (a, d2, m):
+                assert twisted_commutator(x, y, z) == _reference_residual(x, y, z)
+                assert commutator(x, y, minus=[(z, MU), (m, -3)]) == (
+                    _reference_commutator(x, y) - z.scaled(MU) - m.scaled(-3))
+    # the seed identity [S, D] = -2 S as an exact zero residual
+    assert commutator(a, d, minus=[(a, -2)]).is_zero()
+    # S intertwines D with its weight-shifted copy: S.D - (D - 2).S = 0
+    assert twisted_commutator(a, d, d2).is_zero()
+
+
+def test_commutator_and_residual_match_reference_random():
+    hyp = pytest.importorskip("hypothesis")
+    ops = _op_strategy(hyp)
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(ops, ops, ops)
+    def check(a, b, c):
+        assert commutator(a, b) == _reference_commutator(a, b)
+        assert twisted_commutator(a, b, c) == _reference_residual(a, b, c)
+        assert commutator(a, b, minus=[(c, DELTA + 1)]) == (
+            _reference_commutator(a, b) - c.scaled(DELTA + 1))
+
+    check()
+
+
+def test_accumulated_results_are_canonical():
+    # terms that cancel inside the accumulator leave no zero coefficient
+    # and no empty derivative slot behind
+    d = parse_diffop("delta - 2*t*d/dt - x0*d/dx0", TX)
+    zero = commutator(d, d)
+    assert zero.terms == {} and zero == DiffOp.zero(TX)
+    x = DiffOp.of_poly(CoefPoly.var(TX, Var("x", 0)))
+    dx = DiffOp.partial(TX, "x0")
+    one = commutator(dx, x)
+    assert one.terms == DiffOp.const(TX, 1).terms
+    assert twisted_commutator(dx, x, x) == one
+    with pytest.raises(VariableMismatch):
+        commutator(dx, x, minus=[(DiffOp.partial(make_chart("t", "x0", "x1"), "x1"), 1)])
+    with pytest.raises(VariableMismatch):
+        twisted_commutator(dx, x, DiffOp.zero(make_chart("t", "x0", "x1")))

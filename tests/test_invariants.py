@@ -25,7 +25,9 @@ from cgk.invariants import (
 )
 from cgk.scalars import Scalar, UnsupportedFamily
 from cgk.singular import delta_at_condition, singular_condition
-from cgk.reps import chart
+from cgk.reps import chart, left_action
+from cgk.verma import resolve_params, symbolic_params
+from test_diffop import _reference_residual
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -174,3 +176,61 @@ def test_multiplier_render_shape():
     params = params_at_root(D1, 1)
     lam = onshell_multiplier(D1, Gen("C"), params)
     assert render_poly_in_vars(lam) == "-2*t"
+
+
+def _shifted_params(pvals, q):
+    return dict(pvals, delta=pvals["delta"] + Scalar.const(-2 * q))
+
+
+def test_residual_matches_reference_on_all_cases():
+    # symbolic delta: every generator, q <= 2, on the four benchmark families
+    checked = nonzero = 0
+    for spec in (D1, D3, M1, EX2):
+        for q in (1, 2):
+            power = invariant_operator(spec, q)
+            shifted = _shifted_params(symbolic_params(spec), q)
+            for gen in enumerate_generators(spec):
+                want = _reference_residual(
+                    power, left_action(spec, gen), left_action(spec, gen, shifted))
+                got = intertwining_residual(spec, gen, q)
+                assert got == want, (spec, q, gen)
+                checked += 1
+                nonzero += not got.is_zero()
+    assert (checked, nonzero) == (68, 8)
+
+
+def _corrupt_left_action(monkeypatch, module, victim):
+    """Make ``module.left_action`` add the multiplication by t to victim.
+
+    (A rescaled operator would not do: it intertwines and commutes like
+    the true one.)
+    """
+    true_left = module.left_action
+
+    def patched(spec, gen, params=None):
+        op = true_left(spec, gen, params)
+        if gen != victim:
+            return op
+        return op + DiffOp.of_poly(CoefPoly.var(op.chart, Var("t")))
+
+    monkeypatch.setattr(module, "left_action", patched)
+    return patched
+
+
+def test_forced_intertwining_failure_matches_reference(monkeypatch):
+    import cgk.invariants as inv
+
+    spec, q = M1, 1
+    params = params_at_root(spec, q)
+    patched = _corrupt_left_action(monkeypatch, inv, Gen("P", 1, "+"))
+    failures = inv.intertwining_check(spec, q, params)
+    pvals = resolve_params(spec, params)
+    shifted = _shifted_params(pvals, q)
+    power = invariant_operator(spec, q, pvals)
+    want = []
+    for gen in enumerate_generators(spec):
+        residual = _reference_residual(
+            power, patched(spec, gen, pvals), patched(spec, gen, shifted))
+        if not residual.is_zero():
+            want.append((gen, residual))
+    assert want and failures == want

@@ -1,6 +1,6 @@
 import pytest
 
-from cgk.algebra import AlgebraSpec, Gen
+from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators
 from cgk.diffop import CoefPoly, DiffOp, apply_op, commutator, parse_diffop
 from cgk.reps import (
     UnsupportedGenerator,
@@ -11,6 +11,8 @@ from cgk.reps import (
     right_domain,
 )
 from cgk.scalars import Scalar
+from test_diffop import _reference_commutator
+from test_invariants import _corrupt_left_action
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -151,3 +153,30 @@ def test_left_action_numeric_params():
     ch = chart(D1)
     op = left_action(D1, Gen("D"), params={"delta": 3, "mu": 1})
     assert op == parse_diffop("3 - 2*t*d/dt - x0*d/dx0", ch)
+
+
+def _reference_rep_check(spec, realize):
+    """The bracket audit with whole operators: the commutator as two
+    products and a subtraction, compared with the built image."""
+    domain = enumerate_generators(spec)
+    ops = {g: realize(spec, g) for g in domain}
+    failures = []
+    for i, x in enumerate(domain):
+        for y in domain[i + 1:]:
+            want = DiffOp.zero(ops[x].chart)
+            for gen, coef in bracket(spec, x, y).items():
+                want = want + ops[gen].scaled(coef)
+            got = _reference_commutator(ops[x], ops[y])
+            if got != want:
+                failures.append((x, y, got - want))
+    return failures
+
+
+def test_forced_rep_failure_matches_reference(monkeypatch):
+    import cgk.reps as reps
+
+    patched = _corrupt_left_action(monkeypatch, reps, Gen("H"))
+    for spec in (D1, EX2):
+        failures = reps.rep_check(spec, side="left")
+        want = _reference_rep_check(spec, patched)
+        assert want and failures == want

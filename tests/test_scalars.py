@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -265,5 +266,75 @@ def test_coefficients_stay_canonical_against_sympy():
         assert Scalar(a) / Scalar(b) == Scalar(a, b)
         assert sympy.cancel(to_sympy(Scalar(a, b).num) / to_sympy(Scalar(a, b).den)
                             - A / B) == 0
+
+    check()
+
+
+# The pair on which the pseudo-remainder sequence used to run for minutes:
+# its remainders were never made primitive over the integers.
+_BLOWUP_A = (
+    "3*r^4+27/4*mu*r^3+27/4*delta*r^3-9/4*mu^2*r^2-1/2*delta*mu*r^2"
+    "-1/2*delta^2*r^2-27/2*mu^3*r-99/4*delta*mu^2*r-63/4*delta^2*mu*r"
+    "-9/2*delta^3*r-15/2*mu^4-61/4*delta*mu^3-13*delta^2*mu^2-11/2*delta^3*mu"
+    "-delta^4+3/2*r^3-3/2*mu*r^2+31/4*delta*r^2-3*mu^2*r+13/2*delta*mu*r"
+    "+8*delta^2*r+3*mu^3+3/4*delta^2*mu-1/2*delta^3+3/2*r^2-27/4*mu*r"
+    "-19/4*delta*r-51/4*mu^2-14*delta*mu+1/2*delta^2-3/2*r+3/2*mu+9/4*delta-9/2"
+)
+_BLOWUP_B = (
+    "mu*r^2+1/2*delta*r^2+7/4*mu^2*r+3*delta*mu*r+delta^2*r-1/2*mu^3"
+    "-1/2*delta*mu^2-1/2*r^2-mu*r-delta*r+9/4*mu^2+3*delta*mu+delta^2+r"
+    "+1/2*delta-1/2"
+)
+
+
+def test_poly_gcd_remainders_stay_small():
+    a, b = parse_scalar(_BLOWUP_A).num, parse_scalar(_BLOWUP_B).num
+    start = time.perf_counter()
+    g = poly_gcd(a, b)
+    elapsed = time.perf_counter() - start
+    assert g == ParamPoly.const(1)
+    assert elapsed < 1.0, "poly_gcd took %.2f s" % elapsed
+    # a common factor is still found through the same sequence
+    c = parse_scalar("delta*mu-r+2").num
+    assert poly_gcd(a * c, b * c) == c
+
+
+def test_poly_gcd_against_sympy_dense_trivariate():
+    hyp = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hyp.strategies
+    names = sympy.symbols("delta mu r")
+    slots = [SYMBOLS.index(str(n)) for n in names]
+
+    def dense(degree):
+        # every monomial of total degree <= degree in delta, mu, r
+        expos = [
+            tuple(dict(zip(slots, (i, j, k))).get(s, 0) for s in range(NSYM))
+            for i in range(degree + 1) for j in range(degree + 1 - i)
+            for k in range(degree + 1 - i - j)
+        ]
+        coefs = st.one_of(st.integers(-4, 4),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        return st.tuples(*[coefs] * len(expos)).map(
+            lambda cs: ParamPoly(dict(zip(expos, cs))))
+
+    def to_sympy(poly):
+        return sympy.Poly(sum(
+            (sympy.Rational(c.numerator, c.denominator)
+             * sympy.Mul(*[n ** expo[s] for n, s in zip(names, slots)])
+             for expo, c in poly.terms.items()), sympy.Integer(0)), *names)
+
+    # a common factor of degree <= 1 times cofactors of degree <= 2
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(dense(1), dense(2), dense(2))
+    def check(f, g, h):
+        a, b = f * g, f * h
+        hyp.assume(not a.is_zero and not b.is_zero)
+        got = poly_gcd(a, b)
+        want = sympy.gcd(to_sympy(a), to_sympy(b))
+        assert to_sympy(got).monic() == want.monic()
+        assert poly_div_exact(a, got) is not None
+        assert poly_div_exact(b, got) is not None
 
     check()
