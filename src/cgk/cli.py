@@ -53,7 +53,6 @@ from .scalars import (
     DivisionByZero,
     Scalar,
     UnsupportedFamily,
-    latex_scalar,
     parse_scalar,
     render_scalar,
 )
@@ -177,7 +176,7 @@ def render_vector(v):
         if cs == "1":
             parts.append(str(m))
         elif cs == "-1":
-            parts.append("-%s" % m)
+            parts.append("-%s" % (m,))
         else:
             if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
                 cs = "(%s)" % cs
@@ -298,7 +297,23 @@ def _emit(args, text):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+        except BrokenPipeError:
+            _drop_stdout()
+
+
+def _drop_stdout():
+    """The reader of stdout has gone: send later output, and the flush at
+    interpreter exit, to the null device, so the command still ends with
+    its own exit code and prints nothing more."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _emit_json(args, payload):
@@ -937,7 +952,12 @@ def run(argv=None):
 
 
 def main(argv=None):
-    sys.exit(run(argv))
+    code = run(argv)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,10 +15,8 @@ terms that cancel, and pi' - pi is a single order-zero term on D and C
 and zero on every other generator.
 """
 
-from fractions import Fraction
-
 from .scalars import Scalar, UnsupportedFamily, poly_div_exact
-from .algebra import Gen, enumerate_generators
+from .algebra import enumerate_generators
 from .verma import resolve_params
 from .singular import quadratic_element, singular_condition
 from .diffop import (
@@ -177,19 +175,18 @@ def onshell_multiplier(spec, gen, params, q=1):
     ch = power.chart
     if target.is_zero():
         return CoefPoly.zero(ch)
-    # S^q carries d/dt^q with the constant coefficient lead^q, where lead
-    # is the weight on the lone first-order word of the quadratic element;
-    # the candidate multiplier is the matching coefficient of the target.
-    lead = Scalar.const(1)
-    for word, coef in quadratic_element(spec, pvals):
-        if len(word) == 1:
-            for _ in range(q):
-                lead = lead * coef
+    # target = lambda * S^q, so on any slot where S^q has a nonzero constant
+    # coefficient s, lambda is the target's coefficient there divided by s
+    # (the d/dt^q slot has the constant mu^q, which vanishes at mu = 0)
+    origin = (0,) * len(ch)
+    for slot, poly in power.terms.items():
+        if poly.terms.keys() == {origin}:
+            candidate = target.terms.get(slot, CoefPoly.zero(ch)).scaled(
+                Scalar.const(1) / poly.terms[origin]
+            )
             break
-    t_slot = tuple(q if i == 0 else 0 for i in range(len(ch)))
-    candidate = target.terms.get(t_slot, CoefPoly.zero(ch)).scaled(
-        Scalar.const(1) / lead
-    )
+    else:
+        raise NoMultiplier("the operator has no constant coefficient to divide by")
     if compose(DiffOp.of_poly(candidate), power) != target:
         raise NoMultiplier(
             "commutator with %s is not an order-zero multiple of the operator"

@@ -13,12 +13,20 @@ Two independent implementations of the generator action are provided:
   two planar families.
 
 Their agreement on a shared domain is one of the package's core checks.
+
+Both are integer-first.  The structure constants are integers, so the image
+of each input monomial is built with plain ``int`` coefficients, and a
+Scalar enters only where a parameter does: the eigenvalue of a trailing
+diagonal letter, computed lazily once per letter and call, or a parameter
+in a closed form.  The input coefficient then multiplies each term of that
+image once, and the result is assembled in one map.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
+from operator import itemgetter
 from types import MappingProxyType
 
 from .algebra import (
@@ -41,29 +49,46 @@ class InfiniteSelection(ValueError):
     """The requested constraint selects infinitely many basis monomials."""
 
 
-@dataclass(frozen=True)
-class PbwMonomial:
+class PbwMonomial(tuple):
     """Exponent vector of one basis monomial.
 
     ``h`` counts the leftmost factor (H, or C for the centerless family);
     ``a`` and ``b`` hold the exponents of the two creation strings in
     ascending index order (``b`` is empty when the family has a single
-    string).
+    string).  The monomial is the tuple ``(h, a, b)``, so it hashes and
+    compares at C level.
     """
 
-    h: int
-    a: tuple
-    b: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h < 0 or any(e < 0 for e in self.a + self.b):
-            raise ValueError("negative exponent in %r" % (self,))
+    def __new__(cls, h, a, b):
+        if h < 0 or any(e < 0 for e in a + b):
+            raise ValueError("negative exponent in %s" % (_mono_repr((h, a, b)),))
+        return tuple.__new__(cls, (h, a, b))
+
+    h = property(itemgetter(0))
+    a = property(itemgetter(1))
+    b = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return _mono_repr(self)
 
     def __str__(self):
         parts = [str(self.h)]
         parts.append(",".join(str(e) for e in self.a))
         parts.append(",".join(str(e) for e in self.b))
         return "|%s>" % ";".join(parts)
+
+
+def _mono_repr(hab):
+    return "PbwMonomial(h=%r, a=%r, b=%r)" % tuple(hab)
+
+
+# A PbwMonomial from an (h, a, b) tuple known to hold no negative exponent.
+_mono = partial(tuple.__new__, PbwMonomial)
 
 
 def check_monomial(spec, m):
@@ -112,20 +137,19 @@ class ModuleVector:
         if not isinstance(other, ModuleVector):
             return NotImplemented
         terms = dict(self.terms)
-        for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Scalar.zero()) + coef
-        return ModuleVector(terms)
+        _scatter(terms, other.terms)
+        return _vector_of(terms)
 
     def __sub__(self, other):
-        return self + other.scaled(Scalar.const(-1))
+        return self + (-other)
 
     def __neg__(self):
-        return self.scaled(Scalar.const(-1))
+        return _vector_of({m: -c for m, c in self.terms.items()})
 
     def scaled(self, coef):
-        if not isinstance(coef, Scalar):
+        if not isinstance(coef, (Scalar, int)):
             coef = Scalar.const(coef)
-        return ModuleVector({m: c * coef for m, c in self.terms.items()})
+        return _vector_of({m: c * coef for m, c in self.terms.items()})
 
     def coefficient(self, mono):
         return self.terms.get(mono, Scalar.zero())
@@ -143,6 +167,24 @@ class ModuleVector:
         if not self.terms:
             return "0"
         return " + ".join("(%s)*%s" % (c, m) for m, c in self.items())
+
+
+def _vector_of(terms):
+    """The ModuleVector of a map of monomials to Scalars, built without the
+    constructor's coercion: only zero coefficients are dropped."""
+    out = ModuleVector.__new__(ModuleVector)
+    out.terms = {m: c for m, c in terms.items() if c}
+    return out
+
+
+def _scatter(out, image, coef=None):
+    """Add ``image`` (monomial -> int | Scalar), times ``coef`` when one is
+    given, into the map ``out``."""
+    for mono, c in image.items():
+        if coef is not None:
+            c = coef * c
+        prev = out.get(mono)
+        out[mono] = c if prev is None else prev + c
 
 
 class Weight:
@@ -320,18 +362,21 @@ class _Letters:
 
     Letter ``i`` is ``enumerate_generators(spec)[i]``.  ``pos[i]`` is its
     normal-order position, ``brk[i][j]`` the bracket of letters ``i`` and
-    ``j`` as ``((letter, int coefficient), ...)``, ``slots`` the letters of
-    the basis factors in monomial order (top, a string, b string) and
-    ``order`` the slot indices by descending position, the order of the
-    factors in a normal word.
+    ``j`` as ``((letter, int coefficient), ...)``, ``diag`` maps each
+    diagonal letter to the ``(symbol, sign)`` of its eigenvalue, ``slots``
+    the letters of the basis factors in monomial order (top, a string,
+    b string) and ``order`` the slot indices by descending position, the
+    order of the factors in a normal word.
     """
 
     index: dict
     pos: tuple
     brk: tuple
+    diag: dict
     slots: tuple
     order: tuple
     n_a: int
+    n_b: int
 
     def word_of(self, m):
         """The normal word of a basis monomial."""
@@ -344,7 +389,7 @@ class _Letters:
     def monomial_of(self, word):
         """The basis monomial of a normal word, by counting each slot."""
         counts = tuple(word.count(letter) for letter in self.slots)
-        return PbwMonomial(counts[0], counts[1:1 + self.n_a], counts[1 + self.n_a:])
+        return _mono((counts[0], counts[1:1 + self.n_a], counts[1 + self.n_a:]))
 
 
 @lru_cache(maxsize=None)
@@ -360,10 +405,11 @@ def _letters(spec):
               for y in gens)
         for x in gens
     )
+    diag = {index[g]: sym_sign for g, sym_sign in weight_table(spec).items()}
     top, a_gens, b_gens = creation_data(spec)
     slots = tuple(index[g] for g in (top,) + a_gens + b_gens)
     order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
-    return _Letters(index, pos, brk, slots, order, len(a_gens))
+    return _Letters(index, pos, brk, diag, slots, order, len(a_gens), len(b_gens))
 
 
 def act_generic(spec, x, v, params=None):
@@ -374,6 +420,12 @@ def act_generic(spec, x, v, params=None):
     (through the family's integer structure-constant table), swapping the
     leftmost adjacent inversion first, killing trailing annihilators and
     converting trailing diagonal letters into their eigenvalues.
+
+    Each input monomial is rewritten on its own with plain ``int``
+    coefficients; a coefficient becomes a Scalar only when a trailing
+    diagonal letter contributes its eigenvalue, which is computed on first
+    use, once per letter and call.  The input coefficient multiplies each
+    term of the monomial's image once.
     """
     pvals = resolve_params(spec, params)
     letters = _letters(spec)
@@ -381,47 +433,49 @@ def act_generic(spec, x, v, params=None):
     if first is None:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     pos, brk = letters.pos, letters.brk
-    eigen = {letters.index[g]: pvals[sym] * sign
-             for g, (sym, sign) in weight_table(spec).items()}
+    eigen = {}
+    out = {}
 
-    pending = {}
-
-    def push(word, coef):
-        if coef.is_zero:
-            return
+    def push(word, c):
         prev = pending.get(word)
-        pending[word] = coef if prev is None else prev + coef
+        pending[word] = c if prev is None else prev + c
 
     for mono, coef in v.terms.items():
-        check_monomial(spec, mono)
-        push((first,) + letters.word_of(mono), coef)
-
-    out = {}
-    while pending:
-        word, coef = pending.popitem()
-        if coef.is_zero:
-            continue
-        if word:
-            last = word[-1]
-            if pos[last] == 0:  # annihilator meets the lowest-weight vector
+        if len(mono.a) != letters.n_a or len(mono.b) != letters.n_b:
+            check_monomial(spec, mono)
+        pending = {(first,) + letters.word_of(mono): 1}
+        image = {}
+        while pending:
+            word, c = pending.popitem()
+            if not c:
                 continue
-            if pos[last] == 1:  # diagonal letter: eigenvalue times the rest
-                push(word[:-1], coef * eigen[last])
-                continue
-            # find the leftmost adjacent inversion (ascending positions)
-            i, n = 0, len(word) - 1
-            while i < n and pos[word[i]] >= pos[word[i + 1]]:
-                i += 1
-            if i < n:
-                a, b = word[i], word[i + 1]
-                head, tail = word[:i], word[i + 2:]
-                push(head + (b, a) + tail, coef)
-                for letter, c in brk[a][b]:
-                    push(head + (letter,) + tail, coef * c)
-                continue
-        mono = letters.monomial_of(word)
-        out[mono] = out.get(mono, Scalar.zero()) + coef
-    return ModuleVector(out)
+            if word:
+                last = word[-1]
+                if pos[last] == 0:  # annihilator meets the lowest-weight vector
+                    continue
+                if pos[last] == 1:  # diagonal letter: eigenvalue times the rest
+                    value = eigen.get(last)
+                    if value is None:
+                        sym, sign = letters.diag[last]
+                        value = eigen[last] = pvals[sym] * sign
+                    push(word[:-1], value * c)
+                    continue
+                # find the leftmost adjacent inversion (ascending positions)
+                i, n = 0, len(word) - 1
+                while i < n and pos[word[i]] >= pos[word[i + 1]]:
+                    i += 1
+                if i < n:
+                    a, b = word[i], word[i + 1]
+                    head, tail = word[:i], word[i + 2:]
+                    push(head + (b, a) + tail, c)
+                    for letter, k in brk[a][b]:
+                        push(head + (letter,) + tail, c * k)
+                    continue
+            m = letters.monomial_of(word)
+            prev = image.get(m)
+            image[m] = c if prev is None else prev + c
+        _scatter(out, image, coef)
+    return _vector_of(out)
 
 
 def act_word(spec, gens, v, params=None, action=None):
@@ -433,6 +487,15 @@ def act_word(spec, gens, v, params=None, action=None):
 
 
 # --- closed-form actions for the planar families --------------------------
+
+def _add_term(out, h, a, b, coef):
+    """Add a raw int | Scalar term to ``out``; a zero or one with h < 0 is
+    dropped."""
+    if coef and h >= 0:
+        mono = _mono((h, a, b))
+        prev = out.get(mono)
+        out[mono] = coef if prev is None else prev + coef
+
 
 def _central_mag(two_ell, m):
     """(2l-m)! m! — magnitude of the closing structure constant."""
@@ -447,14 +510,7 @@ def _closed_form_mass(spec, x, m, pvals):
     mu = pvals["mu"]
     k, a, b = m.h, m.a, m.b
     out = {}
-
-    def add(h2, a2, b2, coef):
-        if isinstance(coef, (int, Fraction)):
-            coef = Scalar.const(coef)
-        if coef.is_zero or h2 < 0:
-            return
-        mono = PbwMonomial(h2, a2, b2)
-        out[mono] = out.get(mono, Scalar.zero()) + coef
+    add = partial(_add_term, out)
 
     def sign_I(n):
         # structure constant closing the two strings at total index 2l
@@ -473,10 +529,9 @@ def _closed_form_mass(spec, x, m, pvals):
         add(k + 1, a, b, 1)
     elif x == Gen("C"):
         add(k - 1, a, b,
-            Scalar.const(k) * (Scalar.const(k - 1 + dshift - 2 * k) - pvals["delta"]))
+            (Scalar.const(k - 1 + dshift - 2 * k) - pvals["delta"]) * k)
         if a[half] and b[half]:
-            coef = mu * Scalar.const(
-                -halfp * a[half] * b[half] * sign_I(halfp))
+            coef = mu * (-halfp * a[half] * b[half] * sign_I(halfp))
             add(k, _bump(a, half, -1), _bump(b, half, -1), coef)
         for n in range(half):
             if a[n]:
@@ -497,8 +552,7 @@ def _closed_form_mass(spec, x, m, pvals):
             j = two_ell - n + i  # index lowered in the opposite string
             if j > half or not other[j]:
                 continue
-            coef = mu * Scalar.const(
-                -factorial(i) * comb(k, i) * comb(n, i) * other[j] * sign_I(n - i))
+            coef = mu * (-factorial(i) * comb(k, i) * comb(n, i) * other[j] * sign_I(n - i))
             if x.sign == "+":
                 add(k - i, a, _bump(b, j, -1), coef)
             else:
@@ -511,7 +565,7 @@ def _closed_form_mass(spec, x, m, pvals):
                 add(k - i, a, _bump(b, n - i, 1), coef)
     else:
         raise UnsupportedFamily("no closed-form action for %s on %r" % (x, spec))
-    return ModuleVector(out)
+    return out
 
 
 def _closed_form_exotic(spec, x, m, pvals):
@@ -521,14 +575,7 @@ def _closed_form_exotic(spec, x, m, pvals):
     theta = pvals["theta"]
     h, a, b = m.h, m.a, m.b
     out = {}
-
-    def add(h2, a2, b2, coef):
-        if isinstance(coef, (int, Fraction)):
-            coef = Scalar.const(coef)
-        if coef.is_zero or h2 < 0:
-            return
-        mono = PbwMonomial(h2, a2, b2)
-        out[mono] = out.get(mono, Scalar.zero()) + coef
+    add = partial(_add_term, out)
 
     def mag_I(n):
         return (-1) ** n * _central_mag(two_ell, n)
@@ -546,9 +593,9 @@ def _closed_form_exotic(spec, x, m, pvals):
         add(h + 1, a, b, 1)
     elif x == Gen("C"):
         add(h - 1, a, b,
-            Scalar.const(h) * (Scalar.const(h - 1 + dshift - 2 * h) - pvals["delta"]))
+            (Scalar.const(h - 1 + dshift - 2 * h) - pvals["delta"]) * h)
         if a[ell] and b[ell - 1]:
-            coef = theta * Scalar.const(ell * a[ell] * b[ell - 1] * mag_I(ell + 1))
+            coef = theta * (ell * a[ell] * b[ell - 1] * mag_I(ell + 1))
             add(h, _bump(a, ell, -1), _bump(b, ell - 1, -1), coef)
         for n in range(ell):
             if a[n]:
@@ -570,8 +617,7 @@ def _closed_form_exotic(spec, x, m, pvals):
             j = two_ell - n + i
             if j > ell - 1 or not b[j]:
                 continue
-            coef = theta * Scalar.const(
-                factorial(i) * comb(h, i) * comb(n, i) * b[j] * mag_I(n - i))
+            coef = theta * (factorial(i) * comb(h, i) * comb(n, i) * b[j] * mag_I(n - i))
             add(h - i, a, _bump(b, j, -1), coef)
         for i in range(n - ell, min(h, n) + 1):
             add(h - i, _bump(a, n - i, 1), b,
@@ -582,15 +628,14 @@ def _closed_form_exotic(spec, x, m, pvals):
             j = two_ell - n + i
             if j > ell or not a[j]:
                 continue
-            coef = theta * Scalar.const(
-                -factorial(i) * comb(h, i) * comb(n, i) * a[j] * mag_I(n - i))
+            coef = theta * (-factorial(i) * comb(h, i) * comb(n, i) * a[j] * mag_I(n - i))
             add(h - i, _bump(a, j, -1), b, coef)
         for i in range(n - ell + 1, min(h, n) + 1):
             add(h - i, a, _bump(b, n - i, 1),
                 factorial(i) * comb(h, i) * comb(n, i))
     else:
         raise UnsupportedFamily("no closed-form action for %s on %r" % (x, spec))
-    return ModuleVector(out)
+    return out
 
 
 def act_closed_form(spec, x, v, params=None):
@@ -603,15 +648,17 @@ def act_closed_form(spec, x, v, params=None):
         raise UnsupportedFamily(
             "closed-form actions cover the planar extended families only"
         )
-    if x not in normal_position(spec):
+    letters = _letters(spec)
+    if x not in letters.index:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     pvals = resolve_params(spec, params)
     impl = _closed_form_mass if spec.ext == "mass" else _closed_form_exotic
-    total = ModuleVector.zero()
+    out = {}
     for mono, coef in v.terms.items():
-        check_monomial(spec, mono)
-        total = total + impl(spec, x, mono, pvals).scaled(coef)
-    return total
+        if len(mono.a) != letters.n_a or len(mono.b) != letters.n_b:
+            check_monomial(spec, mono)
+        _scatter(out, impl(spec, x, mono, pvals), coef)
+    return _vector_of(out)
 
 
 # --- basis enumeration -----------------------------------------------------

@@ -1,0 +1,97 @@
+"""Microbenchmarks, one small fixed input per layer of the stack.
+
+ParamPoly mul and poly_gcd -> Scalar normalisation -> bracket ->
+act_generic / act_closed_form -> diffop.compose -> rep_check /
+intertwining_check.  The file name does not match ``test_*.py``, so the
+tier-1 run does not collect it; it needs ``pytest-benchmark`` and skips
+without it.  Run it from the repository root:
+
+    PYTHONPATH=src python -m pytest tests/bench_layers.py
+
+To compare two checkouts, save a run of the first one and compare the
+second against it, with the same storage directory for both:
+
+    cd OLD && PYTHONPATH=src python -m pytest tests/bench_layers.py \\
+        --benchmark-storage="$BENCH_DIR" --benchmark-save=old
+    cd NEW && PYTHONPATH=src python -m pytest tests/bench_layers.py \\
+        --benchmark-storage="$BENCH_DIR" --benchmark-compare
+
+``--benchmark-compare`` picks the latest saved run; add
+``--benchmark-compare-fail=median:10%`` to fail on a slowdown.  On a
+shared machine, alternate the two checkouts over several rounds before
+trusting a difference of a few per cent.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators  # noqa: E402
+from cgk.diffop import compose  # noqa: E402
+from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
+from cgk.reps import left_action, rep_check  # noqa: E402
+from cgk.scalars import ParamPoly, Scalar, poly_gcd  # noqa: E402
+from cgk.singular import delta_at_condition  # noqa: E402
+from cgk.verma import (  # noqa: E402
+    ModuleVector,
+    act_closed_form,
+    act_generic,
+    level_basis,
+)
+
+M1 = AlgebraSpec(2, 1, "mass")
+M3 = AlgebraSpec(2, 3, "mass")
+DELTA, MU, R = (ParamPoly.symbol(name) for name in ("delta", "mu", "r"))
+P = DELTA * DELTA + MU * R - ParamPoly.const(3) * DELTA + ParamPoly.const(Fraction(1, 2))
+Q = DELTA * MU - R * R + ParamPoly.const(2)
+F = DELTA + MU + ParamPoly.const(1)
+
+
+def test_parampoly_mul(benchmark):
+    benchmark(lambda: (P * Q) * (P * Q))
+
+
+def test_poly_gcd(benchmark):
+    a, b = P * F * F, Q * F
+    assert benchmark(poly_gcd, a, b) == F
+
+
+def test_scalar_normalisation(benchmark):
+    num, den = P * Q * F, Q * F * ParamPoly.const(3)
+    assert benchmark(Scalar, num, den) == Scalar(P) / Scalar.const(3)
+
+
+def test_bracket(benchmark):
+    gens = enumerate_generators(M3)
+    benchmark(lambda: [bracket(M3, x, y) for x in gens for y in gens])
+
+
+def _level_four_vector():
+    basis = level_basis(M3, 4)
+    return ModuleVector({m: Scalar.const(i + 1) for i, m in enumerate(basis)})
+
+
+@pytest.mark.parametrize("action", [act_generic, act_closed_form],
+                         ids=["act_generic", "act_closed_form"])
+def test_module_action(benchmark, action):
+    v = _level_four_vector()
+    gens = enumerate_generators(M3)
+    benchmark(lambda: [action(M3, x, v) for x in gens])
+
+
+def test_compose(benchmark):
+    params = {"delta": delta_at_condition(M1, 2), "mu": 1, "r": Fraction(2, 3)}
+    power = invariant_operator(M1, 2, params)
+    special = left_action(M1, Gen("C"), params)
+    benchmark(compose, power, special)
+
+
+def test_rep_check(benchmark):
+    assert benchmark(rep_check, M1) == []
+
+
+def test_intertwining_check(benchmark):
+    params = {"delta": delta_at_condition(M1, 2), "mu": 1, "r": Fraction(2, 3)}
+    assert benchmark(intertwining_check, M1, 2, params) == []

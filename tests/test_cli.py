@@ -1,10 +1,12 @@
 """Command-line interface: grammar, exit codes, and exact serialization."""
 
 import json
+import os
 import pathlib
 import re
 import shlex
-from fractions import Fraction
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +25,6 @@ from cgk.cli import (
 from cgk.diffop import parse_diffop, render_diffop
 from cgk.invariants import invariant_operator
 from cgk.reps import chart, left_action
-from cgk.scalars import Scalar
 from cgk.singular import singular_closed
 from cgk.verma import ModuleVector, PbwMonomial, resolve_params
 from test_diffop import _reference_residual
@@ -131,6 +132,55 @@ def test_unexpected_exception_is_one_line_exit_two(capsys, monkeypatch):
         "--level", "2",
     )
     assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
+
+
+PDE_CHECK_MU0 = ["pde", "check", "--d", "1", "--two-ell", "1", "--ext", "mass", "--q", "1",
+                 "--mu", "0"]
+
+
+class _ClosingStdout:
+    """A stdout whose reader goes away after the first write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        if self.writes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("delta, want", [("auto", 0), ("1/7", 1)])
+def test_closed_stdout_keeps_exit_code(capsys, monkeypatch, delta, want):
+    stdout = _ClosingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = run(PDE_CHECK_MU0 + ["--delta", delta])
+    assert (code, capsys.readouterr().err) == (want, "")
+    assert stdout.writes[0].startswith("{")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_pipe_exits_cleanly(unbuffered):
+    # a pipe whose read end is closed before the command writes: no stderr
+    # line, no traceback at interpreter exit, and the command's own exit code
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgk.cli"] + PDE_CHECK_MU0 + ["--delta", "auto"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def _readme_commands():

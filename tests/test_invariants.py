@@ -10,6 +10,8 @@ from cgk.diffop import (
     DiffOp,
     Var,
     apply_op,
+    commutator,
+    compose,
     op_power,
     parse_diffop,
     render_poly_in_vars,
@@ -150,6 +152,23 @@ def test_onshell_multiplier_consistency_across_families():
         params = params_at_root(spec, 1)
         for g in enumerate_generators(spec):
             onshell_multiplier(spec, g, params)  # must not raise
+
+
+@pytest.mark.parametrize("spec", [D1, M1], ids=["1,1,mass", "2,1,mass"])
+def test_onshell_multiplier_at_mu_zero(spec):
+    # at mu = 0 the d/dt^q slot of S^q vanishes; the multiplier is read from
+    # another slot and must still reproduce the commutator
+    for q in (1, 2):
+        params = dict(params_at_root(spec, q), mu=0)
+        pvals = resolve_params(spec, params)
+        power = invariant_operator(spec, q, pvals)
+        for g in enumerate_generators(spec):
+            lam = onshell_multiplier(spec, g, params, q=q)
+            target = commutator(power, left_action(spec, g, pvals))
+            assert compose(DiffOp.of_poly(lam), power) == target, (spec, q, g)
+    if spec == D1:
+        lam_c = onshell_multiplier(D1, Gen("C"), {"delta": Fraction(-1, 2), "mu": 0})
+        assert lam_c == CoefPoly.var(chart(D1), Var("t")).scaled(-2)
 
 
 def test_onshell_multiplier_requires_root():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +23,6 @@ from cgk.verma import (
     MissingParameter,
     ModuleVector,
     PbwMonomial,
-    Weight,
     act_closed_form,
     act_generic,
     act_word,
@@ -425,3 +426,84 @@ def test_structure_table_equals_bracket():
             for j, y in enumerate(gens):
                 table = {gens[k]: Scalar.const(c) for k, c in letters.brk[i][j]}
                 assert table == bracket(spec, x, y).terms, (spec, x, y)
+
+
+# coefficients whose denominators are 1, delta + 1 and mu
+MIXED_COEFS = (Scalar.const(3), Scalar.const(-2) / (DELTA + Scalar.const(1)),
+               (MU + Scalar.const(2)) / MU, Scalar.const(Fraction(-5, 7)))
+
+
+def _multi_term_vectors(spec, rng, count=4):
+    """Seeded vectors of up to four monomials of levels 0-3, mixed coefficients."""
+    basis = [m for p in range(4) for m in level_basis(spec, p)]
+    out = []
+    for _ in range(count):
+        monos = rng.sample(basis, min(4, len(basis)))
+        out.append(ModuleVector(dict(zip(monos, MIXED_COEFS))))
+    return out
+
+
+@pytest.mark.parametrize("params", [None, NUMERIC_POINT], ids=["symbolic", "numeric"])
+def test_generic_action_matches_reference_on_sums(params):
+    # each input monomial is rewritten on its own and scaled once per
+    # output term; the images of overlapping monomials must merge exactly
+    rng = random.Random(7)
+    for spec in supported_specs(5):
+        for v in _multi_term_vectors(spec, rng):
+            for x in enumerate_generators(spec):
+                assert act_generic(spec, x, v, params=params) == \
+                    _reference_act_generic(spec, x, v, params=params), (spec, x, v)
+
+
+@pytest.mark.parametrize("params", [None, NUMERIC_POINT], ids=["symbolic", "numeric"])
+def test_closed_form_is_linear(params):
+    rng = random.Random(11)
+    for spec in (M1, M3, EX2, EX4):
+        for v in _multi_term_vectors(spec, rng):
+            for x in enumerate_generators(spec):
+                parts = ModuleVector.zero()
+                for m, c in v.terms.items():
+                    parts = parts + act_closed_form(
+                        spec, x, ModuleVector.of(m), params=params).scaled(c)
+                got = act_closed_form(spec, x, v, params=params)
+                assert got == parts, (spec, x, v)
+                assert got == act_generic(spec, x, v, params=params), (spec, x, v)
+
+
+def test_closed_form_matches_generic_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @st.composite
+    def cases(draw):
+        spec = draw(st.sampled_from([M1, M3, EX2, EX4, AlgebraSpec(2, 5, "mass")]))
+        _, a_gens, b_gens = creation_data(spec)
+        m = mono(draw(st.integers(0, 8)),
+                 draw(st.lists(st.integers(0, 2), min_size=len(a_gens),
+                               max_size=len(a_gens))),
+                 draw(st.lists(st.integers(0, 2), min_size=len(b_gens),
+                               max_size=len(b_gens))))
+        return spec, draw(st.sampled_from(enumerate_generators(spec))), m
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(cases())
+    def check(case):
+        spec, x, m = case
+        v = ModuleVector.of(m)
+        assert act_closed_form(spec, x, v) == act_generic(spec, x, v)
+
+    check()
+
+
+def test_monomial_is_a_tuple_with_the_dataclass_face():
+    m = mono(2, (0, 1), (3,))
+    assert (m.h, m.a, m.b) == (2, (0, 1), (3,))
+    assert hash(m) == hash((2, (0, 1), (3,)))
+    assert repr(m) == "PbwMonomial(h=2, a=(0, 1), b=(3,))"
+    assert str(m) == "|2;0,1;3>"
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert type(copy.deepcopy(m)) is PbwMonomial
+    with pytest.raises(ValueError, match=r"negative exponent in PbwMonomial\(h=0"):
+        mono(0, (1, -1))
+    with pytest.raises(AttributeError):
+        m.h = 3
