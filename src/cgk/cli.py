@@ -167,38 +167,21 @@ def combo_to_json(combo):
     return [{"gen": str(g), "coef": render_scalar(c)} for g, c in combo.items()]
 
 
-def render_vector(v):
-    if v.is_zero():
-        return "0"
+def render_terms(items):
+    """Text of a linear combination given as (label, Scalar) items, such as
+    a ModuleVector's or a GenCombo's; "0" when there are none."""
     parts = []
-    for m, c in v.items():
+    for label, c in items:
         cs = render_scalar(c)
         if cs == "1":
-            parts.append(str(m))
+            parts.append(str(label))
         elif cs == "-1":
-            parts.append("-%s" % (m,))
+            parts.append("-%s" % (label,))
         else:
             if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
                 cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, m))
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-def render_combo(combo):
-    if combo.is_zero:
-        return "0"
-    parts = []
-    for g, c in combo.items():
-        cs = render_scalar(c)
-        if cs == "1":
-            parts.append(str(g))
-        elif cs == "-1":
-            parts.append("-%s" % g)
-        else:
-            if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
-                cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, g))
-    return " + ".join(parts).replace("+ -", "- ")
+            parts.append("%s*%s" % (cs, label))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 # --- argument plumbing -----------------------------------------------------
@@ -355,7 +338,7 @@ def cmd_algebra_show(args):
         "g- : %s" % ", ".join(map(str, minus)),
     ]
     for x, y, combo in brackets:
-        lines.append("[%s, %s] = %s" % (x, y, render_combo(combo)))
+        lines.append("[%s, %s] = %s" % (x, y, render_terms(combo.items())))
     _emit(args, "\n".join(lines))
     return 0
 
@@ -377,7 +360,7 @@ def cmd_algebra_jacobi(args):
         if failures:
             lines = ["jacobi: FAIL (%d triples)" % len(failures)]
             lines += [
-                "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, render_combo(r))
+                "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, render_terms(r.items()))
                 for x, y, z, r in failures
             ]
             _emit(args, "\n".join(lines))
@@ -395,7 +378,7 @@ def cmd_verma_act(args):
     if cfg.output == "json":
         _emit_json(args, {"vector": vector_to_json(result)})
     else:
-        _emit(args, render_vector(result))
+        _emit(args, render_terms(result.items()))
     return 0
 
 
@@ -457,7 +440,7 @@ def cmd_singular_closed(args):
     if cfg.output == "json":
         _emit_json(args, {"q": args.q, "vector": vector_to_json(v)})
     else:
-        _emit(args, render_vector(v))
+        _emit(args, render_terms(v.items()))
     return 0
 
 
@@ -500,7 +483,7 @@ def _failure_text(failure):
         return failure
     kind, gen, payload = failure
     if isinstance(payload, ModuleVector):
-        detail = render_vector(payload)
+        detail = render_terms(payload.items())
     elif isinstance(payload, Scalar):
         detail = render_scalar(payload)
     else:
@@ -525,7 +508,7 @@ def cmd_singular_search(args):
         })
     else:
         lines = ["kernel dimension: %d" % len(found)]
-        lines += ["  %s" % render_vector(v) for v in found.vectors]
+        lines += ["  %s" % render_terms(v.items()) for v in found.vectors]
         if found.caveats:
             lines.append("valid where none of these vanish: %s"
                          % ", ".join(render_scalar(c) for c in found.caveats))
@@ -692,8 +675,11 @@ def criterion_closed_form():
             for mono in level_basis(spec, level):
                 v = ModuleVector.of(mono)
                 for gen in gens:
-                    if act_closed_form(spec, gen, v) != act_generic(spec, gen, v):
-                        return False, "mismatch: %r, %s on %s" % (spec, gen, mono)
+                    closed = act_closed_form(spec, gen, v)
+                    generic = act_generic(spec, gen, v)
+                    if closed != generic:
+                        return False, "mismatch: %r, %s on %s; closed - generic: %s" % (
+                            spec, gen, mono, render_terms((closed - generic).items()))
                     checked += 1
     return True, "%d actions agree (levels <= %d, twoEll <= 5)" % (checked, cap)
 
@@ -706,7 +692,8 @@ def criterion_singular_verify():
         expected = predicted_weight(spec, q, params=params)
         report = verify_singular(spec, v, params=params, expect_weight=expected)
         if not report.ok:
-            return False, "%r q=%d: %d failures" % (spec, q, len(report.failures))
+            return False, "%r q=%d: %d failures; first %s" % (
+                spec, q, len(report.failures), _failure_text(report.failures[0]))
         root = delta_at_condition(spec, q)
         if report.weight[Gen("D")] != Scalar.const(Fraction(2 * q) - root):
             return False, "%r q=%d: scaling eigenvalue is not 2q - delta" % (spec, q)

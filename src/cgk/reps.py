@@ -1,24 +1,51 @@
-"""Vector-field realizations of the families on their natural charts.
+"""Vector-field realizations of the families, derived from the bracket.
 
-``right_action`` realizes the creation wing by coordinate lifts (its
-domain is the wing itself); ``left_action`` realizes every generator of
-the extended families by first-order operators with polynomial
-coefficients, with the diagonal parameters appearing as constants.
+The realizations are the induced representations on the coset of the
+creation wing (Dobrev's construction, Rep. Math. Phys. 25, 1988).  Each
+basis factor of ``algebra.creation_data`` other than H is a coordinate
+generator: the i-th of the a string gets ``x<i>``, the i-th of the b
+string ``y<i>``, and H gets ``t``.  A point of the chart is
+g = exp(t H) exp(Y) with Y = sum_v x_v gen(v).
+
+``right_action`` realizes the creation wing by coordinate lifts:
+R(gen(v)) = d/dv, and R(H) = d/dt - sum_v x_v R([H, gen(v)]).
+
+``left_action`` realizes every generator X of an extended family.  With
+Z = Ad(g^-1) X = e^(-ad Y) e^(-t ad H) X, two finite series since ad is
+nilpotent here, split Z = Z+ + Z0 + Z- along ``algebra.decomposition``:
+
+    pi_L(X) = -R(Z+) - lambda(Z0),
+
+where lambda is the lowest weight read from ``algebra.weight_table`` (a
+diagonal generator's eigenvalue is sign * symbol) and Z- drops out, as
+the annihilators kill the lowest-weight vector.  Everything but lambda
+is parameter-free, so it is derived once per (family, generator); a call
+only adds the order-zero parameter terms.
+
 Both honor [pi(X), pi(Y)] = pi([X, Y]) on their domains, and
 ``rep_check`` verifies that identity exactly, pair by pair.
 """
 
 import functools
-from math import comb, factorial
+from fractions import Fraction
 
-from .algebra import Gen, bracket, decomposition, enumerate_generators
-from .diffop import CoefPoly, DiffOp, Var, commutator, compose, make_chart
-from .scalars import Scalar, central_constant
+from .algebra import (Gen, bracket, creation_data, decomposition, enumerate_generators,
+                      normal_position, weight_table)
+from .diffop import CoefPoly, DiffOp, Var, commutator, make_chart
+from .scalars import Scalar
 from .verma import resolve_params
+
+_H = Gen("H")
 
 
 class UnsupportedGenerator(KeyError):
-    """No printed realization exists for this generator in this family."""
+    """No realization exists for this generator in this family."""
+
+
+def _coordinates(spec):
+    """Map each coordinate generator to its chart slot (t is slot 0)."""
+    _, a_gens, b_gens = creation_data(spec)
+    return {g: i + 1 for i, g in enumerate(a_gens + b_gens)}
 
 
 @functools.cache
@@ -28,97 +55,108 @@ def chart(spec):
     Built once per family: ``AlgebraSpec`` is frozen and the chart is an
     immutable tuple.
     """
-    two_ell = spec.twoEll
-    if spec.ext == "none":
-        return make_chart("t", "x0")
-    if spec.d == 1:
-        half = (two_ell - 1) // 2
-        return make_chart("t", *("x%d" % j for j in range(half + 1)))
-    if spec.ext == "mass":
-        half = (two_ell - 1) // 2
-        return make_chart(
-            "t",
-            *("x%d" % j for j in range(half + 1)),
-            *("y%d" % j for j in range(half + 1)),
-        )
-    ell = two_ell // 2
-    return make_chart(
-        "t",
-        *("x%d" % j for j in range(ell + 1)),
-        *("y%d" % j for j in range(ell)),
-    )
+    _, a_gens, b_gens = creation_data(spec)
+    return make_chart(Var("t"), *(Var("x", i) for i in range(len(a_gens))),
+                      *(Var("y", i) for i in range(len(b_gens))))
 
 
-def _term(ch, coef, vpow=None, dpow=None):
-    """coef * prod(vars) * prod(partials) as a one-term DiffOp."""
-    if isinstance(coef, int):
-        coef = Scalar.const(coef)
-    expo = [0] * len(ch)
-    for v, e in (vpow or {}).items():
-        expo[ch.index(v)] += e
-    dexpo = [0] * len(ch)
-    for v, e in (dpow or {}).items():
-        dexpo[ch.index(v)] += e
-    return DiffOp(ch, {tuple(dexpo): CoefPoly(ch, {tuple(expo): coef})})
+# Algebra elements with polynomial coefficients are raw maps {Gen: poly}: a
+# poly maps a monomial, the sorted tuple of the chart slots it multiplies
+# (t is slot 0, () is 1), to an int or a Fraction.
+
+_ONE = {(): 1}
 
 
-def _x(n):
-    return Var("x", n)
+def _mul_into(acc, p, q, c=1):
+    """acc += c * p * q."""
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(sorted(m1 + m2))
+            acc[m] = acc.get(m, 0) + c * c1 * c2
 
 
-def _y(n):
-    return Var("y", n)
+def _ad(spec, w, z, scale=1):
+    """scale * [w, z], zero terms dropped."""
+    out = {}
+    for gw, pw in w.items():
+        for gz, pz in z.items():
+            for g, c in bracket(spec, gw, gz).items():
+                _mul_into(out.setdefault(g, {}), pw, pz, scale * c.rational_value())
+    return {g: q for g, p in out.items() if (q := {m: c for m, c in p.items() if c})}
 
 
-_T = Var("t")
+def _exp_ad(spec, w, z):
+    """e^(ad w) z: the series ends at its first zero term."""
+    total = {}
+    k = 0
+    while z:
+        for g, p in z.items():
+            _mul_into(total.setdefault(g, {}), p, _ONE)
+        k += 1
+        z = _ad(spec, w, z, Fraction(1, k))
+    return total
+
+
+def _lift_into(out, spec, elem):
+    """out += R(elem) for elem in the creation wing, out a map {chart slot:
+    poly}: R(gen(v)) = d/dv and R(H) = d/dt - sum_v x_v R([H, gen(v)])."""
+    coords = _coordinates(spec)
+    rest = {}
+    for g, p in elem.items():
+        _mul_into(out.setdefault(0 if g == _H else coords[g], {}), p, _ONE)
+        if g == _H:
+            for v, slot in coords.items():
+                for g2, c in bracket(spec, _H, v).items():
+                    _mul_into(rest.setdefault(g2, {}), p, {(slot,): -c.rational_value()})
+    if rest:
+        _lift_into(out, spec, rest)
+
+
+def _coef_poly(ch, p, sign=1):
+    """sign * p as a CoefPoly on the chart ch."""
+    return CoefPoly(ch, {tuple(map(m.count, range(len(ch)))): sign * c for m, c in p.items()})
+
+
+def _first_order(spec, lifted, sign):
+    """sign * sum(poly * d/d(slot)) as a DiffOp."""
+    ch = chart(spec)
+    return DiffOp(ch, {
+        tuple(int(i == slot) for i in range(len(ch))): _coef_poly(ch, p, sign)
+        for slot, p in lifted.items()
+    })
 
 
 def right_domain(spec):
-    """Generators covered by the coordinate-lift realization."""
-    if spec.ext == "none":
-        return [Gen("P", 2)]
-    return list(decomposition(spec)[0])
+    """Generators covered by the coordinate-lift realization: H (when it
+    lies in the creation wing) and the coordinate generators."""
+    coords = _coordinates(spec)
+    return [g for g in decomposition(spec)[0] if g == _H or g in coords]
 
 
+@functools.cache
 def right_action(spec, gen):
-    """Coordinate-lift realization of the creation wing."""
-    ch = chart(spec)
-    two_ell = spec.twoEll
-    if spec.ext == "none":
-        if gen == Gen("P", 2):
-            return _term(ch, 1, dpow={_x(0): 1})
+    """Coordinate-lift realization of the creation wing, built once per
+    (family, generator); the shared operator is never mutated."""
+    if gen not in right_domain(spec):
         raise UnsupportedGenerator("no right realization of %s" % (gen,))
-    if gen == Gen("H"):
-        out = _term(ch, 1, dpow={_T: 1})
-        if spec.d == 1:
-            half = (two_ell - 1) // 2
-            for j in range(1, half + 1):
-                out = out + _term(ch, j, vpow={_x(j): 1}, dpow={_x(j - 1): 1})
-            return out
-        if spec.ext == "mass":
-            half = (two_ell - 1) // 2
-            for n in range(1, half + 1):
-                out = out + _term(ch, n, vpow={_x(n): 1}, dpow={_x(n - 1): 1})
-                out = out + _term(ch, n, vpow={_y(n): 1}, dpow={_y(n - 1): 1})
-            return out
-        ell = two_ell // 2
-        for n in range(1, ell + 1):
-            out = out + _term(ch, n, vpow={_x(n): 1}, dpow={_x(n - 1): 1})
-        for n in range(1, ell):
-            out = out + _term(ch, n, vpow={_y(n): 1}, dpow={_y(n - 1): 1})
-        return out
-    if gen.tag == "P":
-        if spec.d == 1 and gen.sign == "" and gen.n <= (two_ell - 1) // 2:
-            return _term(ch, 1, dpow={_x(gen.n): 1})
-        if spec.d == 2:
-            bound = (two_ell - 1) // 2 if spec.ext == "mass" else (
-                two_ell // 2 if gen.sign == "+" else two_ell // 2 - 1
-            )
-            if gen.sign == "+" and gen.n <= bound:
-                return _term(ch, 1, dpow={_x(gen.n): 1})
-            if gen.sign == "-" and gen.n <= bound:
-                return _term(ch, 1, dpow={_y(gen.n): 1})
-    raise UnsupportedGenerator("no right realization of %s" % (gen,))
+    lifted = {}
+    _lift_into(lifted, spec, {gen: _ONE})
+    return _first_order(spec, lifted, 1)
+
+
+@functools.cache
+def _left_parts(spec, gen):
+    """(-R(Z+), ((symbol, sign, coefficient of each diagonal gen in Z0), ...))."""
+    z = _exp_ad(spec, {_H: {(0,): -1}}, {gen: _ONE})
+    z = _exp_ad(spec, {v: {(slot,): -1} for v, slot in _coordinates(spec).items()}, z)
+    g_plus = decomposition(spec)[0]
+    lifted = {}
+    _lift_into(lifted, spec, {g: p for g, p in z.items() if g in g_plus})
+    diag = tuple(
+        (sym, sign, _coef_poly(chart(spec), z[g]))
+        for g, (sym, sign) in weight_table(spec).items() if g in z
+    )
+    return _first_order(spec, lifted, -1), diag
 
 
 def left_action(spec, gen, params=None):
@@ -126,174 +164,12 @@ def left_action(spec, gen, params=None):
     if spec.ext == "none":
         raise UnsupportedGenerator("no left realization for the centerless family")
     pvals = resolve_params(spec, params)
-    ch = chart(spec)
-    two_ell = spec.twoEll
-    if spec.d == 1:
-        return _left_line(spec, gen, pvals, ch, two_ell)
-    if spec.ext == "mass":
-        return _left_planar_mass(spec, gen, pvals, ch, two_ell)
-    return _left_planar_exotic(spec, gen, pvals, ch, two_ell)
-
-
-def _left_line(spec, gen, pvals, ch, two_ell):
-    half = (two_ell - 1) // 2
-    halfp = (two_ell + 1) // 2
-    if gen == Gen("M"):
-        return DiffOp.const(ch, pvals["mu"])
-    if gen == Gen("H"):
-        return _term(ch, -1, dpow={_T: 1})
-    if gen == Gen("D"):
-        out = DiffOp.const(ch, pvals["delta"]) + _term(ch, -2, vpow={_T: 1}, dpow={_T: 1})
-        for j in range(half + 1):
-            out = out + _term(ch, -(two_ell - 2 * j), vpow={_x(j): 1}, dpow={_x(j): 1})
-        return out
-    if gen == Gen("C"):
-        out = compose_t_d(spec, pvals, ch)
-        out = out + _term(ch, 1, vpow={_T: 2}, dpow={_T: 1})
-        out = out + _term(
-            ch,
-            pvals["mu"] * Scalar.const(factorial(halfp) ** 2) / Scalar.const(2),
-            vpow={_x(half): 2},
-        )
-        for j in range(half):
-            out = out + _term(ch, -(two_ell - j), vpow={_x(j): 1}, dpow={_x(j + 1): 1})
-        return out
-    if gen.tag == "P" and gen.sign == "" and 0 <= gen.n <= two_ell:
-        k = gen.n
-        out = DiffOp.zero(ch)
-        for j in range(max(two_ell - k, 0), half + 1):
-            coef = pvals["mu"] * Scalar.const(
-                comb(k, two_ell - j) * central_constant(spec, two_ell - j)
-            )
-            out = out + _term(ch, coef, vpow={_T: k - two_ell + j, _x(j): 1})
-        for j in range(0, half + 1):
-            if comb_safe(k, j) == 0:
-                continue
-            out = out + _term(
-                ch, -comb_safe(k, j), vpow={_T: k - j}, dpow={_x(j): 1}
-            )
-        return out
-    raise UnsupportedGenerator("no left realization of %s" % (gen,))
-
-
-def comb_safe(n, k):
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-def compose_t_d(spec, pvals, ch):
-    """t * leftAction(D): the common sl2 part of the special generator."""
-    d_op = left_action(spec, Gen("D"), params=dict(pvals))
-    t_op = _term(ch, 1, vpow={_T: 1})
-    return compose(t_op, d_op)
-
-
-def _left_planar_mass(spec, gen, pvals, ch, two_ell):
-    half = (two_ell - 1) // 2
-    halfp = (two_ell + 1) // 2
-    if gen == Gen("M"):
-        return DiffOp.const(ch, pvals["mu"])
-    if gen == Gen("H"):
-        return _term(ch, -1, dpow={_T: 1})
-    if gen == Gen("D"):
-        out = DiffOp.const(ch, pvals["delta"]) + _term(ch, -2, vpow={_T: 1}, dpow={_T: 1})
-        for n in range(half + 1):
-            out = out + _term(ch, -(two_ell - 2 * n), vpow={_x(n): 1}, dpow={_x(n): 1})
-            out = out + _term(ch, -(two_ell - 2 * n), vpow={_y(n): 1}, dpow={_y(n): 1})
-        return out
-    if gen == Gen("J"):
-        out = DiffOp.const(ch, pvals["r"])
-        for n in range(half + 1):
-            out = out + _term(ch, -1, vpow={_x(n): 1}, dpow={_x(n): 1})
-            out = out + _term(ch, 1, vpow={_y(n): 1}, dpow={_y(n): 1})
-        return out
-    if gen == Gen("C"):
-        out = compose_t_d(spec, pvals, ch)
-        out = out + _term(ch, 1, vpow={_T: 2}, dpow={_T: 1})
-        coef = pvals["mu"] * Scalar.const(halfp * central_constant(spec, halfp))
-        out = out + _term(ch, coef, vpow={_x(half): 1, _y(half): 1})
-        for n in range(half):
-            out = out + _term(ch, -(two_ell - n), vpow={_x(n): 1}, dpow={_x(n + 1): 1})
-            out = out + _term(ch, -(two_ell - n), vpow={_y(n): 1}, dpow={_y(n + 1): 1})
-        return out
-    if gen.tag == "P" and gen.sign in ("+", "-") and 0 <= gen.n <= two_ell:
-        n = gen.n
-        partner = _y if gen.sign == "+" else _x
-        own = _x if gen.sign == "+" else _y
-        out = DiffOp.zero(ch)
-        for k in range(max(two_ell - n, 0), half + 1):
-            coef = pvals["mu"] * Scalar.const(
-                comb(n, two_ell - k) * central_constant(spec, two_ell - k)
-            )
-            out = out + _term(ch, coef, vpow={_T: n - two_ell + k, partner(k): 1})
-        for k in range(0, half + 1):
-            c = comb_safe(n, k)
-            if c == 0:
-                continue
-            out = out + _term(ch, -c, vpow={_T: n - k}, dpow={own(k): 1})
-        return out
-    raise UnsupportedGenerator("no left realization of %s" % (gen,))
-
-
-def _left_planar_exotic(spec, gen, pvals, ch, two_ell):
-    ell = two_ell // 2
-    if gen == Gen("Theta"):
-        return DiffOp.const(ch, -pvals["theta"])
-    if gen == Gen("H"):
-        return _term(ch, -1, dpow={_T: 1})
-    if gen == Gen("D"):
-        out = DiffOp.const(ch, pvals["delta"]) + _term(ch, -2, vpow={_T: 1}, dpow={_T: 1})
-        for n in range(ell):
-            out = out + _term(ch, -2 * (ell - n), vpow={_x(n): 1}, dpow={_x(n): 1})
-            out = out + _term(ch, -2 * (ell - n), vpow={_y(n): 1}, dpow={_y(n): 1})
-        return out
-    if gen == Gen("J"):
-        out = DiffOp.const(ch, pvals["r"])
-        for n in range(ell + 1):
-            out = out + _term(ch, -1, vpow={_x(n): 1}, dpow={_x(n): 1})
-        for n in range(ell):
-            out = out + _term(ch, 1, vpow={_y(n): 1}, dpow={_y(n): 1})
-        return out
-    if gen == Gen("C"):
-        out = compose_t_d(spec, pvals, ch)
-        out = out + _term(ch, 1, vpow={_T: 2}, dpow={_T: 1})
-        coef = pvals["theta"] * Scalar.const(-ell * central_constant(spec, ell + 1))
-        out = out + _term(ch, coef, vpow={_x(ell): 1, _y(ell - 1): 1})
-        for n in range(ell):
-            out = out + _term(ch, -(two_ell - n), vpow={_x(n): 1}, dpow={_x(n + 1): 1})
-        for n in range(ell - 1):
-            out = out + _term(ch, -(two_ell - n), vpow={_y(n): 1}, dpow={_y(n + 1): 1})
-        return out
-    if gen.tag == "P" and gen.sign == "+" and 0 <= gen.n <= two_ell:
-        n = gen.n
-        out = DiffOp.zero(ch)
-        for k in range(0, n - ell):  # empty for creations (n <= l)
-            j = two_ell - n + k
-            if j > ell - 1:
-                continue
-            coef = pvals["theta"] * Scalar.const(
-                -comb(n, k) * central_constant(spec, n - k)
-            )
-            out = out + _term(ch, coef, vpow={_T: k, _y(j): 1})
-        for k in range(max(n - ell, 0), n + 1):
-            out = out + _term(ch, -comb(n, k), vpow={_T: k}, dpow={_x(n - k): 1})
-        return out
-    if gen.tag == "P" and gen.sign == "-" and 0 <= gen.n <= two_ell:
-        n = gen.n
-        out = DiffOp.zero(ch)
-        for k in range(0, n - ell + 1):  # empty for creations (n <= l-1)
-            j = two_ell - n + k
-            if j > ell:
-                continue
-            coef = pvals["theta"] * Scalar.const(
-                comb(n, k) * central_constant(spec, n - k)
-            )
-            out = out + _term(ch, coef, vpow={_T: k, _x(j): 1})
-        for k in range(max(n - ell + 1, 0), n + 1):
-            out = out + _term(ch, -comb(n, k), vpow={_T: k}, dpow={_y(n - k): 1})
-        return out
-    raise UnsupportedGenerator("no left realization of %s" % (gen,))
+    if gen not in normal_position(spec):
+        raise UnsupportedGenerator("no left realization of %s" % (gen,))
+    op, diag = _left_parts(spec, gen)
+    for sym, sign, poly in diag:
+        op = op + DiffOp.of_poly(poly.scaled(pvals[sym] * Scalar.const(-sign)))
+    return op
 
 
 def rep_check(spec, side="left", params=None):

@@ -277,10 +277,11 @@ def _int_bracket_coef(spec, diag, gen):
     return _int_value(c)
 
 
+@lru_cache(maxsize=None)
 def _grading(spec):
-    """Per-slot grading data for the creation factors.
+    """Per-slot grading data for the creation factors, built once per family.
 
-    Returns (slots, d_top) where slots is a list of
+    Returns (slots, top, d_top, j_top) where slots is a tuple of
     ``(block, index, gen, dgrade, jgrade, lweight)`` for the a/b strings
     and d_top/j_top describe the leftmost factor.  ``lweight`` is the
     positive level weight used by integer-level enumeration.
@@ -295,7 +296,7 @@ def _grading(spec):
             slots.append((block, i, gen, d, j, abs(d) if d else 1))
     d_top = _int_bracket_coef(spec, Gen("D"), top)
     j_top = _int_bracket_coef(spec, Gen("J"), top) if has_j else 0
-    return slots, top, d_top, j_top
+    return tuple(slots), top, d_top, j_top
 
 
 def _level_weights(spec):

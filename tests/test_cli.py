@@ -460,3 +460,38 @@ def test_intertwining_names_first_failing_generator(monkeypatch):
     detail = "%r q=%d: %d generators fail; first %s residual: %s" % (
         spec, q, len(want), gen, render_diffop(residual))
     assert cli.criterion_intertwining() == (False, detail)
+
+
+def test_closed_form_names_case_and_difference(monkeypatch):
+    monkeypatch.setenv("CGK_CAPS_LEVEL", "1")
+    spec = [s for s in cli._extended_specs(5) if s.d == 2][0]
+    victim = enumerate_generators(spec)[0]
+    mono = cli.level_basis(spec, 0)[0]
+    extra = PbwMonomial(1, mono.a, mono.b)
+    true_closed = cli.act_closed_form
+
+    def patched(spec_, gen, v, params=None):
+        out = true_closed(spec_, gen, v, params)
+        return out + ModuleVector.of(extra, 3) if gen == victim else out
+
+    monkeypatch.setattr(cli, "act_closed_form", patched)
+    detail = "mismatch: %r, %s on %s; closed - generic: 3*%s" % (
+        spec, victim, mono, extra)
+    assert cli.criterion_closed_form() == (False, detail)
+
+
+def test_singular_verify_names_first_failure(monkeypatch):
+    spec, q = cli._singular_cases()[0]
+    params = cli._root_params_symbolic(spec, q)
+    good = singular_closed(spec, q, params=params)
+    (m0, c0), *rest = good.items()
+    bad = ModuleVector({m0: c0 * 2, **dict(rest)})
+    monkeypatch.setattr(cli, "singular_closed", lambda *a, **k: bad)
+    report = cli.verify_singular(
+        spec, bad, params=params,
+        expect_weight=cli.predicted_weight(spec, q, params=params))
+    kind, gen, residual = report.failures[0]
+    assert kind == "annihilator" and not residual.is_zero()
+    detail = "%r q=%d: %d failures; first annihilator %s: %s" % (
+        spec, q, len(report.failures), gen, cli.render_terms(residual.items()))
+    assert cli.criterion_singular_verify() == (False, detail)

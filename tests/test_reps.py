@@ -1,7 +1,18 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import pytest
 
-from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators
-from cgk.diffop import CoefPoly, DiffOp, apply_op, commutator, parse_diffop
+from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators, supported_specs
+from cgk.diffop import (
+    CoefPoly,
+    DiffOp,
+    Var,
+    apply_op,
+    commutator,
+    compose,
+    parse_diffop,
+)
 from cgk.reps import (
     UnsupportedGenerator,
     chart,
@@ -10,7 +21,8 @@ from cgk.reps import (
     right_action,
     right_domain,
 )
-from cgk.scalars import Scalar
+from cgk.scalars import Scalar, central_constant
+from cgk.verma import resolve_params
 from test_diffop import _reference_commutator
 from test_invariants import _corrupt_left_action
 
@@ -180,3 +192,318 @@ def test_forced_rep_failure_matches_reference(monkeypatch):
         failures = reps.rep_check(spec, side="left")
         want = _reference_rep_check(spec, patched)
         assert want and failures == want
+
+
+# --- the hand-written realizations, kept as the oracle ---------------------
+#
+# The library derives both realizations from the structure constants; these
+# are the per-family formulas it replaced, written out for each family.
+
+def _ref_term(ch, coef, vpow=None, dpow=None):
+    """coef * prod(vars) * prod(partials) as a one-term DiffOp."""
+    if isinstance(coef, int):
+        coef = Scalar.const(coef)
+    expo = [0] * len(ch)
+    for v, e in (vpow or {}).items():
+        expo[ch.index(v)] += e
+    dexpo = [0] * len(ch)
+    for v, e in (dpow or {}).items():
+        dexpo[ch.index(v)] += e
+    return DiffOp(ch, {tuple(dexpo): CoefPoly(ch, {tuple(expo): coef})})
+
+
+def _x(n):
+    return Var("x", n)
+
+
+def _y(n):
+    return Var("y", n)
+
+
+_T = Var("t")
+
+
+def _reference_right_action(spec, gen):
+    """Coordinate-lift realization of the creation wing."""
+    ch = chart(spec)
+    two_ell = spec.twoEll
+    if spec.ext == "none":
+        if gen == Gen("P", 2):
+            return _ref_term(ch, 1, dpow={_x(0): 1})
+        raise UnsupportedGenerator("no right realization of %s" % (gen,))
+    if gen == Gen("H"):
+        out = _ref_term(ch, 1, dpow={_T: 1})
+        if spec.d == 1:
+            half = (two_ell - 1) // 2
+            for j in range(1, half + 1):
+                out = out + _ref_term(ch, j, vpow={_x(j): 1}, dpow={_x(j - 1): 1})
+            return out
+        if spec.ext == "mass":
+            half = (two_ell - 1) // 2
+            for n in range(1, half + 1):
+                out = out + _ref_term(ch, n, vpow={_x(n): 1}, dpow={_x(n - 1): 1})
+                out = out + _ref_term(ch, n, vpow={_y(n): 1}, dpow={_y(n - 1): 1})
+            return out
+        ell = two_ell // 2
+        for n in range(1, ell + 1):
+            out = out + _ref_term(ch, n, vpow={_x(n): 1}, dpow={_x(n - 1): 1})
+        for n in range(1, ell):
+            out = out + _ref_term(ch, n, vpow={_y(n): 1}, dpow={_y(n - 1): 1})
+        return out
+    if gen.tag == "P":
+        if spec.d == 1 and gen.sign == "" and gen.n <= (two_ell - 1) // 2:
+            return _ref_term(ch, 1, dpow={_x(gen.n): 1})
+        if spec.d == 2:
+            bound = (two_ell - 1) // 2 if spec.ext == "mass" else (
+                two_ell // 2 if gen.sign == "+" else two_ell // 2 - 1
+            )
+            if gen.sign == "+" and gen.n <= bound:
+                return _ref_term(ch, 1, dpow={_x(gen.n): 1})
+            if gen.sign == "-" and gen.n <= bound:
+                return _ref_term(ch, 1, dpow={_y(gen.n): 1})
+    raise UnsupportedGenerator("no right realization of %s" % (gen,))
+
+
+def _reference_left_action(spec, gen, params=None):
+    """First-order realization of any generator of an extended family."""
+    if spec.ext == "none":
+        raise UnsupportedGenerator("no left realization for the centerless family")
+    pvals = resolve_params(spec, params)
+    ch = chart(spec)
+    two_ell = spec.twoEll
+    if spec.d == 1:
+        return _ref_left_line(spec, gen, pvals, ch, two_ell)
+    if spec.ext == "mass":
+        return _ref_left_planar_mass(spec, gen, pvals, ch, two_ell)
+    return _ref_left_planar_exotic(spec, gen, pvals, ch, two_ell)
+
+
+def _ref_left_line(spec, gen, pvals, ch, two_ell):
+    half = (two_ell - 1) // 2
+    halfp = (two_ell + 1) // 2
+    if gen == Gen("M"):
+        return DiffOp.const(ch, pvals["mu"])
+    if gen == Gen("H"):
+        return _ref_term(ch, -1, dpow={_T: 1})
+    if gen == Gen("D"):
+        out = DiffOp.const(ch, pvals["delta"]) + _ref_term(ch, -2, vpow={_T: 1}, dpow={_T: 1})
+        for j in range(half + 1):
+            out = out + _ref_term(ch, -(two_ell - 2 * j), vpow={_x(j): 1}, dpow={_x(j): 1})
+        return out
+    if gen == Gen("C"):
+        out = _ref_compose_t_d(spec, pvals, ch)
+        out = out + _ref_term(ch, 1, vpow={_T: 2}, dpow={_T: 1})
+        out = out + _ref_term(
+            ch,
+            pvals["mu"] * Scalar.const(factorial(halfp) ** 2) / Scalar.const(2),
+            vpow={_x(half): 2},
+        )
+        for j in range(half):
+            out = out + _ref_term(ch, -(two_ell - j), vpow={_x(j): 1}, dpow={_x(j + 1): 1})
+        return out
+    if gen.tag == "P" and gen.sign == "" and 0 <= gen.n <= two_ell:
+        k = gen.n
+        out = DiffOp.zero(ch)
+        for j in range(max(two_ell - k, 0), half + 1):
+            coef = pvals["mu"] * Scalar.const(
+                comb(k, two_ell - j) * central_constant(spec, two_ell - j)
+            )
+            out = out + _ref_term(ch, coef, vpow={_T: k - two_ell + j, _x(j): 1})
+        for j in range(0, half + 1):
+            if _comb_safe(k, j) == 0:
+                continue
+            out = out + _ref_term(
+                ch, -_comb_safe(k, j), vpow={_T: k - j}, dpow={_x(j): 1}
+            )
+        return out
+    raise UnsupportedGenerator("no left realization of %s" % (gen,))
+
+
+def _comb_safe(n, k):
+    if k < 0 or k > n:
+        return 0
+    return comb(n, k)
+
+
+def _ref_compose_t_d(spec, pvals, ch):
+    """t * leftAction(D): the common sl2 part of the special generator."""
+    d_op = _reference_left_action(spec, Gen("D"), params=dict(pvals))
+    t_op = _ref_term(ch, 1, vpow={_T: 1})
+    return compose(t_op, d_op)
+
+
+def _ref_left_planar_mass(spec, gen, pvals, ch, two_ell):
+    half = (two_ell - 1) // 2
+    halfp = (two_ell + 1) // 2
+    if gen == Gen("M"):
+        return DiffOp.const(ch, pvals["mu"])
+    if gen == Gen("H"):
+        return _ref_term(ch, -1, dpow={_T: 1})
+    if gen == Gen("D"):
+        out = DiffOp.const(ch, pvals["delta"]) + _ref_term(ch, -2, vpow={_T: 1}, dpow={_T: 1})
+        for n in range(half + 1):
+            out = out + _ref_term(ch, -(two_ell - 2 * n), vpow={_x(n): 1}, dpow={_x(n): 1})
+            out = out + _ref_term(ch, -(two_ell - 2 * n), vpow={_y(n): 1}, dpow={_y(n): 1})
+        return out
+    if gen == Gen("J"):
+        out = DiffOp.const(ch, pvals["r"])
+        for n in range(half + 1):
+            out = out + _ref_term(ch, -1, vpow={_x(n): 1}, dpow={_x(n): 1})
+            out = out + _ref_term(ch, 1, vpow={_y(n): 1}, dpow={_y(n): 1})
+        return out
+    if gen == Gen("C"):
+        out = _ref_compose_t_d(spec, pvals, ch)
+        out = out + _ref_term(ch, 1, vpow={_T: 2}, dpow={_T: 1})
+        coef = pvals["mu"] * Scalar.const(halfp * central_constant(spec, halfp))
+        out = out + _ref_term(ch, coef, vpow={_x(half): 1, _y(half): 1})
+        for n in range(half):
+            out = out + _ref_term(ch, -(two_ell - n), vpow={_x(n): 1}, dpow={_x(n + 1): 1})
+            out = out + _ref_term(ch, -(two_ell - n), vpow={_y(n): 1}, dpow={_y(n + 1): 1})
+        return out
+    if gen.tag == "P" and gen.sign in ("+", "-") and 0 <= gen.n <= two_ell:
+        n = gen.n
+        partner = _y if gen.sign == "+" else _x
+        own = _x if gen.sign == "+" else _y
+        out = DiffOp.zero(ch)
+        for k in range(max(two_ell - n, 0), half + 1):
+            coef = pvals["mu"] * Scalar.const(
+                comb(n, two_ell - k) * central_constant(spec, two_ell - k)
+            )
+            out = out + _ref_term(ch, coef, vpow={_T: n - two_ell + k, partner(k): 1})
+        for k in range(0, half + 1):
+            c = _comb_safe(n, k)
+            if c == 0:
+                continue
+            out = out + _ref_term(ch, -c, vpow={_T: n - k}, dpow={own(k): 1})
+        return out
+    raise UnsupportedGenerator("no left realization of %s" % (gen,))
+
+
+def _ref_left_planar_exotic(spec, gen, pvals, ch, two_ell):
+    ell = two_ell // 2
+    if gen == Gen("Theta"):
+        return DiffOp.const(ch, -pvals["theta"])
+    if gen == Gen("H"):
+        return _ref_term(ch, -1, dpow={_T: 1})
+    if gen == Gen("D"):
+        out = DiffOp.const(ch, pvals["delta"]) + _ref_term(ch, -2, vpow={_T: 1}, dpow={_T: 1})
+        for n in range(ell):
+            out = out + _ref_term(ch, -2 * (ell - n), vpow={_x(n): 1}, dpow={_x(n): 1})
+            out = out + _ref_term(ch, -2 * (ell - n), vpow={_y(n): 1}, dpow={_y(n): 1})
+        return out
+    if gen == Gen("J"):
+        out = DiffOp.const(ch, pvals["r"])
+        for n in range(ell + 1):
+            out = out + _ref_term(ch, -1, vpow={_x(n): 1}, dpow={_x(n): 1})
+        for n in range(ell):
+            out = out + _ref_term(ch, 1, vpow={_y(n): 1}, dpow={_y(n): 1})
+        return out
+    if gen == Gen("C"):
+        out = _ref_compose_t_d(spec, pvals, ch)
+        out = out + _ref_term(ch, 1, vpow={_T: 2}, dpow={_T: 1})
+        coef = pvals["theta"] * Scalar.const(-ell * central_constant(spec, ell + 1))
+        out = out + _ref_term(ch, coef, vpow={_x(ell): 1, _y(ell - 1): 1})
+        for n in range(ell):
+            out = out + _ref_term(ch, -(two_ell - n), vpow={_x(n): 1}, dpow={_x(n + 1): 1})
+        for n in range(ell - 1):
+            out = out + _ref_term(ch, -(two_ell - n), vpow={_y(n): 1}, dpow={_y(n + 1): 1})
+        return out
+    if gen.tag == "P" and gen.sign == "+" and 0 <= gen.n <= two_ell:
+        n = gen.n
+        out = DiffOp.zero(ch)
+        for k in range(0, n - ell):  # empty for creations (n <= l)
+            j = two_ell - n + k
+            if j > ell - 1:
+                continue
+            coef = pvals["theta"] * Scalar.const(
+                -comb(n, k) * central_constant(spec, n - k)
+            )
+            out = out + _ref_term(ch, coef, vpow={_T: k, _y(j): 1})
+        for k in range(max(n - ell, 0), n + 1):
+            out = out + _ref_term(ch, -comb(n, k), vpow={_T: k}, dpow={_x(n - k): 1})
+        return out
+    if gen.tag == "P" and gen.sign == "-" and 0 <= gen.n <= two_ell:
+        n = gen.n
+        out = DiffOp.zero(ch)
+        for k in range(0, n - ell + 1):  # empty for creations (n <= l-1)
+            j = two_ell - n + k
+            if j > ell:
+                continue
+            coef = pvals["theta"] * Scalar.const(
+                comb(n, k) * central_constant(spec, n - k)
+            )
+            out = out + _ref_term(ch, coef, vpow={_T: k, _x(j): 1})
+        for k in range(max(n - ell + 1, 0), n + 1):
+            out = out + _ref_term(ch, -comb(n, k), vpow={_T: k}, dpow={_y(n - k): 1})
+        return out
+    raise UnsupportedGenerator("no left realization of %s" % (gen,))
+
+
+# --- derived realizations against the oracle --------------------------------
+
+EXTENDED_9 = [s for s in supported_specs(9) if s.ext != "none"]
+
+# a numeric point with non-integral values, r = 2/3 among them
+NUMERIC = {"delta": Fraction(5, 2), "mu": Fraction(-3, 7),
+           "r": Fraction(2, 3), "theta": Fraction(7, 5)}
+
+OUTSIDERS = [Gen("J"), Gen("M"), Gen("Theta"), Gen("P", 0), Gen("P", 0, "+"),
+             Gen("P", 11), Gen("P", 11, "-")]
+
+
+def _error(fn, *args):
+    """The UnsupportedGenerator message of fn(*args), or None."""
+    try:
+        fn(*args)
+    except UnsupportedGenerator as exc:
+        return str(exc)
+    return None
+
+
+def test_left_action_matches_reference():
+    for spec in EXTENDED_9:
+        for params in (None, NUMERIC):
+            for gen in enumerate_generators(spec):
+                got = left_action(spec, gen, params)
+                assert got == _reference_left_action(spec, gen, params), (spec, gen)
+
+
+def test_right_action_matches_reference():
+    for spec in supported_specs(9):
+        for gen in right_domain(spec):
+            assert right_action(spec, gen) == _reference_right_action(spec, gen)
+        for gen in enumerate_generators(spec) + OUTSIDERS:
+            if gen not in right_domain(spec):
+                want = _error(_reference_right_action, spec, gen)
+                assert want and _error(right_action, spec, gen) == want, (spec, gen)
+
+
+def test_unrealized_generators_raise_as_reference():
+    # the left realization raises exactly where the hand-written one did,
+    # with the same message
+    for spec in supported_specs(5):
+        for gen in enumerate_generators(spec) + OUTSIDERS:
+            want = _error(_reference_left_action, spec, gen)
+            assert _error(left_action, spec, gen) == want, (spec, gen)
+
+
+def test_derived_chart_equals_hand_written():
+    for spec in supported_specs(11):
+        if spec.ext == "none":
+            want = ["t", "x0"]
+        elif spec.d == 1:
+            want = ["t"] + ["x%d" % j for j in range((spec.twoEll + 1) // 2)]
+        elif spec.ext == "mass":
+            half = (spec.twoEll + 1) // 2
+            want = ["t"] + ["x%d" % j for j in range(half)] + ["y%d" % j for j in range(half)]
+        else:
+            ell = spec.twoEll // 2
+            want = ["t"] + ["x%d" % j for j in range(ell + 1)] + ["y%d" % j for j in range(ell)]
+        assert [str(v) for v in chart(spec)] == want
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in EXTENDED_9 if s.twoEll >= 7], ids=str)
+def test_rep_check_left_beyond_the_caps(spec):
+    assert rep_check(spec, side="left") == []
+    assert rep_check(spec, side="right") == []

@@ -507,3 +507,24 @@ def test_monomial_is_a_tuple_with_the_dataclass_face():
         mono(0, (1, -1))
     with pytest.raises(AttributeError):
         m.h = 3
+
+
+def test_grading_is_built_once_per_family(monkeypatch):
+    import cgk.verma as verma
+
+    calls = []
+    true_bracket = verma.bracket
+
+    def spy(*args):
+        calls.append(args)
+        return true_bracket(*args)
+
+    monkeypatch.setattr(verma, "bracket", spy)
+    verma._grading.cache_clear()
+    first = level_basis(M3, 3)
+    assert calls  # the grading reads the bracket on first use
+    calls.clear()
+    assert level_basis(M3, 3) == first
+    assert first[0] in level_basis(M3, weight_of(M3, first[0]))
+    assert level_of(M3, first[0]) == 3
+    assert calls == []
