@@ -100,15 +100,22 @@ def monomial_to_json(m):
     return {"h": m.h, "a": list(m.a), "b": list(m.b)}
 
 
+def _json_int(value):
+    # int() would truncate 1.5 and read true or "1"; bool is an int subclass
+    if type(value) is not int:
+        raise TypeError("%s is not an integer" % (json.dumps(value),))
+    return value
+
+
 def monomial_from_json(data, spec=None):
     if not isinstance(data, dict):
         raise UsageError("monomial JSON must be an object with integer fields "
                          "h, a, b, got %s" % (json.dumps(data),))
     try:
         m = PbwMonomial(
-            int(data["h"]),
-            tuple(int(v) for v in data.get("a", ())),
-            tuple(int(v) for v in data.get("b", ())),
+            _json_int(data["h"]),
+            tuple(_json_int(v) for v in data.get("a", ())),
+            tuple(_json_int(v) for v in data.get("b", ())),
         )
     except (KeyError, TypeError) as exc:
         raise UsageError("monomial JSON needs integer fields h, a, b: %s" % exc)
@@ -661,7 +668,9 @@ def criterion_jacobi():
     for spec in specs:
         failures = jacobi_check(spec)
         if failures:
-            return False, "%r: %d failing triples" % (spec, len(failures))
+            x, y, z, residual = failures[0]
+            return False, "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (
+                spec, len(failures), x, y, z, render_terms(residual.items()))
     return True, "all triples close for %d specs (twoEll <= 6)" % len(specs)
 
 
@@ -707,12 +716,12 @@ def criterion_search_matches():
         closed = singular_closed(spec, q, params=params)
         weight = predicted_weight(spec, q, params=params)
         found = search_singular(spec, weight.eigen, params=params)
-        if len(found) != 1 or found.caveats:
-            return False, "%r q=%d: dimension %d (caveats: %d)" % (
-                spec, q, len(found), len(found.caveats))
         normalized = closed.scaled(closed.items()[0][1] ** -1)
-        if found.vectors[0] != normalized:
-            return False, "%r q=%d: kernel is not the closed-form ray" % (spec, q)
+        if len(found) != 1 or found.caveats or found.vectors[0] != normalized:
+            return False, "%r q=%d: found [%s] (caveats: [%s]); closed-form ray %s" % (
+                spec, q, "; ".join(render_terms(v.items()) for v in found.vectors),
+                ", ".join(render_scalar(c) for c in found.caveats),
+                render_terms(normalized.items()))
     return True, "one-dimensional kernels match for %d cases" % len(_singular_cases())
 
 
@@ -747,21 +756,26 @@ def criterion_rep_audit():
     return True, "all brackets reproduced for %d extended specs" % len(specs)
 
 
-def criterion_heat():
-    """The lowest line-family hierarchy is the heat hierarchy, verbatim."""
+def _heat_cases():
+    """(label, computed operator, expected operator), one case at a time."""
     d1 = AlgebraSpec(1, 1, "mass")
     heat = parse_diffop("2*mu*d/dt + (d/dx0)^2", chart(d1))
     for q in (1, 2, 3):
-        if invariant_operator(d1, q) != op_power(heat, q):
-            return False, "twoEll=1, q=%d: operator differs" % q
+        yield "twoEll=1, q=%d" % q, invariant_operator(d1, q), op_power(heat, q)
     d3 = AlgebraSpec(1, 3, "mass")
-    if invariant_operator(d3, 1) != parse_diffop(
-            "2*mu*d/dt + 2*mu*x1*d/dx0 + (d/dx1)^2", chart(d3)):
-        return False, "twoEll=3 operator differs"
+    yield "twoEll=3, q=1", invariant_operator(d3, 1), parse_diffop(
+        "2*mu*d/dt + 2*mu*x1*d/dx0 + (d/dx1)^2", chart(d3))
     d5 = AlgebraSpec(1, 5, "mass")
-    if invariant_operator(d5, 1) != parse_diffop(
-            "8*mu*d/dt + 8*mu*x1*d/dx0 + 16*mu*x2*d/dx1 + (d/dx2)^2", chart(d5)):
-        return False, "twoEll=5 operator differs"
+    yield "twoEll=5, q=1", invariant_operator(d5, 1), parse_diffop(
+        "8*mu*d/dt + 8*mu*x1*d/dx0 + 16*mu*x2*d/dx1 + (d/dx2)^2", chart(d5))
+
+
+def criterion_heat():
+    """The lowest line-family hierarchy is the heat hierarchy, verbatim."""
+    for label, got, want in _heat_cases():
+        if got != want:
+            return False, "%s: operator differs; computed - expected: %s" % (
+                label, render_diffop(got - want))
     return True, "heat powers q <= 3 and twoEll in {3, 5} operators verbatim"
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import factorial, gcd, lcm
-from operator import add
+from operator import add, neg, sub
 
 SYMBOLS = ("delta", "mu", "r", "theta", "kappa")
 NSYM = len(SYMBOLS)
@@ -237,23 +238,47 @@ class ParamPoly:
         return "ParamPoly(%s)" % (render_poly(self),)
 
 
+def _heap_key(expo):
+    """A key whose least value on a heap is the grlex-greatest exponent."""
+    return (-sum(expo), *map(neg, reversed(expo)))
+
+
 def poly_div_exact(a, b):
-    """Quotient a/b when b divides a exactly, else None."""
+    """Quotient a/b when b divides a exactly, else None.
+
+    The remainder is one dict updated in place, and its leading term comes
+    off a heap of grlex keys (Monagan & Pearce, CASC 2007), so a division
+    costs time in proportion to the terms it touches.  A key whose term has
+    cancelled since it was pushed is skipped when it surfaces.
+    """
     if b.is_zero:
         raise DivisionByZero("polynomial division by zero")
-    if a.is_zero:
-        return ParamPoly.zero()
     eb, cb = b.leading()
+    tail = [(e, c) for e, c in b.terms.items() if e != eb]
+    rem = dict(a.terms)
+    heap = [(_heap_key(e), e) for e in rem]
+    heapify(heap)
     quot = {}
-    rem = a
-    while rem:
-        ea, ca = rem.leading()
-        expo = tuple(x - y for x, y in zip(ea, eb))
+    while heap:
+        ea = heappop(heap)[1]
+        ca = rem.pop(ea, 0)
+        if not ca:
+            continue
+        expo = tuple(map(sub, ea, eb))
         if min(expo) < 0:
             return None
         coef = _quotient(ca, cb)
         quot[expo] = coef
-        rem = rem - _poly_of({expo: coef}) * b
+        # every later term of the remainder is grlex-smaller than ea
+        for e, c in tail:
+            e = tuple(map(add, expo, e))
+            acc = rem.get(e, 0) - coef * c
+            if not acc:
+                del rem[e]
+                continue
+            if e not in rem:
+                heappush(heap, (_heap_key(e), e))
+            rem[e] = acc
     return _poly_of(quot)
 
 
@@ -365,16 +390,43 @@ def _monic(p):
     return p * _quotient(1, lc)
 
 
+def _min_expo(p):
+    """Componentwise least exponent over p's terms: p = x^alpha * p'."""
+    return tuple(map(min, zip(*p.terms)))
+
+
+def _shift(p, expo, op):
+    """p with every exponent e replaced by op(e, expo), op add or sub."""
+    if not any(expo):
+        return p
+    return _poly_of({tuple(map(op, e, expo)): c for e, c in p.terms.items()})
+
+
 def poly_gcd(a, b):
-    """Monic gcd of two ParamPoly over the rationals."""
+    """Monic gcd of two ParamPoly over the rationals.
+
+    The monomial content is split off first.  A monomial shares only the
+    symbols themselves with any polynomial, so with alpha and beta the
+    componentwise least exponents, gcd(x^alpha*a', x^beta*b') =
+    x^min(alpha, beta) * gcd(a', b'), and the second factor is 1 when a or b
+    is a single term.  Leading terms multiply under grlex, so the product
+    stays monic.
+    """
     if a.is_zero:
         return _monic(b)
     if b.is_zero:
         return _monic(a)
-    active = sorted(set(_active_vars(a)) | set(_active_vars(b)))
-    if not active:
-        return ParamPoly.const(1)
-    v = active[-1]
+    alpha, beta = _min_expo(a), _min_expo(b)
+    shared = tuple(map(min, alpha, beta))
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return _poly_of({shared: 1})
+    g = _prs_gcd(_shift(a, alpha, sub), _shift(b, beta, sub))
+    return _shift(g, shared, add)
+
+
+def _prs_gcd(a, b):
+    """Monic gcd of two non-constant ParamPoly by a primitive PRS."""
+    v = max(set(_active_vars(a)) | set(_active_vars(b)))
     ua, ub = _as_univariate(a, v), _as_univariate(b, v)
     ca, cb = _uni_content(ua), _uni_content(ub)
     cg = poly_gcd(ca, cb)

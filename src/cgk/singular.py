@@ -149,6 +149,8 @@ def singular_closed(spec, q, params=None):
 
 def predicted_weight(spec, q, params=None):
     """Diagonal weight the level-q singular vector must carry."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     table = weight_table(spec)
     shift = -2 * q if spec.ext == "none" else 2 * q

@@ -1,6 +1,6 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
-ParamPoly mul and poly_gcd -> Scalar normalisation -> bracket ->
+ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
 act_generic / act_closed_form -> diffop.compose -> rep_check /
 intertwining_check.  The file name does not match ``test_*.py``, so the
 tier-1 run does not collect it; it needs ``pytest-benchmark`` and skips
@@ -32,7 +32,7 @@ from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators  # noqa:
 from cgk.diffop import compose  # noqa: E402
 from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
-from cgk.scalars import ParamPoly, Scalar, poly_gcd  # noqa: E402
+from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
 from cgk.singular import delta_at_condition  # noqa: E402
 from cgk.verma import (  # noqa: E402
     ModuleVector,
@@ -53,9 +53,25 @@ def test_parampoly_mul(benchmark):
     benchmark(lambda: (P * Q) * (P * Q))
 
 
+def test_poly_div_exact_one_term(benchmark):
+    quot = P * Q * F
+    den = DELTA * MU * ParamPoly.const(3)
+    assert benchmark(poly_div_exact, quot * den, den) == quot
+
+
+def test_poly_div_exact_long_quotient(benchmark):
+    quot = (P * Q) * (P * Q)
+    assert benchmark(poly_div_exact, quot * F, F) == quot
+
+
 def test_poly_gcd(benchmark):
     a, b = P * F * F, Q * F
     assert benchmark(poly_gcd, a, b) == F
+
+
+def test_poly_gcd_monomial_content(benchmark):
+    a, b = P * F * F * DELTA * DELTA * MU, Q * F * DELTA * MU * MU * MU
+    assert benchmark(poly_gcd, a, b) == F * DELTA * MU
 
 
 def test_scalar_normalisation(benchmark):

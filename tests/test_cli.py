@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from cgk import cli
-from cgk.algebra import AlgebraSpec, Gen, enumerate_generators
+from cgk.algebra import AlgebraSpec, Gen, GenCombo, enumerate_generators, jacobi_check
 from cgk.cli import (
     build_parser,
     diffop_from_json,
@@ -25,7 +25,8 @@ from cgk.cli import (
 from cgk.diffop import parse_diffop, render_diffop
 from cgk.invariants import invariant_operator
 from cgk.reps import chart, left_action
-from cgk.singular import singular_closed
+from cgk.scalars import Scalar
+from cgk.singular import SearchResult, singular_closed
 from cgk.verma import ModuleVector, PbwMonomial, resolve_params
 from test_diffop import _reference_residual
 from test_invariants import _corrupt_left_action, _shifted_params
@@ -225,11 +226,28 @@ def test_non_object_json_is_usage_error(capsys):
         ["verma", "act", *family, "--gen", "H", "--monomial", "[1]"],
         ["verma", "weight", *family, "--monomial", "5"],
     ]
+    # fields that int() would truncate or read: only JSON integers are taken
+    for mono in ('{"h":1.5,"a":[0],"b":[0]}', '{"h":1,"a":[0.5],"b":[0]}',
+                 '{"h":true,"a":[0],"b":[0]}', '{"h":"1","a":[0],"b":[0]}',
+                 '{"h":1,"a":[0],"b":[false]}'):
+        cases.append(["verma", "act", *family, "--gen", "H", "--monomial", mono])
     for argv in cases:
         code, out, err = invoke(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    with pytest.raises(cli.UsageError, match="1.5 is not an integer"):
+        vector_from_json([{"monomial": {"h": 1.5, "a": [0]}, "coef": "1"}])
+
+
+def test_search_rejects_nonpositive_q(capsys):
+    family = ["--d", "1", "--two-ell", "1", "--ext", "mass"]
+    want = (2, "", "error: q must be a positive integer\n")
+    for q in ("0", "-1"):
+        assert invoke(capsys, "singular", "condition", *family, "--q", q) == want
+        assert invoke(capsys, "singular", "search", *family, "--q", q) == want
+    assert invoke(capsys, "singular", "search", *family, "--level", "0") == (
+        0, "kernel dimension: 1\n  |0;0;>\n", "")
 
 
 def test_parser_reused_across_calls(capsys):
@@ -495,3 +513,57 @@ def test_singular_verify_names_first_failure(monkeypatch):
     detail = "%r q=%d: %d failures; first annihilator %s: %s" % (
         spec, q, len(report.failures), gen, cli.render_terms(residual.items()))
     assert cli.criterion_singular_verify() == (False, detail)
+
+
+def test_jacobi_names_first_failing_triple(monkeypatch):
+    import cgk.algebra as algebra
+
+    true_bracket = algebra.bracket
+
+    def corrupted(spec, x, y):
+        if (x.tag, y.tag) == ("D", "H"):
+            return GenCombo.of(Gen("H"), 3)
+        if (x.tag, y.tag) == ("H", "D"):
+            return GenCombo.of(Gen("H"), -3)
+        return true_bracket(spec, x, y)
+
+    monkeypatch.setattr(algebra, "bracket", corrupted)
+    spec = cli.supported_specs(6)[0]
+    failures = jacobi_check(spec, bracket_fn=lambda x, y: corrupted(spec, x, y))
+    x, y, z, residual = failures[0]
+    assert not residual.is_zero
+    detail = "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (
+        spec, len(failures), x, y, z, cli.render_terms(residual.items()))
+    assert cli.criterion_jacobi() == (False, detail)
+
+
+def test_search_matches_names_kernel_and_ray(monkeypatch):
+    spec, q = cli._singular_cases()[0]
+    closed = singular_closed(spec, q, params=cli._root_params_numeric(spec, q))
+    ray = closed.scaled(closed.items()[0][1] ** -1)
+    wrong = ray + ModuleVector.of(PbwMonomial(q, (0,), ()), 2)
+    caveat = Scalar.symbol("mu") + 1
+    monkeypatch.setattr(cli, "search_singular",
+                        lambda *a, **k: SearchResult([ray, wrong], [caveat]))
+    detail = "%r q=%d: found [%s; %s] (caveats: [mu+1]); closed-form ray %s" % (
+        spec, q, cli.render_terms(ray.items()), cli.render_terms(wrong.items()),
+        cli.render_terms(ray.items()))
+    assert cli.criterion_search_matches() == (False, detail)
+    monkeypatch.setattr(cli, "search_singular", lambda *a, **k: SearchResult([wrong]))
+    detail = "%r q=%d: found [%s] (caveats: []); closed-form ray %s" % (
+        spec, q, cli.render_terms(wrong.items()), cli.render_terms(ray.items()))
+    assert cli.criterion_search_matches() == (False, detail)
+
+
+def test_heat_names_operator_difference(monkeypatch):
+    true_operator = cli.invariant_operator
+    extra = parse_diffop("3*x0*d/dt", chart(D1))
+
+    def patched(spec, q, params=None):
+        out = true_operator(spec, q, params)
+        return out + extra if (spec, q) == (D1, 2) else out
+
+    monkeypatch.setattr(cli, "invariant_operator", patched)
+    detail = "twoEll=1, q=2: operator differs; computed - expected: %s" % (
+        render_diffop(extra),)
+    assert cli.criterion_heat() == (False, detail)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import operator
 import pickle
 import random
@@ -16,6 +17,13 @@ from cgk.scalars import (
     ParamPoly,
     Scalar,
     UnsupportedFamily,
+    _active_vars,
+    _as_univariate,
+    _from_univariate,
+    _monic,
+    _pseudo_rem,
+    _uni_degree,
+    _uni_zprim,
     central_constant,
     parse_scalar,
     poly_div_exact,
@@ -324,10 +332,10 @@ def test_poly_gcd_against_sympy_dense_trivariate():
              * sympy.Mul(*[n ** expo[s] for n, s in zip(names, slots)])
              for expo, c in poly.terms.items()), sympy.Integer(0)), *names)
 
-    # a common factor of degree <= 1 times cofactors of degree <= 2
+    # a common factor of degree <= 2 times cofactors of degree <= 2
     @hyp.settings(max_examples=40, deadline=None, derandomize=True,
                   database=None)
-    @hyp.given(dense(1), dense(2), dense(2))
+    @hyp.given(dense(2), dense(2), dense(2))
     def check(f, g, h):
         a, b = f * g, f * h
         hyp.assume(not a.is_zero and not b.is_zero)
@@ -336,5 +344,150 @@ def test_poly_gcd_against_sympy_dense_trivariate():
         assert to_sympy(got).monic() == want.monic()
         assert poly_div_exact(a, got) is not None
         assert poly_div_exact(b, got) is not None
+
+    check()
+
+
+# The former routines, kept as oracles: the division found each leading
+# term by a max over the remainder and rebuilt the remainder on every step,
+# and the gcd ran the primitive PRS on every pair, monomials included.
+
+def _reference_div_exact(a, b):
+    if b.is_zero:
+        raise DivisionByZero("polynomial division by zero")
+    if a.is_zero:
+        return ParamPoly.zero()
+    eb, cb = b.leading()
+    quot = {}
+    rem = a
+    while rem:
+        ea, ca = rem.leading()
+        expo = tuple(x - y for x, y in zip(ea, eb))
+        if min(expo) < 0:
+            return None
+        coef = Fraction(ca) / cb
+        quot[expo] = coef
+        rem = rem - ParamPoly({expo: coef}) * b
+    return ParamPoly(quot)
+
+
+def _reference_content(u):
+    return functools.reduce(_reference_gcd, u.values(), ParamPoly.zero())
+
+
+def _reference_uni_div(u, d):
+    return {k: _reference_div_exact(c, d) for k, c in u.items()}
+
+
+def _reference_gcd(a, b):
+    if a.is_zero:
+        return _monic(b)
+    if b.is_zero:
+        return _monic(a)
+    active = sorted(set(_active_vars(a)) | set(_active_vars(b)))
+    if not active:
+        return ParamPoly.const(1)
+    v = active[-1]
+    ua, ub = _as_univariate(a, v), _as_univariate(b, v)
+    ca, cb = _reference_content(ua), _reference_content(ub)
+    cg = _reference_gcd(ca, cb)
+    pa, pb = _reference_uni_div(ua, ca), _reference_uni_div(ub, cb)
+    if _uni_degree(pa) < _uni_degree(pb):
+        pa, pb = pb, pa
+    while True:
+        rem = _pseudo_rem(pa, pb)
+        if not rem:
+            break
+        rem = _reference_uni_div(rem, _reference_content(rem))
+        pa, pb = pb, _uni_zprim(rem)
+    return _monic(_from_univariate(pb, v) * cg)
+
+
+def _same(p, q):
+    """Equal terms, and equal coefficient types term by term."""
+    return p.terms == q.terms and all(
+        type(c) is type(q.terms[e]) for e, c in p.terms.items())
+
+
+def test_division_is_exact_or_none_examples():
+    delta, mu = ParamPoly.symbol("delta"), ParamPoly.symbol("mu")
+    one = ParamPoly.const(1)
+    # the leading term divides at every step, the remainder never vanishes
+    assert poly_div_exact(delta * delta + one, delta + one * 2) is None
+    assert poly_div_exact(delta * mu + one, delta) is None
+    assert poly_div_exact(ParamPoly.zero(), delta + one) == ParamPoly.zero()
+    assert poly_div_exact(delta * mu * 6, mu * 4) == delta * Fraction(3, 2)
+    long = sum((delta ** k * mu ** (5 - k) for k in range(6)), ParamPoly.zero())
+    assert poly_div_exact(long * (delta - mu), delta - mu) == long
+    with pytest.raises(DivisionByZero):
+        poly_div_exact(delta, ParamPoly.zero())
+
+
+def test_gcd_splits_monomial_content_examples():
+    delta, mu, r = (ParamPoly.symbol(n) for n in ("delta", "mu", "r"))
+    one = ParamPoly.const(1)
+    a = (delta * delta * 8 - delta * 12 + one * 4) * mu * -1
+    assert poly_gcd(a, mu * mu * 6) == mu
+    assert poly_gcd(delta ** 3 * mu, delta * mu ** 2 * r) == delta * mu
+    f = delta * r + mu + one
+    assert poly_gcd(f * delta ** 2 * mu, f * delta * r * 3) == f * delta
+    assert poly_gcd(delta * 2 + one, delta * mu) == one
+    assert poly_gcd(ParamPoly.const(4), ParamPoly.const(6)) == one
+
+
+def _monomials(st):
+    return st.tuples(*[st.integers(0, 3)] * NSYM).map(
+        lambda e: ParamPoly({e: 1}))
+
+
+def test_gcd_and_division_match_reference():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    expos = st.tuples(*[st.integers(0, 2)] * 3 + [st.just(0)] * (NSYM - 3))
+    coefs = st.one_of(st.integers(-4, 4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    polys = st.dictionaries(expos, coefs, min_size=1, max_size=3).map(ParamPoly)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(polys, polys, polys, _monomials(st), _monomials(st))
+    def check(f, g, h, m1, m2):
+        hyp.assume(f and g and h)
+        a, b = f * g * m1, f * h * m2
+        got = poly_gcd(a, b)
+        assert _same(got, _reference_gcd(a, b))
+        for num, den in ((a, got), (b, got), (a, b), (b, a), (a * b, a),
+                         (a + m1, b), (a * m2, m1), (m1, a)):
+            quot, want = poly_div_exact(num, den), _reference_div_exact(num, den)
+            if want is None:
+                assert quot is None
+            else:
+                assert _same(quot, want) and quot * den == num
+
+    check()
+
+
+def test_inexact_division_is_none():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    expos = st.tuples(*[st.integers(0, 2)] * 3 + [st.just(0)] * (NSYM - 3))
+    coefs = st.integers(-4, 4).filter(bool)
+    polys = st.dictionaries(expos, coefs, min_size=1, max_size=4).map(ParamPoly)
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(polys, polys, polys, _monomials(st))
+    def check(den, quot, rest, m):
+        # num = den*quot + rest with rest of lower total degree than den:
+        # den's leading term divides num's, yet den does not divide num
+        den = den * m
+        hyp.assume(den.total_degree() > 0)
+        rest = ParamPoly({e: c for e, c in rest.terms.items()
+                          if sum(e) < den.total_degree()})
+        hyp.assume(rest)
+        num = den * quot + rest
+        assert poly_div_exact(num, den) is None
+        assert _reference_div_exact(num, den) is None
+        assert _same(poly_div_exact(den * quot, den), quot)
 
     check()

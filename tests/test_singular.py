@@ -58,6 +58,9 @@ def test_condition_examples():
     assert singular_condition(NONE, 3) == Scalar.symbol("kappa")
     with pytest.raises(ValueError):
         singular_condition(D1, 0)
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            predicted_weight(D1, q)
 
 
 def test_delta_at_condition():
