@@ -281,6 +281,13 @@ def _level_cap():
     return cap
 
 
+def _level(level):
+    """A --level value; a negative grading level is outside the module."""
+    if level < 0:
+        raise UsageError("level must be a non-negative integer")
+    return level
+
+
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
@@ -394,7 +401,7 @@ def cmd_verma_basis(args):
     if (args.level is None) == (args.weight is None):
         raise UsageError("give exactly one of --level or --weight")
     if args.level is not None:
-        constraint = args.level
+        constraint = _level(args.level)
     else:
         raw = json.loads(args.weight)
         if not isinstance(raw, dict) or not all(
@@ -501,7 +508,7 @@ def _failure_text(failure):
 def cmd_singular_search(args):
     cfg = _config(args, q=args.q)
     if args.level is not None:
-        constraint = args.level
+        constraint = _level(args.level)
     elif args.q is not None:
         constraint = predicted_weight(cfg.spec, args.q, params=cfg.params).eigen
     else:
@@ -675,10 +682,10 @@ def criterion_jacobi():
 
 
 def criterion_closed_form():
-    """Closed-form planar actions equal the normal-ordering oracle."""
+    """Closed-form actions equal the normal-ordering oracle."""
     cap = _level_cap()
     checked = 0
-    for spec in [s for s in _extended_specs(5) if s.d == 2]:
+    for spec in _extended_specs(5):
         gens = enumerate_generators(spec)
         for level in range(cap + 1):
             for mono in level_basis(spec, level):
@@ -734,13 +741,19 @@ def criterion_centerless():
         found = search_singular(spec, p, params=free)
         want = ModuleVector.of(PbwMonomial(0, (p,), ()))
         if len(found) != 1 or found.vectors[0] != want:
-            return False, "kappa=0, level %d: unexpected kernel" % p
-        if not verify_singular(spec, found.vectors[0], params=free).ok:
-            return False, "kappa=0, level %d: vector fails verification" % p
+            return False, "kappa=0, level %d: found [%s]; want %s" % (
+                p, "; ".join(render_terms(v.items()) for v in found.vectors),
+                render_terms(want.items()))
+        report = verify_singular(spec, found.vectors[0], params=free)
+        if not report.ok:
+            return False, "kappa=0, level %d: %d failures; first %s" % (
+                p, len(report.failures), _failure_text(report.failures[0]))
         for kappa in (1, Fraction(-2), Fraction(7, 3)):
             params = {"delta": Scalar.symbol("delta"), "kappa": kappa}
-            if len(search_singular(spec, p, params=params)) != 0:
-                return False, "kappa=%s, level %d: kernel not empty" % (kappa, p)
+            dim = len(search_singular(spec, p, params=params))
+            if dim:
+                return False, "kappa=%s, level %d: kernel of dimension %d, want 0" % (
+                    kappa, p, dim)
     return True, "levels 1..%d: kernels exist exactly at kappa=0" % cap
 
 

@@ -9,8 +9,8 @@ Two independent implementations of the generator action are provided:
 
 * ``act_generic`` rewrites words of generators into normal order using
   only the structure constants (works for every family), and
-* ``act_closed_form`` evaluates explicit per-generator formulas for the
-  two planar families.
+* ``act_closed_form`` evaluates explicit per-generator formulas for every
+  extended family, written once over the creation strings of the module.
 
 Their agreement on a shared domain is one of the package's core checks.
 
@@ -22,6 +22,7 @@ in a closed form.  The input coefficient then multiplies each term of that
 image once, and the result is assembled in one map.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -33,6 +34,7 @@ from .algebra import (
     Gen,
     UnknownGenerator,
     bracket,
+    central_element,
     creation_data,
     enumerate_generators,
     normal_position,
@@ -487,178 +489,124 @@ def act_word(spec, gens, v, params=None, action=None):
     return v
 
 
-# --- closed-form actions for the planar families --------------------------
+# --- closed-form action over the creation strings ------------------------
 
-def _add_term(out, h, a, b, coef):
-    """Add a raw int | Scalar term to ``out``; a zero or one with h < 0 is
-    dropped."""
-    if coef and h >= 0:
-        mono = _mono((h, a, b))
+def _pairing(spec, sign, m):
+    """The paper's I_m in [P(m), P(2l-m)] = I_m Z for P(m) on the string of
+    ``sign``: (-1)^(m+l+1/2) (2l-m)! m! for mass, (-1)^m (2l-m)! m! for
+    exotic, negated on its - string."""
+    two_ell = spec.twoEll
+    power = m + (two_ell + 1) // 2 if spec.ext == "mass" else m + (sign == "-")
+    return (-1) ** power * factorial(two_ell - m) * factorial(m)
+
+
+# one extended family's creation strings, built by _strings
+_Strings = namedtuple("_Strings", "gens shape two_ell strings slot weights central")
+
+
+@lru_cache(maxsize=None)
+def _strings(spec):
+    """The closed-form description of ``spec``, read from its module layout.
+
+    ``strings`` maps the monomial slot of each string (1 for a, 2 for b) to
+    ``(sign, top, partner, pairing)``: P(0)..P(top) of that sign create, a
+    P(n) with n > top pairs with the factors of the ``partner`` slot (its
+    own for d = 1, the other string for d = 2), and ``pairing[n]`` is I_n
+    times the sign of the eigenvalue of the central generator.  ``weights``
+    is the weight table, with C given the D entry its action reads.
+    """
+    _, a_gens, b_gens = creation_data(spec)
+    blocks = (a_gens, b_gens) if b_gens else (a_gens,)
+    table = weight_table(spec)
+    central, central_sign = table[central_element(spec)]
+    strings = {s: (gens[0].sign, len(gens) - 1, len(blocks) + 1 - s,
+                   tuple(central_sign * _pairing(spec, gens[0].sign, m)
+                         for m in range(spec.twoEll + 1)))
+               for s, gens in enumerate(blocks, 1)}
+    return _Strings(frozenset(enumerate_generators(spec)), (len(a_gens), len(b_gens)),
+                    spec.twoEll, strings, {st[0]: s for s, st in strings.items()},
+                    {**table, Gen("C"): table[Gen("D")]}, central)
+
+
+def _add_term(out, hab, coef):
+    """Add a raw int | Scalar term at the exponents ``[h, a, b]``; a zero or
+    one with h < 0 is dropped."""
+    if coef and hab[0] >= 0:
+        mono = _mono(hab)
         prev = out.get(mono)
         out[mono] = coef if prev is None else prev + coef
 
 
-def _central_mag(two_ell, m):
-    """(2l-m)! m! — magnitude of the closing structure constant."""
-    return factorial(two_ell - m) * factorial(m)
-
-
-def _closed_form_mass(spec, x, m, pvals):
-    """Planar family with the commuting pair of strings (odd scaling grade)."""
-    two_ell = spec.twoEll
-    half = (two_ell - 1) // 2     # largest creation index
-    halfp = (two_ell + 1) // 2    # smallest annihilator index
-    mu = pvals["mu"]
-    k, a, b = m.h, m.a, m.b
-    out = {}
-    add = partial(_add_term, out)
-
-    def sign_I(n):
-        # structure constant closing the two strings at total index 2l
-        return (-1) ** (n + (two_ell + 1) // 2) * _central_mag(two_ell, n)
-
-    dshift = 2 * k + sum((two_ell - 2 * n) * (a[n] + b[n]) for n in range(half + 1))
-
-    if x == Gen("M"):
-        add(k, a, b, -mu)
-    elif x == Gen("D"):
-        add(k, a, b, Scalar.const(dshift) - pvals["delta"])
-    elif x == Gen("J"):
-        jshift = sum(a[n] - b[n] for n in range(half + 1))
-        add(k, a, b, Scalar.const(jshift) - pvals["r"])
-    elif x == Gen("H"):
-        add(k + 1, a, b, 1)
-    elif x == Gen("C"):
-        add(k - 1, a, b,
-            (Scalar.const(k - 1 + dshift - 2 * k) - pvals["delta"]) * k)
-        if a[half] and b[half]:
-            coef = mu * (-halfp * a[half] * b[half] * sign_I(halfp))
-            add(k, _bump(a, half, -1), _bump(b, half, -1), coef)
-        for n in range(half):
-            if a[n]:
-                add(k, _bump(_bump(a, n, -1), n + 1, 1), b, (two_ell - n) * a[n])
-            if b[n]:
-                add(k, a, _bump(_bump(b, n, -1), n + 1, 1), (two_ell - n) * b[n])
-    elif x.tag == "P" and x.n <= half:  # creation
-        for i in range(0, min(k, x.n) + 1):
-            coef = factorial(i) * comb(k, i) * comb(x.n, i)
-            if x.sign == "+":
-                add(k - i, _bump(a, x.n - i, 1), b, coef)
-            else:
-                add(k - i, a, _bump(b, x.n - i, 1), coef)
-    elif x.tag == "P":  # annihilator, n >= l + 1/2
-        n = x.n
-        same, other = (a, b) if x.sign == "+" else (b, a)
-        for i in range(0, n - halfp + 1):
-            j = two_ell - n + i  # index lowered in the opposite string
-            if j > half or not other[j]:
-                continue
-            coef = mu * (-factorial(i) * comb(k, i) * comb(n, i) * other[j] * sign_I(n - i))
-            if x.sign == "+":
-                add(k - i, a, _bump(b, j, -1), coef)
-            else:
-                add(k - i, _bump(a, j, -1), b, coef)
-        for i in range(n - half, min(k, n) + 1):
-            coef = factorial(i) * comb(k, i) * comb(n, i)
-            if x.sign == "+":
-                add(k - i, _bump(a, n - i, 1), b, coef)
-            else:
-                add(k - i, a, _bump(b, n - i, 1), coef)
-    else:
-        raise UnsupportedFamily("no closed-form action for %s on %r" % (x, spec))
+def _moved(m, h, *steps):
+    """The exponents of ``m`` with h replaced, each (slot, index, step) applied."""
+    out = [h, m[1], m[2]]
+    for s, i, step in steps:
+        out[s] = _bump(out[s], i, step)
     return out
 
 
-def _closed_form_exotic(spec, x, m, pvals):
-    """Planar family with the antisymmetric extension (even scaling grade)."""
-    two_ell = spec.twoEll
-    ell = two_ell // 2
-    theta = pvals["theta"]
-    h, a, b = m.h, m.a, m.b
-    out = {}
-    add = partial(_add_term, out)
-
-    def mag_I(n):
-        return (-1) ** n * _central_mag(two_ell, n)
-
-    dshift = 2 * h + sum(2 * (ell - n) * (a[n] + b[n]) for n in range(ell))
-
-    if x == Gen("Theta"):
-        add(h, a, b, theta)
-    elif x == Gen("D"):
-        add(h, a, b, Scalar.const(dshift) - pvals["delta"])
-    elif x == Gen("J"):
-        jshift = sum(a[n] - b[n] for n in range(ell)) + a[ell]
-        add(h, a, b, Scalar.const(jshift) - pvals["r"])
-    elif x == Gen("H"):
-        add(h + 1, a, b, 1)
-    elif x == Gen("C"):
-        add(h - 1, a, b,
-            (Scalar.const(h - 1 + dshift - 2 * h) - pvals["delta"]) * h)
-        if a[ell] and b[ell - 1]:
-            coef = theta * (ell * a[ell] * b[ell - 1] * mag_I(ell + 1))
-            add(h, _bump(a, ell, -1), _bump(b, ell - 1, -1), coef)
-        for n in range(ell):
-            if a[n]:
-                add(h, _bump(_bump(a, n, -1), n + 1, 1), b, (two_ell - n) * a[n])
-        for n in range(ell - 1):
-            if b[n]:
-                add(h, a, _bump(_bump(b, n, -1), n + 1, 1), (two_ell - n) * b[n])
-    elif x.tag == "P" and x.sign == "+" and x.n <= ell:  # creation
-        for i in range(0, min(h, x.n) + 1):
-            add(h - i, _bump(a, x.n - i, 1), b,
-                factorial(i) * comb(h, i) * comb(x.n, i))
-    elif x.tag == "P" and x.sign == "-" and x.n <= ell - 1:  # creation
-        for i in range(0, min(h, x.n) + 1):
-            add(h - i, a, _bump(b, x.n - i, 1),
-                factorial(i) * comb(h, i) * comb(x.n, i))
-    elif x.tag == "P" and x.sign == "+":  # annihilator, n >= l + 1
-        n = x.n
-        for i in range(0, n - ell):
-            j = two_ell - n + i
-            if j > ell - 1 or not b[j]:
-                continue
-            coef = theta * (factorial(i) * comb(h, i) * comb(n, i) * b[j] * mag_I(n - i))
-            add(h - i, a, _bump(b, j, -1), coef)
-        for i in range(n - ell, min(h, n) + 1):
-            add(h - i, _bump(a, n - i, 1), b,
-                factorial(i) * comb(h, i) * comb(n, i))
-    elif x.tag == "P":  # sign "-", annihilator, n >= l
-        n = x.n
-        for i in range(0, n - ell + 1):
-            j = two_ell - n + i
-            if j > ell or not a[j]:
-                continue
-            coef = theta * (-factorial(i) * comb(h, i) * comb(n, i) * a[j] * mag_I(n - i))
-            add(h - i, _bump(a, j, -1), b, coef)
-        for i in range(n - ell + 1, min(h, n) + 1):
-            add(h - i, a, _bump(b, n - i, 1),
-                factorial(i) * comb(h, i) * comb(n, i))
-    else:
-        raise UnsupportedFamily("no closed-form action for %s on %r" % (x, spec))
+def _closed_form(fam, x, m, pvals):
+    """The raw image of one basis monomial H^k prod P(n)^e |0> under ``x``."""
+    k, out, two_ell = m[0], {}, fam.two_ell
+    if x.tag == "H":
+        _add_term(out, _moved(m, k + 1), 1)
+    elif x.tag == "P":  # P(n) H^k = sum_i i! C(k,i) C(n,i) H^(k-i) P(n-i)
+        s = fam.slot[x.sign]
+        _, top, p, pairing = fam.strings[s]
+        for i in range(min(k, x.n) + 1):
+            c, n = factorial(i) * comb(k, i) * comb(x.n, i), x.n - i
+            if n <= top:  # a creation factor of the string
+                _add_term(out, _moved(m, k - i, (s, n, 1)), c)
+            elif m[p][two_ell - n]:  # an annihilator meets the partner factors
+                _add_term(out, _moved(m, k - i, (p, two_ell - n, -1)),
+                          pvals[fam.central] * (c * m[p][two_ell - n] * pairing[n]))
+    else:  # C, or a diagonal generator: D, J or the central one
+        sym, sign = fam.weights[x]
+        shift = 0
+        if x.tag in ("C", "D"):
+            shift = 2 * k + sum((two_ell - 2 * n) * e for s in fam.strings
+                                for n, e in enumerate(m[s]))
+        elif x.tag == "J":
+            shift = sum(sum(m[s]) * (1 if sg == "+" else -1)
+                        for s, (sg, *_) in fam.strings.items())
+        eigen = pvals[sym] * sign + shift
+        if x.tag != "C":
+            _add_term(out, m, eigen)
+            return out
+        _add_term(out, _moved(m, k - 1), (eigen - (k + 1)) * k)
+        for s, (_, top, p, pairing) in fam.strings.items():
+            e = m[s]
+            for n in range(top):  # [C, P(n)] = (2l - n) P(n+1) inside the string
+                if e[n]:
+                    _add_term(out, _moved(m, k, (s, n, -1), (s, n + 1, 1)),
+                              (two_ell - n) * e[n])
+            # P(top) turns into an annihilator that meets the partner factors
+            # P(2l-top-1): each unordered pair once, both orders agree
+            j = two_ell - top - 1
+            pairs = comb(e[top], 2) if p == s else e[top] * m[p][j]
+            if p >= s and pairs:
+                _add_term(out, _moved(m, k, (s, top, -1), (p, j, -1)),
+                          pvals[fam.central] * ((two_ell - top) * pairs * pairing[top + 1]))
     return out
 
 
 def act_closed_form(spec, x, v, params=None):
-    """Action of ``x`` on ``v`` by the explicit per-generator formulas.
-
-    Available for the two planar extended families; other families raise
-    UnsupportedFamily (use ``act_generic`` there).
-    """
-    if spec.d != 2:
-        raise UnsupportedFamily(
-            "closed-form actions cover the planar extended families only"
-        )
-    letters = _letters(spec)
-    if x not in letters.index:
+    """Action of ``x`` on ``v`` by the closed-form rules over the creation
+    strings, for every extended family (the centerless family raises
+    UnsupportedFamily; use ``act_generic`` there).  It reads the module
+    layout and the weight symbols, never the bracket rules, so it stays an
+    independent check of ``act_generic``."""
+    if spec.ext == "none":
+        raise UnsupportedFamily("closed-form actions cover the extended families only")
+    fam = _strings(spec)
+    if x not in fam.gens:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     pvals = resolve_params(spec, params)
-    impl = _closed_form_mass if spec.ext == "mass" else _closed_form_exotic
     out = {}
     for mono, coef in v.terms.items():
-        if len(mono.a) != letters.n_a or len(mono.b) != letters.n_b:
+        if (len(mono.a), len(mono.b)) != fam.shape:
             check_monomial(spec, mono)
-        _scatter(out, impl(spec, x, mono, pvals), coef)
+        _scatter(out, _closed_form(fam, x, mono, pvals), coef)
     return _vector_of(out)
 
 

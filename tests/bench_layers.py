@@ -41,6 +41,7 @@ from cgk.verma import (  # noqa: E402
     level_basis,
 )
 
+D5 = AlgebraSpec(1, 5, "mass")
 M1 = AlgebraSpec(2, 1, "mass")
 M3 = AlgebraSpec(2, 3, "mass")
 DELTA, MU, R = (ParamPoly.symbol(name) for name in ("delta", "mu", "r"))
@@ -84,17 +85,26 @@ def test_bracket(benchmark):
     benchmark(lambda: [bracket(M3, x, y) for x in gens for y in gens])
 
 
-def _level_four_vector():
-    basis = level_basis(M3, 4)
-    return ModuleVector({m: Scalar.const(i + 1) for i, m in enumerate(basis)})
+def _module_action(benchmark, action, spec):
+    """Every generator on the level-4 vector with coefficients 1, 2, ..."""
+    basis = level_basis(spec, 4)
+    v = ModuleVector({m: Scalar.const(i + 1) for i, m in enumerate(basis)})
+    gens = enumerate_generators(spec)
+    benchmark(lambda: [action(spec, x, v) for x in gens])
 
 
-@pytest.mark.parametrize("action", [act_generic, act_closed_form],
-                         ids=["act_generic", "act_closed_form"])
+ACTIONS = pytest.mark.parametrize("action", [act_generic, act_closed_form],
+                                  ids=["act_generic", "act_closed_form"])
+
+
+@ACTIONS
 def test_module_action(benchmark, action):
-    v = _level_four_vector()
-    gens = enumerate_generators(M3)
-    benchmark(lambda: [action(M3, x, v) for x in gens])
+    _module_action(benchmark, action, M3)
+
+
+@ACTIONS
+def test_module_action_line_family(benchmark, action):
+    _module_action(benchmark, action, D5)
 
 
 def test_compose(benchmark):

@@ -33,8 +33,8 @@ def test_criterion_1_jacobi_closure():
 
 
 def test_criterion_2_closed_form_vs_oracle():
-    """Planar closed-form actions equal the normal-ordering oracle,
-    on every basis monomial of level <= 4, twoEll <= 5."""
+    """Closed-form actions equal the normal-ordering oracle for every
+    extended family, on every basis monomial of level <= 4, twoEll <= 5."""
     _report("closed-form-vs-oracle", criterion_closed_form)
 
 

@@ -331,12 +331,19 @@ def test_usage_errors_exit_two(capsys):
         ["reps", "right", "--d", "1", "--two-ell", "1", "--ext", "mass",
          "--gen", "C"],
         ["singular", "search", "--d", "1", "--two-ell", "1", "--ext", "mass"],
+        ["singular", "search", "--d", "1", "--two-ell", "1", "--ext", "mass",
+         "--level", "-1"],
+        ["verma", "basis", "--d", "1", "--two-ell", "1", "--ext", "mass",
+         "--level", "-2"],
         ["nonsense"],
     ]
     for argv in cases:
         code = run(argv)
         capsys.readouterr()
         assert code == 2, argv
+    for argv in cases[-3:-1]:
+        assert invoke(capsys, *argv) == (
+            2, "", "usage error: level must be a non-negative integer\n")
 
 
 def test_key_error_messages_print_without_quotes(capsys):
@@ -482,7 +489,7 @@ def test_intertwining_names_first_failing_generator(monkeypatch):
 
 def test_closed_form_names_case_and_difference(monkeypatch):
     monkeypatch.setenv("CGK_CAPS_LEVEL", "1")
-    spec = [s for s in cli._extended_specs(5) if s.d == 2][0]
+    spec = cli._extended_specs(5)[0]
     victim = enumerate_generators(spec)[0]
     mono = cli.level_basis(spec, 0)[0]
     extra = PbwMonomial(1, mono.a, mono.b)
@@ -567,3 +574,37 @@ def test_heat_names_operator_difference(monkeypatch):
     detail = "twoEll=1, q=2: operator differs; computed - expected: %s" % (
         render_diffop(extra),)
     assert cli.criterion_heat() == (False, detail)
+
+
+def test_centerless_names_kernel_and_failure(monkeypatch):
+    spec = AlgebraSpec(1, 2, "none")
+    free = {"delta": Scalar.symbol("delta"), "kappa": 0}
+    want = ModuleVector.of(PbwMonomial(0, (1,), ()))
+    extra = ModuleVector.of(PbwMonomial(1, (0,), ()), 2)
+    true_search, true_verify = cli.search_singular, cli.verify_singular
+
+    # a wrong kernel at kappa = 0: the vectors found are rendered
+    monkeypatch.setattr(cli, "search_singular", lambda spec_, p, params=None: (
+        SearchResult([want, want + extra]) if params["kappa"] == 0
+        else true_search(spec_, p, params=params)))
+    assert cli.criterion_centerless() == (
+        False, "kappa=0, level 1: found [%s; %s]; want %s" % (
+            cli.render_terms(want.items()), cli.render_terms((want + extra).items()),
+            cli.render_terms(want.items())))
+
+    # a kernel vector that fails verification: its first failure is named
+    monkeypatch.setattr(cli, "search_singular", true_search)
+    monkeypatch.setattr(cli, "verify_singular", lambda spec_, v, params=None: (
+        true_verify(spec_, v + extra, params=params)))
+    report = true_verify(spec, want + extra, params=free)
+    assert not report.ok and report.failures
+    assert cli.criterion_centerless() == (
+        False, "kappa=0, level 1: %d failures; first %s" % (
+            len(report.failures), cli._failure_text(report.failures[0])))
+
+    # a kernel away from kappa = 0: its dimension is named
+    monkeypatch.setattr(cli, "verify_singular", true_verify)
+    monkeypatch.setattr(cli, "search_singular", lambda spec_, p, params=None: (
+        true_search(spec_, p, params={**params, "kappa": 0})))
+    assert cli.criterion_centerless() == (
+        False, "kappa=1, level 1: kernel of dimension 1, want 0")

@@ -37,6 +37,7 @@ from cgk.verma import (
 from cgk.verma import _letters
 
 D1 = AlgebraSpec(1, 1, "mass")
+D3 = AlgebraSpec(1, 3, "mass")
 D1_5 = AlgebraSpec(1, 5, "mass")
 M1 = AlgebraSpec(2, 1, "mass")
 M3 = AlgebraSpec(2, 3, "mass")
@@ -144,8 +145,11 @@ def test_closed_form_c_example():
 
 
 def test_closed_form_unsupported():
-    with pytest.raises(UnsupportedFamily):
-        act_closed_form(D1, Gen("H"), vacuum(D1))
+    # the line family pairs its one string with itself:
+    # C P0^2 |0> = (P1 P0 + P0 P1)|0> = [P1, P0]|0> = M|0> = -mu|0>
+    v = ModuleVector.of(mono(0, (2,)))
+    assert act_closed_form(D1, Gen("C"), v) == vacuum(D1).scaled(-MU)
+    assert act_generic(D1, Gen("C"), v) == vacuum(D1).scaled(-MU)
     with pytest.raises(UnsupportedFamily):
         act_closed_form(NONE, Gen("C"), vacuum(NONE))
     # P2+ belongs to twoEll >= 2 only; both actions refuse it
@@ -245,18 +249,17 @@ def test_weight_additivity_under_creation():
 
 
 def test_closed_form_matches_generic_sample():
-    # acceptance covers the full sweep; here a fast spot check
-    for spec in (M1, EX2):
+    # every extended family with twoEll <= 7, levels <= 6, symbolic and at
+    # a numeric point (acceptance stops at twoEll <= 5, level <= 4)
+    for spec in (s for s in supported_specs(7) if s.ext != "none"):
         gens = enumerate_generators(spec)
-        basis = [m for p in range(0, 4) for m in level_basis(spec, p)]
+        basis = [m for p in range(0, 7) for m in level_basis(spec, p)]
         for x in gens:
             for m in basis:
                 v = ModuleVector.of(m)
-                assert act_closed_form(spec, x, v) == act_generic(spec, x, v), (
-                    spec,
-                    x,
-                    m,
-                )
+                for params in (None, NUMERIC_POINT):
+                    assert act_closed_form(spec, x, v, params=params) == act_generic(
+                        spec, x, v, params=params), (spec, x, m, params)
 
 
 def test_level_of_and_enumeration():
@@ -325,7 +328,7 @@ def test_centerless_weight_includes_g0_only_on_eigenvectors():
 def test_closed_form_matches_generic_levels_6_and_7():
     # from level 6 on, the annihilators meet monomials with h >= n + 2,
     # where the closed-form sums must stop at i = n
-    for spec in (M1, EX2, M3):
+    for spec in (D1, D3, D1_5, M1, EX2, M3):
         gens = enumerate_generators(spec)
         for p in (6, 7):
             for m in level_basis(spec, p):
@@ -458,7 +461,7 @@ def test_generic_action_matches_reference_on_sums(params):
 @pytest.mark.parametrize("params", [None, NUMERIC_POINT], ids=["symbolic", "numeric"])
 def test_closed_form_is_linear(params):
     rng = random.Random(11)
-    for spec in (M1, M3, EX2, EX4):
+    for spec in (M1, M3, EX2, EX4, D1, D3, D1_5):
         for v in _multi_term_vectors(spec, rng):
             for x in enumerate_generators(spec):
                 parts = ModuleVector.zero()
@@ -476,7 +479,8 @@ def test_closed_form_matches_generic_random():
 
     @st.composite
     def cases(draw):
-        spec = draw(st.sampled_from([M1, M3, EX2, EX4, AlgebraSpec(2, 5, "mass")]))
+        spec = draw(st.sampled_from([M1, M3, EX2, EX4, AlgebraSpec(2, 5, "mass"),
+                                     D1, D3, D1_5]))
         _, a_gens, b_gens = creation_data(spec)
         m = mono(draw(st.integers(0, 8)),
                  draw(st.lists(st.integers(0, 2), min_size=len(a_gens),
@@ -493,6 +497,33 @@ def test_closed_form_matches_generic_random():
         assert act_closed_form(spec, x, v) == act_generic(spec, x, v)
 
     check()
+
+
+def test_closed_form_never_reads_the_brackets(monkeypatch):
+    # the closed form is the oracle for act_generic: with the bracket rules
+    # and the central constants unreachable it must give the same vectors
+    import cgk.algebra
+    import cgk.scalars
+    import cgk.verma
+
+    # the expected vectors come first, which also warms _letters(spec)
+    cases = []
+    for spec in (s for s in supported_specs(5) if s.ext != "none"):
+        for m in (m for p in range(4) for m in level_basis(spec, p)):
+            v = ModuleVector.of(m)
+            cases += [(spec, x, v, act_generic(spec, x, v))
+                      for x in enumerate_generators(spec)]
+
+    def unreachable(*args):
+        raise AssertionError("the closed form read the bracket rules")
+
+    cgk.verma._strings.cache_clear()
+    monkeypatch.setattr(cgk.algebra, "bracket", unreachable)
+    monkeypatch.setattr(cgk.verma, "bracket", unreachable)
+    monkeypatch.setattr(cgk.scalars, "central_constant", unreachable)
+    monkeypatch.setattr(cgk.algebra, "central_constant", unreachable)
+    for spec, x, v, want in cases:
+        assert act_closed_form(spec, x, v) == want, (spec, x, v)
 
 
 def test_monomial_is_a_tuple_with_the_dataclass_face():
