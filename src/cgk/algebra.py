@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .scalars import Scalar, central_constant
+from .scalars import _Sparse, central_constant
 
 
 class InvalidSpec(ValueError):
@@ -79,65 +79,15 @@ def parse_gen(text):
     return Gen("P", int(match.group(2)), match.group(3))
 
 
-class GenCombo:
-    """Finite linear combination of generators with Scalar coefficients."""
+class GenCombo(_Sparse):
+    """Finite linear combination of generators with Scalar coefficients;
+    ``items()`` lists the generators by name."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _order = staticmethod(lambda kv: str(kv[0]))
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for gen, coef in terms.items():
-                if not isinstance(coef, Scalar):
-                    coef = Scalar.const(coef)
-                if coef:
-                    clean[gen] = coef
-        self.terms = {g: clean[g] for g in sorted(clean, key=str)}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def of(cls, gen, coef=1):
-        return cls({gen: coef})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, GenCombo):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return GenCombo({g: -c for g, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, GenCombo):
-            return NotImplemented
-        terms = dict(self.terms)
-        for gen, coef in other.terms.items():
-            terms[gen] = terms.get(gen, Scalar.zero()) + coef
-        return GenCombo(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, coef):
-        return GenCombo({g: c * coef for g, c in self.terms.items()})
-
-    def items(self):
-        return self.terms.items()
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s)*%s" % (c, g) for g, c in self.terms.items())
+        self.terms = self._coerced(terms)
 
 
 @lru_cache(maxsize=None)

@@ -143,11 +143,9 @@ def vector_from_json(entries, spec=None):
 
 def diffop_to_json(op):
     entries = []
-    for dexpo in sorted(op.terms, key=lambda d: (sum(d), d)):
+    for dexpo, poly in op.items():
         partials = {str(v): e for v, e in zip(op.chart, dexpo) if e}
-        entries.append(
-            {"coef": render_poly_in_vars(op.terms[dexpo]), "partials": partials}
-        )
+        entries.append({"coef": render_poly_in_vars(poly), "partials": partials})
     return entries
 
 
@@ -328,7 +326,7 @@ def cmd_algebra_show(args):
     for i, x in enumerate(gens):
         for y in gens[i + 1:]:
             combo = bracket(spec, x, y)
-            if not combo.is_zero:
+            if not combo.is_zero():
                 brackets.append((x, y, combo))
     if cfg.output == "json":
         central = central_element(spec)

@@ -4,15 +4,22 @@ Operators live on a fixed chart: an ordered tuple of variables
 ``(t, x0, x1, ..., y0, ...)``.  A coefficient polynomial maps variable
 exponent vectors to Scalars; an operator maps derivative multi-indices
 to coefficient polynomials, normal-ordered with all coefficients to the
-left of all derivatives.  Equality of canonical term maps is exact
-operator equality.  Composition uses the Leibniz rule and is the ring
-product; the textual grammar (`2*mu*d/dt + (d/dx0)^2`) round-trips.
+left of all derivatives.  Both are ``scalars._Sparse`` sums on a chart.
+Equality of canonical term maps is exact operator equality.  Composition
+uses the Leibniz rule and is the ring product, written ``*``.
+
+``parse_diffop`` reads the one grammar of ``scalars.parse_expression``,
+whose atoms here are numbers, the five parameters, the chart variables
+``t``, ``x<n>`` and ``y<n>``, and ``d/d<var>``: ``*`` composes, ``/``
+takes only a scalar divisor, and ``^`` takes integer exponents (a negative
+one only on a scalar) and chains left to right.  ``render_diffop`` output
+(`2*mu*d/dt + (d/dx0)^2`) parses back to the same operator.
 
 Products, commutators and intertwining residuals share one signed Leibniz
 accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw
 ``{dexpo: {expo: Scalar}}`` map; the operator is built once from the map
-(``_op_of``), with no intermediate operator and no subtraction of whole
-operators.  ``compose`` calls it once, ``commutator`` twice with opposite
+(``DiffOp.of_raw``), with no intermediate operator and no subtraction of
+whole operators.  ``compose`` calls it once, ``commutator`` twice with opposite
 signs, and ``twisted_commutator`` (s.b - c.s) twice plus one correction.
 A commutator skips the gamma = 0 Leibniz terms: in a.b they are
 pa pb d^(alpha+beta), in b.a the same product in the other order, and
@@ -22,19 +29,18 @@ coefficients commute, so they always cancel.
 import functools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .scalars import (
     Scalar,
+    VariableMismatch,
+    _check_chart,
+    _Sparse,
     latex_scalar,
-    parse_scalar,
+    parse_expression,
     render_scalar,
+    scalar_atom,
 )
-
-
-class VariableMismatch(ValueError):
-    """Operands live on different charts (or use variables outside one)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -77,78 +83,49 @@ def make_chart(*names):
     return tuple(vs)
 
 
-def _check_chart(a, b):
-    if a.chart != b.chart:
-        raise VariableMismatch(
-            "charts differ: %s vs %s"
-            % tuple("(%s)" % ",".join(map(str, o.chart)) for o in (a, b))
-        )
+def _graded(item):
+    """Sort key of a term: total degree, then the exponents."""
+    return sum(item[0]), item[0]
 
 
-def _coerce(val):
-    if isinstance(val, Scalar):
-        return val
-    if isinstance(val, (int, Fraction)):
-        return Scalar.const(val)
-    raise TypeError("cannot use %r as a coefficient" % (val,))
+def _check_on_chart(chart, v):
+    if v not in chart:
+        raise VariableMismatch("%s is not on chart (%s)" % (v, ",".join(map(str, chart))))
 
 
-class CoefPoly:
+def _check_exponents(chart, expo, what):
+    if len(expo) != len(chart) or any(e < 0 for e in expo):
+        raise ValueError("bad %s %r" % (what, expo))
+
+
+class CoefPoly(_Sparse):
     """Polynomial in the chart variables with Scalar coefficients."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart",)
+    _order = staticmethod(_graded)
 
     def __init__(self, chart, terms=None):
         self.chart = tuple(chart)
-        clean = {}
-        for expo, coef in (terms or {}).items():
-            coef = _coerce(coef)
-            if len(expo) != len(self.chart) or any(e < 0 for e in expo):
-                raise ValueError("bad exponent vector %r" % (expo,))
-            if not coef.is_zero:
-                clean[tuple(expo)] = coef
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart)
+        terms = self._coerced(terms)
+        for expo in terms:
+            _check_exponents(self.chart, expo, "exponent vector")
+        self.terms = {tuple(expo): coef for expo, coef in terms.items()}
 
     @classmethod
     def const(cls, chart, value):
-        value = _coerce(value)
-        if value.is_zero:
-            return cls(chart)
+        chart = tuple(chart)
         return cls(chart, {(0,) * len(chart): value})
 
     @classmethod
     def var(cls, chart, v):
         chart = tuple(chart)
-        if v not in chart:
-            raise VariableMismatch("%s is not on chart %s" % (v, chart))
+        _check_on_chart(chart, v)
         expo = tuple(1 if u == v else 0 for u in chart)
         return cls(chart, {expo: Scalar.const(1)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        _check_chart(self, other)
-        terms = dict(self.terms)
-        for expo, coef in other.terms.items():
-            terms[expo] = terms.get(expo, Scalar.zero()) + coef
-        return CoefPoly(self.chart, terms)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, coef):
-        coef = _coerce(coef)
-        return CoefPoly(self.chart, {e: c * coef for e, c in self.terms.items()})
-
     def __mul__(self, other):
+        if type(other) is not CoefPoly:
+            return NotImplemented
         _check_chart(self, other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -157,7 +134,7 @@ class CoefPoly:
                 prev = out.get(e)
                 prod = c1 * c2
                 out[e] = prod if prev is None else prev + prod
-        return CoefPoly(self.chart, out)
+        return CoefPoly.of_raw(out, self.chart)
 
     def derivative(self, i, k=1):
         """k-th partial derivative with respect to chart variable i."""
@@ -171,43 +148,34 @@ class CoefPoly:
                 fall *= e - j
             e2 = list(expo)
             e2[i] = e - k
-            out[tuple(e2)] = coef * Scalar.const(fall)
-        return CoefPoly(self.chart, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoefPoly)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+            out[tuple(e2)] = coef * fall
+        return CoefPoly.of_raw(out, self.chart)
 
     def __repr__(self):
         return "CoefPoly(%s)" % (render_poly_in_vars(self),)
 
 
-class DiffOp:
-    """Normal-ordered differential operator: sum of CoefPoly * d^multi."""
+class DiffOp(_Sparse):
+    """Normal-ordered differential operator: sum of CoefPoly * d^multi.
 
-    __slots__ = ("chart", "terms")
+    ``*`` is composition, ``/`` divides by a scalar operator and ``**`` is
+    a composition power; a negative power inverts a scalar operator.
+    """
+
+    __slots__ = ("chart",)
+    _inner = CoefPoly
+    _order = staticmethod(_graded)
 
     def __init__(self, chart, terms=None):
         self.chart = tuple(chart)
         clean = {}
         for dexpo, poly in (terms or {}).items():
-            if len(dexpo) != len(self.chart) or any(e < 0 for e in dexpo):
-                raise ValueError("bad derivative multi-index %r" % (dexpo,))
+            _check_exponents(self.chart, dexpo, "derivative multi-index")
             if poly.chart != self.chart:
                 raise VariableMismatch("coefficient chart differs from operator chart")
-            if not poly.is_zero():
+            if poly:
                 clean[tuple(dexpo)] = poly
         self.terms = clean
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart)
 
     @classmethod
     def const(cls, chart, value):
@@ -223,40 +191,38 @@ class DiffOp:
         chart = tuple(chart)
         if not isinstance(v, Var):
             v = Var.parse(v)
-        if v not in chart:
-            raise VariableMismatch("%s is not on chart (%s)" % (v, ",".join(map(str, chart))))
+        _check_on_chart(chart, v)
         dexpo = tuple(order if u == v else 0 for u in chart)
         return cls(chart, {dexpo: CoefPoly.const(chart, 1)})
 
-    def is_zero(self):
-        return not self.terms
+    def _divisor(self):
+        """The Scalar of an operator that is divided by or inverted, which
+        must have no derivative and no variable."""
+        origin = (0,) * len(self.chart)
+        if any(dexpo != origin for dexpo in self.terms):
+            raise ValueError("division by a non-scalar operator")
+        poly = self.terms.get(origin)
+        if poly is None:
+            return Scalar.zero()
+        if list(poly.terms) != [origin]:
+            raise ValueError("division by a variable-dependent coefficient")
+        return poly.terms[origin]
 
-    def __add__(self, other):
+    def __mul__(self, other):
+        if type(other) is not DiffOp:
+            return NotImplemented
+        return compose(self, other)
+
+    def __truediv__(self, other):
+        if type(other) is not DiffOp:
+            return NotImplemented
         _check_chart(self, other)
-        terms = dict(self.terms)
-        for dexpo, poly in other.terms.items():
-            cur = terms.get(dexpo)
-            terms[dexpo] = poly if cur is None else cur + poly
-        return DiffOp(self.chart, terms)
+        return self.scaled(Scalar.one() / other._divisor())
 
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
-
-    def scaled(self, coef):
-        return DiffOp(self.chart, {d: p.scaled(coef) for d, p in self.terms.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiffOp)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+    def __pow__(self, q):
+        if q < 0:
+            return DiffOp.const(self.chart, self._divisor() ** q)
+        return op_power(self, q)
 
     def __repr__(self):
         return "DiffOp(%s)" % (render_diffop(self),)
@@ -330,38 +296,6 @@ def _leibniz_into(out, a, b, sign, skip_order_zero=False):
                         acc[expo] = term if prev is None else prev + term
 
 
-def _add_into(out, a, coef):
-    """Add coef * a into the raw map out (coef an int or a Scalar)."""
-    for dexpo, poly in a.terms.items():
-        acc = out.get(dexpo)
-        if acc is None:
-            acc = out[dexpo] = {}
-        for expo, c in poly.terms.items():
-            term = c * coef
-            prev = acc.get(expo)
-            acc[expo] = term if prev is None else prev + term
-
-
-def _op_of(chart, out):
-    """The DiffOp of a raw map: zero coefficients and empty slots dropped.
-
-    The map's keys and Scalars are canonical by construction, so the
-    CoefPoly and DiffOp are made without the constructors' validation.
-    """
-    terms = {}
-    for dexpo, acc in out.items():
-        clean = {expo: c for expo, c in acc.items() if c}
-        if clean:
-            poly = CoefPoly.__new__(CoefPoly)
-            poly.chart = chart
-            poly.terms = clean
-            terms[dexpo] = poly
-    op = DiffOp.__new__(DiffOp)
-    op.chart = chart
-    op.terms = terms
-    return op
-
-
 def compose(a, b):
     """Operator product a . b in canonical normal order (Leibniz rule).
 
@@ -371,7 +305,7 @@ def compose(a, b):
     _check_chart(a, b)
     out = {}
     _leibniz_into(out, a, b, 1)
-    return _op_of(a.chart, out)
+    return DiffOp.of_raw(out, a.chart)
 
 
 def commutator(a, b, minus=()):
@@ -390,8 +324,8 @@ def commutator(a, b, minus=()):
     _leibniz_into(out, b, a, -1, skip_order_zero=True)
     for z, coef in minus:
         _check_chart(a, z)
-        _add_into(out, z, -_coerce(coef))
-    return _op_of(a.chart, out)
+        DiffOp.add_into(out, z.terms.items(), -coef)
+    return DiffOp.of_raw(out, a.chart)
 
 
 def twisted_commutator(s, before, after):
@@ -402,15 +336,11 @@ def twisted_commutator(s, before, after):
     the correction is one small product.
     """
     _check_chart(s, before)
-    _check_chart(s, after)
-    diff = {}
-    _add_into(diff, after, 1)
-    _add_into(diff, before, -1)
     out = {}
     _leibniz_into(out, s, before, 1, skip_order_zero=True)
     _leibniz_into(out, before, s, -1, skip_order_zero=True)
-    _leibniz_into(out, _op_of(s.chart, diff), s, -1)
-    return _op_of(s.chart, out)
+    _leibniz_into(out, after - before, s, -1)
+    return DiffOp.of_raw(out, s.chart)
 
 
 def apply_op(a, p):
@@ -423,9 +353,9 @@ def apply_op(a, p):
         for i, k in enumerate(alpha):
             if k:
                 dp = dp.derivative(i, k)
-            if dp.is_zero():
+            if not dp:
                 break
-        if not dp.is_zero():
+        if dp:
             out = out + pa * dp
     return out
 
@@ -440,142 +370,23 @@ def op_power(a, q):
     return out
 
 
-# --- text grammar -----------------------------------------------------------
-
-_TOKEN = re.compile(
-    r"\s*(d/d(?:t|x\d+|y\d+)|\d+|[A-Za-z_]\w*|\*\*|\^|[-+*/()])"
-)
-
-
-def _tokenize(text):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError("cannot tokenize %r" % (text[pos:],))
-            break
-        tok = m.group(1)
-        out.append("^" if tok == "**" else tok)
-        pos = m.end()
-    return out
-
-
-class _OpParser:
-    """Recursive-descent parser producing a DiffOp on a fixed chart.
-
-    Multiplication is operator composition; division requires a purely
-    scalar divisor; powers take nonnegative integer exponents.
-    """
-
-    def __init__(self, tokens, chart):
-        self.toks = tokens
-        self.i = 0
-        self.chart = tuple(chart)
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.take()
-        if got != tok:
-            raise ValueError("expected %r, got %r" % (tok, got))
-
-    def parse(self):
-        out = self.expr()
-        if self.peek() is not None:
-            raise ValueError("trailing input at %r" % (self.peek(),))
-        return out
-
-    def expr(self):
-        if self.peek() == "-":
-            self.take()
-            out = -self.term()
-        elif self.peek() == "+":
-            self.take()
-            out = self.term()
-        else:
-            out = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def term(self):
-        out = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            if op == "*":
-                out = compose(out, rhs)
-            else:
-                out = compose(out, _invert_scalar_op(rhs))
-        return out
-
-    def factor(self):
-        out = self.atom()
-        while self.peek() == "^":
-            self.take()
-            neg = False
-            if self.peek() == "-":
-                self.take()
-                neg = True
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise ValueError("exponent must be an integer")
-            n = int(tok)
-            if neg:
-                out = _invert_scalar_op(op_power(out, n))
-            else:
-                out = op_power(out, n)
-        return out
-
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        if tok == "(":
-            out = self.expr()
-            self.expect(")")
-            return out
-        if tok.startswith("d/d"):
-            return DiffOp.partial(self.chart, tok[3:])
-        if tok.isdigit():
-            return DiffOp.const(self.chart, int(tok))
-        if re.fullmatch(r"t|[xy]\d+", tok):
-            return DiffOp.of_poly(CoefPoly.var(self.chart, Var.parse(tok)))
-        # parameter symbol
-        return DiffOp.const(self.chart, parse_scalar(tok))
-
-
-def _invert_scalar_op(a):
-    """Inverse of a scalar-valued operator (no derivatives, no variables)."""
-    if list(a.terms) not in ([], [(0,) * len(a.chart)]):
-        raise ValueError("division by a non-scalar operator")
-    if a.is_zero():
-        raise ZeroDivisionError("division by zero operator")
-    poly = a.terms[(0,) * len(a.chart)]
-    if list(poly.terms) != [(0,) * len(a.chart)]:
-        raise ValueError("division by a variable-dependent coefficient")
-    val = poly.terms[(0,) * len(a.chart)]
-    return DiffOp.const(a.chart, val ** -1)
-
-
 def parse_diffop(text, chart):
-    """Parse the operator grammar on the given chart."""
-    return _OpParser(_tokenize(text), make_chart(*chart)).parse()
+    """Parse the operator grammar on the given chart (module docstring)."""
+    chart = make_chart(*chart)
+
+    def atom(token):
+        if token.startswith("d/d"):
+            return DiffOp.partial(chart, token[3:])
+        if re.fullmatch(r"t|[xy]\d+", token):
+            return DiffOp.of_poly(CoefPoly.var(chart, Var.parse(token)))
+        return DiffOp.const(chart, scalar_atom(token))
+
+    return parse_expression(text, atom, "operator")
 
 
 # --- rendering --------------------------------------------------------------
 
-def _scalar_atom(s, latex=False):
+def _coef_text(s, latex=False):
     txt = latex_scalar(s) if latex else render_scalar(s)
     stripped = txt[1:] if txt.startswith("-") else txt
     needs = any(c in stripped for c in "+-") or (latex and "\\frac" not in txt and "/" in txt)
@@ -597,7 +408,7 @@ def _piece_text(chart, dexpo, expo, coef, latex=False):
     if coef == minus_one and not body_empty:
         sign = "-"
     elif not (coef == one and not body_empty):
-        factors.append(_scalar_atom(coef, latex))
+        factors.append(_coef_text(coef, latex))
     for v, e in zip(chart, expo):
         if not e:
             continue
@@ -623,10 +434,9 @@ def _render(op, latex=False):
     if not op.terms:
         return "0"
     pieces = []
-    for dexpo in sorted(op.terms, key=lambda d: (sum(d), d)):
-        poly = op.terms[dexpo]
-        for expo in sorted(poly.terms, key=lambda e: (sum(e), e)):
-            pieces.append(_piece_text(op.chart, dexpo, expo, poly.terms[expo], latex))
+    for dexpo, poly in op.items():
+        for expo, coef in poly.items():
+            pieces.append(_piece_text(op.chart, dexpo, expo, coef, latex))
     out = pieces[0]
     for p in pieces[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p

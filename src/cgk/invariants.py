@@ -81,7 +81,7 @@ def _check_at_root(spec, q, pvals):
     residue = singular_condition(spec, q).substitute(
         {"delta": delta.rational_value()}
     )
-    if not residue.is_zero:
+    if not residue.is_zero():
         raise ConditionNotSatisfied(
             "delta = %s is not a root of the level-%d condition" % (delta, q)
         )
@@ -148,7 +148,7 @@ def divisible_by_condition(op, cond):
     Divisibility is polynomial: each coefficient's numerator must be an
     exact multiple of cond's numerator.
     """
-    if cond.is_zero:
+    if cond.is_zero():
         raise ValueError("divisibility by zero is not defined")
     for poly in op.terms.values():
         for coef in poly.terms.values():

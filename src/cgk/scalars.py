@@ -4,8 +4,14 @@ Everything downstream (structure constants, module actions, differential
 operators) computes over the field of rational functions in the five weight
 parameters.  This module provides that field: sparse multivariate polynomials
 with rational coefficients (ParamPoly), normalized quotients of them
-(Scalar), a polynomial gcd so quotients stay canonical, a text grammar, and
-the integer constants attached to the central extensions.
+(Scalar), a polynomial gcd so quotients stay canonical, the integer
+constants attached to the central extensions, and two pieces that the other
+modules build on: ``_Sparse``, the one base of every finite sparse sum, and
+``parse_expression``, the one text grammar (numbers, parameter names,
+``+ - * / ^`` and parentheses, with the atoms supplied by the caller).
+
+``is_zero()`` is a method on every value here and on every ``_Sparse``
+sum, and it always equals ``not value``: zero is false in a test.
 
 Coefficients are exact and fraction-free where they can be: an integral
 coefficient is a plain ``int`` and only a non-integral one is a
@@ -117,7 +123,6 @@ class ParamPoly:
             raise ValueError("unknown symbol %r" % (name,))
         return _poly_of({expo: 1})
 
-    @property
     def is_zero(self):
         return not self.terms
 
@@ -251,7 +256,7 @@ def poly_div_exact(a, b):
     costs time in proportion to the terms it touches.  A key whose term has
     cancelled since it was pushed is skipped when it surfaces.
     """
-    if b.is_zero:
+    if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
     eb, cb = b.leading()
     tail = [(e, c) for e, c in b.terms.items() if e != eb]
@@ -384,7 +389,7 @@ def _uni_div(u, d):
 
 
 def _monic(p):
-    if p.is_zero:
+    if p.is_zero():
         return p
     _, lc = p.leading()
     return p * _quotient(1, lc)
@@ -412,9 +417,9 @@ def poly_gcd(a, b):
     is a single term.  Leading terms multiply under grlex, so the product
     stays monic.
     """
-    if a.is_zero:
+    if a.is_zero():
         return _monic(b)
-    if b.is_zero:
+    if b.is_zero():
         return _monic(a)
     alpha, beta = _min_expo(a), _min_expo(b)
     shared = tuple(map(min, alpha, beta))
@@ -478,9 +483,9 @@ class Scalar:
             den = _POLY_ONE
         elif not isinstance(den, ParamPoly):
             den = ParamPoly.const(den)
-        if den.is_zero:
+        if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
-        if num.is_zero:
+        if num.is_zero():
             den = _POLY_ONE
         elif not den.is_const():
             g = poly_gcd(num, den)
@@ -517,9 +522,8 @@ class Scalar:
     def symbol(cls, name):
         return _scalar_over_one(ParamPoly.symbol(name))
 
-    @property
     def is_zero(self):
-        return self.num.is_zero
+        return not self.num.terms
 
     def is_one(self):
         return self.den is _POLY_ONE and self.num == _POLY_ONE
@@ -534,7 +538,7 @@ class Scalar:
         return self.num.const_value()
 
     def __bool__(self):
-        return not self.num.is_zero
+        return bool(self.num.terms)
 
     def __eq__(self, other):
         other = _coerce_scalar(other)
@@ -592,7 +596,7 @@ class Scalar:
         other = _coerce_scalar(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero:
+        if other.num.is_zero():
             raise DivisionByZero("scalar division by zero")
         return Scalar(self.num * other.den, self.den * other.num)
 
@@ -630,6 +634,146 @@ def _coerce_scalar(value):
     return None
 
 
+class VariableMismatch(ValueError):
+    """Operands live on different charts (or use variables outside one)."""
+
+
+def _check_chart(a, b):
+    if a.chart != b.chart:
+        raise VariableMismatch(
+            "charts differ: %s vs %s"
+            % tuple("(%s)" % ",".join(map(str, o.chart)) for o in (a, b))
+        )
+
+
+class _Sparse:
+    """A finite sparse sum: ``terms`` maps each key to a nonzero coefficient.
+
+    The one base of the toolkit's linear combinations: ``GenCombo``
+    (generators), ``ModuleVector`` (basis monomials), ``CoefPoly`` (chart
+    monomials) and ``DiffOp`` (derivative multi-indices, with CoefPoly
+    coefficients).  A CoefPoly or DiffOp also has a ``chart``, and two sums
+    combine only on the same one; for the other classes it is None.  Sums
+    are immutable once built.  A zero sum is false, ``is_zero()`` equals
+    ``not sum``, sums are equal when class, chart and terms agree, and
+    equal sums hash alike.
+
+    Accumulators fill a raw map instead: ``{key: int | Scalar}``, or for a
+    DiffOp ``{key: raw map of one CoefPoly}``.  ``add_into`` adds terms to
+    one, and ``of_raw`` makes the sum once at the end.
+    """
+
+    __slots__ = ("terms",)
+    chart = None
+    # the class of a nested coefficient (CoefPoly in a DiffOp), else None
+    _inner = None
+    # sort key of items() over (key, coefficient) pairs; None sorts by key
+    _order = None
+
+    @classmethod
+    def zero(cls, chart=None):
+        return cls.of_raw({}, None if chart is None else tuple(chart))
+
+    @classmethod
+    def of(cls, key, coef=1):
+        return cls.of_raw(cls._coerced({key: coef}))
+
+    @classmethod
+    def of_raw(cls, raw, chart=None):
+        """The sum of a raw map with canonical keys and coefficients, built
+        without the public constructor's validation: zero coefficients and
+        empty nested maps are dropped."""
+        out = cls.__new__(cls)
+        if chart is not None:
+            out.chart = chart
+        inner = cls._inner
+        if inner is None:
+            out.terms = {key: c for key, c in raw.items() if c}
+            return out
+        terms = out.terms = {}
+        for key, acc in raw.items():
+            acc = {k: c for k, c in acc.items() if c}
+            if acc:  # inner.of_raw(acc, chart), inlined on this hot path
+                poly = terms[key] = inner.__new__(inner)
+                poly.chart = chart
+                poly.terms = acc
+        return out
+
+    @classmethod
+    def add_into(cls, out, pairs, coef=None):
+        """Add the (key, coefficient) ``pairs``, times ``coef`` when one is
+        given, into the raw map ``out``."""
+        inner = cls._inner
+        if inner is not None:
+            for key, poly in pairs:
+                inner.add_into(out.setdefault(key, {}), poly.terms.items(), coef)
+            return
+        for key, c in pairs:
+            if coef is not None:
+                c = coef * c
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+
+    @staticmethod
+    def _coerced(terms):
+        """Outside input as terms: each coefficient made a Scalar (an int,
+        Fraction or ParamPoly is one), zeros dropped."""
+        out = {}
+        for key, value in (terms or {}).items():
+            coef = _coerce_scalar(value)
+            if coef is None:
+                raise TypeError("cannot use %r as a coefficient" % (value,))
+            if coef:
+                out[key] = coef
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _sum(self, other, coef):
+        if type(other) is not type(self):
+            return NotImplemented
+        _check_chart(self, other)
+        out = {}
+        self.add_into(out, self.terms.items())
+        self.add_into(out, other.terms.items(), coef)
+        return self.of_raw(out, self.chart)
+
+    def __add__(self, other):
+        return self._sum(other, None)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, coef):
+        out = {}
+        self.add_into(out, self.terms.items(), coef)
+        return self.of_raw(out, self.chart)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.chart == other.chart and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.chart, frozenset(self.terms.items())))
+
+    def items(self):
+        """The (key, coefficient) pairs in the class's display order."""
+        return sorted(self.terms.items(), key=self._order)
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join("(%s)*%s" % (c, key) for key, c in self.items())
+
+
 def central_constant(spec, m):
     """Integer I_m of the central bracket [P(m), P(2l-m)] for spec's family.
 
@@ -653,8 +797,7 @@ def central_constant(spec, m):
     return sign * mag
 
 
-# text grammar: numbers, the five symbol names, + - * / ^ and parentheses;
-# rendering emits e.g. (2*delta+1)/mu and the parser accepts it back.
+# rendering emits e.g. (2*delta+1)/mu, and parse_scalar accepts it back
 
 def _render_poly_term(expo, coef):
     factors = []
@@ -674,7 +817,7 @@ def _render_poly_term(expo, coef):
 
 
 def render_poly(p):
-    if p.is_zero:
+    if p.is_zero():
         return "0"
     parts = []
     for expo in sorted(p.terms, key=_grlex_key, reverse=True):
@@ -698,10 +841,25 @@ def render_scalar(s):
     return "%s/%s" % (num, den)
 
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")
+# The one text grammar, shared by parse_scalar and diffop.parse_diffop:
+#
+#   expr   := term (("+" | "-") term)*
+#   term   := factor (("*" | "/") factor)*
+#   factor := ("+" | "-")* (atom | "(" expr ")") ("^" ("+" | "-")* integer)*
+#
+# "**" reads as "^", signs may open every factor and exponent, and "^"
+# chains left to right.  The atoms are numbers, names and d/d<variable>.
+_TOKEN_RE = re.compile(r"\s*(d/d(?:t|x\d+|y\d+)|\d+|[A-Za-z_]\w*|\*\*|[-+*/^()])")
 
 
-def _tokenize(text):
+def parse_expression(text, atom, noun="scalar"):
+    """Parse ``text`` in the one grammar.
+
+    ``atom(token)`` gives the value of an atom token and raises ValueError
+    for a token that is none; the values combine with Python's ``+ - * /
+    **`` and unary minus, so the grammar serves any type with that
+    arithmetic.  ``noun`` names the expression in the end-of-input error.
+    """
     tokens = []
     pos = 0
     while pos < len(text):
@@ -710,81 +868,74 @@ def _tokenize(text):
             if text[pos:].strip():
                 raise ValueError("bad character at %d in %r" % (pos, text))
             break
-        tok = match.group(1)
-        tokens.append("^" if tok == "**" else tok)
+        tokens.append("^" if match.group(1) == "**" else match.group(1))
         pos = match.end()
-    return tokens
+    tokens.reverse()  # taken from the end
 
+    def peek():
+        return tokens[-1] if tokens else None
 
-class _ScalarParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    def negated():
+        negative = False
+        while peek() in ("+", "-"):
+            negative ^= tokens.pop() == "-"
+        return negative
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
+    def expr():
+        value = term()
+        while peek() in ("+", "-"):
+            op = tokens.pop()
+            rhs = term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self):
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
+    def term():
+        value = factor()
+        while peek() in ("*", "/"):
+            op = tokens.pop()
+            rhs = factor()
             value = value * rhs if op == "*" else value / rhs
         return value
 
-    def factor(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        value = self.atom()
-        if self.peek() == "^":
-            self.take()
-            neg = False
-            while self.peek() in ("+", "-"):
-                neg ^= self.take() == "-"
-            tok = self.take()
+    def factor():
+        negative = negated()
+        if not tokens:
+            raise ValueError("unexpected end of %s expression" % (noun,))
+        tok = tokens.pop()
+        if tok == "(":
+            value = expr()
+            if not tokens or tokens.pop() != ")":
+                raise ValueError("missing closing parenthesis")
+        else:
+            value = atom(tok)
+        while peek() == "^":
+            tokens.pop()
+            negative_power = negated()
+            tok = tokens.pop() if tokens else None
             if tok is None or not tok.isdigit():
                 raise ValueError("exponent must be an integer")
-            value = value ** (-int(tok) if neg else int(tok))
-        return value * sign if sign < 0 else value
+            value = value ** (-int(tok) if negative_power else int(tok))
+        return -value if negative else value
 
-    def atom(self):
-        tok = self.take()
-        if tok is None:
-            raise ValueError("unexpected end of scalar expression")
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ValueError("missing closing parenthesis")
-            return value
-        if tok.isdigit():
-            return Scalar.const(int(tok))
-        if tok in SYMBOLS:
-            return Scalar.symbol(tok)
-        raise ValueError("unexpected token %r" % (tok,))
+    value = expr()
+    if tokens:
+        raise ValueError("trailing input at token %r" % (peek(),))
+    return value
+
+
+def scalar_atom(token):
+    """The Scalar of a number or parameter-name token of the grammar."""
+    if token.isdigit():
+        return Scalar.const(int(token))
+    if token in SYMBOLS:
+        return Scalar.symbol(token)
+    raise ValueError("unexpected token %r" % (token,))
 
 
 def parse_scalar(text):
-    """Parse the scalar grammar, e.g. '(2*delta+1)/mu'."""
-    parser = _ScalarParser(_tokenize(text))
-    value = parser.expr()
-    if parser.peek() is not None:
-        raise ValueError("trailing input at token %r" % (parser.peek(),))
-    return value
+    """Parse a Scalar, e.g. '(2*delta+1)/mu'; the atoms are numbers and the
+    five parameter names."""
+    return parse_expression(text, scalar_atom)
 
 
 _LATEX_SYMBOLS = {
@@ -797,7 +948,7 @@ _LATEX_SYMBOLS = {
 
 
 def latex_poly(p):
-    if p.is_zero:
+    if p.is_zero():
         return "0"
     parts = []
     for expo in sorted(p.terms, key=_grlex_key, reverse=True):

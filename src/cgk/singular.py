@@ -341,7 +341,7 @@ def search_singular(spec, constraint, params=None):
         kernel, caveats = _scalar_matrix_kernel(rows, len(basis))
     vectors = []
     for vec in kernel:
-        lead = next(i for i, c in enumerate(vec) if not c.is_zero)
+        lead = next(i for i, c in enumerate(vec) if not c.is_zero())
         scale = vec[lead]
         v = ModuleVector({basis[i]: vec[i] / scale for i in range(len(basis))})
         vectors.append(v)

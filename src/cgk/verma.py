@@ -38,9 +38,10 @@ from .algebra import (
     creation_data,
     enumerate_generators,
     normal_position,
+    parse_gen,
     weight_table,
 )
-from .scalars import Scalar, UnsupportedFamily
+from .scalars import Scalar, UnsupportedFamily, _Sparse
 
 
 class MissingParameter(KeyError):
@@ -110,83 +111,17 @@ def _bump(t, i, step):
     return tuple(out)
 
 
-class ModuleVector:
-    """Finite linear combination of PbwMonomials with Scalar coefficients."""
+class ModuleVector(_Sparse):
+    """Finite linear combination of PbwMonomials with Scalar coefficients;
+    ``items()`` lists the monomials in ascending (h, a, b) order."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        clean = {}
-        for mono, coef in (terms or {}).items():
-            if not isinstance(coef, Scalar):
-                coef = Scalar.const(coef)
-            if not coef.is_zero:
-                clean[mono] = coef
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def of(cls, mono, coef=1):
-        return cls({mono: coef if isinstance(coef, Scalar) else Scalar.const(coef)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        terms = dict(self.terms)
-        _scatter(terms, other.terms)
-        return _vector_of(terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _vector_of({m: -c for m, c in self.terms.items()})
-
-    def scaled(self, coef):
-        if not isinstance(coef, (Scalar, int)):
-            coef = Scalar.const(coef)
-        return _vector_of({m: c * coef for m, c in self.terms.items()})
+        self.terms = self._coerced(terms)
 
     def coefficient(self, mono):
         return self.terms.get(mono, Scalar.zero())
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].h, kv[0].a, kv[0].b))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s)*%s" % (c, m) for m, c in self.items())
-
-
-def _vector_of(terms):
-    """The ModuleVector of a map of monomials to Scalars, built without the
-    constructor's coercion: only zero coefficients are dropped."""
-    out = ModuleVector.__new__(ModuleVector)
-    out.terms = {m: c for m, c in terms.items() if c}
-    return out
-
-
-def _scatter(out, image, coef=None):
-    """Add ``image`` (monomial -> int | Scalar), times ``coef`` when one is
-    given, into the map ``out``."""
-    for mono, c in image.items():
-        if coef is not None:
-            c = coef * c
-        prev = out.get(mono)
-        out[mono] = c if prev is None else prev + c
 
 
 class Weight:
@@ -477,8 +412,8 @@ def act_generic(spec, x, v, params=None):
             m = letters.monomial_of(word)
             prev = image.get(m)
             image[m] = c if prev is None else prev + c
-        _scatter(out, image, coef)
-    return _vector_of(out)
+        ModuleVector.add_into(out, image.items(), coef)
+    return ModuleVector.of_raw(out)
 
 
 def act_word(spec, gens, v, params=None, action=None):
@@ -528,38 +463,31 @@ def _strings(spec):
                     {**table, Gen("C"): table[Gen("D")]}, central)
 
 
-def _add_term(out, hab, coef):
-    """Add a raw int | Scalar term at the exponents ``[h, a, b]``; a zero or
-    one with h < 0 is dropped."""
-    if coef and hab[0] >= 0:
-        mono = _mono(hab)
-        prev = out.get(mono)
-        out[mono] = coef if prev is None else prev + coef
-
-
 def _moved(m, h, *steps):
-    """The exponents of ``m`` with h replaced, each (slot, index, step) applied."""
+    """``m`` with h replaced and each (slot, index, step) applied; the
+    callers never take an exponent below zero."""
     out = [h, m[1], m[2]]
     for s, i, step in steps:
         out[s] = _bump(out[s], i, step)
-    return out
+    return _mono(out)
 
 
 def _closed_form(fam, x, m, pvals):
-    """The raw image of one basis monomial H^k prod P(n)^e |0> under ``x``."""
-    k, out, two_ell = m[0], {}, fam.two_ell
+    """The image of one basis monomial H^k prod P(n)^e |0> under ``x``, as
+    (monomial, int | Scalar) pairs."""
+    k, two_ell = m[0], fam.two_ell
     if x.tag == "H":
-        _add_term(out, _moved(m, k + 1), 1)
+        yield _moved(m, k + 1), 1
     elif x.tag == "P":  # P(n) H^k = sum_i i! C(k,i) C(n,i) H^(k-i) P(n-i)
         s = fam.slot[x.sign]
         _, top, p, pairing = fam.strings[s]
         for i in range(min(k, x.n) + 1):
             c, n = factorial(i) * comb(k, i) * comb(x.n, i), x.n - i
             if n <= top:  # a creation factor of the string
-                _add_term(out, _moved(m, k - i, (s, n, 1)), c)
+                yield _moved(m, k - i, (s, n, 1)), c
             elif m[p][two_ell - n]:  # an annihilator meets the partner factors
-                _add_term(out, _moved(m, k - i, (p, two_ell - n, -1)),
-                          pvals[fam.central] * (c * m[p][two_ell - n] * pairing[n]))
+                yield (_moved(m, k - i, (p, two_ell - n, -1)),
+                       pvals[fam.central] * (c * m[p][two_ell - n] * pairing[n]))
     else:  # C, or a diagonal generator: D, J or the central one
         sym, sign = fam.weights[x]
         shift = 0
@@ -571,23 +499,22 @@ def _closed_form(fam, x, m, pvals):
                         for s, (sg, *_) in fam.strings.items())
         eigen = pvals[sym] * sign + shift
         if x.tag != "C":
-            _add_term(out, m, eigen)
-            return out
-        _add_term(out, _moved(m, k - 1), (eigen - (k + 1)) * k)
+            yield m, eigen
+            return
+        if k:
+            yield _moved(m, k - 1), (eigen - (k + 1)) * k
         for s, (_, top, p, pairing) in fam.strings.items():
             e = m[s]
             for n in range(top):  # [C, P(n)] = (2l - n) P(n+1) inside the string
                 if e[n]:
-                    _add_term(out, _moved(m, k, (s, n, -1), (s, n + 1, 1)),
-                              (two_ell - n) * e[n])
+                    yield _moved(m, k, (s, n, -1), (s, n + 1, 1)), (two_ell - n) * e[n]
             # P(top) turns into an annihilator that meets the partner factors
             # P(2l-top-1): each unordered pair once, both orders agree
             j = two_ell - top - 1
             pairs = comb(e[top], 2) if p == s else e[top] * m[p][j]
             if p >= s and pairs:
-                _add_term(out, _moved(m, k, (s, top, -1), (p, j, -1)),
-                          pvals[fam.central] * ((two_ell - top) * pairs * pairing[top + 1]))
-    return out
+                yield (_moved(m, k, (s, top, -1), (p, j, -1)),
+                       pvals[fam.central] * ((two_ell - top) * pairs * pairing[top + 1]))
 
 
 def act_closed_form(spec, x, v, params=None):
@@ -606,8 +533,8 @@ def act_closed_form(spec, x, v, params=None):
     for mono, coef in v.terms.items():
         if (len(mono.a), len(mono.b)) != fam.shape:
             check_monomial(spec, mono)
-        _scatter(out, _closed_form(fam, x, mono, pvals), coef)
-    return _vector_of(out)
+        ModuleVector.add_into(out, _closed_form(fam, x, mono, pvals), coef)
+    return ModuleVector.of_raw(out)
 
 
 # --- basis enumeration -----------------------------------------------------
@@ -656,10 +583,11 @@ def level_basis(spec, constraint, params=None):
     """Basis monomials selected by a level or a weight constraint.
 
     ``constraint`` is either a non-negative integer level, or a Weight /
-    dict keyed by diagonal generators (Gen or tag string).  A weight
-    constraint must pin the scaling eigenvalue; when the family has a
-    grade-zero creation factor, the rotation eigenvalue must be pinned
-    too, otherwise the selection is infinite (InfiniteSelection).
+    dict keyed by diagonal generators (a Gen, or a name that parse_gen
+    reads, as ``str(gen)`` prints it).  A weight constraint must pin the
+    scaling eigenvalue; when the family has a grade-zero creation factor,
+    the rotation eigenvalue must be pinned too, otherwise the selection is
+    infinite (InfiniteSelection).
     Returns a sorted list (possibly empty).
     """
     if isinstance(constraint, int):
@@ -672,7 +600,7 @@ def level_basis(spec, constraint, params=None):
     else:
         eigen = {}
         for key, val in dict(constraint).items():
-            gen = key if isinstance(key, Gen) else Gen(key)
+            gen = key if isinstance(key, Gen) else parse_gen(key)
             eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
 
     pvals = resolve_params(spec, params)

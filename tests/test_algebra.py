@@ -55,7 +55,7 @@ def test_enumerate_counts_and_order():
 def test_bracket_examples():
     spec = AlgebraSpec(1, 1, "mass")
     assert bracket(spec, Gen("D"), Gen("H")) == GenCombo.of(Gen("H"), 2)
-    assert bracket(spec, Gen("H"), Gen("P", 0)).is_zero
+    assert bracket(spec, Gen("H"), Gen("P", 0)).is_zero()
 
     spec2 = AlgebraSpec(2, 1, "mass")
     got = bracket(spec2, Gen("P", 0, "+"), Gen("P", 1, "-"))
@@ -69,7 +69,7 @@ def test_bracket_sl2_and_ladder():
     assert bracket(spec, Gen("H"), Gen("P", 3)) == GenCombo.of(Gen("P", 2), -3)
     assert bracket(spec, Gen("D"), Gen("P", 1)) == GenCombo.of(Gen("P", 1), 3)
     assert bracket(spec, Gen("C"), Gen("P", 4)) == GenCombo.of(Gen("P", 5), 1)
-    assert bracket(spec, Gen("C"), Gen("P", 5)).is_zero
+    assert bracket(spec, Gen("C"), Gen("P", 5)).is_zero()
 
 
 def test_bracket_exotic_sign():
@@ -79,7 +79,7 @@ def test_bracket_exotic_sign():
     assert bracket(spec, Gen("P", 0, "+"), Gen("P", 2, "-")) == GenCombo.of(theta, 2)
     assert bracket(spec, Gen("P", 0, "-"), Gen("P", 2, "+")) == GenCombo.of(theta, -2)
     assert bracket(spec, Gen("P", 1, "+"), Gen("P", 1, "-")) == GenCombo.of(theta, -1)
-    assert bracket(spec, Gen("P", 0, "+"), Gen("P", 2, "+")).is_zero
+    assert bracket(spec, Gen("P", 0, "+"), Gen("P", 2, "+")).is_zero()
     assert bracket(spec, Gen("J"), Gen("P", 1, "-")) == GenCombo.of(Gen("P", 1, "-"), -1)
 
 
@@ -158,8 +158,8 @@ def test_gencombo_arithmetic():
     h, d = Gen("H"), Gen("D")
     combo = GenCombo.of(h, 2) + GenCombo.of(d, Scalar.symbol("mu"))
     assert combo - GenCombo.of(d, Scalar.symbol("mu")) == GenCombo.of(h, 2)
-    assert (combo - combo).is_zero
-    assert combo.scaled(0).is_zero
+    assert (combo - combo).is_zero()
+    assert combo.scaled(0).is_zero()
 
 
 def test_parse_gen():

@@ -11,7 +11,14 @@ import sys
 import pytest
 
 from cgk import cli
-from cgk.algebra import AlgebraSpec, Gen, GenCombo, enumerate_generators, jacobi_check
+from cgk.algebra import (
+    AlgebraSpec,
+    Gen,
+    GenCombo,
+    enumerate_generators,
+    jacobi_check,
+    supported_specs,
+)
 from cgk.cli import (
     build_parser,
     diffop_from_json,
@@ -27,7 +34,7 @@ from cgk.invariants import invariant_operator
 from cgk.reps import chart, left_action
 from cgk.scalars import Scalar
 from cgk.singular import SearchResult, singular_closed
-from cgk.verma import ModuleVector, PbwMonomial, resolve_params
+from cgk.verma import ModuleVector, PbwMonomial, level_basis, resolve_params
 from test_diffop import _reference_residual
 from test_invariants import _corrupt_left_action, _shifted_params
 from test_reps import _reference_rep_check
@@ -198,13 +205,41 @@ def _readme_commands():
 
 
 def test_readme_examples_run(capsys, monkeypatch):
+    # readme_outputs.json pins each command's exact stdout, stderr and exit code
     monkeypatch.delenv("CGK_CAPS_LEVEL", raising=False)
     commands = _readme_commands()
     assert len(commands) >= 14
-    for argv in commands:
+    snapshot = json.loads(
+        (pathlib.Path(__file__).with_name("readme_outputs.json")).read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in snapshot] == [shlex.join(argv) for argv in commands]
+    for argv, entry in zip(commands, snapshot):
         code, out, err = invoke(capsys, *argv)
         assert code == 0, (argv, err)
         assert out and err == "", (argv, err)
+        assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"]), argv
+
+
+def test_basis_reads_printed_weight_keys(capsys):
+    # P1 is the centerless family's diagonal generator, named as printed
+    code, out, err = invoke(
+        capsys, "verma", "basis", "--d", "1", "--two-ell", "2", "--ext", "none",
+        "--weight", '{"D":"-delta-2","P1":"-kappa"}')
+    assert (code, out, err) == (0, "|0;1;>\n", "")
+
+
+def test_weight_output_feeds_basis(capsys):
+    for spec in supported_specs(5):
+        family = ["--d", str(spec.d), "--two-ell", str(spec.twoEll), "--ext", spec.ext]
+        for level in range(3):
+            for m in level_basis(spec, level):
+                code, out, err = invoke(
+                    capsys, "verma", "weight", *family, "--render", "json",
+                    "--monomial", json.dumps(monomial_to_json(m)))
+                assert (code, err) == (0, ""), (spec, m)
+                weight = json.dumps(json.loads(out)["weight"])
+                code, out, err = invoke(capsys, "verma", "basis", *family, "--weight", weight)
+                assert (code, err) == (0, ""), (spec, m, weight)
+                assert str(m) in out.splitlines(), (spec, m, weight)
 
 
 def test_closed_action_beyond_annihilator_range(capsys):
@@ -538,7 +573,7 @@ def test_jacobi_names_first_failing_triple(monkeypatch):
     spec = cli.supported_specs(6)[0]
     failures = jacobi_check(spec, bracket_fn=lambda x, y: corrupted(spec, x, y))
     x, y, z, residual = failures[0]
-    assert not residual.is_zero
+    assert not residual.is_zero()
     detail = "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (
         spec, len(failures), x, y, z, cli.render_terms(residual.items()))
     assert cli.criterion_jacobi() == (False, detail)

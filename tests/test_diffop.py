@@ -19,7 +19,7 @@ from cgk.diffop import (
     render_diffop,
     twisted_commutator,
 )
-from cgk.scalars import _POLY_ONE, Scalar
+from cgk.scalars import _POLY_ONE, DivisionByZero, Scalar, parse_scalar
 
 TX = make_chart("t", "x0")
 MU = Scalar.symbol("mu")
@@ -314,3 +314,63 @@ def test_accumulated_results_are_canonical():
         commutator(dx, x, minus=[(DiffOp.partial(make_chart("t", "x0", "x1"), "x1"), 1)])
     with pytest.raises(VariableMismatch):
         twisted_commutator(dx, x, DiffOp.zero(make_chart("t", "x0", "x1")))
+
+
+# --- the one grammar, read as a Scalar and as an operator -------------------
+
+# strings that one parser took before the grammars were merged, with the
+# value it gave, now read in both grammars
+_BOTH_GRAMMARS = [
+    ("-delta^2", -DELTA ** 2),
+    ("-(-mu)", MU),
+    ("2**3", Scalar.const(8)),
+    ("mu^-1", 1 / MU),
+    # signs open every factor and exponent, as parse_scalar read them
+    ("--delta", DELTA),
+    ("2*-delta", -2 * DELTA),
+    ("+-mu", -MU),
+    ("mu^--1", MU),
+    # "^" chains left to right, as parse_diffop read it
+    ("delta^2^3", DELTA ** 6),
+    ("2^-2^-1", Scalar.const(4)),
+]
+
+
+@pytest.mark.parametrize("text, want", _BOTH_GRAMMARS)
+def test_grammar_table(text, want):
+    assert parse_scalar(text) == want
+    assert parse_diffop(text, TX) == DiffOp.const(TX, want)
+
+
+def test_grammar_operator_powers_chain():
+    x0 = CoefPoly.var(TX, Var("x", 0))
+    assert parse_diffop("x0^2^3", TX) == DiffOp.of_poly(x0 * x0 * x0 * x0 * x0 * x0)
+    assert parse_diffop("d/dx0^2", TX) == DiffOp.partial(TX, "x0", 2)
+
+
+def test_grammar_garbage_rejected_by_both_parsers():
+    scalar_garbage = ("delta +", "(mu", "2 ** delta", "foo", "delta^mu")
+    operator_garbage = ("d/dt +", "(d/dx0", "x0 ^ mu", "w0", "d/dq1", "1/(d/dt)")
+    for text in scalar_garbage + operator_garbage:
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+        with pytest.raises(ValueError):
+            parse_diffop(text, TX)
+
+
+def test_grammar_zero_division_is_one_error_type():
+    for parse in (lambda text: parse_diffop(text, TX), parse_scalar):
+        for text in ("1/0", "0^-1", "mu/(delta-delta)"):
+            with pytest.raises(DivisionByZero):
+                parse(text)
+
+
+def test_operator_arithmetic_matches_functions():
+    a, d = heat(), parse_diffop("delta - 2*t*d/dt - x0*d/dx0", TX)
+    assert a * d == compose(a, d)
+    assert a ** 2 == op_power(a, 2)
+    assert a / DiffOp.const(TX, 2) == a.scaled(Scalar.const(1) / 2)
+    with pytest.raises(ValueError, match="non-scalar"):
+        a / d
+    with pytest.raises(ValueError, match="non-scalar"):
+        a ** -1

@@ -182,7 +182,7 @@ def _reference_kernel(rows, ncols):
         best = None
         for r in range(row, len(mat)):
             entry = mat[r][col]
-            if entry.is_zero:
+            if entry.is_zero():
                 continue
             deg = entry.num.total_degree() + entry.den.total_degree()
             if best is None or deg < best[0]:
@@ -198,7 +198,7 @@ def _reference_kernel(rows, ncols):
             if r2 == row:
                 continue
             factor = mat[r2][col] / piv
-            if factor.is_zero:
+            if factor.is_zero():
                 continue
             for c in range(ncols):
                 mat[r2][c] = mat[r2][c] - factor * mat[row][c]

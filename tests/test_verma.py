@@ -363,7 +363,7 @@ def _reference_act_generic(spec, x, v, params=None):
     pending = {}
 
     def push(word, coef):
-        if coef.is_zero:
+        if coef.is_zero():
             return
         prev = pending.get(word)
         pending[word] = coef if prev is None else prev + coef
@@ -375,7 +375,7 @@ def _reference_act_generic(spec, x, v, params=None):
     out = {}
     while pending:
         word, coef = pending.popitem()
-        if coef.is_zero:
+        if coef.is_zero():
             continue
         if not word:
             m = monomial_of(word)
