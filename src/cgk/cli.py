@@ -159,7 +159,18 @@ def diffop_from_json(entries, ch):
         poly = lifted.terms.get(zero_expo, CoefPoly.zero(ch))
         dexpo = [0] * len(ch)
         for name, order in entry["partials"].items():
-            dexpo[ch.index(Var.parse(name))] += int(order)
+            try:
+                slot = ch.index(Var.parse(name))
+            except ValueError:
+                raise UsageError("partial %r is not a variable of the chart (%s)"
+                                 % (name, ", ".join(map(str, ch)))) from None
+            try:
+                order = _json_int(order)
+            except TypeError as exc:
+                raise UsageError("order of partial %r: %s" % (name, exc)) from None
+            if order < 0:
+                raise UsageError("order of partial %r is negative: %d" % (name, order))
+            dexpo[slot] += order
         out = out + DiffOp(ch, {tuple(dexpo): poly})
     return out
 

@@ -18,7 +18,7 @@ and zero on every other generator.
 from .scalars import Scalar, UnsupportedFamily, poly_div_exact
 from .algebra import enumerate_generators
 from .verma import resolve_params
-from .singular import quadratic_element, singular_condition
+from .singular import quadratic_element, singular_condition, weight_shift
 from .diffop import (
     DiffOp,
     CoefPoly,
@@ -36,12 +36,6 @@ class ConditionNotSatisfied(ValueError):
 
 class NoMultiplier(ValueError):
     """The commutator is not an order-zero multiple of the operator."""
-
-
-# Weight shift carried by the q-th power of the invariant operator: the
-# target realization replaces delta by delta - 2q.  Fixed once by the
-# d=1, twoEll=1, q=1 seed case and applied uniformly.
-WEIGHT_SHIFT_PER_Q = -2
 
 
 def invariant_operator(spec, q, params=None):
@@ -87,10 +81,10 @@ def _check_at_root(spec, q, pvals):
         )
 
 
-def _shifted(pvals, q):
-    out = dict(pvals)
-    out["delta"] = pvals["delta"] + Scalar.const(WEIGHT_SHIFT_PER_Q * q)
-    return out
+def _shifted(spec, pvals, q):
+    """The target parameters: the level-q singular vector raises the D
+    eigenvalue -delta by weight_shift, so delta' = delta - shift."""
+    return dict(pvals, delta=pvals["delta"] - weight_shift(spec, q))
 
 
 def _residual(spec, gen, power, pvals, shifted):
@@ -116,7 +110,7 @@ def intertwining_residual(spec, gen, q=1, params=None):
         raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     power = invariant_operator(spec, q, pvals)
-    return _residual(spec, gen, power, pvals, _shifted(pvals, q))
+    return _residual(spec, gen, power, pvals, _shifted(spec, pvals, q))
 
 
 def intertwining_check(spec, q, params):
@@ -133,7 +127,7 @@ def intertwining_check(spec, q, params):
     pvals = resolve_params(spec, params)
     _check_at_root(spec, q, pvals)
     power = invariant_operator(spec, q, pvals)
-    shifted = _shifted(pvals, q)
+    shifted = _shifted(spec, pvals, q)
     failures = []
     for gen in enumerate_generators(spec):
         residual = _residual(spec, gen, power, pvals, shifted)

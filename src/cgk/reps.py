@@ -32,8 +32,7 @@ from fractions import Fraction
 from .algebra import (Gen, bracket, creation_data, decomposition, enumerate_generators,
                       normal_position, weight_table)
 from .diffop import CoefPoly, DiffOp, Var, commutator, make_chart
-from .scalars import Scalar
-from .verma import resolve_params
+from .verma import lowest_weight, resolve_params
 
 _H = Gen("H")
 
@@ -146,16 +145,13 @@ def right_action(spec, gen):
 
 @functools.cache
 def _left_parts(spec, gen):
-    """(-R(Z+), ((symbol, sign, coefficient of each diagonal gen in Z0), ...))."""
+    """(-R(Z+), ((diagonal gen, its coefficient in Z0), ...))."""
     z = _exp_ad(spec, {_H: {(0,): -1}}, {gen: _ONE})
     z = _exp_ad(spec, {v: {(slot,): -1} for v, slot in _coordinates(spec).items()}, z)
     g_plus = decomposition(spec)[0]
     lifted = {}
     _lift_into(lifted, spec, {g: p for g, p in z.items() if g in g_plus})
-    diag = tuple(
-        (sym, sign, _coef_poly(chart(spec), z[g]))
-        for g, (sym, sign) in weight_table(spec).items() if g in z
-    )
+    diag = tuple((g, _coef_poly(chart(spec), z[g])) for g in weight_table(spec) if g in z)
     return _first_order(spec, lifted, -1), diag
 
 
@@ -167,8 +163,9 @@ def left_action(spec, gen, params=None):
     if gen not in normal_position(spec):
         raise UnsupportedGenerator("no left realization of %s" % (gen,))
     op, diag = _left_parts(spec, gen)
-    for sym, sign, poly in diag:
-        op = op + DiffOp.of_poly(poly.scaled(pvals[sym] * Scalar.const(-sign)))
+    lam = lowest_weight(spec, pvals) if diag else None
+    for g, poly in diag:
+        op = op + DiffOp.of_poly(poly.scaled(-lam[g]))
     return op
 
 

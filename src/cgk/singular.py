@@ -10,17 +10,19 @@ weight space provides the independent route.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .algebra import AlgebraSpec, Gen, decomposition, weight_table
-from .scalars import ParamPoly, Scalar, UnsupportedFamily, poly_div_exact, poly_gcd
+from .algebra import Gen, decomposition
+from .scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd
 from .verma import (
     ModuleVector,
-    PbwMonomial,
     Weight,
+    _grading,
     act_generic,
     act_word,
     level_basis,
+    lowest_weight,
     resolve_params,
     vacuum,
     weight_of,
@@ -147,20 +149,22 @@ def singular_closed(spec, q, params=None):
     return v
 
 
+@lru_cache(maxsize=None)
+def weight_shift(spec, q):
+    """D-eigenvalue shift of the level-q singular vector over the lowest
+    weight: q times the D-grade shared by every word of quadratic_element."""
+    grading = _grading(spec)
+    [grade] = {sum(grading.d[grading.slot[g]] for g in word)
+               for word, _ in quadratic_element(spec)}
+    return q * grade
+
+
 def predicted_weight(spec, q, params=None):
     """Diagonal weight the level-q singular vector must carry."""
     if q < 1:
         raise ValueError("q must be a positive integer")
-    pvals = resolve_params(spec, params)
-    table = weight_table(spec)
-    shift = -2 * q if spec.ext == "none" else 2 * q
-    eigen = {}
-    for gen, (sym, sign) in table.items():
-        base = pvals[sym] * Scalar.const(sign)
-        if gen.tag == "D":
-            eigen[gen] = base + Scalar.const(shift)
-        else:  # rotation, central, or the centerless g0 entry: unchanged
-            eigen[gen] = base
+    eigen = lowest_weight(spec, resolve_params(spec, params))
+    eigen[Gen("D")] += weight_shift(spec, q)
     return Weight(eigen)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .algebra import (
@@ -214,50 +214,45 @@ def _int_bracket_coef(spec, diag, gen):
     return _int_value(c)
 
 
+# one family's integer grading of the basis factors, built by _grading
+_Grading = namedtuple("_Grading", "d j level slot")
+
+
 @lru_cache(maxsize=None)
 def _grading(spec):
-    """Per-slot grading data for the creation factors, built once per family.
+    """The integer grading of the basis factors, built once per family.
 
-    Returns (slots, top, d_top, j_top) where slots is a tuple of
-    ``(block, index, gen, dgrade, jgrade, lweight)`` for the a/b strings
-    and d_top/j_top describe the leftmost factor.  ``lweight`` is the
-    positive level weight used by integer-level enumeration.
+    ``d``, ``j`` and ``level`` are flat tuples in monomial slot order (top
+    factor, a string, b string): [D, f] = d f and [J, f] = j f (j is 0 when
+    the family has no J), and ``level`` is the positive level weight, 1 for
+    the centerless family and |d| otherwise, or 1 where d = 0 (so each
+    level is finite-dimensional).  ``slot`` maps each factor's generator to
+    its slot index.
     """
     top, a_gens, b_gens = creation_data(spec)
-    has_j = any(g.tag == "J" for g in weight_table(spec))
-    slots = []
-    for block, gens in (("a", a_gens), ("b", b_gens)):
-        for i, gen in enumerate(gens):
-            d = _int_bracket_coef(spec, Gen("D"), gen)
-            j = _int_bracket_coef(spec, Gen("J"), gen) if has_j else 0
-            slots.append((block, i, gen, d, j, abs(d) if d else 1))
-    d_top = _int_bracket_coef(spec, Gen("D"), top)
-    j_top = _int_bracket_coef(spec, Gen("J"), top) if has_j else 0
-    return tuple(slots), top, d_top, j_top
+    gens = (top,) + a_gens + b_gens
+    has_j = Gen("J") in weight_table(spec)
+    d = tuple(_int_bracket_coef(spec, Gen("D"), g) for g in gens)
+    j = tuple(_int_bracket_coef(spec, Gen("J"), g) if has_j else 0 for g in gens)
+    level = tuple(abs(dg) if dg and spec.ext != "none" else 1 for dg in d)
+    return _Grading(d, j, level, {g: s for s, g in enumerate(gens)})
 
 
-def _level_weights(spec):
-    """(slots, top_weight, slot_weights): positive level weight per factor.
+def _dot(grades, expo):
+    """The grade of a flat exponent tuple under one per-slot table."""
+    return sum(map(mul, grades, expo))
 
-    For the centerless family every factor counts 1.  For the extended
-    families a factor counts its scaling grade, except that a grade-zero
-    factor counts 1 (so each level is finite-dimensional).
-    """
-    slots, top, d_top, _ = _grading(spec)
-    if spec.ext == "none":
-        return slots, 1, [1] * len(slots)
-    return slots, d_top, [(d if d > 0 else 1) for _, _, _, d, _, _ in slots]
+
+def lowest_weight(spec, pvals):
+    """The eigenvalue of each diagonal generator on the lowest-weight
+    vector, from resolved parameters: sign * symbol per weight_table."""
+    return {gen: pvals[sym] * sign for gen, (sym, sign) in weight_table(spec).items()}
 
 
 def level_of(spec, m):
-    """Integer level of a basis monomial (see _level_weights)."""
+    """Integer level of a basis monomial (see _grading)."""
     check_monomial(spec, m)
-    slots, top_w, slot_w = _level_weights(spec)
-    total = m.h * top_w
-    for (block, i, *_), lw in zip(slots, slot_w):
-        e = m.a[i] if block == "a" else m.b[i]
-        total += e * lw
-    return total
+    return _dot(_grading(spec).level, (m.h,) + m.a + m.b)
 
 
 def weight_of(spec, m, params=None):
@@ -268,27 +263,14 @@ def weight_of(spec, m, params=None):
     generator is included only on monomials it actually scales (h == 0).
     """
     check_monomial(spec, m)
-    pvals = resolve_params(spec, params)
-    table = weight_table(spec)
-    slots, _, d_top, j_top = _grading(spec)
-    dshift = m.h * d_top
-    jshift = m.h * j_top
-    for block, i, _, d, j, _ in slots:
-        e = m.a[i] if block == "a" else m.b[i]
-        dshift += e * d
-        jshift += e * j
-    eigen = {}
-    for gen, (sym, sign) in table.items():
-        base = pvals[sym] * Scalar.const(sign)
-        if gen.tag == "D":
-            eigen[gen] = base + Scalar.const(dshift)
-        elif gen.tag == "J":
-            eigen[gen] = base + Scalar.const(jshift)
-        elif gen == Gen("P", 1) and spec.ext == "none":
-            if m.h == 0:
-                eigen[gen] = base
-        else:  # central: M or Theta
-            eigen[gen] = base
+    grading = _grading(spec)
+    expo = (m.h,) + m.a + m.b
+    eigen = lowest_weight(spec, resolve_params(spec, params))
+    eigen[Gen("D")] += _dot(grading.d, expo)
+    if Gen("J") in eigen:
+        eigen[Gen("J")] += _dot(grading.j, expo)
+    if spec.ext == "none" and m.h:
+        del eigen[Gen("P", 1)]
     return Weight(eigen)
 
 
@@ -539,35 +521,23 @@ def act_closed_form(spec, x, v, params=None):
 
 # --- basis enumeration -----------------------------------------------------
 
-def _enumerate_by_level(spec, p):
-    """All basis monomials of integer level exactly p (sorted)."""
-    slots, top_w, slot_w = _level_weights(spec)
-    lweights = [top_w] + slot_w
-    sols = []
+def _compositions(weights, total):
+    """Exponent tuples e with sum(w * e) == total, in ascending order, for
+    a non-empty sequence of positive weights."""
+    w = weights[0]
+    if len(weights) == 1:
+        if total % w == 0:
+            yield (total // w,)
+        return
+    for e in range(total // w + 1):
+        for rest in _compositions(weights[1:], total - e * w):
+            yield (e,) + rest
 
-    def rec(i, rest, acc):
-        if i == len(lweights):
-            if rest == 0:
-                sols.append(tuple(acc))
-            return
-        w = lweights[i]
-        if i == len(lweights) - 1 and rest % w == 0:
-            sols.append(tuple(acc) + (rest // w,))
-            return
-        for e in range(rest // w + 1):
-            rec(i + 1, rest - e * w, acc + [e])
 
-    rec(0, p, [])
-    out = []
-    for sol in sols:
-        h = sol[0]
-        a = [0] * sum(1 for blk, *_ in slots if blk == "a")
-        b = [0] * sum(1 for blk, *_ in slots if blk == "b")
-        for (blk, idx, *_), e in zip(slots, sol[1:]):
-            (a if blk == "a" else b)[idx] = e
-        out.append(PbwMonomial(h, tuple(a), tuple(b)))
-    out.sort(key=lambda m: (m.h, m.a, m.b))
-    return out
+def _monomial(spec, expo):
+    """The basis monomial of a flat exponent tuple in slot order."""
+    n_a = len(creation_data(spec)[1])
+    return _mono((expo[0], tuple(expo[1:1 + n_a]), tuple(expo[1 + n_a:])))
 
 
 def _as_int(scalar, what):
@@ -590,10 +560,11 @@ def level_basis(spec, constraint, params=None):
     infinite (InfiniteSelection).
     Returns a sorted list (possibly empty).
     """
+    grading = _grading(spec)
     if isinstance(constraint, int):
         if constraint < 0:
             return []
-        return _enumerate_by_level(spec, constraint)
+        return [_monomial(spec, e) for e in _compositions(grading.level, constraint)]
 
     if isinstance(constraint, Weight):
         eigen = dict(constraint.eigen)
@@ -609,93 +580,53 @@ def level_basis(spec, constraint, params=None):
              if val.is_rational()}
     if fixed:
         eigen = {gen: val.substitute(fixed) for gen, val in eigen.items()}
-    table = weight_table(spec)
+    base = lowest_weight(spec, pvals)
     for gen in eigen:
-        if gen not in table:
+        if gen not in base:
             raise ValueError("%s is not a diagonal generator of %r" % (gen, spec))
     if Gen("D") not in eigen:
         raise ValueError("a weight constraint must pin the D eigenvalue")
-    sym, sign = table[Gen("D")]
-    dshift_s = eigen[Gen("D")] - pvals[sym] * Scalar.const(sign)
-    dshift = _as_int(dshift_s, "scaling shift")
+    dshift = _as_int(eigen[Gen("D")] - base[Gen("D")], "scaling shift")
     if dshift is None:
         return []
-
     jshift = None
     if Gen("J") in eigen:
-        symj, signj = table[Gen("J")]
-        jshift_s = eigen[Gen("J")] - pvals[symj] * Scalar.const(signj)
-        jshift = _as_int(jshift_s, "rotation shift")
+        jshift = _as_int(eigen[Gen("J")] - base[Gen("J")], "rotation shift")
         if jshift is None:
             return []
+    # a pinned central eigenvalue is monomial-independent: match or empty;
+    # the centerless g0 generator is diagonal only at h = 0
+    for gen, val in eigen.items():
+        if gen.tag not in ("D", "J") and val != base[gen]:
+            return []
+    only_h0 = Gen("P", 1) in eigen
 
-    # a pinned central eigenvalue is monomial-independent: match or empty
-    only_h0 = False
-    for gen in eigen:
-        if gen.tag in ("M", "Theta"):
-            symc, signc = table[gen]
-            if eigen[gen] != pvals[symc] * Scalar.const(signc):
-                return []
-        elif gen.tag == "P":  # centerless g0 generator: diagonal only at h=0
-            symc, signc = table[gen]
-            if eigen[gen] != pvals[symc] * Scalar.const(signc):
-                return []
-            only_h0 = True
-
-    slots, top, d_top, j_top = _grading(spec)
     # all non-zero scaling grades share one sign within each family
-    nonzero = [(d, j, ("top", None)) for d, j in [(d_top, j_top)]]
-    nonzero += [((d, j, (blk, idx))) for blk, idx, _, d, j, _ in slots if d != 0]
-    zero_slots = [(blk, idx, j) for blk, idx, _, d, j, _ in slots if d == 0]
-    assert len(zero_slots) <= 1, "at most one grade-zero creation factor"
-    if zero_slots and jshift is None:
+    free = [s for s, d in enumerate(grading.d) if d]
+    zero = [s for s, d in enumerate(grading.d) if not d]
+    assert len(zero) <= 1, "at most one grade-zero creation factor"
+    if zero and jshift is None:
         raise InfiniteSelection(
             "the scaling eigenvalue alone leaves a grade-zero factor free"
         )
-
-    if dshift and all(d * dshift < 0 for d, _, _ in nonzero):
+    if dshift and grading.d[free[0]] * dshift < 0:
         return []
 
     out = []
-    budget = abs(dshift)
-
-    def rec(i, rest, acc):
-        if i == len(nonzero):
-            if rest != 0:
-                return
-            h = 0
-            a = [0] * sum(1 for blk, *_ in slots if blk == "a")
-            b = [0] * sum(1 for blk, *_ in slots if blk == "b")
-            jsum = 0
-            for (d, j, (blk, idx)), e in zip(nonzero, acc):
-                jsum += j * e
-                if blk == "top":
-                    h = e
-                elif blk == "a":
-                    a[idx] = e
-                else:
-                    b[idx] = e
-            if zero_slots:
-                blk, idx, jz = zero_slots[0]
-                need = jshift - jsum
-                if jz == 0 or need * jz < 0 or need % jz:
-                    if need != 0:
-                        return
-                    e0 = 0
-                else:
-                    e0 = need // jz
-                (a if blk == "a" else b)[idx] = e0
-            elif jshift is not None and jsum != jshift:
-                return
-            out.append(PbwMonomial(h, tuple(a), tuple(b)))
-            return
-        d, _, _ = nonzero[i]
-        w = abs(d)
-        for e in range(rest // w + 1):
-            rec(i + 1, rest - e * w, acc + [e])
-
-    rec(0, budget, [])
-    if only_h0:
-        out = [m for m in out if m.h == 0]
-    out.sort(key=lambda m: (m.h, m.a, m.b))
+    for sub in _compositions([abs(grading.d[s]) for s in free], abs(dshift)):
+        expo = [0] * len(grading.d)
+        for s, e in zip(free, sub):
+            expo[s] = e
+        if zero:  # the grade-zero factor makes up the rotation eigenvalue
+            jz = grading.j[zero[0]]
+            need = jshift - _dot(grading.j, expo)
+            e0, rem = divmod(need, jz) if jz else (0, need)
+            if rem or e0 < 0:
+                continue
+            expo[zero[0]] = e0
+        elif jshift is not None and _dot(grading.j, expo) != jshift:
+            continue
+        if not (only_h0 and expo[0]):
+            out.append(_monomial(spec, expo))
+    out.sort()
     return out

@@ -413,6 +413,20 @@ def test_diffop_json_round_trip():
             assert all(order >= 1 for order in entry["partials"].values())
 
 
+@pytest.mark.parametrize("partials, message", [
+    ({"t": 1.5}, "order of partial 't': 1.5 is not an integer"),
+    ({"x0": True}, "order of partial 'x0': true is not an integer"),
+    ({"t": "2"}, 'order of partial \'t\': "2" is not an integer'),
+    ({"t": -1}, "order of partial 't' is negative: -1"),
+    ({"x9": 1}, r"partial 'x9' is not a variable of the chart \(t, x0\)"),
+    ({"z": 1}, r"partial 'z' is not a variable of the chart \(t, x0\)"),
+], ids=["float", "bool", "string", "negative", "foreign", "malformed"])
+def test_diffop_json_rejects_bad_partials(partials, message):
+    entries = [{"coef": "1", "partials": partials}]
+    with pytest.raises(cli.UsageError, match=message):
+        diffop_from_json(entries, chart(D1))
+
+
 def test_reps_json_shape(capsys):
     code, out, _ = invoke(
         capsys, "reps", "left", "--d", "1", "--two-ell", "1", "--ext", "mass",

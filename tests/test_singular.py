@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cgk import singular
-from cgk.algebra import AlgebraSpec, Gen
+from cgk.algebra import AlgebraSpec, Gen, supported_specs, weight_table
 from cgk.scalars import Scalar, parse_scalar
 from cgk.singular import (
     SearchResult,
@@ -14,12 +14,15 @@ from cgk.singular import (
     singular_closed,
     singular_condition,
     verify_singular,
+    weight_shift,
 )
 from cgk.verma import (
     ModuleVector,
     PbwMonomial,
+    Weight,
     act_generic,
     level_basis,
+    resolve_params,
     symbolic_params,
     vacuum,
 )
@@ -61,6 +64,35 @@ def test_condition_examples():
     for q in (0, -1):
         with pytest.raises(ValueError, match="q must be a positive integer"):
             predicted_weight(D1, q)
+
+
+def test_weight_shift_is_the_grade_of_the_quadratic_element():
+    for spec in supported_specs(9):
+        for q in range(1, 5):
+            assert weight_shift(spec, q) == (-2 * q if spec.ext == "none" else 2 * q)
+    assert [s for s in supported_specs(9) if s.ext == "none"] == [NONE]
+
+
+def _reference_predicted_weight(spec, q, params=None):
+    """predicted_weight with the shift written out per family."""
+    pvals = resolve_params(spec, params)
+    shift = -2 * q if spec.ext == "none" else 2 * q
+    eigen = {}
+    for gen, (sym, sign) in weight_table(spec).items():
+        base = pvals[sym] * Scalar.const(sign)
+        eigen[gen] = base + Scalar.const(shift) if gen.tag == "D" else base
+    return Weight(eigen)
+
+
+def test_predicted_weight_matches_reference():
+    points = (None, {"delta": Fraction(-5, 2), "mu": 3, "r": Fraction(2, 3),
+                     "theta": -4, "kappa": Fraction(1, 3)})
+    for spec in supported_specs(9):
+        for q in range(1, 5):
+            for params in points:
+                want = _reference_predicted_weight(spec, q, params)
+                got = predicted_weight(spec, q, params=params)
+                assert got == want and list(got.eigen) == list(want.eigen), (spec, q)
 
 
 def test_delta_at_condition():

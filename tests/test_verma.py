@@ -14,6 +14,7 @@ from cgk.algebra import (
     decomposition,
     enumerate_generators,
     normal_position,
+    parse_gen,
     supported_specs,
     weight_table,
 )
@@ -23,6 +24,7 @@ from cgk.verma import (
     MissingParameter,
     ModuleVector,
     PbwMonomial,
+    Weight,
     act_closed_form,
     act_generic,
     act_word,
@@ -559,3 +561,255 @@ def test_grading_is_built_once_per_family(monkeypatch):
     assert first[0] in level_basis(M3, weight_of(M3, first[0]))
     assert level_of(M3, first[0]) == 3
     assert calls == []
+
+
+# --- the grading as first written: the oracle for the one-table grading ----
+
+def _reference_grading(spec):
+    """(slots, top, d_top, j_top): slots are (block, index, gen, dgrade,
+    jgrade, lweight) for the a/b strings."""
+    def grade(diag, gen):
+        combo = bracket(spec, diag, gen)
+        return 0 if not combo.terms else combo.terms[gen].rational_value().numerator
+
+    top, a_gens, b_gens = creation_data(spec)
+    has_j = any(g.tag == "J" for g in weight_table(spec))
+    slots = []
+    for block, gens in (("a", a_gens), ("b", b_gens)):
+        for i, gen in enumerate(gens):
+            d = grade(Gen("D"), gen)
+            j = grade(Gen("J"), gen) if has_j else 0
+            slots.append((block, i, gen, d, j, abs(d) if d else 1))
+    return (tuple(slots), top, grade(Gen("D"), top),
+            grade(Gen("J"), top) if has_j else 0)
+
+
+def _level_weights(spec):
+    slots, top, d_top, _ = _reference_grading(spec)
+    if spec.ext == "none":
+        return slots, 1, [1] * len(slots)
+    return slots, d_top, [(d if d > 0 else 1) for _, _, _, d, _, _ in slots]
+
+
+def _reference_level_of(spec, m):
+    check_monomial(spec, m)
+    slots, top_w, slot_w = _level_weights(spec)
+    total = m.h * top_w
+    for (block, i, *_), lw in zip(slots, slot_w):
+        total += (m.a[i] if block == "a" else m.b[i]) * lw
+    return total
+
+
+def _reference_weight_of(spec, m, params=None):
+    check_monomial(spec, m)
+    pvals = resolve_params(spec, params)
+    slots, _, d_top, j_top = _reference_grading(spec)
+    dshift, jshift = m.h * d_top, m.h * j_top
+    for block, i, _, d, j, _ in slots:
+        e = m.a[i] if block == "a" else m.b[i]
+        dshift += e * d
+        jshift += e * j
+    eigen = {}
+    for gen, (sym, sign) in weight_table(spec).items():
+        base = pvals[sym] * Scalar.const(sign)
+        if gen.tag == "D":
+            eigen[gen] = base + Scalar.const(dshift)
+        elif gen.tag == "J":
+            eigen[gen] = base + Scalar.const(jshift)
+        elif gen == Gen("P", 1) and spec.ext == "none":
+            if m.h == 0:
+                eigen[gen] = base
+        else:
+            eigen[gen] = base
+    return Weight(eigen)
+
+
+def _enumerate_by_level(spec, p):
+    slots, top_w, slot_w = _level_weights(spec)
+    lweights = [top_w] + slot_w
+    sols = []
+
+    def rec(i, rest, acc):
+        if i == len(lweights):
+            if rest == 0:
+                sols.append(tuple(acc))
+            return
+        w = lweights[i]
+        if i == len(lweights) - 1 and rest % w == 0:
+            sols.append(tuple(acc) + (rest // w,))
+            return
+        for e in range(rest // w + 1):
+            rec(i + 1, rest - e * w, acc + [e])
+
+    rec(0, p, [])
+    out = []
+    for sol in sols:
+        a = [0] * sum(1 for blk, *_ in slots if blk == "a")
+        b = [0] * sum(1 for blk, *_ in slots if blk == "b")
+        for (blk, idx, *_), e in zip(slots, sol[1:]):
+            (a if blk == "a" else b)[idx] = e
+        out.append(PbwMonomial(sol[0], tuple(a), tuple(b)))
+    out.sort(key=lambda m: (m.h, m.a, m.b))
+    return out
+
+
+def _reference_as_int(scalar, what):
+    if not scalar.is_rational():
+        raise ValueError("%s is not a number: %s" % (what, scalar))
+    val = scalar.rational_value()
+    return int(val) if val.denominator == 1 else None
+
+
+def _reference_level_basis(spec, constraint, params=None):
+    """level_basis as first written, over the slot 6-tuples."""
+    if isinstance(constraint, int):
+        return [] if constraint < 0 else _enumerate_by_level(spec, constraint)
+    if isinstance(constraint, Weight):
+        eigen = dict(constraint.eigen)
+    else:
+        eigen = {}
+        for key, val in dict(constraint).items():
+            gen = key if isinstance(key, Gen) else parse_gen(key)
+            eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
+    pvals = resolve_params(spec, params)
+    fixed = {name: val.rational_value() for name, val in pvals.items()
+             if val.is_rational()}
+    if fixed:
+        eigen = {gen: val.substitute(fixed) for gen, val in eigen.items()}
+    table = weight_table(spec)
+    for gen in eigen:
+        if gen not in table:
+            raise ValueError("%s is not a diagonal generator of %r" % (gen, spec))
+    if Gen("D") not in eigen:
+        raise ValueError("a weight constraint must pin the D eigenvalue")
+    sym, sign = table[Gen("D")]
+    dshift = _reference_as_int(eigen[Gen("D")] - pvals[sym] * Scalar.const(sign),
+                               "scaling shift")
+    if dshift is None:
+        return []
+    jshift = None
+    if Gen("J") in eigen:
+        symj, signj = table[Gen("J")]
+        jshift = _reference_as_int(eigen[Gen("J")] - pvals[symj] * Scalar.const(signj),
+                                   "rotation shift")
+        if jshift is None:
+            return []
+    only_h0 = False
+    for gen in eigen:
+        if gen.tag in ("M", "Theta", "P"):
+            symc, signc = table[gen]
+            if eigen[gen] != pvals[symc] * Scalar.const(signc):
+                return []
+            only_h0 = only_h0 or gen.tag == "P"
+    slots, top, d_top, j_top = _reference_grading(spec)
+    nonzero = [(d_top, j_top, ("top", None))]
+    nonzero += [(d, j, (blk, idx)) for blk, idx, _, d, j, _ in slots if d != 0]
+    zero_slots = [(blk, idx, j) for blk, idx, _, d, j, _ in slots if d == 0]
+    if zero_slots and jshift is None:
+        raise InfiniteSelection(
+            "the scaling eigenvalue alone leaves a grade-zero factor free")
+    if dshift and all(d * dshift < 0 for d, _, _ in nonzero):
+        return []
+    out = []
+
+    def rec(i, rest, acc):
+        if i == len(nonzero):
+            if rest != 0:
+                return
+            h, jsum = 0, 0
+            a = [0] * sum(1 for blk, *_ in slots if blk == "a")
+            b = [0] * sum(1 for blk, *_ in slots if blk == "b")
+            for (d, j, (blk, idx)), e in zip(nonzero, acc):
+                jsum += j * e
+                if blk == "top":
+                    h = e
+                else:
+                    (a if blk == "a" else b)[idx] = e
+            if zero_slots:
+                blk, idx, jz = zero_slots[0]
+                need = jshift - jsum
+                if jz == 0 or need * jz < 0 or need % jz:
+                    if need != 0:
+                        return
+                    e0 = 0
+                else:
+                    e0 = need // jz
+                (a if blk == "a" else b)[idx] = e0
+            elif jshift is not None and jsum != jshift:
+                return
+            out.append(PbwMonomial(h, tuple(a), tuple(b)))
+            return
+        w = abs(nonzero[i][0])
+        for e in range(rest // w + 1):
+            rec(i + 1, rest - e * w, acc + [e])
+
+    rec(0, abs(dshift), [])
+    if only_h0:
+        out = [m for m in out if m.h == 0]
+    out.sort(key=lambda m: (m.h, m.a, m.b))
+    return out
+
+
+def _outcome(fn, *args, **kw):
+    """fn's result, or the type and message of the error it raises."""
+    try:
+        return fn(*args, **kw)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+# two numeric points: integral, and non-integral with r among the values
+GRID_POINTS = (None, {"delta": 3, "mu": 1, "r": 2, "theta": 5, "kappa": 0},
+               NUMERIC_POINT)
+GRID_BUMPS = (Scalar.const(1), Scalar.const(-1), Scalar.const(Fraction(1, 2)), MU)
+
+
+def _grid_constraints(weight):
+    """The weight, each entry dropped, and each entry bumped."""
+    eigen = weight.eigen
+    yield eigen
+    for gen in eigen:
+        yield {g: v for g, v in eigen.items() if g != gen}
+        for bump in GRID_BUMPS:
+            yield {**eigen, gen: eigen[gen] + bump}
+
+
+@pytest.mark.parametrize("spec", supported_specs(7), ids=repr)
+def test_grading_matches_reference(spec):
+    for p in range(-1, 8):
+        assert level_basis(spec, p) == _reference_level_basis(spec, p), (spec, p)
+    for p in range(6):
+        for m in level_basis(spec, p):
+            assert level_of(spec, m) == _reference_level_of(spec, m) == p
+            for params in GRID_POINTS:
+                weight = _outcome(weight_of, spec, m, params=params)
+                assert weight == _outcome(_reference_weight_of, spec, m, params=params)
+                for constraint in _grid_constraints(weight_of(spec, m)):
+                    assert _outcome(level_basis, spec, constraint, params=params) == \
+                        _outcome(_reference_level_basis, spec, constraint,
+                                 params=params), (spec, m, constraint, params)
+
+
+def test_weight_spaces_partition_each_level():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(supported_specs(7)), st.integers(0, 6),
+               st.sampled_from(GRID_POINTS))
+    def check(spec, p, params):
+        basis = level_basis(spec, p)
+        classes = {}
+        for m in basis:
+            classes.setdefault(repr(weight_of(spec, m, params=params)), []).append(m)
+        covered = []
+        for members in classes.values():
+            weight = weight_of(spec, members[0], params=params)
+            space = level_basis(spec, weight, params=params)
+            # the weight space holds the level's monomials of that weight
+            assert [m for m in space if level_of(spec, m) == p
+                    and weight_of(spec, m, params=params) == weight] == members
+            covered += members
+        assert sorted(covered) == basis
+
+    check()
