@@ -10,7 +10,6 @@ weight space provides the independent route.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .algebra import Gen, decomposition
@@ -18,9 +17,9 @@ from .scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd
 from .verma import (
     ModuleVector,
     Weight,
-    _grading,
     act_generic,
     act_word,
+    d_grade,
     level_basis,
     lowest_weight,
     resolve_params,
@@ -149,13 +148,10 @@ def singular_closed(spec, q, params=None):
     return v
 
 
-@lru_cache(maxsize=None)
 def weight_shift(spec, q):
     """D-eigenvalue shift of the level-q singular vector over the lowest
     weight: q times the D-grade shared by every word of quadratic_element."""
-    grading = _grading(spec)
-    [grade] = {sum(grading.d[grading.slot[g]] for g in word)
-               for word, _ in quadratic_element(spec)}
+    [grade] = {d_grade(spec, word) for word, _ in quadratic_element(spec)}
     return q * grade
 
 

@@ -243,6 +243,12 @@ def _dot(grades, expo):
     return sum(map(mul, grades, expo))
 
 
+def d_grade(spec, word):
+    """The D-grade g of a word w of basis factors: [D, w] = g w."""
+    grading = _grading(spec)
+    return sum(grading.d[grading.slot[g]] for g in word)
+
+
 def lowest_weight(spec, pvals):
     """The eigenvalue of each diagonal generator on the lowest-weight
     vector, from resolved parameters: sign * symbol per weight_table."""
