@@ -300,8 +300,11 @@ def _level(level):
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
     else:
         try:
             print(text)

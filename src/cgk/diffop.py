@@ -21,7 +21,10 @@ accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw
 (``DiffOp.of_raw``), with no intermediate operator and no subtraction of
 whole operators.  ``compose`` calls it once, ``commutator`` twice with opposite
 signs, and ``twisted_commutator`` (s.b - c.s) twice plus one correction.
-A commutator skips the gamma = 0 Leibniz terms: in a.b they are
+For each pair of terms pa d^alpha, pb d^beta the Leibniz sum runs over
+gamma <= min(alpha, top) only, where top is the componentwise maximum
+exponent of pb: d^gamma pb is zero unless gamma <= top, so the bound drops
+no term.  A commutator skips the gamma = 0 Leibniz terms: in a.b they are
 pa pb d^(alpha+beta), in b.a the same product in the other order, and
 coefficients commute, so they always cancel.
 """
@@ -237,12 +240,13 @@ def _subindices(alpha):
 
 
 @functools.cache
-def _leibniz_table(alpha):
-    """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha,
-    gamma = 0 first; derivative multi-indices are few, so each is
-    tabulated once."""
+def _leibniz_table(alpha, bound):
+    """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha
+    with gamma <= bound (componentwise), gamma = 0 first; derivative
+    multi-indices and exponent bounds are few, so each pair is tabulated
+    once."""
     out = []
-    for gamma in _subindices(alpha):
+    for gamma in _subindices(tuple(map(min, alpha, bound))):
         binom = 1
         for ai, gi in zip(alpha, gamma):
             binom *= comb(ai, gi)
@@ -261,18 +265,29 @@ def _leibniz_into(out, a, b, sign, skip_order_zero=False):
     with no intermediate operators: each term c x^e of pb contributes
     c * ff(e, gamma) x^(e-gamma) to d^gamma pb, where ff is the product of
     the falling factorials e_i (e_i - 1) ... (e_i - gamma_i + 1), and the
-    term is dropped as soon as some gamma_i > e_i.  That integer, the sign
-    and C(alpha, gamma) fold into one int before the one Scalar product per
-    pair of terms.  ``skip_order_zero`` leaves out gamma = 0, the terms
+    term is dropped as soon as some gamma_i > e_i.  So d^gamma pb is zero
+    unless gamma <= top, the componentwise maximum exponent of pb, and
+    gamma runs over min(alpha, top) only: the sum is exact, and an operator
+    of high order against coefficients of low degree (S^q against pi(X))
+    walks a few gamma instead of every gamma <= alpha.  That integer, the
+    sign and C(alpha, gamma) fold into one int before the one Scalar product
+    per pair of terms.  ``skip_order_zero`` leaves out gamma = 0, the terms
     pa pb d^(alpha+beta) that a.b and b.a share.
     """
-    b_terms = [(beta, list(pb.terms.items())) for beta, pb in b.terms.items()]
+    b_terms = []
+    for beta, pb in b.terms.items():
+        pb_terms = list(pb.terms.items())
+        # a single monomial is its own bound; most coefficients of a
+        # realization pi(X) are one, and the column maxima cost as much as
+        # a Leibniz row
+        top = pb_terms[0][0] if len(pb_terms) == 1 else tuple(map(max, zip(*pb.terms)))
+        b_terms.append((beta, top, pb_terms))
     for alpha, pa in a.terms.items():
         pa_terms = list(pa.terms.items())
-        table = _leibniz_table(alpha)
-        for gamma, binom, shift in table[1:] if skip_order_zero else table:
-            binom *= sign
-            for beta, pb_terms in b_terms:
+        for beta, top, pb_terms in b_terms:
+            table = _leibniz_table(alpha, top)
+            for gamma, binom, shift in table[1:] if skip_order_zero else table:
+                binom *= sign
                 dexpo = tuple(si + bi for si, bi in zip(shift, beta))
                 acc = out.get(dexpo)
                 if acc is None:

@@ -1,10 +1,10 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
-act_generic / act_closed_form -> diffop.compose -> rep_check /
-intertwining_check.  The file name does not match ``test_*.py``, so the
-tier-1 run does not collect it; it needs ``pytest-benchmark`` and skips
-without it.  Run it from the repository root:
+act_generic / act_closed_form -> diffop.compose, commutator and
+twisted_commutator -> rep_check / intertwining_check.  The file name does
+not match ``test_*.py``, so the tier-1 run does not collect it; it needs
+``pytest-benchmark`` and skips without it.  Run it from the repository root:
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py
 
@@ -29,21 +29,23 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators  # noqa: E402
-from cgk.diffop import compose  # noqa: E402
+from cgk.diffop import commutator, compose, twisted_commutator  # noqa: E402
 from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
 from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
-from cgk.singular import delta_at_condition  # noqa: E402
+from cgk.singular import delta_at_condition, weight_shift  # noqa: E402
 from cgk.verma import (  # noqa: E402
     ModuleVector,
     act_closed_form,
     act_generic,
     level_basis,
+    symbolic_params,
 )
 
 D5 = AlgebraSpec(1, 5, "mass")
 M1 = AlgebraSpec(2, 1, "mass")
 M3 = AlgebraSpec(2, 3, "mass")
+EX2 = AlgebraSpec(2, 2, "exotic")
 DELTA, MU, R = (ParamPoly.symbol(name) for name in ("delta", "mu", "r"))
 P = DELTA * DELTA + MU * R - ParamPoly.const(3) * DELTA + ParamPoly.const(Fraction(1, 2))
 Q = DELTA * MU - R * R + ParamPoly.const(2)
@@ -112,6 +114,31 @@ def test_compose(benchmark):
     power = invariant_operator(M1, 2, params)
     special = left_action(M1, Gen("C"), params)
     benchmark(compose, power, special)
+
+
+def _top_case_operands():
+    """S^3, pi_L(C) and its delta-shifted copy on (2,2,exotic), with delta
+    at the level-3 root and every other parameter symbolic: the operands of
+    ``cgk pde check --d 2 --two-ell 2 --ext exotic --q 3 --delta auto``."""
+    params = dict(symbolic_params(EX2), delta=delta_at_condition(EX2, 3))
+    shifted = dict(params, delta=params["delta"] - weight_shift(EX2, 3))
+    power = invariant_operator(EX2, 3, params)
+    return power, left_action(EX2, Gen("C"), params), left_action(EX2, Gen("C"), shifted)
+
+
+def test_compose_intertwining_operands(benchmark):
+    power, special, _ = _top_case_operands()
+    benchmark(compose, power, special)
+
+
+def test_commutator(benchmark):
+    power, special, _ = _top_case_operands()
+    benchmark(commutator, power, special)
+
+
+def test_twisted_commutator(benchmark):
+    power, special, shifted = _top_case_operands()
+    assert benchmark(twisted_commutator, power, special, shifted).is_zero()
 
 
 def test_rep_check(benchmark):

@@ -450,6 +450,19 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["delta"] == "1/2"
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_file_unwritable_is_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    code, out, err = invoke(
+        capsys, "pde", "check", "--d", "1", "--two-ell", "1", "--ext", "mass",
+        "--q", "1", "--delta", "auto", "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("usage error: cannot write %s: " % (target,))
+
+
 def test_selftest_with_reduced_caps(capsys, monkeypatch):
     monkeypatch.setenv("CGK_CAPS_LEVEL", "2")
     code, out, _ = invoke(capsys, "selftest")

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from cgk.algebra import enumerate_generators, supported_specs
 from cgk.diffop import (
     CoefPoly,
     DiffOp,
@@ -19,7 +21,11 @@ from cgk.diffop import (
     render_diffop,
     twisted_commutator,
 )
+from cgk.invariants import invariant_operator
+from cgk.reps import left_action
 from cgk.scalars import _POLY_ONE, DivisionByZero, Scalar, parse_scalar
+from cgk.singular import weight_shift
+from cgk.verma import resolve_params
 
 TX = make_chart("t", "x0")
 MU = Scalar.symbol("mu")
@@ -248,6 +254,128 @@ def test_compose_matches_reference_random():
         for poly in got.terms.values():
             for coef in poly.terms.values():
                 assert coef.den is _POLY_ONE or not coef.den.is_const()
+
+    check()
+
+
+def _reference_leibniz_table(alpha):
+    """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha,
+    gamma = 0 first, with no bound from the coefficient's exponents."""
+    out = []
+    for gamma in _subindices(alpha):
+        binom = 1
+        for ai, gi in zip(alpha, gamma):
+            binom *= comb(ai, gi)
+        out.append((gamma, binom, tuple(ai - gi for ai, gi in zip(alpha, gamma))))
+    return tuple(out)
+
+
+def _reference_leibniz_into(out, a, b, sign, skip_order_zero=False):
+    """The Leibniz accumulator that walks every gamma <= alpha against every
+    term of b and only then drops the terms with some gamma_i > e_i: the
+    oracle for the bounded ``_leibniz_into``."""
+    b_terms = [(beta, list(pb.terms.items())) for beta, pb in b.terms.items()]
+    for alpha, pa in a.terms.items():
+        pa_terms = list(pa.terms.items())
+        table = _reference_leibniz_table(alpha)
+        for gamma, binom, shift in table[1:] if skip_order_zero else table:
+            binom *= sign
+            for beta, pb_terms in b_terms:
+                dexpo = tuple(si + bi for si, bi in zip(shift, beta))
+                acc = out.get(dexpo)
+                if acc is None:
+                    acc = out[dexpo] = {}
+                for eb, cb in pb_terms:
+                    k = binom
+                    for e, g in zip(eb, gamma):
+                        if g > e:
+                            k = 0
+                            break
+                        for j in range(g):
+                            k *= e - j
+                    if not k:
+                        continue
+                    rest = tuple(e - g for e, g in zip(eb, gamma))
+                    cbk = cb * k
+                    for ea, ca in pa_terms:
+                        expo = tuple(x + y for x, y in zip(ea, rest))
+                        term = ca * cbk
+                        prev = acc.get(expo)
+                        acc[expo] = term if prev is None else prev + term
+
+
+def _from_reference(chart, *calls):
+    """The operator of the raw map that the unbounded accumulator fills
+    with each (a, b, sign, skip_order_zero) call in turn."""
+    out = {}
+    for call in calls:
+        _reference_leibniz_into(out, *call)
+    return DiffOp.of_raw(out, chart)
+
+
+def _assert_matches_unbounded_kernel(a, b, c):
+    """compose, commutator (with and without ``minus``) and
+    twisted_commutator equal the unbounded accumulator's results."""
+    ch = a.chart
+    assert compose(a, b) == _from_reference(ch, (a, b, 1))
+    bracket = _from_reference(ch, (a, b, 1, True), (b, a, -1, True))
+    assert commutator(a, b) == bracket
+    assert commutator(a, b, minus=[(c, 3)]) == bracket - c.scaled(3)
+    assert twisted_commutator(a, b, c) == _from_reference(
+        ch, (a, b, 1, True), (b, a, -1, True), (c - b, a, -1))
+
+
+def _kernel_grid():
+    """(spec, q) for q <= 2 on every extended family of supported_specs(5),
+    and q = 3 on (1,1,mass) and (2,2,exotic)."""
+    for spec in supported_specs(5):
+        if spec.ext == "none":
+            continue
+        for q in (1, 2, 3):
+            if q < 3 or (spec.d, spec.twoEll) in ((1, 1), (2, 2)):
+                yield spec, q
+
+
+@pytest.mark.parametrize("spec, q", list(_kernel_grid()), ids=repr)
+def test_kernel_matches_unbounded_on_intertwining_operands(spec, q):
+    # off the root, so the twisted commutators are not all zero
+    pvals = resolve_params(spec, {"delta": Fraction(1, 7), "mu": 1, "theta": 1,
+                                  "r": Fraction(2, 3)})
+    shifted = dict(pvals, delta=pvals["delta"] - weight_shift(spec, q))
+    power = invariant_operator(spec, q, pvals)
+    for gen in enumerate_generators(spec):
+        before = left_action(spec, gen, pvals)
+        after = left_action(spec, gen, shifted)
+        _assert_matches_unbounded_kernel(power, before, after)
+        _assert_matches_unbounded_kernel(before, power, after)
+
+
+def test_kernel_matches_unbounded_random():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coefs = st.sampled_from([Scalar.const(1), Scalar.const(-2), MU, DELTA + 1])
+
+    def ops(chart):
+        # derivative orders up to 4 against coefficients of degree <= 1,
+        # so the exponent bound cuts most gamma; single-term and
+        # constant-only coefficients and the zero operator included
+        dexpos = st.tuples(*[st.integers(0, 4)] * len(chart))
+        expos = st.tuples(*[st.integers(0, 1)] * len(chart))
+        polys = st.one_of(
+            st.dictionaries(expos, coefs, min_size=1, max_size=1),
+            st.builds(lambda c: {(0,) * len(chart): c}, coefs),
+            st.dictionaries(expos, coefs, min_size=1, max_size=4),
+        )
+        return st.dictionaries(dexpos, polys, max_size=4).map(
+            lambda t: DiffOp(chart, {d: CoefPoly(chart, p) for d, p in t.items()}))
+
+    charts = st.sampled_from([(), TX, make_chart("t", "x0", "y0")])
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(charts.flatmap(lambda ch: st.tuples(ops(ch), ops(ch), ops(ch))))
+    def check(abc):
+        _assert_matches_unbounded_kernel(*abc)
 
     check()
 
