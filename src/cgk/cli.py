@@ -14,14 +14,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     AlgebraSpec,
     Gen,
-    InvalidSpec,
-    UnknownGenerator,
     bracket,
     central_element,
     decomposition,
@@ -34,7 +31,6 @@ from .diffop import (
     CoefPoly,
     DiffOp,
     Var,
-    VariableMismatch,
     latex_diffop,
     op_power,
     parse_diffop,
@@ -48,13 +44,15 @@ from .invariants import (
     intertwining_residual,
     invariant_operator,
 )
-from .reps import UnsupportedGenerator, chart, left_action, rep_check, right_action
+from .reps import chart, left_action, rep_check, right_action
 from .scalars import (
     DivisionByZero,
     Scalar,
-    UnsupportedFamily,
+    coef_text,
     parse_scalar,
     render_scalar,
+    sum_text,
+    term_text,
 )
 from .singular import (
     delta_at_condition,
@@ -65,8 +63,6 @@ from .singular import (
     verify_singular,
 )
 from .verma import (
-    InfiniteSelection,
-    MissingParameter,
     ModuleVector,
     PbwMonomial,
     act_closed_form,
@@ -83,15 +79,6 @@ PARAM_NAMES = ("delta", "mu", "theta", "r", "kappa")
 
 class UsageError(ValueError):
     """Bad command-line input (reported on stderr with exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: family, parameters, output shape."""
-
-    spec: AlgebraSpec
-    params: dict | None
-    output: str = "text"
 
 
 # --- exact serialization ---------------------------------------------------
@@ -175,8 +162,13 @@ def diffop_from_json(entries, ch):
     return out
 
 
+def _weight_items(w):
+    """(generator name, eigenvalue text) of a weight, sorted by name."""
+    return sorted((str(g), render_scalar(sc)) for g, sc in w.eigen.items())
+
+
 def weight_to_json(w):
-    return {str(g): render_scalar(sc) for g, sc in sorted(w.eigen.items(), key=lambda kv: str(kv[0]))}
+    return dict(_weight_items(w))
 
 
 def combo_to_json(combo):
@@ -186,18 +178,7 @@ def combo_to_json(combo):
 def render_terms(items):
     """Text of a linear combination given as (label, Scalar) items, such as
     a ModuleVector's or a GenCombo's; "0" when there are none."""
-    parts = []
-    for label, c in items:
-        cs = render_scalar(c)
-        if cs == "1":
-            parts.append(str(label))
-        elif cs == "-1":
-            parts.append("-%s" % (label,))
-        else:
-            if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
-                cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, label))
-    return " + ".join(parts).replace("+ -", "- ") or "0"
+    return sum_text([term_text(coef_text(c), [str(label)]) for label, c in items])
 
 
 # --- argument plumbing -----------------------------------------------------
@@ -269,12 +250,9 @@ def _params_of(spec, args, q=None):
 
 
 def _config(args, q=None):
+    """The family and the parameters of an invocation."""
     spec = _spec_of(args)
-    return RunConfig(
-        spec=spec,
-        params=_params_of(spec, args, q=q),
-        output=getattr(args, "render", "text"),
-    )
+    return spec, _params_of(spec, args, q=q)
 
 
 def _level_cap():
@@ -332,8 +310,7 @@ def _emit_json(args, payload):
 # --- subcommand handlers ---------------------------------------------------
 
 def cmd_algebra_show(args):
-    cfg = _config(args)
-    spec = cfg.spec
+    spec = _spec_of(args)
     plus, zero, minus = decomposition(spec)
     gens = enumerate_generators(spec)
     brackets = []
@@ -342,7 +319,7 @@ def cmd_algebra_show(args):
             combo = bracket(spec, x, y)
             if not combo.is_zero():
                 brackets.append((x, y, combo))
-    if cfg.output == "json":
+    if args.render == "json":
         central = central_element(spec)
         _emit_json(args, {
             "spec": {"d": spec.d, "twoEll": spec.twoEll, "ext": spec.ext},
@@ -370,9 +347,9 @@ def cmd_algebra_show(args):
 
 
 def cmd_algebra_jacobi(args):
-    cfg = _config(args)
-    failures = jacobi_check(cfg.spec)
-    if cfg.output == "json":
+    spec = _spec_of(args)
+    failures = jacobi_check(spec)
+    if args.render == "json":
         _emit_json(args, {
             "ok": not failures,
             "failures": [
@@ -382,7 +359,7 @@ def cmd_algebra_jacobi(args):
             ],
         })
     else:
-        gens = enumerate_generators(cfg.spec)
+        gens = enumerate_generators(spec)
         if failures:
             lines = ["jacobi: FAIL (%d triples)" % len(failures)]
             lines += [
@@ -396,12 +373,12 @@ def cmd_algebra_jacobi(args):
 
 
 def cmd_verma_act(args):
-    cfg = _config(args)
+    spec, params = _config(args)
     gen = parse_gen(args.gen)
-    mono = monomial_from_json(json.loads(args.monomial), cfg.spec)
+    mono = monomial_from_json(json.loads(args.monomial), spec)
     action = act_closed_form if args.action == "closed" else act_generic
-    result = action(cfg.spec, gen, ModuleVector.of(mono), params=cfg.params)
-    if cfg.output == "json":
+    result = action(spec, gen, ModuleVector.of(mono), params=params)
+    if args.render == "json":
         _emit_json(args, {"vector": vector_to_json(result)})
     else:
         _emit(args, render_terms(result.items()))
@@ -409,7 +386,7 @@ def cmd_verma_act(args):
 
 
 def cmd_verma_basis(args):
-    cfg = _config(args)
+    spec, params = _config(args)
     if (args.level is None) == (args.weight is None):
         raise UsageError("give exactly one of --level or --weight")
     if args.level is not None:
@@ -421,8 +398,8 @@ def cmd_verma_basis(args):
             raise UsageError('--weight must be a JSON object of scalar strings, '
                              'e.g. {"D": "-delta+2"}, got %s' % (args.weight,))
         constraint = {key: parse_scalar(val) for key, val in raw.items()}
-    monos = level_basis(cfg.spec, constraint, params=cfg.params)
-    if cfg.output == "json":
+    monos = level_basis(spec, constraint, params=params)
+    if args.render == "json":
         _emit_json(args, {"basis": [monomial_to_json(m) for m in monos]})
     else:
         _emit(args, "\n".join(str(m) for m in monos) if monos else "(empty)")
@@ -430,24 +407,21 @@ def cmd_verma_basis(args):
 
 
 def cmd_verma_weight(args):
-    cfg = _config(args)
-    mono = monomial_from_json(json.loads(args.monomial), cfg.spec)
-    w = weight_of(cfg.spec, mono, params=cfg.params)
-    if cfg.output == "json":
+    spec, params = _config(args)
+    mono = monomial_from_json(json.loads(args.monomial), spec)
+    w = weight_of(spec, mono, params=params)
+    if args.render == "json":
         _emit_json(args, {"weight": weight_to_json(w)})
     else:
-        _emit(args, "\n".join(
-            "%s -> %s" % (g, render_scalar(sc))
-            for g, sc in sorted(w.eigen.items(), key=lambda kv: str(kv[0]))
-        ))
+        _emit(args, "\n".join("%s -> %s" % item for item in _weight_items(w)))
     return 0
 
 
 def cmd_singular_condition(args):
-    cfg = _config(args)
-    cond = singular_condition(cfg.spec, args.q)
-    root = delta_at_condition(cfg.spec, args.q)
-    if cfg.output == "json":
+    spec = _spec_of(args)
+    cond = singular_condition(spec, args.q)
+    root = delta_at_condition(spec, args.q)
+    if args.render == "json":
         _emit_json(args, {
             "q": args.q,
             "condition": render_scalar(cond),
@@ -461,9 +435,9 @@ def cmd_singular_condition(args):
 
 
 def cmd_singular_closed(args):
-    cfg = _config(args, q=args.q)
-    v = singular_closed(cfg.spec, args.q, params=cfg.params)
-    if cfg.output == "json":
+    spec, params = _config(args, q=args.q)
+    v = singular_closed(spec, args.q, params=params)
+    if args.render == "json":
         _emit_json(args, {"q": args.q, "vector": vector_to_json(v)})
     else:
         _emit(args, render_terms(v.items()))
@@ -471,11 +445,11 @@ def cmd_singular_closed(args):
 
 
 def cmd_singular_verify(args):
-    cfg = _config(args, q=args.q)
-    v = singular_closed(cfg.spec, args.q, params=cfg.params)
-    expected = predicted_weight(cfg.spec, args.q, params=cfg.params)
-    report = verify_singular(cfg.spec, v, params=cfg.params, expect_weight=expected)
-    if cfg.output == "json":
+    spec, params = _config(args, q=args.q)
+    v = singular_closed(spec, args.q, params=params)
+    expected = predicted_weight(spec, args.q, params=params)
+    report = verify_singular(spec, v, params=params, expect_weight=expected)
+    if args.render == "json":
         _emit_json(args, {
             "q": args.q,
             "ok": report.ok,
@@ -491,42 +465,41 @@ def cmd_singular_verify(args):
     return 0 if report.ok else 1
 
 
+def _failure_detail(payload, vector):
+    """A verification failure's payload; ``vector`` writes a ModuleVector."""
+    if isinstance(payload, ModuleVector):
+        return vector(payload)
+    if isinstance(payload, Scalar):
+        return render_scalar(payload)
+    return str(payload)
+
+
 def _failure_json(failure):
     if isinstance(failure, str):
         return {"kind": "degenerate", "detail": failure}
     kind, gen, payload = failure
-    if isinstance(payload, ModuleVector):
-        detail = vector_to_json(payload)
-    elif isinstance(payload, Scalar):
-        detail = render_scalar(payload)
-    else:
-        detail = str(payload)
-    return {"kind": kind, "generator": str(gen), "detail": detail}
+    return {"kind": kind, "generator": str(gen),
+            "detail": _failure_detail(payload, vector_to_json)}
 
 
 def _failure_text(failure):
     if isinstance(failure, str):
         return failure
     kind, gen, payload = failure
-    if isinstance(payload, ModuleVector):
-        detail = render_terms(payload.items())
-    elif isinstance(payload, Scalar):
-        detail = render_scalar(payload)
-    else:
-        detail = str(payload)
+    detail = _failure_detail(payload, lambda v: render_terms(v.items()))
     return "%s %s: %s" % (kind, gen, detail)
 
 
 def cmd_singular_search(args):
-    cfg = _config(args, q=args.q)
+    spec, params = _config(args, q=args.q)
     if args.level is not None:
         constraint = _level(args.level)
     elif args.q is not None:
-        constraint = predicted_weight(cfg.spec, args.q, params=cfg.params).eigen
+        constraint = predicted_weight(spec, args.q, params=params).eigen
     else:
         raise UsageError("give --level, or --q for the predicted weight space")
-    found = search_singular(cfg.spec, constraint, params=cfg.params)
-    if cfg.output == "json":
+    found = search_singular(spec, constraint, params=params)
+    if args.render == "json":
         _emit_json(args, {
             "dimension": len(found),
             "vectors": [vector_to_json(v) for v in found.vectors],
@@ -542,29 +515,33 @@ def cmd_singular_search(args):
     return 0
 
 
-def cmd_reps(args):
-    cfg = _config(args)
-    gen = parse_gen(args.gen)
-    if args.action == "left":
-        op = left_action(cfg.spec, gen, params=cfg.params)
+def _emit_operator(args, op, fields=None, text="%s", latex="%s"):
+    """An operator as JSON (its chart and terms, plus ``fields``), or in
+    the ``latex`` or ``text`` form."""
+    if args.render == "json":
+        _emit_json(args, {**(fields or {}), "chart": [str(v) for v in op.chart],
+                          "operator": diffop_to_json(op)})
+    elif args.render == "latex":
+        _emit(args, latex % latex_diffop(op))
     else:
-        op = right_action(cfg.spec, gen)
-    if cfg.output == "json":
-        _emit_json(args, {
-            "chart": [str(v) for v in op.chart],
-            "operator": diffop_to_json(op),
-        })
-    elif cfg.output == "latex":
-        _emit(args, latex_diffop(op))
-    else:
-        _emit(args, render_diffop(op))
+        _emit(args, text % render_diffop(op))
     return 0
 
 
+def cmd_reps(args):
+    spec, params = _config(args)
+    gen = parse_gen(args.gen)
+    if args.action == "left":
+        op = left_action(spec, gen, params=params)
+    else:
+        op = right_action(spec, gen)
+    return _emit_operator(args, op)
+
+
 def cmd_reps_check(args):
-    cfg = _config(args)
-    failures = rep_check(cfg.spec, side=args.side, params=cfg.params)
-    if cfg.output == "json":
+    spec, params = _config(args)
+    failures = rep_check(spec, side=args.side, params=params)
+    if args.render == "json":
         _emit_json(args, {
             "side": args.side,
             "ok": not failures,
@@ -586,41 +563,31 @@ def cmd_reps_check(args):
 
 
 def cmd_pde_emit(args):
-    cfg = _config(args, q=args.q)
-    op = invariant_operator(cfg.spec, args.q, params=cfg.params)
-    if cfg.output == "json":
-        _emit_json(args, {
-            "q": args.q,
-            "chart": [str(v) for v in op.chart],
-            "operator": diffop_to_json(op),
-        })
-    elif cfg.output == "latex":
-        _emit(args, "%s\\,\\psi = 0" % latex_diffop(op))
-    else:
-        _emit(args, "(%s) psi = 0" % render_diffop(op))
-    return 0
+    spec, params = _config(args, q=args.q)
+    op = invariant_operator(spec, args.q, params=params)
+    return _emit_operator(args, op, {"q": args.q}, text="(%s) psi = 0",
+                          latex=r"\left(%s\right)\psi = 0")
 
 
 def cmd_pde_check(args):
-    cfg = _config(args, q=args.q)
-    if cfg.params is None or "delta" not in cfg.params:
+    spec, params = _config(args, q=args.q)
+    if params is None or "delta" not in params:
         raise UsageError("pde check needs --delta (a rational or 'auto')")
     try:
-        failures = intertwining_check(cfg.spec, args.q, cfg.params)
+        failures = intertwining_check(spec, args.q, params)
     except ConditionNotSatisfied as exc:
         _emit_json(args, {"q": args.q, "ok": False, "error": str(exc)})
         return 1
     failed = {g: r for g, r in failures}
     report = []
-    for gen in enumerate_generators(cfg.spec):
+    for gen in enumerate_generators(spec):
         entry = {"gen": str(gen), "ok": gen not in failed}
         if gen in failed:
             entry["residual"] = diffop_to_json(failed[gen])
         report.append(entry)
     _emit_json(args, {
         "q": args.q,
-        "delta": render_scalar(cfg.params["delta"]) if isinstance(
-            cfg.params["delta"], Scalar) else str(cfg.params["delta"]),
+        "delta": str(params["delta"]),
         "ok": not failures,
         "generators": report,
     })
@@ -963,9 +930,7 @@ def run(argv=None):
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except (InvalidSpec, UnknownGenerator, UnsupportedGenerator, UnsupportedFamily,
-            MissingParameter, InfiniteSelection, DivisionByZero, VariableMismatch,
-            ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DivisionByZero) as exc:
         # str() of a KeyError is the repr of its message, so print the message
         print("error: %s" % (exc.args[0] if len(exc.args) == 1 else exc,),
               file=sys.stderr)

@@ -39,10 +39,12 @@ from .scalars import (
     VariableMismatch,
     _check_chart,
     _Sparse,
-    latex_scalar,
+    coef_text,
     parse_expression,
-    render_scalar,
+    power_text,
     scalar_atom,
+    sum_text,
+    term_text,
 )
 
 
@@ -401,73 +403,40 @@ def parse_diffop(text, chart):
 
 # --- rendering --------------------------------------------------------------
 
-def _coef_text(s, latex=False):
-    txt = latex_scalar(s) if latex else render_scalar(s)
-    stripped = txt[1:] if txt.startswith("-") else txt
-    needs = any(c in stripped for c in "+-") or (latex and "\\frac" not in txt and "/" in txt)
-    if not latex and "/" in stripped:
-        needs = True
-    return "(%s)" % txt if needs else txt
+def _var_text(v, latex):
+    return "%s_{%d}" % (v.kind, v.n) if latex and v.kind != "t" else str(v)
 
 
-def _var_latex(v):
-    return "t" if v.kind == "t" else "%s_{%d}" % (v.kind, v.n)
+def _partial_text(v, d, latex):
+    if latex:
+        return power_text(r"\partial_{%s}" % _var_text(v, True), d, True)
+    return "d/d%s" % v if d == 1 else "(d/d%s)^%d" % (v, d)
 
 
-def _piece_text(chart, dexpo, expo, coef, latex=False):
-    factors = []
-    one = Scalar.const(1)
-    minus_one = Scalar.const(-1)
-    sign = ""
-    body_empty = all(e == 0 for e in expo) and all(d == 0 for d in dexpo)
-    if coef == minus_one and not body_empty:
-        sign = "-"
-    elif not (coef == one and not body_empty):
-        factors.append(_coef_text(coef, latex))
-    for v, e in zip(chart, expo):
-        if not e:
-            continue
-        name = _var_latex(v) if latex else str(v)
-        if e == 1:
-            factors.append(name)
-        else:
-            factors.append("%s^{%d}" % (name, e) if latex else "%s^%d" % (name, e))
-    for v, d in zip(chart, dexpo):
-        if not d:
-            continue
-        if latex:
-            base = "\\partial_{%s}" % (_var_latex(v),)
-            factors.append(base if d == 1 else "%s^{%d}" % (base, d))
-        else:
-            base = "d/d%s" % (v,)
-            factors.append(base if d == 1 else "(%s)^%d" % (base, d))
-    joiner = " " if latex else "*"
-    return sign + joiner.join(factors)
-
-
-def _render(op, latex=False):
-    if not op.terms:
-        return "0"
-    pieces = []
-    for dexpo, poly in op.items():
+def _render(chart, items, latex=False):
+    """The terms of (derivative multi-index, CoefPoly) items through the
+    one sum writer of ``scalars``; a variable is named only when its
+    exponent is nonzero."""
+    terms = []
+    for dexpo, poly in items:
+        partials = [_partial_text(v, d, latex) for v, d in zip(chart, dexpo) if d]
         for expo, coef in poly.items():
-            pieces.append(_piece_text(op.chart, dexpo, expo, coef, latex))
-    out = pieces[0]
-    for p in pieces[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+            factors = [power_text(_var_text(v, latex), e, latex)
+                       for v, e in zip(chart, expo) if e]
+            terms.append(term_text(coef_text(coef, latex), factors + partials, latex))
+    return sum_text(terms)
 
 
 def render_diffop(op):
     """Text form in the operator grammar (round-trips through parse)."""
-    return _render(op, latex=False)
+    return _render(op.chart, op.items())
 
 
 def latex_diffop(op):
     """LaTeX form of the operator."""
-    return _render(op, latex=True)
+    return _render(op.chart, op.items(), latex=True)
 
 
 def render_poly_in_vars(p):
     """Text form of a coefficient polynomial (grammar-compatible)."""
-    return render_diffop(DiffOp.of_poly(p))
+    return _render(p.chart, [((), p)])

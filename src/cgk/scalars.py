@@ -5,10 +5,12 @@ operators) computes over the field of rational functions in the five weight
 parameters.  This module provides that field: sparse multivariate polynomials
 with rational coefficients (ParamPoly), normalized quotients of them
 (Scalar), a polynomial gcd so quotients stay canonical, the integer
-constants attached to the central extensions, and two pieces that the other
-modules build on: ``_Sparse``, the one base of every finite sparse sum, and
-``parse_expression``, the one text grammar (numbers, parameter names,
-``+ - * / ^`` and parentheses, with the atoms supplied by the caller).
+constants attached to the central extensions, and three pieces that the
+other modules build on: ``_Sparse``, the one base of every finite sparse
+sum, ``parse_expression``, the one text grammar (numbers, parameter names,
+``+ - * / ^`` and parentheses, with the atoms supplied by the caller), and
+the one writer of printed sums (``term_text``, ``sum_text``,
+``coef_text``), in text and in LaTeX.
 
 ``is_zero()`` is a method on every value here and on every ``_Sparse``
 sum, and it always equals ``not value``: zero is false in a test.
@@ -525,9 +527,6 @@ class Scalar:
     def is_zero(self):
         return not self.num.terms
 
-    def is_one(self):
-        return self.den is _POLY_ONE and self.num == _POLY_ONE
-
     def is_rational(self):
         return self.den is _POLY_ONE and self.num.is_const()
 
@@ -797,36 +796,77 @@ def central_constant(spec, m):
     return sign * mag
 
 
-# rendering emits e.g. (2*delta+1)/mu, and parse_scalar accepts it back
+# --- writing sums ------------------------------------------------------------
+#
+# The one writer of every printed sum: parameter polynomials here,
+# operators in diffop, generator combinations and module vectors in cli.
+# A term is a coefficient text times factor texts, and a coefficient of 1
+# or -1 before factors becomes the term's sign; the terms join with their
+# signs folded, "a - b" and never "a + -b".  Text output such as
+# (2*delta+1)/mu parses back with parse_scalar.
 
-def _render_poly_term(expo, coef):
-    factors = []
-    for i, e in enumerate(expo):
-        if e == 1:
-            factors.append(SYMBOLS[i])
-        elif e > 1:
-            factors.append("%s^%d" % (SYMBOLS[i], e))
-    if not factors:
-        return str(coef)
-    body = "*".join(factors)
-    if coef == 1:
-        return body
-    if coef == -1:
-        return "-" + body
-    return "%s*%s" % (coef, body)
+_LATEX_SYMBOLS = (r"\delta", r"\mu", "r", r"\theta", r"\kappa")
+
+
+def term_text(coef, factors, latex=False):
+    """The signed text of the coefficient text ``coef`` times ``factors``."""
+    joiner = " " if latex else "*"
+    if factors and coef in ("1", "-1"):
+        return coef[:-1] + joiner.join(factors)  # the sign alone
+    return joiner.join([coef, *factors])
+
+
+def sum_text(terms, spaced=True):
+    """Signed term texts joined as " + " and " - " (or, not ``spaced``, as
+    "+" and "-"); "0" when there are none."""
+    if not terms:
+        return "0"
+    plus, minus = (" + ", " - ") if spaced else ("+", "-")
+    return terms[0] + "".join(
+        minus + t[1:] if t.startswith("-") else plus + t for t in terms[1:])
+
+
+def power_text(base, e, latex=False):
+    """The text of ``base`` to the power ``e`` >= 1."""
+    if e == 1:
+        return base
+    return ("%s^{%d}" if latex else "%s^%d") % (base, e)
+
+
+def coef_text(s, latex=False):
+    """A Scalar coefficient's text: in parentheses when it is a sum or, in
+    text, a quotient; a leading sign alone needs none."""
+    txt = latex_scalar(s) if latex else render_scalar(s)
+    body = txt[1:] if txt.startswith("-") else txt
+    if "+" in body or "-" in body or (not latex and "/" in body):
+        return "(%s)" % txt
+    return txt
+
+
+def _poly_text(p, latex):
+    names = _LATEX_SYMBOLS if latex else SYMBOLS
+    number = _latex_fraction if latex else str
+    return sum_text([
+        term_text(number(p.terms[expo]),
+                  [power_text(names[i], e, latex) for i, e in enumerate(expo) if e],
+                  latex)
+        for expo in sorted(p.terms, key=_grlex_key, reverse=True)
+    ], spaced=False)
 
 
 def render_poly(p):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for expo in sorted(p.terms, key=_grlex_key, reverse=True):
-        term = _render_poly_term(expo, p.terms[expo])
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+    return _poly_text(p, False)
+
+
+def latex_poly(p):
+    return _poly_text(p, True)
+
+
+def _latex_fraction(frac):
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    sign = "-" if frac < 0 else ""
+    return r"%s\frac{%d}{%d}" % (sign, abs(frac.numerator), frac.denominator)
 
 
 def render_scalar(s):
@@ -839,6 +879,12 @@ def render_scalar(s):
     if len(s.den.terms) > 1 or "*" in den:
         den = "(%s)" % den
     return "%s/%s" % (num, den)
+
+
+def latex_scalar(s):
+    if s.den is _POLY_ONE:
+        return latex_poly(s.num)
+    return r"\frac{%s}{%s}" % (latex_poly(s.num), latex_poly(s.den))
 
 
 # The one text grammar, shared by parse_scalar and diffop.parse_diffop:
@@ -936,53 +982,3 @@ def parse_scalar(text):
     """Parse a Scalar, e.g. '(2*delta+1)/mu'; the atoms are numbers and the
     five parameter names."""
     return parse_expression(text, scalar_atom)
-
-
-_LATEX_SYMBOLS = {
-    "delta": r"\delta",
-    "mu": r"\mu",
-    "r": "r",
-    "theta": r"\theta",
-    "kappa": r"\kappa",
-}
-
-
-def latex_poly(p):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for expo in sorted(p.terms, key=_grlex_key, reverse=True):
-        coef = p.terms[expo]
-        factors = []
-        for i, e in enumerate(expo):
-            if e == 1:
-                factors.append(_LATEX_SYMBOLS[SYMBOLS[i]])
-            elif e > 1:
-                factors.append("%s^{%d}" % (_LATEX_SYMBOLS[SYMBOLS[i]], e))
-        body = " ".join(factors)
-        if not body:
-            term = _latex_fraction(coef)
-        elif coef == 1:
-            term = body
-        elif coef == -1:
-            term = "-" + body
-        else:
-            term = "%s %s" % (_latex_fraction(coef), body)
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
-
-
-def _latex_fraction(frac):
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    sign = "-" if frac < 0 else ""
-    return r"%s\frac{%d}{%d}" % (sign, abs(frac.numerator), frac.denominator)
-
-
-def latex_scalar(s):
-    if s.den is _POLY_ONE:
-        return latex_poly(s.num)
-    return r"\frac{%s}{%s}" % (latex_poly(s.num), latex_poly(s.den))

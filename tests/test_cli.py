@@ -15,6 +15,8 @@ from cgk.algebra import (
     AlgebraSpec,
     Gen,
     GenCombo,
+    InvalidSpec,
+    UnknownGenerator,
     enumerate_generators,
     jacobi_check,
     supported_specs,
@@ -29,12 +31,19 @@ from cgk.cli import (
     vector_from_json,
     vector_to_json,
 )
-from cgk.diffop import parse_diffop, render_diffop
+from cgk.diffop import VariableMismatch, parse_diffop, render_diffop
 from cgk.invariants import invariant_operator
-from cgk.reps import chart, left_action
-from cgk.scalars import Scalar
+from cgk.reps import UnsupportedGenerator, chart, left_action
+from cgk.scalars import DivisionByZero, Scalar, UnsupportedFamily
 from cgk.singular import SearchResult, singular_closed
-from cgk.verma import ModuleVector, PbwMonomial, level_basis, resolve_params
+from cgk.verma import (
+    InfiniteSelection,
+    MissingParameter,
+    ModuleVector,
+    PbwMonomial,
+    level_basis,
+    resolve_params,
+)
 from test_diffop import _reference_residual
 from test_invariants import _corrupt_left_action, _shifted_params
 from test_reps import _reference_rep_check
@@ -58,7 +67,9 @@ def test_pde_emit_latex_example(capsys):
     assert code == 0
     assert "\\partial_{x_{1}}^{2}" in out
     assert "2 \\mu \\partial_{t}" in out
-    assert "\\psi = 0" in out
+    # the operator applies to psi as a whole, as in the text form's ( ... ) psi
+    assert out.startswith("\\left(2 \\mu x_{1}")
+    assert out.endswith("\\partial_{x_{1}}^{2}\\right)\\psi = 0\n")
 
 
 def test_centerless_search_example(capsys):
@@ -140,6 +151,23 @@ def test_unexpected_exception_is_one_line_exit_two(capsys, monkeypatch):
         "--level", "2",
     )
     assert (code, out, err) == (2, "", "internal error: RuntimeError: boom\n")
+
+
+@pytest.mark.parametrize("error", [
+    InvalidSpec, UnknownGenerator, UnsupportedGenerator, UnsupportedFamily,
+    MissingParameter, InfiniteSelection, VariableMismatch, DivisionByZero,
+], ids=lambda e: e.__name__)
+def test_typed_error_is_one_line_exit_two(capsys, monkeypatch, error):
+    # each typed error reaches run's one handler: its message, never its repr
+    def fail(*args, **kwargs):
+        raise error("no %s here" % error.__name__)
+
+    monkeypatch.setattr(cli, "level_basis", fail)
+    code, out, err = invoke(
+        capsys, "verma", "basis", "--d", "1", "--two-ell", "1", "--ext", "mass",
+        "--level", "2",
+    )
+    assert (code, out, err) == (2, "", "error: no %s here\n" % error.__name__)
 
 
 PDE_CHECK_MU0 = ["pde", "check", "--d", "1", "--two-ell", "1", "--ext", "mass", "--q", "1",

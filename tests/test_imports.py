@@ -1,8 +1,11 @@
-"""Every module-level import of a ``cgk`` module is used by that module.
+"""Every module-level import of a ``cgk`` module is used by that module,
+and every definition of the package is named somewhere.
 
 No linter ships with the runtime, so this reads each source file with the
 standard ``ast`` module: a name bound by a top-level import must be read
-somewhere in the module, or listed in its ``__all__``.
+somewhere in the module, or listed in its ``__all__``; and a function,
+class or non-dunder method defined in ``cgk`` must be named by some
+source, test or benchmark file, or nothing can reach it.
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 import cgk
 
 SOURCES = sorted(pathlib.Path(cgk.__file__).resolve().parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+READERS = SOURCES + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("cgkbench/*.py"))
 
 
 def _imported_names(tree):
@@ -52,3 +57,48 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _definitions(tree):
+    """(line, name) of every function, class and non-dunder method, in
+    line order."""
+    return sorted(
+        (node.lineno, node.name) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _named(tree):
+    """Every name a module reads, as a variable, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def dead_definitions(sources, readers):
+    """(label, line, name) of each definition in the (label, text) pairs
+    of ``sources`` that no text of ``readers`` names."""
+    named = set()
+    for text in readers:
+        named.update(_named(ast.parse(text)))
+    return [(label, line, name) for label, text in sources
+            for line, name in _definitions(ast.parse(text)) if name not in named]
+
+
+def test_the_check_sees_a_dead_definition():
+    source = ("class A:\n    def used(self):\n        pass\n\n"
+              "    def unused(self):\n        pass\n\n    def __len__(self):\n"
+              "        return 0\n\n\ndef orphan():\n    return A().used()\n")
+    sources = [("m", source)]
+    assert dead_definitions(sources, [source]) == [("m", 5, "unused"), ("m", 12, "orphan")]
+    readers = [source, "from m import orphan\n"]
+    assert dead_definitions(sources, readers) == [("m", 5, "unused")]
+
+
+def test_no_dead_definitions():
+    sources = [(path.name, path.read_text()) for path in SOURCES]
+    assert dead_definitions(sources, [path.read_text() for path in READERS]) == []
