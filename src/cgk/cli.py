@@ -571,8 +571,6 @@ def cmd_pde_emit(args):
 
 def cmd_pde_check(args):
     spec, params = _config(args, q=args.q)
-    if params is None or "delta" not in params:
-        raise UsageError("pde check needs --delta (a rational or 'auto')")
     try:
         failures = intertwining_check(spec, args.q, params)
     except ConditionNotSatisfied as exc:

@@ -16,28 +16,50 @@ one only on a scalar) and chains left to right.  ``render_diffop`` output
 (`2*mu*d/dt + (d/dx0)^2`) parses back to the same operator.
 
 Products, commutators and intertwining residuals share one signed Leibniz
-accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw
-``{dexpo: {expo: Scalar}}`` map; the operator is built once from the map
-(``DiffOp.of_raw``), with no intermediate operator and no subtraction of
-whole operators.  ``compose`` calls it once, ``commutator`` twice with opposite
-signs, and ``twisted_commutator`` (s.b - c.s) twice plus one correction.
+accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw map of
+plain numbers; the operator is built once from the map (``_op_of``), with
+no intermediate operator and no subtraction of whole operators.
+``compose`` calls it once, ``commutator`` twice with opposite signs (plus
+once per ``minus`` term), and ``twisted_commutator`` (s.b - c.s) twice
+plus one correction.
+
+The accumulator never touches a Scalar.  Each operand is split once per
+call (``_flat``) into groups, one per derivative multi-index and
+coefficient denominator, of terms keyed by one flat exponent tuple: the
+chart exponents followed by the five parameter exponents, with an
+``int`` or ``Fraction`` value.  The raw map is
+``{denominator: {dexpo: {flat key: int | Fraction}}}``: a product of two
+terms adds their keys and multiplies their values, and lands in the
+bucket of the product of their denominators.  ``_op_of`` makes one Scalar
+per output coefficient, normalising only over a denominator other than 1
+and summing a coefficient's buckets; with every denominator 1, the case of
+every realization and invariant operator, there is one bucket and no
+normalisation.
+
 For each pair of terms pa d^alpha, pb d^beta the Leibniz sum runs over
 gamma <= min(alpha, top) only, where top is the componentwise maximum
 exponent of pb: d^gamma pb is zero unless gamma <= top, so the bound drops
-no term.  A commutator skips the gamma = 0 Leibniz terms: in a.b they are
-pa pb d^(alpha+beta), in b.a the same product in the other order, and
-coefficients commute, so they always cancel.
+no term.  The derivative row d^gamma pb is made once per (group of b,
+gamma) in a call and reused for every alpha of a.  A commutator skips the
+gamma = 0 Leibniz terms: in a.b they are pa pb d^(alpha+beta), in b.a the
+same product in the other order, and coefficients commute, so they always
+cancel.
 """
 
 import functools
 import re
 from dataclasses import dataclass
 from math import comb
+from operator import add, sub
 
 from .scalars import (
+    _POLY_ONE,
+    ZERO_EXPO,
     Scalar,
     VariableMismatch,
     _check_chart,
+    _poly_of,
+    _scalar_over_one,
     _Sparse,
     coef_text,
     parse_expression,
@@ -256,61 +278,146 @@ def _leibniz_table(alpha, bound):
     return tuple(out)
 
 
-def _leibniz_into(out, a, b, sign, skip_order_zero=False):
-    """Add sign * (a . b) into the raw map out = {dexpo: {expo: Scalar}}.
+def _flat(op):
+    """``op`` split into Leibniz operands: (dens, groups).
+
+    ``dens`` lists the distinct coefficient denominators, ``_POLY_ONE``
+    first.  ``groups`` has one (dexpo, den index, top, terms, rows) per
+    derivative multi-index and denominator: ``terms`` lists (flat key,
+    value) pairs, the flat key being the chart exponents followed by the
+    five parameter exponents of one numerator term and the value its
+    ``int`` or ``Fraction`` coefficient; ``top`` is the componentwise
+    maximum chart exponent of the dexpo's coefficient polynomial, and
+    ``rows`` the empty cache of derivative rows that ``_leibniz_into``
+    fills when the group is in a right operand.
+    """
+    dens, groups = [_POLY_ONE], []
+    for dexpo, poly in op.terms.items():
+        # a single term is its own bound; most coefficients of a
+        # realization pi(X) are one, and the column maxima cost as much as
+        # a Leibniz row
+        expos = poly.terms
+        top = next(iter(expos)) if len(expos) == 1 else tuple(map(max, zip(*expos)))
+        by_den = {}
+        for expo, coef in expos.items():
+            den = coef.den
+            if den is _POLY_ONE:
+                i = 0
+            else:
+                if den not in dens:
+                    dens.append(den)
+                i = dens.index(den)
+            terms = by_den.get(i)
+            if terms is None:
+                terms = by_den[i] = []
+                groups.append((dexpo, i, top, terms, {}))
+            for pexpo, c in coef.num.terms.items():
+                terms.append((expo + pexpo, c))
+    return dens, groups
+
+
+def _derivative_row(terms, gamma):
+    """d^gamma of a group's terms: each (key, c) with gamma <= its chart
+    exponents e becomes (key - gamma, c * ff(e, gamma)), ff the product of
+    the falling factorials e_i (e_i - 1) ... (e_i - gamma_i + 1); the
+    others are dropped."""
+    if not any(gamma):
+        return terms
+    shift = gamma + ZERO_EXPO
+    row = []
+    for key, c in terms:
+        for e, g in zip(key, gamma):
+            if g > e:
+                break
+            for j in range(g):
+                c *= e - j
+        else:
+            row.append((tuple(map(sub, key, shift)), c))
+    return row
+
+
+def _den_product(da, db):
+    if da is _POLY_ONE:
+        return db
+    return da if db is _POLY_ONE else da * db
+
+
+def _leibniz_into(out, fa, fb, sign, skip_order_zero=False):
+    """Add sign * (a . b) into the raw map out, for a and b split by ``_flat``.
+
+    The raw map is ``{den: {dexpo: {flat key: int | Fraction}}}``: each
+    numerator term of a coefficient is one flat key, the chart exponents
+    followed by the parameter exponents, so the product of two terms adds
+    their keys and multiplies two plain numbers.  A product's denominator
+    is the product of its operands' denominators, made once per pair of
+    denominators before the loops, and its terms go to that denominator's
+    bucket; ``_op_of`` sums the buckets into Scalars once.  With every
+    denominator 1 there is one bucket and no normalisation.
 
     One pass over the Leibniz sum
 
         pa d^alpha . pb d^beta
             = sum_{gamma <= alpha} C(alpha, gamma) pa (d^gamma pb) d^(alpha-gamma+beta),
 
-    with no intermediate operators: each term c x^e of pb contributes
-    c * ff(e, gamma) x^(e-gamma) to d^gamma pb, where ff is the product of
-    the falling factorials e_i (e_i - 1) ... (e_i - gamma_i + 1), and the
-    term is dropped as soon as some gamma_i > e_i.  So d^gamma pb is zero
-    unless gamma <= top, the componentwise maximum exponent of pb, and
-    gamma runs over min(alpha, top) only: the sum is exact, and an operator
-    of high order against coefficients of low degree (S^q against pi(X))
-    walks a few gamma instead of every gamma <= alpha.  That integer, the
-    sign and C(alpha, gamma) fold into one int before the one Scalar product
-    per pair of terms.  ``skip_order_zero`` leaves out gamma = 0, the terms
-    pa pb d^(alpha+beta) that a.b and b.a share.
+    with no intermediate operators.  d^gamma pb, the derivative row of a
+    group of b (``_derivative_row``), is made once per (group, gamma) and
+    kept in the group's ``rows`` for every alpha of a, and for every
+    product of the same split operand.  It is zero unless gamma <= top,
+    the componentwise maximum chart exponent of pb, so gamma runs over
+    min(alpha, top) only: the sum is exact, and an operator of high order
+    against coefficients of low degree (S^q against pi(X)) walks a few
+    gamma instead of every gamma <= alpha.  ``skip_order_zero`` leaves out
+    gamma = 0, the terms pa pb d^(alpha+beta) that a.b and b.a share.
     """
-    b_terms = []
-    for beta, pb in b.terms.items():
-        pb_terms = list(pb.terms.items())
-        # a single monomial is its own bound; most coefficients of a
-        # realization pi(X) are one, and the column maxima cost as much as
-        # a Leibniz row
-        top = pb_terms[0][0] if len(pb_terms) == 1 else tuple(map(max, zip(*pb.terms)))
-        b_terms.append((beta, top, pb_terms))
-    for alpha, pa in a.terms.items():
-        pa_terms = list(pa.terms.items())
-        for beta, top, pb_terms in b_terms:
+    dens_a, groups_a = fa
+    dens_b, groups_b = fb
+    buckets = [[out.setdefault(_den_product(da, db), {}) for db in dens_b]
+               for da in dens_a]
+    for alpha, ia, _, a_terms, _ in groups_a:
+        by_den = buckets[ia]
+        for beta, ib, top, b_terms, rows in groups_b:
+            bucket = by_den[ib]
             table = _leibniz_table(alpha, top)
             for gamma, binom, shift in table[1:] if skip_order_zero else table:
-                binom *= sign
-                dexpo = tuple(si + bi for si, bi in zip(shift, beta))
-                acc = out.get(dexpo)
+                row = rows.get(gamma)
+                if row is None:
+                    row = rows[gamma] = _derivative_row(b_terms, gamma)
+                if not row:
+                    continue
+                dexpo = tuple(map(add, shift, beta))
+                acc = bucket.get(dexpo)
                 if acc is None:
-                    acc = out[dexpo] = {}
-                for eb, cb in pb_terms:
-                    k = binom
-                    for e, g in zip(eb, gamma):
-                        if g > e:
-                            k = 0
-                            break
-                        for j in range(g):
-                            k *= e - j
-                    if not k:
-                        continue
-                    rest = tuple(e - g for e, g in zip(eb, gamma))
-                    cbk = cb * k
-                    for ea, ca in pa_terms:
-                        expo = tuple(x + y for x, y in zip(ea, rest))
-                        term = ca * cbk
-                        prev = acc.get(expo)
-                        acc[expo] = term if prev is None else prev + term
+                    acc = bucket[dexpo] = {}
+                binom *= sign
+                for kb, vb in row:
+                    vb *= binom
+                    for ka, va in a_terms:
+                        key = tuple(map(add, ka, kb))
+                        acc[key] = acc.get(key, 0) + va * vb
+
+
+def _op_of(out, chart):
+    """The DiffOp of a ``_leibniz_into`` raw map, one Scalar per
+    coefficient: a numerator over 1 as it is, any other one normalised
+    over its bucket's denominator, and the buckets of one coefficient
+    summed."""
+    n = len(chart)
+    raw = {}
+    for den, bucket in out.items():
+        for dexpo, acc in bucket.items():
+            nums = {}
+            for key, c in acc.items():
+                if c:
+                    nums.setdefault(key[:n], {})[key[n:]] = c
+            if not nums:
+                continue
+            polys = raw.setdefault(dexpo, {})
+            for expo, terms in nums.items():
+                num = _poly_of(terms)
+                coef = _scalar_over_one(num) if den is _POLY_ONE else Scalar(num, den)
+                prev = polys.get(expo)
+                polys[expo] = coef if prev is None else prev + coef
+    return DiffOp.of_raw(raw, chart)
 
 
 def compose(a, b):
@@ -321,8 +428,8 @@ def compose(a, b):
     """
     _check_chart(a, b)
     out = {}
-    _leibniz_into(out, a, b, 1)
-    return DiffOp.of_raw(out, a.chart)
+    _leibniz_into(out, _flat(a), _flat(b), 1)
+    return _op_of(out, a.chart)
 
 
 def commutator(a, b, minus=()):
@@ -332,17 +439,19 @@ def commutator(a, b, minus=()):
     products leave out gamma = 0: those terms are pa pb d^(alpha+beta) in
     a.b and pb pa d^(beta+alpha) in b.a, equal because coefficients
     commute, so they cancel in every commutator.  ``minus`` subtracts a
-    linear combination in the same map, which is how a bracket audit
-    tests [pi X, pi Y] - pi([X, Y]) for zero without a second operator.
+    linear combination in the same map, as the products coef . z, which is
+    how a bracket audit tests [pi X, pi Y] - pi([X, Y]) for zero without a
+    second operator.
     """
     _check_chart(a, b)
     out = {}
-    _leibniz_into(out, a, b, 1, skip_order_zero=True)
-    _leibniz_into(out, b, a, -1, skip_order_zero=True)
+    fa, fb = _flat(a), _flat(b)
+    _leibniz_into(out, fa, fb, 1, skip_order_zero=True)
+    _leibniz_into(out, fb, fa, -1, skip_order_zero=True)
     for z, coef in minus:
         _check_chart(a, z)
-        DiffOp.add_into(out, z.terms.items(), -coef)
-    return DiffOp.of_raw(out, a.chart)
+        _leibniz_into(out, _flat(DiffOp.const(a.chart, coef)), _flat(z), -1)
+    return _op_of(out, a.chart)
 
 
 def twisted_commutator(s, before, after):
@@ -350,14 +459,16 @@ def twisted_commutator(s, before, after):
 
     When ``after`` differs from ``before`` only in a few order-zero terms
     (a weight shift), the commutator's gamma = 0 cancellation applies and
-    the correction is one small product.
+    the correction is one small product.  ``s`` is split once for all three
+    products, so its derivative rows are made once too.
     """
     _check_chart(s, before)
     out = {}
-    _leibniz_into(out, s, before, 1, skip_order_zero=True)
-    _leibniz_into(out, before, s, -1, skip_order_zero=True)
-    _leibniz_into(out, after - before, s, -1)
-    return DiffOp.of_raw(out, s.chart)
+    fs, fb = _flat(s), _flat(before)
+    _leibniz_into(out, fs, fb, 1, skip_order_zero=True)
+    _leibniz_into(out, fb, fs, -1, skip_order_zero=True)
+    _leibniz_into(out, _flat(after - before), fs, -1)
+    return _op_of(out, s.chart)
 
 
 def apply_op(a, p):

@@ -20,7 +20,7 @@ where lambda is the lowest weight read from ``algebra.weight_table`` (a
 diagonal generator's eigenvalue is sign * symbol) and Z- drops out, as
 the annihilators kill the lowest-weight vector.  Everything but lambda
 is parameter-free, so it is derived once per (family, generator); a call
-only adds the order-zero parameter terms.
+only adds the order-zero parameter terms, into one raw map with -R(Z+).
 
 Both honor [pi(X), pi(Y)] = pi([X, Y]) on their domains, and
 ``rep_check`` verifies that identity exactly, pair by pair.
@@ -163,10 +163,14 @@ def left_action(spec, gen, params=None):
     if gen not in normal_position(spec):
         raise UnsupportedGenerator("no left realization of %s" % (gen,))
     op, diag = _left_parts(spec, gen)
-    lam = lowest_weight(spec, pvals) if diag else None
+    if not diag:
+        return op
+    lam = lowest_weight(spec, pvals)
+    out = {dexpo: dict(poly.terms) for dexpo, poly in op.terms.items()}
+    origin = (0,) * len(op.chart)
     for g, poly in diag:
-        op = op + DiffOp.of_poly(poly.scaled(-lam[g]))
-    return op
+        DiffOp.add_into(out, [(origin, poly)], -lam[g])
+    return DiffOp.of_raw(out, op.chart)
 
 
 def rep_check(spec, side="left", params=None):

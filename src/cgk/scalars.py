@@ -659,7 +659,10 @@ class _Sparse:
 
     Accumulators fill a raw map instead: ``{key: int | Scalar}``, or for a
     DiffOp ``{key: raw map of one CoefPoly}``.  ``add_into`` adds terms to
-    one, and ``of_raw`` makes the sum once at the end.
+    one, and ``of_raw`` makes the sum once at the end.  The Leibniz
+    accumulator of ``diffop`` keeps its own map of plain numbers, keyed by
+    denominator, derivative multi-index and flat chart-and-parameter
+    exponents, and ``diffop._op_of`` builds its DiffOp.
     """
 
     __slots__ = ("terms",)
@@ -835,11 +838,14 @@ def power_text(base, e, latex=False):
 
 def coef_text(s, latex=False):
     """A Scalar coefficient's text: in parentheses when it is a sum or, in
-    text, a quotient; a leading sign alone needs none."""
+    text, a quotient, which keeps its leading sign outside them so that
+    ``sum_text`` folds it; a leading sign alone needs none."""
     txt = latex_scalar(s) if latex else render_scalar(s)
-    body = txt[1:] if txt.startswith("-") else txt
-    if "+" in body or "-" in body or (not latex and "/" in body):
+    sign, body = ("-", txt[1:]) if txt.startswith("-") else ("", txt)
+    if "+" in body or "-" in body:
         return "(%s)" % txt
+    if not latex and "/" in body:
+        return "%s(%s)" % (sign, body)
     return txt
 
 
@@ -882,9 +888,18 @@ def render_scalar(s):
 
 
 def latex_scalar(s):
+    """LaTeX of a Scalar; a quotient is one fraction of integral polynomials,
+    with the sign of the numerator's leading term pulled out of it."""
     if s.den is _POLY_ONE:
         return latex_poly(s.num)
-    return r"\frac{%s}{%s}" % (latex_poly(s.num), latex_poly(s.den))
+    coefs = [*s.num.terms.values(), *s.den.terms.values()]
+    scale = Fraction(lcm(*(Fraction(c).denominator for c in coefs)),
+                     gcd(*(Fraction(c).numerator for c in coefs)))
+    num, den = s.num * scale, s.den * scale
+    sign = ""
+    if num.leading()[1] < 0:
+        sign, num = "-", -num
+    return r"%s\frac{%s}{%s}" % (sign, latex_poly(num), latex_poly(den))
 
 
 # The one text grammar, shared by parse_scalar and diffop.parse_diffop:

@@ -45,6 +45,7 @@ from cgk.verma import (  # noqa: E402
 D5 = AlgebraSpec(1, 5, "mass")
 M1 = AlgebraSpec(2, 1, "mass")
 M3 = AlgebraSpec(2, 3, "mass")
+M5 = AlgebraSpec(2, 5, "mass")
 EX2 = AlgebraSpec(2, 2, "exotic")
 DELTA, MU, R = (ParamPoly.symbol(name) for name in ("delta", "mu", "r"))
 P = DELTA * DELTA + MU * R - ParamPoly.const(3) * DELTA + ParamPoly.const(Fraction(1, 2))
@@ -116,14 +117,14 @@ def test_compose(benchmark):
     benchmark(compose, power, special)
 
 
-def _top_case_operands():
-    """S^3, pi_L(C) and its delta-shifted copy on (2,2,exotic), with delta
-    at the level-3 root and every other parameter symbolic: the operands of
+def _top_case_operands(spec=EX2):
+    """S^3, pi_L(C) and its delta-shifted copy, with delta at the level-3
+    root and every other parameter symbolic: on (2,2,exotic) the operands of
     ``cgk pde check --d 2 --two-ell 2 --ext exotic --q 3 --delta auto``."""
-    params = dict(symbolic_params(EX2), delta=delta_at_condition(EX2, 3))
-    shifted = dict(params, delta=params["delta"] - weight_shift(EX2, 3))
-    power = invariant_operator(EX2, 3, params)
-    return power, left_action(EX2, Gen("C"), params), left_action(EX2, Gen("C"), shifted)
+    params = dict(symbolic_params(spec), delta=delta_at_condition(spec, 3))
+    shifted = dict(params, delta=params["delta"] - weight_shift(spec, 3))
+    power = invariant_operator(spec, 3, params)
+    return power, left_action(spec, Gen("C"), params), left_action(spec, Gen("C"), shifted)
 
 
 def test_compose_intertwining_operands(benchmark):
@@ -138,6 +139,11 @@ def test_commutator(benchmark):
 
 def test_twisted_commutator(benchmark):
     power, special, shifted = _top_case_operands()
+    assert benchmark(twisted_commutator, power, special, shifted).is_zero()
+
+
+def test_twisted_commutator_large(benchmark):
+    power, special, shifted = _top_case_operands(M5)
     assert benchmark(twisted_commutator, power, special, shifted).is_zero()
 
 

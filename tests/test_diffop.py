@@ -10,6 +10,7 @@ from cgk.diffop import (
     DiffOp,
     Var,
     VariableMismatch,
+    _leibniz_table,
     _subindices,
     apply_op,
     commutator,
@@ -304,12 +305,13 @@ def _reference_leibniz_into(out, a, b, sign, skip_order_zero=False):
                         acc[expo] = term if prev is None else prev + term
 
 
-def _from_reference(chart, *calls):
-    """The operator of the raw map that the unbounded accumulator fills
-    with each (a, b, sign, skip_order_zero) call in turn."""
+def _from_reference(chart, *calls, kernel=None):
+    """The operator of the raw map that a Scalar accumulator, by default
+    the unbounded one, fills with each (a, b, sign, skip_order_zero) call
+    in turn."""
     out = {}
     for call in calls:
-        _reference_leibniz_into(out, *call)
+        (kernel or _reference_leibniz_into)(out, *call)
     return DiffOp.of_raw(out, chart)
 
 
@@ -376,6 +378,131 @@ def test_kernel_matches_unbounded_random():
     @hyp.given(charts.flatmap(lambda ch: st.tuples(ops(ch), ops(ch), ops(ch))))
     def check(abc):
         _assert_matches_unbounded_kernel(*abc)
+
+    check()
+
+
+def _scalar_leibniz_into(out, a, b, sign, skip_order_zero=False):
+    """The bounded Leibniz accumulator over Scalars that the flat kernel
+    replaced: gamma <= min(alpha, top), one Scalar product and one Scalar
+    sum per term, into a raw map ``{dexpo: {expo: Scalar}}``."""
+    b_terms = []
+    for beta, pb in b.terms.items():
+        pb_terms = list(pb.terms.items())
+        top = pb_terms[0][0] if len(pb_terms) == 1 else tuple(map(max, zip(*pb.terms)))
+        b_terms.append((beta, top, pb_terms))
+    for alpha, pa in a.terms.items():
+        pa_terms = list(pa.terms.items())
+        for beta, top, pb_terms in b_terms:
+            table = _leibniz_table(alpha, top)
+            for gamma, binom, shift in table[1:] if skip_order_zero else table:
+                binom *= sign
+                dexpo = tuple(si + bi for si, bi in zip(shift, beta))
+                acc = out.setdefault(dexpo, {})
+                for eb, cb in pb_terms:
+                    k = binom
+                    for e, g in zip(eb, gamma):
+                        if g > e:
+                            k = 0
+                            break
+                        for j in range(g):
+                            k *= e - j
+                    if not k:
+                        continue
+                    rest = tuple(e - g for e, g in zip(eb, gamma))
+                    cbk = cb * k
+                    for ea, ca in pa_terms:
+                        expo = tuple(x + y for x, y in zip(ea, rest))
+                        term = ca * cbk
+                        prev = acc.get(expo)
+                        acc[expo] = term if prev is None else prev + term
+
+
+def _assert_canonical(op):
+    """No empty slot, no zero coefficient, and every constant denominator
+    the shared one-polynomial."""
+    for poly in op.terms.values():
+        assert poly.terms
+        for coef in poly.terms.values():
+            assert coef
+            assert coef.den is _POLY_ONE or not coef.den.is_const()
+
+
+def _assert_matches_scalar_kernel(a, b, before, after, coefs):
+    """compose, commutator with each ``minus`` coefficient, and
+    twisted_commutator equal the Scalar kernel's results, in canonical
+    form."""
+    ch = a.chart
+    got = compose(a, b)
+    assert got == _from_reference(ch, (a, b, 1), kernel=_scalar_leibniz_into)
+    _assert_canonical(got)
+    bracket = _from_reference(ch, (a, b, 1, True), (b, a, -1, True),
+                              kernel=_scalar_leibniz_into)
+    for coef in coefs:
+        got = commutator(a, b, minus=[(before, coef)])
+        assert got == bracket - before.scaled(coef)
+        _assert_canonical(got)
+    got = twisted_commutator(a, before, after)
+    assert got == _from_reference(
+        ch, (a, before, 1, True), (before, a, -1, True), (after - before, a, -1),
+        kernel=_scalar_leibniz_into)
+    _assert_canonical(got)
+
+
+_DENS = {"1": Scalar.one(), "delta+1": DELTA + 1, "mu": MU, "(delta+1)*mu": (DELTA + 1) * MU}
+
+
+def _flat_kernel_ops(hyp, chart, dens):
+    """Operators on ``chart`` with one term over each denominator named in
+    ``dens`` and up to three more over any of them; numerators are a
+    rational, possibly non-integral, times 1, delta, mu or delta*mu."""
+    st = hyp.strategies
+    expos = st.tuples(*[st.integers(0, 2)] * len(chart))
+    numbers = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    numerators = st.builds(lambda c, s: Scalar.const(c) * s, numbers,
+                           st.sampled_from([Scalar.one(), DELTA, MU, DELTA * MU]))
+
+    def term(den):
+        return st.tuples(expos, expos, numerators.map(lambda n: n / _DENS[den]))
+
+    def build(terms):
+        raw = {}
+        for dexpo, expo, coef in terms:
+            acc = raw.setdefault(dexpo, {})
+            acc[expo] = acc.get(expo, 0) + coef
+        return DiffOp(chart, {d: CoefPoly(chart, p) for d, p in raw.items()})
+
+    fixed = st.tuples(*map(term, dens))
+    more = st.lists(st.sampled_from(dens).flatmap(term), max_size=3)
+    return st.builds(lambda f, m: build([*f, *m]), fixed, more)
+
+
+# int, Fraction and parameter-denominator coefficients of a ``minus`` term
+_MINUS_COEFS = (3, Fraction(-2, 3), 1 / (DELTA + 1), MU / (DELTA + 2))
+
+
+@pytest.mark.parametrize("dens_a, dens_b, dens_before, dens_after", [
+    # non-integral Fraction coefficients, every denominator 1
+    (("1",), ("1",), ("1",), ("1",)),
+    # several denominator buckets in both operands at once, and a
+    # twisted commutator whose before and after have different ones
+    (("delta+1", "mu"), ("1", "delta+1", "mu"), ("1", "delta+1"), ("mu", "(delta+1)*mu")),
+], ids=["fractions", "denominators"])
+def test_flat_kernel_matches_scalar_kernel(dens_a, dens_b, dens_before, dens_after):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def operands(chart):
+        return st.tuples(*(_flat_kernel_ops(hyp, chart, dens)
+                           for dens in (dens_a, dens_b, dens_before, dens_after)))
+
+    charts = st.sampled_from([TX, make_chart("t", "x0", "y0")])
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(charts.flatmap(operands))
+    def check(ops):
+        _assert_matches_scalar_kernel(*ops, _MINUS_COEFS)
 
     check()
 

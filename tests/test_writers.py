@@ -10,13 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from cgk.algebra import AlgebraSpec, GenCombo, enumerate_generators, supported_specs
+from cgk.algebra import AlgebraSpec, Gen, GenCombo, enumerate_generators, supported_specs
 from cgk.cli import render_terms
 from cgk.diffop import (
     CoefPoly,
     DiffOp,
     latex_diffop,
     make_chart,
+    parse_diffop,
     render_diffop,
     render_poly_in_vars,
 )
@@ -102,8 +103,9 @@ def _reference_coef_text(s, latex=False):
     txt = latex_scalar(s) if latex else render_scalar(s)
     stripped = txt[1:] if txt.startswith("-") else txt
     needs = any(c in stripped for c in "+-") or (latex and "\\frac" not in txt and "/" in txt)
-    if not latex and "/" in stripped:
-        needs = True
+    if not latex and "/" in stripped and not needs:
+        # a quotient keeps its sign outside the parentheses
+        return txt[:len(txt) - len(stripped)] + "(%s)" % stripped
     return "(%s)" % txt if needs else txt
 
 
@@ -164,8 +166,10 @@ def _reference_render_terms(items):
         elif cs == "-1":
             parts.append("-%s" % (label,))
         else:
-            if "+" in cs[1:] or "-" in cs[1:] or "/" in cs:
+            if "+" in cs[1:] or "-" in cs[1:]:
                 cs = "(%s)" % cs
+            elif "/" in cs:
+                cs = "-(%s)" % cs[1:] if cs.startswith("-") else "(%s)" % cs
             parts.append("%s*%s" % (cs, label))
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
@@ -205,9 +209,14 @@ def test_latex_scalar_exact():
         (Scalar.const(Fraction(-3, 4)), r"-\frac{3}{4}"),
         (2 * delta - 1, r"2 \delta-1"),
         ((2 * delta + 1) / mu, r"\frac{2 \delta+1}{\mu}"),
-        (-delta / (2 * mu), r"\frac{-\frac{1}{2} \delta}{\mu}"),
+        (-delta / (2 * mu), r"-\frac{\delta}{2 \mu}"),
         ((delta - 1) / (mu * r + 1), r"\frac{\delta-1}{\mu r+1}"),
-        (-kappa / (2 * delta ** 2), r"\frac{-\frac{1}{2} \kappa}{\delta^{2}}"),
+        (-kappa / (2 * delta ** 2), r"-\frac{\kappa}{2 \delta^{2}}"),
+        # the rational content of numerator and denominator comes out too
+        (3 * delta / (2 * mu), r"\frac{3 \delta}{2 \mu}"),
+        (1 / (2 * delta + 1), r"\frac{1}{2 \delta+1}"),
+        ((-3 * delta + 6) / (4 * mu * r), r"-\frac{3 \delta-6}{4 \mu r}"),
+        ((delta + Fraction(1, 3)) / (delta - 2), r"\frac{3 \delta+1}{3 \delta-6}"),
     ]
     for value, want in cases:
         assert latex_scalar(value) == want
@@ -216,10 +225,37 @@ def test_latex_scalar_exact():
 def test_coefficient_parentheses():
     delta, mu = Scalar.symbol("delta"), Scalar.symbol("mu")
     half = Scalar.const(Fraction(-1, 2))
-    assert [coef_text(s) for s in (half, -delta, delta - 1, delta / mu)] == [
-        "(-1/2)", "-delta", "(delta-1)", "(delta/mu)"]
-    assert [coef_text(s, latex=True) for s in (half, -delta, delta - 1, delta / mu)] == [
-        r"-\frac{1}{2}", r"-\delta", r"(\delta-1)", r"\frac{\delta}{\mu}"]
+    quotients = (-delta / mu, -delta / (2 * mu), (-delta - 1) / mu)
+    assert [coef_text(s) for s in (half, -delta, delta - 1, delta / mu, *quotients)] == [
+        "-(1/2)", "-delta", "(delta-1)", "(delta/mu)",
+        "-(delta/mu)", "-(1/2*delta/mu)", "((-delta-1)/mu)"]
+    assert [coef_text(s, latex=True) for s in (half, -delta, delta - 1, delta / mu,
+                                                *quotients)] == [
+        r"-\frac{1}{2}", r"-\delta", r"(\delta-1)", r"\frac{\delta}{\mu}",
+        r"-\frac{\delta}{\mu}", r"-\frac{\delta}{2 \mu}", r"(-\frac{\delta+1}{\mu})"]
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x0^2 - 1/2*t", "-(1/2)*t + x0^2"),
+    ("x0 - 1/2*t", "x0 - (1/2)*t"),
+    ("x0 - delta/mu*t", "x0 - (delta/mu)*t"),
+    # a sum, or a quotient with a sum above the line, keeps its sign inside
+    ("x0 + (-delta-1)*t", "x0 + (-delta-1)*t"),
+    ("x0 - (2*delta+1)/mu*d/dt", "x0 + ((-2*delta-1)/mu)*d/dt"),
+])
+def test_quotient_sign_folds(text, want):
+    # a negative quotient keeps its minus outside its parentheses, so the
+    # sum folds it; the text parses back to the same operator
+    op = parse_diffop(text, CHARTS[0])
+    assert render_diffop(op) == want
+    assert parse_diffop(want, CHARTS[0]) == op
+
+
+def test_quotient_sign_folds_in_combinations():
+    d, c = Gen("D"), Gen("C")
+    half = Scalar.const(Fraction(1, 2))
+    assert render_terms(GenCombo({d: 1, c: -half}).items()) == "-(1/2)*C + D"
+    assert render_terms(GenCombo({d: -half, c: 1}).items()) == "C - (1/2)*D"
 
 
 # --- equal to the former writers ------------------------------------------------
