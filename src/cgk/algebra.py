@@ -9,6 +9,17 @@ A family is labelled by (d, twoEll, ext).  Supported combinations:
 
 The bracket is generated from the closed coefficient rules rather than
 per-family tables; jacobi_check audits the result.
+
+Every family's layout follows from one grade, the ad D eigenvalue
+[D, g] = grade * g: 2 for H, -2 for C, 2l - 2n for P(n), 0 otherwise.  A
+generator creates when its grade is positive (negative on the centerless
+family, where C creates) and annihilates when it has the other sign; a
+grade-zero P(n)+ creates and P(n)- annihilates, as the J weight splits
+them.  g0 is D, J, the central element, then any grade-zero P left.  Each
+wing lists its sl(2) generator first, then its grade-zero P's, then the
+other P's by index.  The creation P's, split by sign, are the a and b
+strings; the normal order is the creation wing reversed, so the sl(2)
+generator, the top factor, is highest.
 """
 
 from __future__ import annotations
@@ -90,96 +101,58 @@ class GenCombo(_Sparse):
         self.terms = self._coerced(terms)
 
 
+# the eigenvalue (symbol, sign) of each g0 generator on the lowest-weight
+# vector, by tag; P is the centerless family's grade-zero P1
+_WEIGHTS = {"D": ("delta", -1), "J": ("r", -1), "M": ("mu", -1),
+            "Theta": ("theta", 1), "P": ("kappa", -1)}
+_CENTRAL = {"mass": "M", "exotic": "Theta"}
+_SL2_GRADE = {"H": 2, "C": -2}
+
+
+def _grade(spec, g):
+    """The scaling grade of g: [D, g] = grade * g."""
+    if g.tag == "P":
+        return spec.twoEll - 2 * g.n
+    return _SL2_GRADE.get(g.tag, 0)
+
+
 @lru_cache(maxsize=None)
 def _family(spec):
-    """Cached per-family structure: generator sets and ordering data."""
-    two_ell = spec.twoEll
-    if spec.ext == "none":
-        g_minus = [Gen("H"), Gen("P", 0)]
-        g_zero = [Gen("D"), Gen("P", 1)]
-        g_plus = [Gen("C"), Gen("P", 2)]
-        central = None
-        top = Gen("C")
-        a_gens = (Gen("P", 2),)
-        b_gens = ()
-        weights = {Gen("D"): ("delta", -1), Gen("P", 1): ("kappa", -1)}
-        ladder = [Gen("P", 2), Gen("C")]
-    elif spec.d == 1:
-        half = (two_ell - 1) // 2  # index of P(ell-1/2)
-        g_plus = [Gen("H")] + [Gen("P", n) for n in range(half + 1)]
-        g_zero = [Gen("D"), Gen("M")]
-        g_minus = [Gen("C")] + [Gen("P", n) for n in range(half + 1, two_ell + 1)]
-        central = Gen("M")
-        top = Gen("H")
-        a_gens = tuple(Gen("P", n) for n in range(half + 1))
-        b_gens = ()
-        weights = {Gen("D"): ("delta", -1), Gen("M"): ("mu", -1)}
-        ladder = list(a_gens) + [top]
-    elif spec.ext == "mass":
-        half = (two_ell - 1) // 2
-        g_plus = [Gen("H")]
-        for n in range(half + 1):
-            g_plus += [Gen("P", n, "+"), Gen("P", n, "-")]
-        g_zero = [Gen("D"), Gen("J"), Gen("M")]
-        g_minus = [Gen("C")]
-        for n in range(half + 1, two_ell + 1):
-            g_minus += [Gen("P", n, "+"), Gen("P", n, "-")]
-        central = Gen("M")
-        top = Gen("H")
-        a_gens = tuple(Gen("P", n, "+") for n in range(half + 1))
-        b_gens = tuple(Gen("P", n, "-") for n in range(half + 1))
-        weights = {
-            Gen("D"): ("delta", -1),
-            Gen("J"): ("r", -1),
-            Gen("M"): ("mu", -1),
-        }
-        ladder = []
-        for n in range(half, -1, -1):
-            ladder += [Gen("P", n, "-"), Gen("P", n, "+")]
-        ladder.append(top)
-    else:  # exotic
-        ell = two_ell // 2
-        g_plus = [Gen("H"), Gen("P", ell, "+")]
-        for n in range(ell):
-            g_plus += [Gen("P", n, "+"), Gen("P", n, "-")]
-        g_zero = [Gen("D"), Gen("J"), Gen("Theta")]
-        g_minus = [Gen("C"), Gen("P", ell, "-")]
-        for n in range(ell + 1, two_ell + 1):
-            g_minus += [Gen("P", n, "+"), Gen("P", n, "-")]
-        central = Gen("Theta")
-        top = Gen("H")
-        a_gens = tuple(Gen("P", n, "+") for n in range(ell + 1))
-        b_gens = tuple(Gen("P", n, "-") for n in range(ell))
-        weights = {
-            Gen("D"): ("delta", -1),
-            Gen("J"): ("r", -1),
-            Gen("Theta"): ("theta", 1),
-        }
-        ladder = []
-        for n in range(ell - 1, -1, -1):
-            ladder += [Gen("P", n, "-"), Gen("P", n, "+")]
-        ladder += [Gen("P", ell, "+"), top]
-    # normal-order position: annihilators and g0 smallest, then the written
-    # basis factors from rightmost up to the top; normal words read
-    # position-descending left to right
-    position = {}
-    for gen in g_minus:
-        position[gen] = 0
-    for gen in g_zero:
-        position[gen] = 1
-    for i, gen in enumerate(ladder):
-        position[gen] = 2 + i
+    """Cached per-family structure: the split, the creation strings and the
+    normal order, all read from the scaling grade (see the module docstring)."""
+    central = Gen(_CENTRAL[spec.ext]) if spec.ext in _CENTRAL else None
+    gens = [Gen("H"), Gen("C"), Gen("D")] + [Gen("J")] * (spec.d == 2)
+    gens += [central] * (central is not None)
+    signs = ("+", "-") if spec.d == 2 else ("",)
+    ps = [Gen("P", n, s) for n in range(spec.twoEll + 1) for s in signs]
+    ps.sort(key=lambda g: (_grade(spec, g) != 0, g.n))
+    orientation = -1 if spec.ext == "none" else 1  # the sign of a creation grade
+    wings = {1: [], 0: [], -1: []}
+    for g in gens + ps:
+        grade = _grade(spec, g)
+        if grade:
+            wings[orientation if grade > 0 else -orientation].append(g)
+        else:
+            wings[{"+": 1, "-": -1, "": 0}[g.sign]].append(g)
+    g_plus, g_zero, g_minus = wings[1], wings[0], wings[-1]
+    creation_ps = sorted((g for g in g_plus if g.tag == "P"), key=lambda g: g.n)
+    # normal-order position: annihilators and g0 smallest, then the creation
+    # wing reversed, so that its sl(2) generator, the top factor, is highest;
+    # normal words read position-descending left to right
+    position = dict.fromkeys(g_minus, 0)
+    position.update(dict.fromkeys(g_zero, 1))
+    position.update((g, 2 + i) for i, g in enumerate(reversed(g_plus)))
     return {
         "g_plus": tuple(g_plus),
         "g_zero": tuple(g_zero),
         "g_minus": tuple(g_minus),
         "central": central,
-        "top": top,
-        "a_gens": a_gens,
-        "b_gens": b_gens,
-        "weights": weights,
+        "top": g_plus[0],
+        "a_gens": tuple(g for g in creation_ps if g.sign != "-"),
+        "b_gens": tuple(g for g in creation_ps if g.sign == "-"),
+        "weights": {g: _WEIGHTS[g.tag] for g in g_zero},
         "position": position,
-        "all": tuple(g_minus) + tuple(g_zero) + tuple(g_plus),
+        "all": tuple(g_minus + g_zero + g_plus),
     }
 
 
@@ -239,11 +212,9 @@ def _bracket_raw(spec, x, y):
         return GenCombo.zero()
     if central is not None and central in (x, y):
         return GenCombo.zero()
+    if x.tag == "D":
+        return GenCombo.of(y, _grade(spec, y))
     tags = (x.tag, y.tag)
-    if tags == ("D", "H"):
-        return GenCombo.of(y, 2)
-    if tags == ("D", "C"):
-        return GenCombo.of(y, -2)
     if tags == ("C", "H"):
         return GenCombo.of(Gen("D"))
     if "J" in tags and tags[0] in "HDCJ" and tags[1] in "HDCJ":
@@ -252,8 +223,6 @@ def _bracket_raw(spec, x, y):
         if y.n == 0:
             return GenCombo.zero()
         return GenCombo.of(Gen("P", y.n - 1, y.sign), -y.n)
-    if tags == ("D", "P"):
-        return GenCombo.of(y, two_ell - 2 * y.n)
     if tags == ("C", "P"):
         if y.n == two_ell:
             return GenCombo.zero()

@@ -45,15 +45,7 @@ from .invariants import (
     invariant_operator,
 )
 from .reps import chart, left_action, rep_check, right_action
-from .scalars import (
-    DivisionByZero,
-    Scalar,
-    coef_text,
-    parse_scalar,
-    render_scalar,
-    sum_text,
-    term_text,
-)
+from .scalars import DivisionByZero, Scalar, parse_scalar, render_scalar
 from .singular import (
     delta_at_condition,
     predicted_weight,
@@ -173,12 +165,6 @@ def weight_to_json(w):
 
 def combo_to_json(combo):
     return [{"gen": str(g), "coef": render_scalar(c)} for g, c in combo.items()]
-
-
-def render_terms(items):
-    """Text of a linear combination given as (label, Scalar) items, such as
-    a ModuleVector's or a GenCombo's; "0" when there are none."""
-    return sum_text([term_text(coef_text(c), [str(label)]) for label, c in items])
 
 
 # --- argument plumbing -----------------------------------------------------
@@ -341,7 +327,7 @@ def cmd_algebra_show(args):
         "g- : %s" % ", ".join(map(str, minus)),
     ]
     for x, y, combo in brackets:
-        lines.append("[%s, %s] = %s" % (x, y, render_terms(combo.items())))
+        lines.append("[%s, %s] = %s" % (x, y, combo))
     _emit(args, "\n".join(lines))
     return 0
 
@@ -363,7 +349,7 @@ def cmd_algebra_jacobi(args):
         if failures:
             lines = ["jacobi: FAIL (%d triples)" % len(failures)]
             lines += [
-                "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, render_terms(r.items()))
+                "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, r)
                 for x, y, z, r in failures
             ]
             _emit(args, "\n".join(lines))
@@ -381,7 +367,7 @@ def cmd_verma_act(args):
     if args.render == "json":
         _emit_json(args, {"vector": vector_to_json(result)})
     else:
-        _emit(args, render_terms(result.items()))
+        _emit(args, str(result))
     return 0
 
 
@@ -440,7 +426,7 @@ def cmd_singular_closed(args):
     if args.render == "json":
         _emit_json(args, {"q": args.q, "vector": vector_to_json(v)})
     else:
-        _emit(args, render_terms(v.items()))
+        _emit(args, str(v))
     return 0
 
 
@@ -486,7 +472,7 @@ def _failure_text(failure):
     if isinstance(failure, str):
         return failure
     kind, gen, payload = failure
-    detail = _failure_detail(payload, lambda v: render_terms(v.items()))
+    detail = _failure_detail(payload, str)
     return "%s %s: %s" % (kind, gen, detail)
 
 
@@ -507,7 +493,7 @@ def cmd_singular_search(args):
         })
     else:
         lines = ["kernel dimension: %d" % len(found)]
-        lines += ["  %s" % render_terms(v.items()) for v in found.vectors]
+        lines += ["  %s" % v for v in found.vectors]
         if found.caveats:
             lines.append("valid where none of these vanish: %s"
                          % ", ".join(render_scalar(c) for c in found.caveats))
@@ -654,7 +640,7 @@ def criterion_jacobi():
         if failures:
             x, y, z, residual = failures[0]
             return False, "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (
-                spec, len(failures), x, y, z, render_terms(residual.items()))
+                spec, len(failures), x, y, z, residual)
     return True, "all triples close for %d specs (twoEll <= 6)" % len(specs)
 
 
@@ -672,7 +658,7 @@ def criterion_closed_form():
                     generic = act_generic(spec, gen, v)
                     if closed != generic:
                         return False, "mismatch: %r, %s on %s; closed - generic: %s" % (
-                            spec, gen, mono, render_terms((closed - generic).items()))
+                            spec, gen, mono, closed - generic)
                     checked += 1
     return True, "%d actions agree (levels <= %d, twoEll <= 5)" % (checked, cap)
 
@@ -703,9 +689,8 @@ def criterion_search_matches():
         normalized = closed.scaled(closed.items()[0][1] ** -1)
         if len(found) != 1 or found.caveats or found.vectors[0] != normalized:
             return False, "%r q=%d: found [%s] (caveats: [%s]); closed-form ray %s" % (
-                spec, q, "; ".join(render_terms(v.items()) for v in found.vectors),
-                ", ".join(render_scalar(c) for c in found.caveats),
-                render_terms(normalized.items()))
+                spec, q, "; ".join(str(v) for v in found.vectors),
+                ", ".join(render_scalar(c) for c in found.caveats), normalized)
     return True, "one-dimensional kernels match for %d cases" % len(_singular_cases())
 
 
@@ -719,8 +704,7 @@ def criterion_centerless():
         want = ModuleVector.of(PbwMonomial(0, (p,), ()))
         if len(found) != 1 or found.vectors[0] != want:
             return False, "kappa=0, level %d: found [%s]; want %s" % (
-                p, "; ".join(render_terms(v.items()) for v in found.vectors),
-                render_terms(want.items()))
+                p, "; ".join(str(v) for v in found.vectors), want)
         report = verify_singular(spec, found.vectors[0], params=free)
         if not report.ok:
             return False, "kappa=0, level %d: %d failures; first %s" % (

@@ -771,9 +771,8 @@ class _Sparse:
         return sorted(self.terms.items(), key=self._order)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s)*%s" % (c, key) for key, c in self.items())
+        """The sum in the one writer's text, such as ``-mu*D + 2*H``."""
+        return sum_text([term_text(coef_text(c), [str(key)]) for key, c in self.items()])
 
 
 def central_constant(spec, m):
@@ -839,12 +838,15 @@ def power_text(base, e, latex=False):
 def coef_text(s, latex=False):
     """A Scalar coefficient's text: in parentheses when it is a sum or, in
     text, a quotient, which keeps its leading sign outside them so that
-    ``sum_text`` folds it; a leading sign alone needs none."""
+    ``sum_text`` folds it; a leading sign alone needs none, and neither
+    does a LaTeX quotient, which is one fraction."""
     txt = latex_scalar(s) if latex else render_scalar(s)
+    if latex and s.den is not _POLY_ONE:
+        return txt
     sign, body = ("-", txt[1:]) if txt.startswith("-") else ("", txt)
     if "+" in body or "-" in body:
         return "(%s)" % txt
-    if not latex and "/" in body:
+    if "/" in body:
         return "%s(%s)" % (sign, body)
     return txt
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Gen, decomposition
+from .algebra import Gen, central_element, creation_data, decomposition, weight_table
 from .scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd
 from .verma import (
     ModuleVector,
@@ -102,31 +102,20 @@ def quadratic_element(spec, params=None):
 
     Returned as a list of (generator sequence, Scalar) pairs; the module
     element is the sum of the products, leftmost factor acting last.
-    Parameters default to symbolic.
+    Parameters default to symbolic.  Its factors come from
+    ``creation_data``: the top factor, and the pair of P(n), the last
+    factor of the a string, and P(n'), the last of its partner string (the
+    a string itself when d = 1).
     """
-    two_ell = spec.twoEll
+    top, a_gens, b_gens = creation_data(spec)
     if spec.ext == "none":
-        return [((Gen("P", 2),), Scalar.const(1))]
-    pvals = resolve_params(spec, params)
-    if spec.d == 1:
-        half = (two_ell - 1) // 2
-        a = 2 * factorial(half) ** 2
-        return [
-            ((Gen("H"),), Scalar.const(a) * pvals["mu"]),
-            ((Gen("P", half), Gen("P", half)), Scalar.const(1)),
-        ]
-    if spec.ext == "mass":
-        half = (two_ell - 1) // 2
-        alpha = factorial(half) ** 2
-        return [
-            ((Gen("H"),), Scalar.const(alpha) * pvals["mu"]),
-            ((Gen("P", half, "+"), Gen("P", half, "-")), Scalar.const(1)),
-        ]
-    ell = two_ell // 2
-    alpha = factorial(ell) * factorial(ell - 1)
+        return [((a_gens[-1],), Scalar.const(1))]
+    pair = (a_gens[-1], (b_gens or a_gens)[-1])
+    alpha = factorial(pair[0].n) * factorial(pair[1].n) * (2 if pair[0] == pair[1] else 1)
+    symbol = weight_table(spec)[central_element(spec)][0]
     return [
-        ((Gen("H"),), Scalar.const(alpha) * pvals["theta"]),
-        ((Gen("P", ell - 1, "-"), Gen("P", ell, "+")), Scalar.const((-1) ** ell)),
+        ((top,), Scalar.const(alpha) * resolve_params(spec, params)[symbol]),
+        (pair, Scalar.const((-1) ** pair[0].n if spec.ext == "exotic" else 1)),
     ]
 
 

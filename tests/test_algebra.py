@@ -6,6 +6,7 @@ from cgk.algebra import (
     GenCombo,
     InvalidSpec,
     UnknownGenerator,
+    _family,
     bracket,
     decomposition,
     enumerate_generators,
@@ -100,14 +101,110 @@ def test_decomposition_examples():
     assert names(minus) == ["C", "P2", "P3"]
 
     plus, zero, minus = decomposition(AlgebraSpec(2, 2, "exotic"))
-    assert set(names(plus)) == {"H", "P1+", "P0+", "P0-"}
+    assert names(plus) == ["H", "P1+", "P0+", "P0-"]
     assert names(zero) == ["D", "J", "Theta"]
-    assert set(names(minus)) == {"C", "P1-", "P2+", "P2-"}
+    assert names(minus) == ["C", "P1-", "P2+", "P2-"]
+
+    plus, zero, minus = decomposition(AlgebraSpec(2, 3, "mass"))
+    assert names(plus) == ["H", "P0+", "P0-", "P1+", "P1-"]
+    assert names(zero) == ["D", "J", "M"]
+    assert names(minus) == ["C", "P2+", "P2-", "P3+", "P3-"]
 
     plus, zero, minus = decomposition(AlgebraSpec(1, 2, "none"))
     assert names(minus) == ["H", "P0"]
     assert names(zero) == ["D", "P1"]
     assert names(plus) == ["C", "P2"]
+
+
+def _reference_family(spec):
+    """The split, strings, weights and normal order written out per family."""
+    two_ell = spec.twoEll
+    if spec.ext == "none":
+        g_minus = [Gen("H"), Gen("P", 0)]
+        g_zero = [Gen("D"), Gen("P", 1)]
+        g_plus = [Gen("C"), Gen("P", 2)]
+        central = None
+        top = Gen("C")
+        a_gens = (Gen("P", 2),)
+        b_gens = ()
+        weights = {Gen("D"): ("delta", -1), Gen("P", 1): ("kappa", -1)}
+        ladder = [Gen("P", 2), Gen("C")]
+    elif spec.d == 1:
+        half = (two_ell - 1) // 2  # index of P(ell-1/2)
+        g_plus = [Gen("H")] + [Gen("P", n) for n in range(half + 1)]
+        g_zero = [Gen("D"), Gen("M")]
+        g_minus = [Gen("C")] + [Gen("P", n) for n in range(half + 1, two_ell + 1)]
+        central = Gen("M")
+        top = Gen("H")
+        a_gens = tuple(Gen("P", n) for n in range(half + 1))
+        b_gens = ()
+        weights = {Gen("D"): ("delta", -1), Gen("M"): ("mu", -1)}
+        ladder = list(a_gens) + [top]
+    elif spec.ext == "mass":
+        half = (two_ell - 1) // 2
+        g_plus = [Gen("H")]
+        for n in range(half + 1):
+            g_plus += [Gen("P", n, "+"), Gen("P", n, "-")]
+        g_zero = [Gen("D"), Gen("J"), Gen("M")]
+        g_minus = [Gen("C")]
+        for n in range(half + 1, two_ell + 1):
+            g_minus += [Gen("P", n, "+"), Gen("P", n, "-")]
+        central = Gen("M")
+        top = Gen("H")
+        a_gens = tuple(Gen("P", n, "+") for n in range(half + 1))
+        b_gens = tuple(Gen("P", n, "-") for n in range(half + 1))
+        weights = {Gen("D"): ("delta", -1), Gen("J"): ("r", -1), Gen("M"): ("mu", -1)}
+        ladder = []
+        for n in range(half, -1, -1):
+            ladder += [Gen("P", n, "-"), Gen("P", n, "+")]
+        ladder.append(top)
+    else:  # exotic
+        ell = two_ell // 2
+        g_plus = [Gen("H"), Gen("P", ell, "+")]
+        for n in range(ell):
+            g_plus += [Gen("P", n, "+"), Gen("P", n, "-")]
+        g_zero = [Gen("D"), Gen("J"), Gen("Theta")]
+        g_minus = [Gen("C"), Gen("P", ell, "-")]
+        for n in range(ell + 1, two_ell + 1):
+            g_minus += [Gen("P", n, "+"), Gen("P", n, "-")]
+        central = Gen("Theta")
+        top = Gen("H")
+        a_gens = tuple(Gen("P", n, "+") for n in range(ell + 1))
+        b_gens = tuple(Gen("P", n, "-") for n in range(ell))
+        weights = {Gen("D"): ("delta", -1), Gen("J"): ("r", -1), Gen("Theta"): ("theta", 1)}
+        ladder = []
+        for n in range(ell - 1, -1, -1):
+            ladder += [Gen("P", n, "-"), Gen("P", n, "+")]
+        ladder += [Gen("P", ell, "+"), top]
+    position = {gen: 0 for gen in g_minus}
+    position.update({gen: 1 for gen in g_zero})
+    position.update({gen: 2 + i for i, gen in enumerate(ladder)})
+    return {"g_plus": tuple(g_plus), "g_zero": tuple(g_zero), "g_minus": tuple(g_minus),
+            "central": central, "top": top, "a_gens": a_gens, "b_gens": b_gens,
+            "weights": weights, "position": position}
+
+
+def test_family_matches_reference():
+    for spec in supported_specs(21):
+        got, want = _family(spec), _reference_family(spec)
+        for key in ("g_plus", "g_zero", "g_minus", "central", "top", "a_gens", "b_gens",
+                    "weights"):
+            assert got[key] == want[key], (spec, key)
+        assert list(got["weights"]) == list(want["weights"]), spec
+        assert got["all"] == got["g_minus"] + got["g_zero"] + got["g_plus"]
+        position = got["position"]
+        if spec.d == 2 or spec.ext == "none":
+            assert position == want["position"], spec
+            continue
+        # d = 1: the creation P's commute, so only the normal-order contract
+        # is fixed: annihilators lowest, then g0, then distinct creation
+        # positions with the top factor highest
+        assert set(position) == set(want["position"])
+        assert {position[g] for g in got["g_minus"]} == {0}
+        assert {position[g] for g in got["g_zero"]} == {1}
+        creation = [position[g] for g in got["g_plus"]]
+        assert len(set(creation)) == len(creation) and min(creation) >= 2
+        assert position[got["top"]] == max(creation)
 
 
 def test_decomposition_is_partition_and_graded():

@@ -232,19 +232,55 @@ def _readme_commands():
     return commands
 
 
+def _assert_snapshot(capsys, commands, name):
+    """Run each command and compare its exit code, stdout and stderr with the
+    JSON snapshot ``name`` beside this file; returns the snapshot entries."""
+    snapshot = json.loads(pathlib.Path(__file__).with_name(name).read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in snapshot] == [shlex.join(argv) for argv in commands]
+    for argv, entry in zip(commands, snapshot):
+        got = invoke(capsys, *argv)
+        assert got == (entry["code"], entry["stdout"], entry["stderr"]), argv
+    return snapshot
+
+
 def test_readme_examples_run(capsys, monkeypatch):
     # readme_outputs.json pins each command's exact stdout, stderr and exit code
     monkeypatch.delenv("CGK_CAPS_LEVEL", raising=False)
     commands = _readme_commands()
     assert len(commands) >= 14
-    snapshot = json.loads(
-        (pathlib.Path(__file__).with_name("readme_outputs.json")).read_text(encoding="utf-8"))
-    assert [entry["argv"] for entry in snapshot] == [shlex.join(argv) for argv in commands]
-    for argv, entry in zip(commands, snapshot):
-        code, out, err = invoke(capsys, *argv)
-        assert code == 0, (argv, err)
-        assert out and err == "", (argv, err)
-        assert (code, out, err) == (entry["code"], entry["stdout"], entry["stderr"]), argv
+    for entry in _assert_snapshot(capsys, commands, "readme_outputs.json"):
+        assert (entry["code"], entry["stderr"]) == (0, "") and entry["stdout"], entry["argv"]
+
+
+def _corpus_commands():
+    """A sweep of every family with twoEll <= 4 through the commands whose
+    output follows the generator layout: blocks, bases, realizations of
+    every generator, singular vectors and equations for q <= 2, and the
+    centerless family's error lines."""
+    commands = []
+    for spec in supported_specs(4):
+        family = ["--d", str(spec.d), "--two-ell", str(spec.twoEll), "--ext", spec.ext]
+        commands += [["algebra", "show", *family, "--render", render]
+                     for render in ("text", "json")]
+        commands += [["verma", "basis", *family, "--level", str(level)] for level in range(4)]
+        for gen in enumerate_generators(spec):
+            commands += [["reps", "left", *family, "--gen", str(gen), "--render", "json"],
+                         ["reps", "right", *family, "--gen", str(gen)]]
+        commands.append(["reps", "check", *family])
+        for q in ("1", "2"):
+            commands += [["singular", "closed", *family, "--q", q],
+                         ["singular", "search", *family, "--q", q, "--render", "json"],
+                         ["singular", "verify", *family, "--q", q, "--delta", "auto"],
+                         ["pde", "emit", *family, "--q", q, "--render", "latex"],
+                         ["pde", "check", *family, "--q", q, "--delta", "auto",
+                          "--mu", "1", "--theta", "1", "--r", "2/3"]]
+    return commands
+
+
+def test_cli_output_corpus(capsys, monkeypatch):
+    # cli_outputs.json pins the corpus's exact stdout, stderr and exit codes
+    monkeypatch.delenv("CGK_CAPS_LEVEL", raising=False)
+    _assert_snapshot(capsys, _corpus_commands(), "cli_outputs.json")
 
 
 def test_basis_reads_printed_weight_keys(capsys):
@@ -608,7 +644,7 @@ def test_singular_verify_names_first_failure(monkeypatch):
     kind, gen, residual = report.failures[0]
     assert kind == "annihilator" and not residual.is_zero()
     detail = "%r q=%d: %d failures; first annihilator %s: %s" % (
-        spec, q, len(report.failures), gen, cli.render_terms(residual.items()))
+        spec, q, len(report.failures), gen, str(residual))
     assert cli.criterion_singular_verify() == (False, detail)
 
 
@@ -630,7 +666,7 @@ def test_jacobi_names_first_failing_triple(monkeypatch):
     x, y, z, residual = failures[0]
     assert not residual.is_zero()
     detail = "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (
-        spec, len(failures), x, y, z, cli.render_terms(residual.items()))
+        spec, len(failures), x, y, z, str(residual))
     assert cli.criterion_jacobi() == (False, detail)
 
 
@@ -643,12 +679,12 @@ def test_search_matches_names_kernel_and_ray(monkeypatch):
     monkeypatch.setattr(cli, "search_singular",
                         lambda *a, **k: SearchResult([ray, wrong], [caveat]))
     detail = "%r q=%d: found [%s; %s] (caveats: [mu+1]); closed-form ray %s" % (
-        spec, q, cli.render_terms(ray.items()), cli.render_terms(wrong.items()),
-        cli.render_terms(ray.items()))
+        spec, q, str(ray), str(wrong),
+        str(ray))
     assert cli.criterion_search_matches() == (False, detail)
     monkeypatch.setattr(cli, "search_singular", lambda *a, **k: SearchResult([wrong]))
     detail = "%r q=%d: found [%s] (caveats: []); closed-form ray %s" % (
-        spec, q, cli.render_terms(wrong.items()), cli.render_terms(ray.items()))
+        spec, q, str(wrong), str(ray))
     assert cli.criterion_search_matches() == (False, detail)
 
 
@@ -679,8 +715,8 @@ def test_centerless_names_kernel_and_failure(monkeypatch):
         else true_search(spec_, p, params=params)))
     assert cli.criterion_centerless() == (
         False, "kappa=0, level 1: found [%s; %s]; want %s" % (
-            cli.render_terms(want.items()), cli.render_terms((want + extra).items()),
-            cli.render_terms(want.items())))
+            str(want), str(want + extra),
+            str(want)))
 
     # a kernel vector that fails verification: its first failure is named
     monkeypatch.setattr(cli, "search_singular", true_search)

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -10,6 +12,7 @@ from cgk.singular import (
     _scalar_matrix_kernel,
     delta_at_condition,
     predicted_weight,
+    quadratic_element,
     search_singular,
     singular_closed,
     singular_condition,
@@ -71,6 +74,40 @@ def test_weight_shift_is_the_grade_of_the_quadratic_element():
         for q in range(1, 5):
             assert weight_shift(spec, q) == (-2 * q if spec.ext == "none" else 2 * q)
     assert [s for s in supported_specs(9) if s.ext == "none"] == [NONE]
+
+
+def _reference_quadratic_element(spec, params=None):
+    """quadratic_element with its factors and coefficients written out per
+    family."""
+    two_ell = spec.twoEll
+    if spec.ext == "none":
+        return [((Gen("P", 2),), Scalar.const(1))]
+    pvals = resolve_params(spec, params)
+    if spec.d == 1:
+        half = (two_ell - 1) // 2
+        return [((Gen("H"),), Scalar.const(2 * factorial(half) ** 2) * pvals["mu"]),
+                ((Gen("P", half), Gen("P", half)), Scalar.const(1))]
+    if spec.ext == "mass":
+        half = (two_ell - 1) // 2
+        return [((Gen("H"),), Scalar.const(factorial(half) ** 2) * pvals["mu"]),
+                ((Gen("P", half, "+"), Gen("P", half, "-")), Scalar.const(1))]
+    ell = two_ell // 2
+    return [((Gen("H"),), Scalar.const(factorial(ell) * factorial(ell - 1)) * pvals["theta"]),
+            ((Gen("P", ell - 1, "-"), Gen("P", ell, "+")), Scalar.const((-1) ** ell))]
+
+
+def test_quadratic_element_matches_reference():
+    # the factors of a word are creation generators, which commute, so a
+    # word is compared as a multiset
+    def multisets(pieces):
+        return [(Counter(word), coef) for word, coef in pieces]
+
+    point = {"delta": Fraction(-5, 2), "mu": 3, "theta": -4, "r": 2, "kappa": 5}
+    for spec in supported_specs(21):
+        for params in (None, point):
+            got = quadratic_element(spec, params)
+            want = _reference_quadratic_element(spec, params)
+            assert multisets(got) == multisets(want), spec
 
 
 def _reference_predicted_weight(spec, q, params=None):
