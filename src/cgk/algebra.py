@@ -46,9 +46,10 @@ class AlgebraSpec:
     ext: str
 
     def __post_init__(self):
-        if self.d not in (1, 2):
+        # bool is an int subclass and 1.0 == 1, so only an exact int is taken
+        if type(self.d) is not int or self.d not in (1, 2):
             raise InvalidSpec("d must be 1 or 2, got %r" % (self.d,))
-        if not isinstance(self.twoEll, int) or self.twoEll < 1:
+        if type(self.twoEll) is not int or self.twoEll < 1:
             raise InvalidSpec("twoEll must be a positive integer")
         if self.ext == "mass":
             if self.twoEll % 2 == 0:

@@ -176,37 +176,11 @@ def _fraction(text):
         raise argparse.ArgumentTypeError("not a rational number: %r" % (text,))
 
 
-def _add_spec_args(sub):
-    sub.add_argument("--d", type=int, required=True, help="spatial dimension (1 or 2)")
-    sub.add_argument(
-        "--two-ell", dest="two_ell", type=int, required=True,
-        help="twice the rational label (integers only)",
-    )
-    sub.add_argument(
-        "--ext", required=True, choices=("mass", "exotic", "none"),
-        help="central extension",
-    )
-
-
-def _add_param_args(sub, require_delta=False):
-    sub.add_argument(
-        "--delta", required=require_delta,
-        help="scaling weight (rational, or 'auto' with --q)",
-    )
-    for name in ("mu", "theta", "r", "kappa"):
-        sub.add_argument("--%s" % name, type=_fraction, help="family parameter")
-
-
-def _add_output_args(sub, renders=("text", "json")):
-    sub.add_argument("--render", choices=renders, default=renders[0])
-    sub.add_argument("--out", help="write the result to FILE instead of stdout")
-
-
-def _spec_of(args):
-    return AlgebraSpec(args.d, args.two_ell, args.ext)
-
-
-def _params_of(spec, args, q=None):
+def _config(args, q=None):
+    """The family and the parameters of an invocation; the parameters are
+    None when no parameter flag was given.  ``q`` is the command's --q, the
+    level that ``--delta auto`` solves the condition at."""
+    spec = AlgebraSpec(args.d, args.two_ell, args.ext)
     provided = {}
     for name in PARAM_NAMES:
         val = getattr(args, name, None)
@@ -228,17 +202,14 @@ def _params_of(spec, args, q=None):
                 except (ValueError, ZeroDivisionError):
                     raise UsageError("--delta expects a rational or 'auto'")
         provided[name] = val
+    # after the flags, so a bad --delta is still the error reported first
+    if q is not None and q < 1:
+        raise ValueError("q must be a positive integer")
     if not provided:
-        return None
+        return spec, None
     params = symbolic_params(spec)
     params.update({k: v for k, v in provided.items() if k in params})
-    return params
-
-
-def _config(args, q=None):
-    """The family and the parameters of an invocation."""
-    spec = _spec_of(args)
-    return spec, _params_of(spec, args, q=q)
+    return spec, params
 
 
 def _level_cap():
@@ -261,17 +232,19 @@ def _level(level):
     return level
 
 
-def _emit(args, text):
-    out = getattr(args, "out", None)
-    if out:
+def _emit(args, out):
+    """Write ``out`` to --out or stdout: a str as it is, anything else as JSON."""
+    if not isinstance(out, str):
+        out = json.dumps(out, indent=2, sort_keys=True)
+    if args.out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
         except OSError as exc:
-            raise UsageError("cannot write %s: %s" % (out, exc.strerror or exc)) from None
+            raise UsageError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from None
     else:
         try:
-            print(text)
+            print(out)
         except BrokenPipeError:
             _drop_stdout()
 
@@ -289,15 +262,14 @@ def _drop_stdout():
     os.close(devnull)
 
 
-def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True))
-
-
 # --- subcommand handlers ---------------------------------------------------
+#
+# Each handler hands _emit one output: the JSON payload or the text, with
+# the form --render did not ask for left unbuilt.
 
 def cmd_algebra_show(args):
-    spec = _spec_of(args)
-    plus, zero, minus = decomposition(spec)
+    spec, _ = _config(args)
+    blocks = dict(zip(("plus", "zero", "minus"), decomposition(spec)))
     gens = enumerate_generators(spec)
     brackets = []
     for i, x in enumerate(gens):
@@ -307,54 +279,44 @@ def cmd_algebra_show(args):
                 brackets.append((x, y, combo))
     if args.render == "json":
         central = central_element(spec)
-        _emit_json(args, {
+        out = {
             "spec": {"d": spec.d, "twoEll": spec.twoEll, "ext": spec.ext},
-            "blocks": {
-                "plus": [str(g) for g in plus],
-                "zero": [str(g) for g in zero],
-                "minus": [str(g) for g in minus],
-            },
+            "blocks": {name: [str(g) for g in block] for name, block in blocks.items()},
             "central": str(central) if central else None,
-            "brackets": [
-                {"x": str(x), "y": str(y), "value": combo_to_json(c)}
-                for x, y, c in brackets
-            ],
-        })
-        return 0
-    lines = [
-        "g+ : %s" % ", ".join(map(str, plus)),
-        "g0 : %s" % ", ".join(map(str, zero)),
-        "g- : %s" % ", ".join(map(str, minus)),
-    ]
-    for x, y, combo in brackets:
-        lines.append("[%s, %s] = %s" % (x, y, combo))
-    _emit(args, "\n".join(lines))
+            "brackets": [{"x": str(x), "y": str(y), "value": combo_to_json(c)}
+                         for x, y, c in brackets],
+        }
+    else:
+        out = "\n".join(["g%s : %s" % (sign, ", ".join(map(str, block)))
+                         for sign, block in zip("+0-", blocks.values())]
+                        + ["[%s, %s] = %s" % (x, y, c) for x, y, c in brackets])
+    _emit(args, out)
     return 0
 
 
 def cmd_algebra_jacobi(args):
-    spec = _spec_of(args)
+    spec, _ = _config(args)
     failures = jacobi_check(spec)
     if args.render == "json":
-        _emit_json(args, {
+        out = {
             "ok": not failures,
             "failures": [
                 {"x": str(x), "y": str(y), "z": str(z),
                  "residual": combo_to_json(r)}
                 for x, y, z, r in failures
             ],
-        })
+        }
+    elif failures:
+        lines = ["jacobi: FAIL (%d triples)" % len(failures)]
+        lines += [
+            "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, r)
+            for x, y, z, r in failures
+        ]
+        out = "\n".join(lines)
     else:
-        gens = enumerate_generators(spec)
-        if failures:
-            lines = ["jacobi: FAIL (%d triples)" % len(failures)]
-            lines += [
-                "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, r)
-                for x, y, z, r in failures
-            ]
-            _emit(args, "\n".join(lines))
-        else:
-            _emit(args, "jacobi: ok (%d generators, all triples close)" % len(gens))
+        out = "jacobi: ok (%d generators, all triples close)" % len(
+            enumerate_generators(spec))
+    _emit(args, out)
     return 1 if failures else 0
 
 
@@ -364,10 +326,8 @@ def cmd_verma_act(args):
     mono = monomial_from_json(json.loads(args.monomial), spec)
     action = act_closed_form if args.action == "closed" else act_generic
     result = action(spec, gen, ModuleVector.of(mono), params=params)
-    if args.render == "json":
-        _emit_json(args, {"vector": vector_to_json(result)})
-    else:
-        _emit(args, str(result))
+    _emit(args, {"vector": vector_to_json(result)} if args.render == "json"
+          else str(result))
     return 0
 
 
@@ -385,10 +345,8 @@ def cmd_verma_basis(args):
                              'e.g. {"D": "-delta+2"}, got %s' % (args.weight,))
         constraint = {key: parse_scalar(val) for key, val in raw.items()}
     monos = level_basis(spec, constraint, params=params)
-    if args.render == "json":
-        _emit_json(args, {"basis": [monomial_to_json(m) for m in monos]})
-    else:
-        _emit(args, "\n".join(str(m) for m in monos) if monos else "(empty)")
+    _emit(args, {"basis": [monomial_to_json(m) for m in monos]} if args.render == "json"
+          else ("\n".join(str(m) for m in monos) if monos else "(empty)"))
     return 0
 
 
@@ -396,37 +354,30 @@ def cmd_verma_weight(args):
     spec, params = _config(args)
     mono = monomial_from_json(json.loads(args.monomial), spec)
     w = weight_of(spec, mono, params=params)
-    if args.render == "json":
-        _emit_json(args, {"weight": weight_to_json(w)})
-    else:
-        _emit(args, "\n".join("%s -> %s" % item for item in _weight_items(w)))
+    _emit(args, {"weight": weight_to_json(w)} if args.render == "json"
+          else "\n".join("%s -> %s" % item for item in _weight_items(w)))
     return 0
 
 
 def cmd_singular_condition(args):
-    spec = _spec_of(args)
-    cond = singular_condition(spec, args.q)
+    spec, _ = _config(args, q=args.q)
+    cond = render_scalar(singular_condition(spec, args.q))
     root = delta_at_condition(spec, args.q)
     if args.render == "json":
-        _emit_json(args, {
-            "q": args.q,
-            "condition": render_scalar(cond),
-            "delta": None if root is None else str(root),
-        })
+        out = {"q": args.q, "condition": cond, "delta": None if root is None else str(root)}
     elif root is None:
-        _emit(args, "condition: %s = 0 (every level)" % render_scalar(cond))
+        out = "condition: %s = 0 (every level)" % cond
     else:
-        _emit(args, "condition: %s = 0  (delta = %s)" % (render_scalar(cond), root))
+        out = "condition: %s = 0  (delta = %s)" % (cond, root)
+    _emit(args, out)
     return 0
 
 
 def cmd_singular_closed(args):
     spec, params = _config(args, q=args.q)
     v = singular_closed(spec, args.q, params=params)
-    if args.render == "json":
-        _emit_json(args, {"q": args.q, "vector": vector_to_json(v)})
-    else:
-        _emit(args, str(v))
+    _emit(args, {"q": args.q, "vector": vector_to_json(v)} if args.render == "json"
+          else str(v))
     return 0
 
 
@@ -436,18 +387,18 @@ def cmd_singular_verify(args):
     expected = predicted_weight(spec, args.q, params=params)
     report = verify_singular(spec, v, params=params, expect_weight=expected)
     if args.render == "json":
-        _emit_json(args, {
+        out = {
             "q": args.q,
             "ok": report.ok,
             "weight": weight_to_json(report.weight) if report.weight else None,
             "failures": [_failure_json(f) for f in report.failures],
-        })
+        }
     elif report.ok:
-        _emit(args, "verify: PASS (level-%d vector is singular)" % args.q)
+        out = "verify: PASS (level-%d vector is singular)" % args.q
     else:
-        lines = ["verify: FAIL"]
-        lines += ["  %s" % _failure_text(f) for f in report.failures]
-        _emit(args, "\n".join(lines))
+        out = "\n".join(["verify: FAIL"]
+                        + ["  %s" % _failure_text(f) for f in report.failures])
+    _emit(args, out)
     return 0 if report.ok else 1
 
 
@@ -485,19 +436,17 @@ def cmd_singular_search(args):
     else:
         raise UsageError("give --level, or --q for the predicted weight space")
     found = search_singular(spec, constraint, params=params)
+    caveats = [render_scalar(c) for c in found.caveats]
     if args.render == "json":
-        _emit_json(args, {
-            "dimension": len(found),
-            "vectors": [vector_to_json(v) for v in found.vectors],
-            "caveats": [render_scalar(c) for c in found.caveats],
-        })
+        out = {"dimension": len(found), "caveats": caveats,
+               "vectors": [vector_to_json(v) for v in found.vectors]}
     else:
         lines = ["kernel dimension: %d" % len(found)]
         lines += ["  %s" % v for v in found.vectors]
-        if found.caveats:
-            lines.append("valid where none of these vanish: %s"
-                         % ", ".join(render_scalar(c) for c in found.caveats))
-        _emit(args, "\n".join(lines))
+        if caveats:
+            lines.append("valid where none of these vanish: %s" % ", ".join(caveats))
+        out = "\n".join(lines)
+    _emit(args, out)
     return 0
 
 
@@ -505,12 +454,13 @@ def _emit_operator(args, op, fields=None, text="%s", latex="%s"):
     """An operator as JSON (its chart and terms, plus ``fields``), or in
     the ``latex`` or ``text`` form."""
     if args.render == "json":
-        _emit_json(args, {**(fields or {}), "chart": [str(v) for v in op.chart],
-                          "operator": diffop_to_json(op)})
+        out = {**(fields or {}), "chart": [str(v) for v in op.chart],
+               "operator": diffop_to_json(op)}
     elif args.render == "latex":
-        _emit(args, latex % latex_diffop(op))
+        out = latex % latex_diffop(op)
     else:
-        _emit(args, text % render_diffop(op))
+        out = text % render_diffop(op)
+    _emit(args, out)
     return 0
 
 
@@ -528,23 +478,24 @@ def cmd_reps_check(args):
     spec, params = _config(args)
     failures = rep_check(spec, side=args.side, params=params)
     if args.render == "json":
-        _emit_json(args, {
+        out = {
             "side": args.side,
             "ok": not failures,
             "failures": [
                 {"x": str(x), "y": str(y), "residual": diffop_to_json(r)}
                 for x, y, r in failures
             ],
-        })
+        }
     elif failures:
         lines = ["rep check (%s): FAIL" % args.side]
         lines += [
             "  [%s, %s] residual: %s" % (x, y, render_diffop(r))
             for x, y, r in failures
         ]
-        _emit(args, "\n".join(lines))
+        out = "\n".join(lines)
     else:
-        _emit(args, "rep check (%s): ok" % args.side)
+        out = "rep check (%s): ok" % args.side
+    _emit(args, out)
     return 1 if failures else 0
 
 
@@ -560,7 +511,7 @@ def cmd_pde_check(args):
     try:
         failures = intertwining_check(spec, args.q, params)
     except ConditionNotSatisfied as exc:
-        _emit_json(args, {"q": args.q, "ok": False, "error": str(exc)})
+        _emit(args, {"q": args.q, "ok": False, "error": str(exc)})
         return 1
     failed = {g: r for g, r in failures}
     report = []
@@ -569,7 +520,7 @@ def cmd_pde_check(args):
         if gen in failed:
             entry["residual"] = diffop_to_json(failed[gen])
         report.append(entry)
-    _emit_json(args, {
+    _emit(args, {
         "q": args.q,
         "delta": str(params["delta"]),
         "ok": not failures,
@@ -587,13 +538,9 @@ def cmd_selftest(args):
         results.append({"name": name, "ok": ok, "detail": detail,
                         "seconds": round(time.perf_counter() - start, 6)})
     all_ok = all(r["ok"] for r in results)
-    if args.render == "json":
-        _emit_json(args, {"criteria": results, "ok": all_ok})
-    else:
-        lines = ["[%s] %s: %s" % ("PASS" if r["ok"] else "FAIL", r["name"], r["detail"])
-                 for r in results]
-        lines.append("selftest: %s" % ("PASS" if all_ok else "FAIL"))
-        _emit(args, "\n".join(lines))
+    _emit(args, {"criteria": results, "ok": all_ok} if args.render == "json" else "\n".join(
+        ["[%s] %s: %s" % ("PASS" if r["ok"] else "FAIL", r["name"], r["detail"])
+         for r in results] + ["selftest: %s" % ("PASS" if all_ok else "FAIL")]))
     return 0 if all_ok else 1
 
 
@@ -789,115 +736,101 @@ def acceptance_criteria():
 
 # --- parser ----------------------------------------------------------------
 
+_FAMILY = (
+    ("--d", {"type": int, "required": True, "help": "spatial dimension (1 or 2)"}),
+    ("--two-ell", {"dest": "two_ell", "type": int, "required": True,
+                   "help": "twice the rational label (integers only)"}),
+    ("--ext", {"required": True, "choices": ("mass", "exotic", "none"),
+               "help": "central extension"}),
+)
+_DELTA_HELP = "scaling weight (rational, or 'auto' with --q)"
+_OTHER_PARAMS = tuple(("--" + name, {"type": _fraction, "help": "family parameter"})
+                      for name in PARAM_NAMES[1:])
+_PARAMS = (("--delta", {"help": _DELTA_HELP}),) + _OTHER_PARAMS
+_DELTA_REQUIRED = (("--delta", {"required": True, "help": _DELTA_HELP}),) + _OTHER_PARAMS
+_TEXT_JSON = ("text", "json")
+_WITH_LATEX = ("text", "json", "latex")
+_Q = (("--q", {"type": int, "required": True}),)
+_GEN = (("--gen", {"required": True}),)
+
+# group -> (help, rows).  A row is (command, help, handler, parameter flags:
+# () / _PARAMS / _DELTA_REQUIRED, the command's own arguments in order,
+# renders); every command takes the _FAMILY flags first and --out last, and
+# renders () means JSON only, with no --render flag.
+COMMANDS = {
+    "algebra": ("generators, brackets, audits", (
+        ("show", "blocks and nonzero brackets", cmd_algebra_show, (), (), _TEXT_JSON),
+        ("jacobi", "audit the structure constants", cmd_algebra_jacobi, (), (), _TEXT_JSON),
+    )),
+    "verma": ("lowest-weight module calculus", (
+        ("act", "apply a generator to a basis monomial", cmd_verma_act, _PARAMS, (
+            ("--gen", {"required": True, "help": "generator name, e.g. C or P1+"}),
+            ("--monomial", {"required": True,
+                            "help": 'JSON monomial {"h": int, "a": [...], "b": [...]}'}),
+            ("--action", {"choices": ("generic", "closed"), "default": "generic"}),
+        ), _TEXT_JSON),
+        ("basis", "enumerate basis monomials", cmd_verma_basis, _PARAMS, (
+            ("--level", {"type": int, "help": "grading level"}),
+            ("--weight", {"help": 'JSON weight constraint {"D": "-delta+2", ...}'}),
+        ), _TEXT_JSON),
+        ("weight", "diagonal eigenvalues of a monomial", cmd_verma_weight, _PARAMS,
+         (("--monomial", {"required": True}),), _TEXT_JSON),
+    )),
+    "singular": ("singular vectors of the modules", (
+        ("condition", "existence condition and its root", cmd_singular_condition, (), _Q,
+         _TEXT_JSON),
+        ("closed", "closed-form candidate vector", cmd_singular_closed, _PARAMS, _Q,
+         _TEXT_JSON),
+        ("verify", "verify the closed-form vector", cmd_singular_verify, _PARAMS, _Q,
+         _TEXT_JSON),
+        ("search", "exact nullspace search", cmd_singular_search, _PARAMS, (
+            ("--q", {"type": int, "help": "search the level-q predicted weight space"}),
+            ("--level", {"type": int, "help": "search a whole grading level"}),
+        ), _TEXT_JSON),
+    )),
+    "reps": ("differential-operator realizations", (
+        ("left", "left realization of one generator", cmd_reps, _PARAMS, _GEN, _WITH_LATEX),
+        ("right", "right realization of one generator", cmd_reps, (), _GEN, _WITH_LATEX),
+        ("check", "audit a realization against the brackets", cmd_reps_check, _PARAMS,
+         (("--side", {"choices": ("left", "right"), "default": "left"}),), _TEXT_JSON),
+    )),
+    "pde": ("invariant equation hierarchies", (
+        ("emit", "print the level-q invariant equation", cmd_pde_emit, _PARAMS, _Q,
+         _WITH_LATEX),
+        ("check", "verify the intertwining identity", cmd_pde_check, _DELTA_REQUIRED, _Q,
+         ()),
+    )),
+}
+
+
+def _add_arguments(parser, arguments, renders, handler):
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    if renders:
+        parser.add_argument("--render", choices=renders, default=renders[0])
+    parser.add_argument("--out", help="write the result to FILE instead of stdout")
+    parser.set_defaults(handler=handler)
+
+
 @functools.cache
 def build_parser():
-    """The argparse tree, built once per process (parsing never mutates it)."""
+    """The argparse tree, built once per process (parsing never mutates it).
+    A group's subparsers store the command name in ``action``, which is how
+    ``reps left`` and ``reps right`` share a handler."""
     parser = argparse.ArgumentParser(
         prog="cgk",
         description="Exact toolkit for conformal Galilei algebras, their "
                     "lowest-weight modules, and invariant equation hierarchies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_algebra = sub.add_parser("algebra", help="generators, brackets, audits")
-    alg_sub = p_algebra.add_subparsers(dest="action", required=True)
-    p = alg_sub.add_parser("show", help="blocks and nonzero brackets")
-    _add_spec_args(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_algebra_show)
-    p = alg_sub.add_parser("jacobi", help="audit the structure constants")
-    _add_spec_args(p)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_algebra_jacobi)
-
-    p_verma = sub.add_parser("verma", help="lowest-weight module calculus")
-    verma_sub = p_verma.add_subparsers(dest="action", required=True)
-    p = verma_sub.add_parser("act", help="apply a generator to a basis monomial")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--gen", required=True, help="generator name, e.g. C or P1+")
-    p.add_argument("--monomial", required=True,
-                   help='JSON monomial {"h": int, "a": [...], "b": [...]}')
-    p.add_argument("--action", choices=("generic", "closed"), default="generic")
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_verma_act)
-    p = verma_sub.add_parser("basis", help="enumerate basis monomials")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--level", type=int, help="grading level")
-    p.add_argument("--weight", help='JSON weight constraint {"D": "-delta+2", ...}')
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_verma_basis)
-    p = verma_sub.add_parser("weight", help="diagonal eigenvalues of a monomial")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--monomial", required=True)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_verma_weight)
-
-    p_sing = sub.add_parser("singular", help="singular vectors of the modules")
-    sing_sub = p_sing.add_subparsers(dest="action", required=True)
-    p = sing_sub.add_parser("condition", help="existence condition and its root")
-    _add_spec_args(p)
-    p.add_argument("--q", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_singular_condition)
-    p = sing_sub.add_parser("closed", help="closed-form candidate vector")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--q", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_singular_closed)
-    p = sing_sub.add_parser("verify", help="verify the closed-form vector")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--q", type=int, required=True)
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_singular_verify)
-    p = sing_sub.add_parser("search", help="exact nullspace search")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--q", type=int, help="search the level-q predicted weight space")
-    p.add_argument("--level", type=int, help="search a whole grading level")
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_singular_search)
-
-    p_reps = sub.add_parser("reps", help="differential-operator realizations")
-    reps_sub = p_reps.add_subparsers(dest="action", required=True)
-    for side in ("left", "right"):
-        p = reps_sub.add_parser(side, help="%s realization of one generator" % side)
-        _add_spec_args(p)
-        if side == "left":
-            _add_param_args(p)
-        p.add_argument("--gen", required=True)
-        _add_output_args(p, renders=("text", "json", "latex"))
-        p.set_defaults(handler=cmd_reps, action=side)
-    p = reps_sub.add_parser("check", help="audit a realization against the brackets")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--side", choices=("left", "right"), default="left")
-    _add_output_args(p)
-    p.set_defaults(handler=cmd_reps_check)
-
-    p_pde = sub.add_parser("pde", help="invariant equation hierarchies")
-    pde_sub = p_pde.add_subparsers(dest="action", required=True)
-    p = pde_sub.add_parser("emit", help="print the level-q invariant equation")
-    _add_spec_args(p)
-    _add_param_args(p)
-    p.add_argument("--q", type=int, required=True)
-    _add_output_args(p, renders=("text", "json", "latex"))
-    p.set_defaults(handler=cmd_pde_emit)
-    p = pde_sub.add_parser("check", help="verify the intertwining identity")
-    _add_spec_args(p)
-    _add_param_args(p, require_delta=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--out", help="write the result to FILE instead of stdout")
-    p.set_defaults(handler=cmd_pde_check)
-
-    p_self = sub.add_parser("selftest", help="run the full acceptance suite")
-    _add_output_args(p_self)
-    p_self.set_defaults(handler=cmd_selftest)
-
+    for group, (group_help, rows) in COMMANDS.items():
+        commands = sub.add_parser(group, help=group_help).add_subparsers(
+            dest="action", required=True)
+        for name, help_text, handler, param_flags, arguments, renders in rows:
+            _add_arguments(commands.add_parser(name, help=help_text),
+                           _FAMILY + param_flags + arguments, renders, handler)
+    _add_arguments(sub.add_parser("selftest", help="run the full acceptance suite"),
+                   (), _TEXT_JSON, cmd_selftest)
     return parser
 
 

@@ -62,26 +62,29 @@ class SearchResult:
         return len(self.vectors)
 
 
+def _quadratic_pair(spec):
+    """(P(n), P(n')): the last factor of the a string and of its partner
+    string (the a string itself when d = 1)."""
+    _, a_gens, b_gens = creation_data(spec)
+    return a_gens[-1], (b_gens or a_gens)[-1]
+
+
 def singular_condition(spec, q):
     """Scalar in the weight parameters whose vanishing admits the level-q
-    closed-form singular vector.  The centerless family needs kappa = 0
-    instead for every q, so the condition is kappa itself.
+    closed-form singular vector: m (delta - q + 1) + (n+1)(n'+1), read off
+    the pair (P(n), P(n')) of ``quadratic_element``, with m = 2 when the
+    pair is one generator twice (d = 1) and 1 otherwise.  The centerless
+    family needs kappa = 0 instead for every q, so the condition is kappa
+    itself.
     """
     if q < 1:
         raise ValueError("q must be a positive integer")
-    delta = Scalar.symbol("delta")
-    two_ell = spec.twoEll
     if spec.ext == "none":
         return Scalar.symbol("kappa")
-    if spec.d == 1:
-        # 2*delta - 2(q-1) + (l+1/2)^2 = 0, written without half-integers
-        lp = Fraction(two_ell + 1, 2)
-        return Scalar.const(2) * delta + Scalar.const(-2 * (q - 1) + lp * lp)
-    if spec.ext == "mass":
-        lp = Fraction(two_ell + 1, 2)
-        return delta + Scalar.const(-q + lp * lp + 1)
-    ell = two_ell // 2
-    return delta + Scalar.const(-q + ell * (ell + 1) + 1)
+    p, p_partner = _quadratic_pair(spec)
+    m = 2 if p == p_partner else 1
+    return (Scalar.const(m) * (Scalar.symbol("delta") + Scalar.const(1 - q))
+            + Scalar.const((p.n + 1) * (p_partner.n + 1)))
 
 
 def delta_at_condition(spec, q):
@@ -102,15 +105,13 @@ def quadratic_element(spec, params=None):
 
     Returned as a list of (generator sequence, Scalar) pairs; the module
     element is the sum of the products, leftmost factor acting last.
-    Parameters default to symbolic.  Its factors come from
-    ``creation_data``: the top factor, and the pair of P(n), the last
-    factor of the a string, and P(n'), the last of its partner string (the
-    a string itself when d = 1).
+    Parameters default to symbolic.  Its factors are the top factor of
+    ``creation_data`` and the pair (P(n), P(n')) of ``_quadratic_pair``.
     """
-    top, a_gens, b_gens = creation_data(spec)
+    top = creation_data(spec)[0]
+    pair = _quadratic_pair(spec)
     if spec.ext == "none":
-        return [((a_gens[-1],), Scalar.const(1))]
-    pair = (a_gens[-1], (b_gens or a_gens)[-1])
+        return [((pair[0],), Scalar.const(1))]
     alpha = factorial(pair[0].n) * factorial(pair[1].n) * (2 if pair[0] == pair[1] else 1)
     symbol = weight_table(spec)[central_element(spec)][0]
     return [
@@ -322,12 +323,7 @@ def search_singular(spec, constraint, params=None):
             targets.update(img.terms)
         for t in sorted(targets, key=lambda m: (m.h, m.a, m.b)):
             rows.append([img.coefficient(t) for img in images])
-    if not rows:
-        kernel = [tuple(Scalar.const(1 if i == j else 0) for j in range(len(basis)))
-                  for i in range(len(basis))]
-        caveats = []
-    else:
-        kernel, caveats = _scalar_matrix_kernel(rows, len(basis))
+    kernel, caveats = _scalar_matrix_kernel(rows, len(basis))
     vectors = []
     for vec in kernel:
         lead = next(i for i, c in enumerate(vec) if not c.is_zero())

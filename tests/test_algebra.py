@@ -33,6 +33,15 @@ def test_spec_validation():
             AlgebraSpec(*bad)
 
 
+@pytest.mark.parametrize("d, two_ell", [(True, 1), (1.0, 1), (2.0, 2), (1, True),
+                                        (1, 1.0), (2, 2.0), ("1", 1), (1, "1")])
+def test_spec_rejects_non_integers(d, two_ell):
+    # bool is an int subclass and 1.0 == 1: only exact ints name a family
+    ext = "exotic" if two_ell == 2 else "mass"
+    with pytest.raises(InvalidSpec):
+        AlgebraSpec(d, two_ell, ext)
+
+
 def test_enumerate_counts_and_order():
     gens = enumerate_generators(AlgebraSpec(1, 3, "mass"))
     assert len(gens) == 8

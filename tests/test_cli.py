@@ -283,6 +283,63 @@ def test_cli_output_corpus(capsys, monkeypatch):
     _assert_snapshot(capsys, _corpus_commands(), "cli_outputs.json")
 
 
+def _help_paths():
+    """Every parser path: the root, each group, each command and selftest."""
+    groups = {"algebra": ("show", "jacobi"), "verma": ("act", "basis", "weight"),
+              "singular": ("condition", "closed", "verify", "search"),
+              "reps": ("left", "right", "check"), "pde": ("emit", "check")}
+    paths = [[]]
+    for group, commands in groups.items():
+        paths += [[group]] + [[group, command] for command in commands]
+    return paths + [["selftest"]]
+
+
+def _surface_commands():
+    """What the sweep of ``_corpus_commands`` leaves out: the help of every
+    parser path and every command's other renders, on three families."""
+    commands = [[*path, "--help"] for path in _help_paths()]
+    for spec in (D1, EX2, AlgebraSpec(1, 2, "none")):
+        family = ["--d", str(spec.d), "--two-ell", str(spec.twoEll), "--ext", spec.ext]
+        renders = (("--render", "text"), ("--render", "json"))
+        commands += [["algebra", "jacobi", *family, *render] for render in renders]
+        monos = [m for level in (0, 1) for m in level_basis(spec, level)]
+        for m in monos:
+            mono = ["--monomial", json.dumps(monomial_to_json(m))]
+            commands += [["verma", "weight", *family, *mono, *render] for render in renders]
+            commands += [["verma", "act", *family, "--gen", str(gen), *mono,
+                          "--action", action, *render]
+                         for gen in enumerate_generators(spec)
+                         for action in ("generic", "closed") for render in renders]
+        weights = ['{"D": "-delta+2"}', '{"D": "-delta-2"}']
+        commands += [["verma", "basis", *family, "--weight", w, *render]
+                     for w in weights for render in renders]
+        for gen in enumerate_generators(spec):
+            commands += [["reps", "left", *family, "--gen", str(gen), "--render", r]
+                         for r in ("text", "latex")]
+            commands += [["reps", "right", *family, "--gen", str(gen), "--render", r]
+                         for r in ("json", "latex")]
+        commands += [["reps", "check", *family, "--render", "json"],
+                     ["reps", "check", *family, "--side", "right"]]
+        for q in ("1", "2"):
+            commands += [["singular", "condition", *family, "--q", q, *render]
+                         for render in renders]
+            commands += [["singular", "closed", *family, "--q", q, "--render", "json"],
+                         ["singular", "verify", *family, "--q", q, "--delta", "auto",
+                          "--render", "json"],
+                         ["singular", "search", *family, "--q", q],
+                         ["singular", "search", *family, "--level", q]]
+            commands += [["pde", "emit", *family, "--q", q, *render] for render in renders]
+    return commands
+
+
+def test_cli_surface_corpus(capsys, monkeypatch):
+    # cli_surface_outputs.json pins the help texts and the renders that
+    # cli_outputs.json leaves out; argparse wraps help to COLUMNS
+    monkeypatch.delenv("CGK_CAPS_LEVEL", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    _assert_snapshot(capsys, _surface_commands(), "cli_surface_outputs.json")
+
+
 def test_basis_reads_printed_weight_keys(capsys):
     # P1 is the centerless family's diagonal generator, named as printed
     code, out, err = invoke(
@@ -345,6 +402,10 @@ def test_search_rejects_nonpositive_q(capsys):
     for q in ("0", "-1"):
         assert invoke(capsys, "singular", "condition", *family, "--q", q) == want
         assert invoke(capsys, "singular", "search", *family, "--q", q) == want
+    # a given --q is checked even where --level chooses the weight space
+    for level, q in (("2", "0"), ("0", "-1")):
+        assert invoke(capsys, "singular", "search", *family, "--level", level,
+                      "--q", q) == want
     assert invoke(capsys, "singular", "search", *family, "--level", "0") == (
         0, "kernel dimension: 1\n  |0;0;>\n", "")
 

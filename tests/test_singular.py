@@ -69,6 +69,29 @@ def test_condition_examples():
             predicted_weight(D1, q)
 
 
+def _reference_singular_condition(spec, q):
+    """singular_condition with the formula written out per family."""
+    delta = Scalar.symbol("delta")
+    if spec.ext == "none":
+        return Scalar.symbol("kappa")
+    if spec.d == 1:
+        # 2*delta - 2(q-1) + (l+1/2)^2 = 0, written without half-integers
+        lp = Fraction(spec.twoEll + 1, 2)
+        return Scalar.const(2) * delta + Scalar.const(-2 * (q - 1) + lp * lp)
+    if spec.ext == "mass":
+        lp = Fraction(spec.twoEll + 1, 2)
+        return delta + Scalar.const(-q + lp * lp + 1)
+    ell = spec.twoEll // 2
+    return delta + Scalar.const(-q + ell * (ell + 1) + 1)
+
+
+def test_condition_matches_reference():
+    for spec in supported_specs(21):
+        for q in range(1, 6):
+            assert singular_condition(spec, q) == _reference_singular_condition(spec, q), (
+                spec, q)
+
+
 def test_weight_shift_is_the_grade_of_the_quadratic_element():
     for spec in supported_specs(9):
         for q in range(1, 5):
