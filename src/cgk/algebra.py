@@ -245,6 +245,46 @@ def _bracket_raw(spec, x, y):
     return None
 
 
+def _closure(edges, start):
+    """One witness for each generator the single-term brackets in edges
+    reach from start, in the order reached."""
+    reached, queue, witnesses = set(start), list(start), []
+    for z in queue:
+        for other, witness in edges[z]:
+            if other in reached and witness[0] not in reached:
+                reached.add(witness[0])
+                queue.append(witness[0])
+                witnesses.append(witness)
+    return witnesses
+
+
+@lru_cache(maxsize=None)
+def generating_set(spec):
+    """(kept, witnesses): generators whose brackets span the algebra.
+
+    kept is a greedy drop in ``enumerate_generators`` order, so the
+    annihilators and g0 go first whenever brackets of the rest reach them.
+    Each witness (g, x, y, c) records bracket(spec, x, y) == c * g, with x
+    and y kept or derived earlier.  Only a bracket with a single term is a
+    witness, so each generator not kept is one bracket of two earlier ones.
+    """
+    gens = enumerate_generators(spec)
+    edges = {g: [] for g in gens}
+    for i, x in enumerate(gens):
+        for y in gens[i + 1:]:
+            terms = bracket(spec, x, y).items()
+            if len(terms) == 1:
+                (g, c), = terms
+                edges[x].append((y, (g, x, y, c)))
+                edges[y].append((x, (g, x, y, c)))
+    kept = gens
+    for g in gens:
+        trial = [k for k in kept if k != g]
+        if len(trial) + len(_closure(edges, trial)) == len(gens):
+            kept = trial
+    return tuple(kept), tuple(_closure(edges, kept))
+
+
 def jacobi_check(spec, bracket_fn=None):
     """Audit [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 over all triples.
 

@@ -43,10 +43,12 @@ from cgk.verma import (  # noqa: E402
 )
 
 D5 = AlgebraSpec(1, 5, "mass")
+D7 = AlgebraSpec(1, 7, "mass")
 M1 = AlgebraSpec(2, 1, "mass")
 M3 = AlgebraSpec(2, 3, "mass")
 M5 = AlgebraSpec(2, 5, "mass")
 EX2 = AlgebraSpec(2, 2, "exotic")
+EX6 = AlgebraSpec(2, 6, "exotic")
 DELTA, MU, R = (ParamPoly.symbol(name) for name in ("delta", "mu", "r"))
 P = DELTA * DELTA + MU * R - ParamPoly.const(3) * DELTA + ParamPoly.const(Fraction(1, 2))
 Q = DELTA * MU - R * R + ParamPoly.const(2)
@@ -154,3 +156,17 @@ def test_rep_check(benchmark):
 def test_intertwining_check(benchmark):
     params = {"delta": delta_at_condition(M1, 2), "mu": 1, "r": Fraction(2, 3)}
     assert benchmark(intertwining_check, M1, 2, params) == []
+
+
+# scale rows: families larger than the ones the tests and cgkbench use
+@pytest.mark.parametrize("spec, q", [(M5, 5), (EX6, 4), (D7, 5)],
+                         ids=["2-5-mass-q5", "2-6-exotic-q4", "1-7-mass-q5"])
+def test_intertwining_check_scale(benchmark, spec, q):
+    """``cgk pde check --delta auto`` on a larger family: delta at the
+    level-q root, every other parameter symbolic."""
+    params = dict(symbolic_params(spec), delta=delta_at_condition(spec, q))
+    assert benchmark(intertwining_check, spec, q, params) == []
+
+
+def test_rep_check_scale(benchmark):
+    assert benchmark(rep_check, M5) == []

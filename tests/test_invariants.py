@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgk.algebra import AlgebraSpec, Gen, enumerate_generators
+from cgk.algebra import AlgebraSpec, Gen, enumerate_generators, generating_set
 from cgk.diffop import (
     CoefPoly,
     DiffOp,
@@ -253,3 +253,62 @@ def test_forced_intertwining_failure_matches_reference(monkeypatch):
         if not residual.is_zero():
             want.append((gen, residual))
     assert want and failures == want
+
+
+def _reference_failures(spec, q, params, power, realize):
+    """Every generator's residual by two whole products: the all-generator
+    oracle for ``intertwining_check``."""
+    pvals = resolve_params(spec, params)
+    shifted = _shifted_params(pvals, q)
+    want = []
+    for gen in enumerate_generators(spec):
+        residual = _reference_residual(
+            power, realize(spec, gen, pvals), realize(spec, gen, shifted))
+        if not residual.is_zero():
+            want.append((gen, residual))
+    return want
+
+
+def test_wrong_operator_failure_matches_reference(monkeypatch):
+    import cgk.invariants as inv
+
+    spec, q = EX2, 2
+    params = params_at_root(spec, q)
+    pvals = resolve_params(spec, params)
+    true_power = invariant_operator(spec, q, pvals)
+    wrong = true_power + parse_diffop("t*d/dx0", true_power.chart)
+    monkeypatch.setattr(inv, "invariant_operator", lambda spec, q, params=None: wrong)
+    failures = inv.intertwining_check(spec, q, params)
+    want = _reference_failures(spec, q, params, wrong, left_action)
+    assert failures == want
+    # the fallback lists generators outside the generating set too
+    assert {g for g, _ in want} - set(generating_set(spec)[0])
+
+
+def test_corrupt_kept_generator_failure_matches_reference(monkeypatch):
+    import cgk.invariants as inv
+
+    spec, q = M1, 2
+    assert Gen("C") in generating_set(spec)[0]
+    params = params_at_root(spec, q)
+    patched = _corrupt_left_action(monkeypatch, inv, Gen("C"))
+    failures = inv.intertwining_check(spec, q, params)
+    power = invariant_operator(spec, q, resolve_params(spec, params))
+    want = _reference_failures(spec, q, params, power, patched)
+    assert want and failures == want
+
+
+def test_passing_check_runs_only_the_generating_set(monkeypatch):
+    import cgk.invariants as inv
+
+    true_residual, calls = inv._residual, []
+
+    def counted(spec, gen, *args):
+        calls.append(gen)
+        return true_residual(spec, gen, *args)
+
+    monkeypatch.setattr(inv, "_residual", counted)
+    for spec, q in ((D3, 2), (M1, 2), (EX2, 3)):
+        calls.clear()
+        assert inv.intertwining_check(spec, q, params_at_root(spec, q)) == []
+        assert calls == list(generating_set(spec)[0]), spec
