@@ -834,10 +834,26 @@ def build_parser():
     return parser
 
 
+_PARAM_FLAGS = frozenset("--" + name for name in PARAM_NAMES)
+
+
+def _joined_params(argv):
+    """``argv`` with each parameter flag joined to a next word that starts
+    with a single '-': argparse reads a negative rational such as -1/2 as
+    an option, but takes it after '='."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _PARAM_FLAGS and word[:1] == "-" and word[1:2] != "-":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def run(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_params(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -530,6 +530,9 @@ class Scalar:
     def is_rational(self):
         return self.den is _POLY_ONE and self.num.is_const()
 
+    def is_one(self):
+        return self.den is _POLY_ONE and self.num.terms == _POLY_ONE.terms
+
     def rational_value(self):
         """The Fraction value of a parameter-free Scalar."""
         if not self.is_rational():

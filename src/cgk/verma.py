@@ -7,19 +7,22 @@ act by scalars drawn from the family's parameters.
 
 Two independent implementations of the generator action are provided:
 
-* ``act_generic`` rewrites words of generators into normal order using
-  only the structure constants (works for every family), and
+* ``act_generic`` normal-orders products of generators using only the
+  structure constants (works for every family), and
 * ``act_closed_form`` evaluates explicit per-generator formulas for every
   extended family, written once over the creation strings of the module.
 
 Their agreement on a shared domain is one of the package's core checks.
 
-Both are integer-first.  The structure constants are integers, so the image
-of each input monomial is built with plain ``int`` coefficients, and a
-Scalar enters only where a parameter does: the eigenvalue of a trailing
-diagonal letter, computed lazily once per letter and call, or a parameter
-in a closed form.  The input coefficient then multiplies each term of that
-image once, and the result is assembled in one map.
+The generic images are free of parameters and cached per family: the
+normal-ordered product of a generator x and a basis monomial f m' (f its
+leading factor) follows from x f m' = f (x m') + [x, f] m' with integer
+coefficients, a trailing diagonal generator leaving an exponent of its
+eigenvalue.  Each call instantiates the cached images, turning the
+exponents into products of eigenvalues.  The closed forms take ``int``
+coefficients too, and a Scalar enters only where a parameter does.  In both
+actions the input coefficient multiplies each term of an image once (not
+at all when it is 1), and the result is assembled in one map.
 """
 
 from collections import namedtuple
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from types import MappingProxyType
 
 from .algebra import (
@@ -287,35 +290,34 @@ class _Letters:
     """A family's generators as integer letters, for the generic action.
 
     Letter ``i`` is ``enumerate_generators(spec)[i]``.  ``pos[i]`` is its
-    normal-order position, ``brk[i][j]`` the bracket of letters ``i`` and
-    ``j`` as ``((letter, int coefficient), ...)``, ``diag`` maps each
-    diagonal letter to the ``(symbol, sign)`` of its eigenvalue, ``slots``
-    the letters of the basis factors in monomial order (top, a string,
-    b string) and ``order`` the slot indices by descending position, the
-    order of the factors in a normal word.
+    normal-order position (0 for an annihilator, 1 for a diagonal letter,
+    2 and up for a creation letter), ``brk[i][j]`` the bracket of letters
+    ``i`` and ``j`` as ``((letter, int coefficient), ...)``.  ``weights``
+    lists the ``(symbol, sign)`` of each diagonal letter's eigenvalue in
+    exponent order, ``unit`` maps each diagonal letter to its exponent
+    tuple and ``zero`` is the exponent tuple of no eigenvalue.  ``slots``
+    holds the letters of the basis factors in monomial order (top, a
+    string, b string), ``slot`` maps each of them back to its slot, and
+    ``order`` lists the slot indices by descending position, the order of
+    the factors in a normal word.
     """
 
     index: dict
     pos: tuple
     brk: tuple
-    diag: dict
+    weights: tuple
+    unit: dict
+    zero: tuple
     slots: tuple
+    slot: dict
     order: tuple
     n_a: int
     n_b: int
 
-    def word_of(self, m):
-        """The normal word of a basis monomial."""
-        expo = (m.h,) + m.a + m.b
-        word = ()
-        for s in self.order:
-            word += (self.slots[s],) * expo[s]
-        return word
-
-    def monomial_of(self, word):
-        """The basis monomial of a normal word, by counting each slot."""
-        counts = tuple(word.count(letter) for letter in self.slots)
-        return _mono((counts[0], counts[1:1 + self.n_a], counts[1 + self.n_a:]))
+    def monomial(self, expo):
+        """The basis monomial of a flat exponent sequence in slot order."""
+        n = 1 + self.n_a
+        return _mono((expo[0], tuple(expo[1:n]), tuple(expo[n:])))
 
 
 @lru_cache(maxsize=None)
@@ -331,76 +333,153 @@ def _letters(spec):
               for y in gens)
         for x in gens
     )
-    diag = {index[g]: sym_sign for g, sym_sign in weight_table(spec).items()}
+    table = weight_table(spec)
+    diag = [index[g] for g in table]
+    zero = (0,) * len(diag)
+    unit = {letter: _bump(zero, k, 1) for k, letter in enumerate(diag)}
     top, a_gens, b_gens = creation_data(spec)
     slots = tuple(index[g] for g in (top,) + a_gens + b_gens)
     order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
-    return _Letters(index, pos, brk, diag, slots, order, len(a_gens), len(b_gens))
+    return _Letters(index, pos, brk, tuple(table.values()), unit, zero, slots,
+                    {letter: s for s, letter in enumerate(slots)}, order, len(a_gens),
+                    len(b_gens))
+
+
+class _Images(dict):
+    """The generic action's images on one family, free of parameters.
+
+    ``images[letter, mono]`` is the normal-ordered product of the letter
+    and the basis monomial ``mono``: a tuple of ``(monomial, diagonal
+    exponents, int)`` triples, the exponents counting how often each
+    diagonal letter's eigenvalue (in ``_Letters.weights`` order) multiplies
+    the term.  Normal ordering is unique (PBW), so one entry per pair serves
+    every parameter assignment.  A missing entry is filled on lookup, with
+    every entry it needs, by the commutation recursion: with f the leading
+    factor of the normal word of ``mono`` and m' the rest,
+
+        x f m' = f (x m') + [x, f] m'.
+
+    It stops at a creation letter x with pos[x] >= pos[f], whose word is
+    already normal, and at the empty word, where an annihilator gives 0, a
+    diagonal letter its eigenvalue and a creation letter its factor.  The
+    recursion runs on an explicit work stack, so a word of any length fills
+    without nesting calls; only the bracket table of ``_letters`` enters.
+    """
+
+    def __init__(self, spec):
+        super().__init__()
+        self.letters = _letters(spec)
+
+    def __missing__(self, key):
+        letters = self.letters
+        pos, zero = letters.pos, letters.zero
+        stack = [key]
+        while stack:
+            x, m = stack[-1]
+            if (x, m) in self:
+                stack.pop()
+                continue
+            expo = (m[0],) + m[1] + m[2]
+            lead = next((s for s in letters.order if expo[s]), None)
+            rank = pos[x]
+            if rank >= 2 and (lead is None or rank >= pos[letters.slots[lead]]):
+                out = list(expo)
+                out[letters.slot[x]] += 1
+                self[x, m] = ((letters.monomial(out), zero, 1),)
+                continue
+            if lead is None:
+                self[x, m] = ((m, letters.unit[x], 1),) if rank == 1 else ()
+                continue
+            out = list(expo)
+            out[lead] -= 1
+            rest, f = letters.monomial(out), letters.slots[lead]
+            brk = letters.brk[x][f]
+            # the entries this one reads: x and each [x, f] letter on m',
+            # then f on each monomial of x m'
+            missing = [(g, rest) for g in (x,) + tuple(g for g, _ in brk)
+                       if (g, rest) not in self]
+            if not missing:
+                missing = [(f, n) for n, _, _ in self[x, rest] if (f, n) not in self]
+            if missing:
+                stack += missing
+                continue
+            acc = {}
+            for n, e, c in self[x, rest]:
+                for n2, e2, c2 in self[f, n]:
+                    sub = (n2, e2 if e is zero else e if e2 is zero else tuple(map(add, e, e2)))
+                    acc[sub] = acc.get(sub, 0) + c * c2
+            for g, k in brk:
+                for n, e, c in self[g, rest]:
+                    acc[n, e] = acc.get((n, e), 0) + k * c
+            self[x, m] = tuple((n, e, c) for (n, e), c in acc.items() if c)
+        return self[key]
+
+
+@lru_cache(maxsize=None)
+def _images(spec):
+    """The ``_Images`` of ``spec``, one per family for the process."""
+    return _Images(spec)
+
+
+def _eigen_product(weights, expo, pvals):
+    """The product of the diagonal eigenvalues counted by ``expo``, built
+    with ``*``."""
+    out = None
+    for (sym, sign), k in zip(weights, expo):
+        if k:
+            value = pvals[sym] * sign
+            for _ in range(k):
+                out = value if out is None else out * value
+    return out
+
+
+def _accumulate(out, pairs, coef):
+    """Add the (monomial, int | Scalar) ``pairs`` times the Scalar ``coef``
+    into the raw map ``out``; a unit ``coef`` multiplies nothing, and an int
+    then becomes a Scalar directly."""
+    unit = coef.is_one()
+    for m, c in pairs:
+        if not unit:
+            c = coef * c
+        elif type(c) is int:
+            c = Scalar.const(c)
+        prev = out.get(m)
+        out[m] = c if prev is None else prev + c
 
 
 def act_generic(spec, x, v, params=None):
-    """Action of generator ``x`` on vector ``v`` by word rewriting.
+    """Action of generator ``x`` on vector ``v`` by normal ordering.
 
-    Independent of every closed-form action: prepends ``x`` to each
-    monomial's word and normal-orders using only ``algebra.bracket``
-    (through the family's integer structure-constant table), swapping the
-    leftmost adjacent inversion first, killing trailing annihilators and
-    converting trailing diagonal letters into their eigenvalues.
-
-    Each input monomial is rewritten on its own with plain ``int``
-    coefficients; a coefficient becomes a Scalar only when a trailing
-    diagonal letter contributes its eigenvalue, which is computed on first
-    use, once per letter and call.  The input coefficient multiplies each
-    term of the monomial's image once.
+    Independent of every closed-form action: it reads only the family's
+    integer structure-constant table, built from ``algebra.bracket``.  The
+    image of ``x`` on each basis monomial comes from ``_images``, cached per
+    family and free of parameters, and is instantiated here: each term's
+    diagonal exponents become a product of eigenvalues, built once per call
+    and exponent tuple, and the input coefficient multiplies each term once.
     """
     pvals = resolve_params(spec, params)
-    letters = _letters(spec)
+    images = _images(spec)
+    letters = images.letters
     first = letters.index.get(x)
     if first is None:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
-    pos, brk = letters.pos, letters.brk
-    eigen = {}
+    zero, weights = letters.zero, letters.weights
+    products = {}
+
+    def instantiated(image):
+        for n, e, c in image:
+            if e is not zero:
+                value = products.get(e)
+                if value is None:
+                    value = products[e] = _eigen_product(weights, e, pvals)
+                c = value * c
+            yield n, c
+
     out = {}
-
-    def push(word, c):
-        prev = pending.get(word)
-        pending[word] = c if prev is None else prev + c
-
     for mono, coef in v.terms.items():
         if len(mono.a) != letters.n_a or len(mono.b) != letters.n_b:
             check_monomial(spec, mono)
-        pending = {(first,) + letters.word_of(mono): 1}
-        image = {}
-        while pending:
-            word, c = pending.popitem()
-            if not c:
-                continue
-            if word:
-                last = word[-1]
-                if pos[last] == 0:  # annihilator meets the lowest-weight vector
-                    continue
-                if pos[last] == 1:  # diagonal letter: eigenvalue times the rest
-                    value = eigen.get(last)
-                    if value is None:
-                        sym, sign = letters.diag[last]
-                        value = eigen[last] = pvals[sym] * sign
-                    push(word[:-1], value * c)
-                    continue
-                # find the leftmost adjacent inversion (ascending positions)
-                i, n = 0, len(word) - 1
-                while i < n and pos[word[i]] >= pos[word[i + 1]]:
-                    i += 1
-                if i < n:
-                    a, b = word[i], word[i + 1]
-                    head, tail = word[:i], word[i + 2:]
-                    push(head + (b, a) + tail, c)
-                    for letter, k in brk[a][b]:
-                        push(head + (letter,) + tail, c * k)
-                    continue
-            m = letters.monomial_of(word)
-            prev = image.get(m)
-            image[m] = c if prev is None else prev + c
-        ModuleVector.add_into(out, image.items(), coef)
+        _accumulate(out, instantiated(images[first, mono]), coef)
     return ModuleVector.of_raw(out)
 
 
@@ -521,7 +600,7 @@ def act_closed_form(spec, x, v, params=None):
     for mono, coef in v.terms.items():
         if (len(mono.a), len(mono.b)) != fam.shape:
             check_monomial(spec, mono)
-        ModuleVector.add_into(out, _closed_form(fam, x, mono, pvals), coef)
+        _accumulate(out, _closed_form(fam, x, mono, pvals), coef)
     return ModuleVector.of_raw(out)
 
 

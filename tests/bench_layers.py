@@ -22,6 +22,9 @@ shared machine, alternate the two checkouts over several rounds before
 trusting a difference of a few per cent.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,7 @@ from cgk.diffop import commutator, compose, twisted_commutator  # noqa: E402
 from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
 from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
+import cgk  # noqa: E402
 from cgk.singular import delta_at_condition, weight_shift  # noqa: E402
 from cgk.verma import (  # noqa: E402
     ModuleVector,
@@ -170,3 +174,44 @@ def test_intertwining_check_scale(benchmark, spec, q):
 
 def test_rep_check_scale(benchmark):
     assert benchmark(rep_check, M5) == []
+
+
+# module-side scale rows: one statement each over the names _SCALE_SETUP
+# defines.  The warm row times the statement in this process after one
+# untimed call; the cold row times a fresh interpreter that imports cgk,
+# runs the setup and the statement once, and exits.
+_SCALE_SETUP = """
+from cgk.algebra import AlgebraSpec, Gen, enumerate_generators
+from cgk.singular import search_singular
+from cgk.verma import ModuleVector, PbwMonomial, act_closed_form, act_generic, level_basis
+D1, M1, M3 = AlgebraSpec(1, 1, "mass"), AlgebraSpec(2, 1, "mass"), AlgebraSpec(2, 3, "mass")
+LEVEL7 = [(g, ModuleVector.of(m)) for m in level_basis(M3, 7) for g in enumerate_generators(M3)]
+C_H300 = ModuleVector.of(PbwMonomial(300, (0,), ()))
+"""
+MODULE_SCALE = {
+    "search-1-1-mass-level10": "search_singular(D1, 10)",
+    "search-1-1-mass-level12": "search_singular(D1, 12)",
+    "search-2-1-mass-level6": "search_singular(M1, 6)",
+    "closed-vs-generic-2-3-mass-level7":
+        "[(act_closed_form(M3, g, v), act_generic(M3, g, v)) for g, v in LEVEL7]",
+    "C-H300-1-1-mass": "act_generic(D1, Gen('C'), C_H300)",
+}
+SCALE_ROWS = pytest.mark.parametrize("row", sorted(MODULE_SCALE))
+
+
+@SCALE_ROWS
+def test_module_scale(benchmark, row):
+    names = {}
+    exec(_SCALE_SETUP, names)
+    call = eval("lambda: " + MODULE_SCALE[row], names)
+    call()
+    benchmark(call)
+
+
+@SCALE_ROWS
+def test_module_scale_cold(benchmark, row):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cgk.__file__)))
+    argv = [sys.executable, "-c", _SCALE_SETUP + MODULE_SCALE[row]]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
+                       rounds=3, iterations=1)
+

@@ -475,6 +475,40 @@ def test_pde_check_exit_codes(capsys):
     assert json.loads(out)["ok"] is False
 
 
+# a family with each parameter, and the vacuum monomial of its module
+PARAM_FAMILIES = {
+    "delta": ("1", "1", "mass", '{"h": 0, "a": [0]}'),
+    "mu": ("1", "1", "mass", '{"h": 0, "a": [0]}'),
+    "theta": ("2", "2", "exotic", '{"h": 0, "a": [0, 0], "b": [0]}'),
+    "r": ("2", "1", "mass", '{"h": 0, "a": [0], "b": [0]}'),
+    "kappa": ("1", "2", "none", '{"h": 0, "a": [0]}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_FAMILIES))
+def test_parameter_flag_takes_a_negative_fraction_as_next_word(capsys, name):
+    # argparse reads -1/2 as an option; the flag must still take it
+    d, two_ell, ext, vacuum = PARAM_FAMILIES[name]
+    base = ["verma", "weight", "--d", d, "--two-ell", two_ell, "--ext", ext,
+            "--monomial", vacuum, "--render", "json"]
+    free = invoke(capsys, *base)
+    joined = invoke(capsys, *base, "--%s=-1/2" % name)
+    assert invoke(capsys, *base, "--" + name, "-1/2") == joined
+    assert joined[0] == 0 and joined[1] != free[1]
+    assert "1/2" in joined[1]
+
+
+def test_negative_delta_as_next_word_in_pde_check(capsys):
+    argv = ["pde", "check", "--d", "1", "--two-ell", "1", "--ext", "mass", "--q", "1"]
+    code, out, err = invoke(capsys, *argv, "--delta", "-1/2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["delta"] == "-1/2"
+    assert invoke(capsys, *argv, "--delta", "-7/3")[0] == 1
+    # an option after the flag is still a missing value
+    code, _, err = invoke(capsys, *argv, "--delta", "--mu", "1")
+    assert code == 2 and "expected one argument" in err
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         ["algebra", "show", "--d", "1", "--two-ell", "1", "--ext", "bogus"],

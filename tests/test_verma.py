@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from cgk.algebra import (
     weight_table,
 )
 from cgk.scalars import Scalar, UnsupportedFamily
+from cgk.singular import delta_at_condition
 from cgk.verma import (
     InfiniteSelection,
     MissingParameter,
@@ -36,7 +38,7 @@ from cgk.verma import (
     vacuum,
     weight_of,
 )
-from cgk.verma import _letters
+from cgk.verma import _images, _letters
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -410,9 +412,33 @@ NUMERIC_POINT = {"delta": Fraction(-5, 2), "mu": Fraction(3, 7), "r": Fraction(2
                  "theta": Fraction(-4, 5), "kappa": Fraction(1, 3)}
 
 
-@pytest.mark.parametrize("params", [None, NUMERIC_POINT], ids=["symbolic", "numeric"])
-def test_generic_action_matches_reference(params):
+def _params(kind, spec):
+    """A parameter set of one of four kinds: every parameter symbolic; the
+    numeric point; delta at the level-2 root (symbolic where the family has
+    none) with the rest symbolic; delta = 1/(p + 1) for another parameter p
+    of the family, a value whose denominator is not one."""
+    if kind == "symbolic":
+        return None
+    if kind == "numeric":
+        return NUMERIC_POINT
+    params = symbolic_params(spec)
+    if kind == "root":
+        root = delta_at_condition(spec, 2)
+        if root is not None:
+            params["delta"] = root
+    else:
+        other = min(name for name in params if name != "delta")
+        params["delta"] = Scalar.const(1) / (params[other] + Scalar.const(1))
+    return params
+
+
+PARAM_KINDS = pytest.mark.parametrize("kind", ["symbolic", "numeric", "root", "quotient"])
+
+
+@PARAM_KINDS
+def test_generic_action_matches_reference(kind):
     for spec in supported_specs(5):
+        params = _params(kind, spec)
         gens = enumerate_generators(spec)
         for p in range(5):
             for m in level_basis(spec, p):
@@ -420,6 +446,46 @@ def test_generic_action_matches_reference(params):
                 for x in gens:
                     assert act_generic(spec, x, v, params=params) == \
                         _reference_act_generic(spec, x, v, params=params), (spec, x, m)
+
+
+def test_long_words_fill_without_nesting():
+    # the images fill on a work stack: words longer than the recursion
+    # limit act like short ones, and the limit is left as it is
+    limit = sys.getrecursionlimit()
+    for spec, x, m in ((D1, Gen("C"), mono(2000, (0,))),
+                       (M1, parse_gen("P1+"), mono(700, (400,), (400,)))):
+        assert sum(m.a + m.b) + m.h > limit
+        v = ModuleVector.of(m)
+        want = act_closed_form(spec, x, v)
+        assert want
+        assert act_generic(spec, x, v) == want, (spec, x)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_images_are_shared_across_parameters(monkeypatch):
+    # an image is free of parameters: the second assignment reads the entry
+    # the first one filled, and both still match the oracle
+    import cgk.verma as verma
+
+    x, m = parse_gen("P1+"), mono(2, (1,), (1,))
+    images = _images(M1)
+    key = (_letters(M1).index[x], m)
+    images.pop(key, None)
+    v = ModuleVector.of(m)
+    first = _params("root", M1)
+    assert act_generic(M1, x, v, params=first) == \
+        _reference_act_generic(M1, x, v, params=first)
+    assert key in images
+    size = len(images)
+
+    def no_fill(self, key):
+        raise AssertionError("the image of %r was not cached" % (key,))
+
+    monkeypatch.setattr(verma._Images, "__missing__", no_fill)
+    for params in (NUMERIC_POINT, _params("quotient", M1)):
+        assert act_generic(M1, x, v, params=params) == \
+            _reference_act_generic(M1, x, v, params=params)
+    assert len(images) == size
 
 
 def test_structure_table_equals_bracket():
@@ -448,12 +514,13 @@ def _multi_term_vectors(spec, rng, count=4):
     return out
 
 
-@pytest.mark.parametrize("params", [None, NUMERIC_POINT], ids=["symbolic", "numeric"])
-def test_generic_action_matches_reference_on_sums(params):
+@PARAM_KINDS
+def test_generic_action_matches_reference_on_sums(kind):
     # each input monomial is rewritten on its own and scaled once per
     # output term; the images of overlapping monomials must merge exactly
     rng = random.Random(7)
     for spec in supported_specs(5):
+        params = _params(kind, spec)
         for v in _multi_term_vectors(spec, rng):
             for x in enumerate_generators(spec):
                 assert act_generic(spec, x, v, params=params) == \
