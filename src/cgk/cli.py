@@ -4,6 +4,12 @@ Every subcommand drives one of the library modules; all numbers cross the
 boundary as exact rationals or canonical scalar strings, so emitted JSON
 re-parses to equal values.  ``cgk selftest`` runs the package's full
 acceptance suite (the same runners the test suite uses).
+
+``COMMANDS`` builds the one parser tree (``build_parser``).  An argv that
+starts with a command path is parsed by that command's leaf parser, which
+gives the namespace, the errors and the help of the whole tree; any other
+argv, or one with words the leaf does not take, goes through the whole
+tree (``_parse``).
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .verma import (
     act_generic,
     check_monomial,
     level_basis,
+    required_parameters,
     symbolic_params,
     weight_of,
 )
@@ -179,13 +186,18 @@ def _fraction(text):
 def _config(args, q=None):
     """The family and the parameters of an invocation; the parameters are
     None when no parameter flag was given.  ``q`` is the command's --q, the
-    level that ``--delta auto`` solves the condition at."""
+    level that ``--delta auto`` solves the condition at.  A parameter flag
+    that the family lacks is a usage error."""
     spec = AlgebraSpec(args.d, args.two_ell, args.ext)
+    given = [name for name in PARAM_NAMES if getattr(args, name, None) is not None]
+    names = required_parameters(spec)
+    foreign = [name for name in given if name not in names]
+    if foreign:
+        raise UsageError("%r has no parameter %s; its parameters are %s" % (
+            spec, ", ".join("--" + name for name in foreign), ", ".join(names)))
     provided = {}
-    for name in PARAM_NAMES:
-        val = getattr(args, name, None)
-        if val is None:
-            continue
+    for name in given:
+        val = getattr(args, name)
         if name == "delta":
             text = str(val).strip()
             if text == "auto":
@@ -208,7 +220,7 @@ def _config(args, q=None):
     if not provided:
         return spec, None
     params = symbolic_params(spec)
-    params.update({k: v for k, v in provided.items() if k in params})
+    params.update(provided)
     return spec, params
 
 
@@ -816,21 +828,28 @@ def _add_arguments(parser, arguments, renders, handler):
 def build_parser():
     """The argparse tree, built once per process (parsing never mutates it).
     A group's subparsers store the command name in ``action``, which is how
-    ``reps left`` and ``reps right`` share a handler."""
+    ``reps left`` and ``reps right`` share a handler.
+
+    ``parser.leaves`` maps each command path, ``(group, command)`` or
+    ``("selftest",)``, to its leaf parser and the names the levels above
+    it set, for ``_parse``."""
     parser = argparse.ArgumentParser(
         prog="cgk",
         description="Exact toolkit for conformal Galilei algebras, their "
                     "lowest-weight modules, and invariant equation hierarchies.",
     )
+    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
     for group, (group_help, rows) in COMMANDS.items():
         commands = sub.add_parser(group, help=group_help).add_subparsers(
             dest="action", required=True)
         for name, help_text, handler, param_flags, arguments, renders in rows:
-            _add_arguments(commands.add_parser(name, help=help_text),
-                           _FAMILY + param_flags + arguments, renders, handler)
-    _add_arguments(sub.add_parser("selftest", help="run the full acceptance suite"),
-                   (), _TEXT_JSON, cmd_selftest)
+            leaf = commands.add_parser(name, help=help_text)
+            _add_arguments(leaf, _FAMILY + param_flags + arguments, renders, handler)
+            parser.leaves[group, name] = leaf, {"command": group, "action": name}
+    leaf = sub.add_parser("selftest", help="run the full acceptance suite")
+    _add_arguments(leaf, (), _TEXT_JSON, cmd_selftest)
+    parser.leaves["selftest",] = leaf, {"command": "selftest"}
     return parser
 
 
@@ -850,10 +869,32 @@ def _joined_params(argv):
     return out
 
 
-def run(argv=None):
+def _parse(argv):
+    """The namespace of ``argv``, parsed by its leaf parser when it starts
+    with a command path.
+
+    The root and group parsers hand every word after their command name to
+    the level below, so the leaf sees the same words, and writes the same
+    errors and help, as it does under the whole tree.  The leaf parses into
+    a fresh namespace that then overrides the names set above it, as
+    argparse's subparsers do (``verma act`` has its own ``--action``).  Any
+    other argv, or words the leaf does not take, go through the whole tree,
+    which writes the root's errors (``unrecognized arguments``).
+    """
     parser = build_parser()
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in parser.leaves:
+            leaf, names = parser.leaves[path]
+            args, extra = leaf.parse_known_args(argv[len(path):])
+            if not extra:
+                return argparse.Namespace(**{**names, **vars(args)})
+            break
+    return parser.parse_args(argv)
+
+
+def run(argv=None):
     try:
-        args = parser.parse_args(_joined_params(sys.argv[1:] if argv is None else argv))
+        args = _parse(_joined_params(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

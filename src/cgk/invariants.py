@@ -38,7 +38,7 @@ from .diffop import (
     op_power,
     twisted_commutator,
 )
-from .reps import right_action, left_action
+from .reps import bracket_failures, left_action, right_action
 
 
 class ConditionNotSatisfied(ValueError):
@@ -128,16 +128,15 @@ def intertwining_residual(spec, gen, q=1, params=None):
 def _homomorphic_on_witnesses(spec, realize):
     """True when realize(spec, ., symbolic parameters) maps the witness
     brackets of ``generating_set(spec)`` to brackets: [pi x, pi y] equals
-    c * pi g for each witness (g, x, y, c).  The realization is polynomial
-    in the parameters, so this holds at every weight once it holds
-    symbolically.  Keyed on the callable, so a substituted realization gets
-    its own certificate."""
+    c * pi g for each witness (g, x, y, c), tested by the residual loop
+    ``reps.bracket_failures`` on the witness pairs.  The realization is
+    polynomial in the parameters, so this holds at every weight once it
+    holds symbolically.  Keyed on the callable, so a substituted
+    realization gets its own certificate."""
     pvals = resolve_params(spec, None)
-    return all(
-        commutator(realize(spec, x, pvals), realize(spec, y, pvals),
-                   minus=[(realize(spec, g, pvals), c)]).is_zero()
-        for g, x, y, c in generating_set(spec)[1]
-    )
+    ops = {g: realize(spec, g, pvals) for g in enumerate_generators(spec)}
+    pairs = [(x, y) for _, x, y, _ in generating_set(spec)[1]]
+    return not bracket_failures(spec, ops, pairs)
 
 
 def intertwining_check(spec, q, params):

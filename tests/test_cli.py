@@ -42,6 +42,7 @@ from cgk.verma import (
     ModuleVector,
     PbwMonomial,
     level_basis,
+    required_parameters,
     resolve_params,
 )
 from test_diffop import _reference_residual
@@ -51,6 +52,7 @@ from test_reps import _reference_rep_check
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
 EX2 = AlgebraSpec(2, 2, "exotic")
+D1_FLAGS = ("--d", "1", "--two-ell", "1", "--ext", "mass")
 
 
 def invoke(capsys, *argv):
@@ -428,6 +430,69 @@ def test_parser_reused_across_calls(capsys):
         assert [invoke(capsys, *argv) for argv in calls] == fresh
 
 
+# one valid argv tail per command path, after the family flags
+_VALID_TAILS = {
+    ("algebra", "show"): [],
+    ("algebra", "jacobi"): ["--render", "json"],
+    ("verma", "act"): ["--gen", "H", "--monomial", '{"h": 0, "a": [1]}'],
+    ("verma", "basis"): ["--level", "2", "--delta", "-1/2"],
+    ("verma", "weight"): ["--monomial", '{"h": 1, "a": [0]}', "--mu", "3"],
+    ("singular", "condition"): ["--q", "1"],
+    ("singular", "closed"): ["--q", "2", "--delta", "auto"],
+    ("singular", "verify"): ["--q", "1", "--delta", "auto", "--out", "v.txt"],
+    ("singular", "search"): ["--level", "1"],
+    ("reps", "left"): ["--gen", "C", "--render", "latex"],
+    ("reps", "right"): ["--gen", "P0"],
+    ("reps", "check"): ["--side", "right"],
+    ("pde", "emit"): ["--q", "1"],
+    ("pde", "check"): ["--q", "1", "--delta", "auto", "--mu", "1"],
+}
+
+
+def test_leaf_parse_equals_full_parse(monkeypatch):
+    # every command path is parsed at its leaf, into the namespace the
+    # whole tree gives; the whole tree is not consulted on a valid argv
+    parser = build_parser()
+    paths = [(group, row[0]) for group, (_, rows) in cli.COMMANDS.items() for row in rows]
+    assert sorted(_VALID_TAILS) == sorted(paths)
+    argvs = [[*path, *D1_FLAGS, *tail] for path, tail in _VALID_TAILS.items()]
+    argvs += [["selftest"], ["selftest", "--render", "json"]]
+    for argv in argvs:
+        argv = cli._joined_params(argv)
+        full = vars(parser.parse_args(argv))
+        with monkeypatch.context() as m:
+            m.setattr(parser, "parse_args", None)
+            assert vars(cli._parse(argv)) == full, argv
+    # verma act's own --action overrides the command name, as in the tree
+    act = ["verma", "act", *D1_FLAGS, *_VALID_TAILS["verma", "act"]]
+    assert cli._parse(act).action == "generic"
+
+
+_USAGE = "usage: cgk [-h] {algebra,verma,singular,reps,pde,selftest} ...\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    # words the leaf does not take: the root reports them
+    (["reps", "check", *D1_FLAGS, "--bogus"],
+     _USAGE + "cgk: error: unrecognized arguments: --bogus\n"),
+    (["pde", "check", *D1_FLAGS, "--q", "1", "--delta", "auto", "--render", "json"],
+     _USAGE + "cgk: error: unrecognized arguments: --render json\n"),
+    (["selftest", "extra"], _USAGE + "cgk: error: unrecognized arguments: extra\n"),
+    # no command path at the front
+    (["reps", "chek"],
+     "usage: cgk reps [-h] {left,right,check} ...\ncgk reps: error: argument action: "
+     "invalid choice: 'chek' (choose from 'left', 'right', 'check')\n"),
+    (["reps"], "usage: cgk reps [-h] {left,right,check} ...\n"
+     "cgk reps: error: the following arguments are required: action\n"),
+    (["--d", "1", "reps", "check", *D1_FLAGS],
+     _USAGE + "cgk: error: argument command: invalid choice: '1' (choose from "
+     "'algebra', 'verma', 'singular', 'reps', 'pde', 'selftest')\n"),
+])
+def test_root_level_errors(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, *argv) == (2, "", err)
+
+
 def test_verma_weight_output(capsys):
     code, out, _ = invoke(
         capsys, "verma", "weight", "--d", "2", "--two-ell", "1", "--ext", "mass",
@@ -496,6 +561,24 @@ def test_parameter_flag_takes_a_negative_fraction_as_next_word(capsys, name):
     assert invoke(capsys, *base, "--" + name, "-1/2") == joined
     assert joined[0] == 0 and joined[1] != free[1]
     assert "1/2" in joined[1]
+
+
+def test_parameter_flag_the_family_lacks_is_a_usage_error(capsys):
+    assert invoke(capsys, "reps", "left", *D1_FLAGS, "--gen", "C", "--theta", "5") == (
+        2, "", "usage error: AlgebraSpec(d=1, twoEll=1, ext='mass') has no parameter "
+               "--theta; its parameters are delta, mu\n")
+    assert invoke(capsys, "singular", "closed", "--d", "1", "--two-ell", "2", "--ext",
+                  "none", "--q", "1", "--mu", "1", "--r", "2") == (
+        2, "", "usage error: AlgebraSpec(d=1, twoEll=2, ext='none') has no parameter "
+               "--mu, --r; its parameters are delta, kappa\n")
+    # each family takes every one of its own parameters
+    for spec in supported_specs(4):
+        family = ["--d", str(spec.d), "--two-ell", str(spec.twoEll), "--ext", spec.ext]
+        flags = [word for name in required_parameters(spec) for word in ("--" + name, "2")]
+        vacuum = json.dumps(monomial_to_json(level_basis(spec, 0)[0]))
+        code, out, err = invoke(capsys, "verma", "weight", *family, *flags,
+                                "--monomial", vacuum)
+        assert (code, err) == (0, "") and "2" in out, spec
 
 
 def test_negative_delta_as_next_word_in_pde_check(capsys):

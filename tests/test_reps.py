@@ -1,9 +1,11 @@
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
-from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators, supported_specs
+from cgk.algebra import (AlgebraSpec, Gen, bracket, enumerate_generators, generating_set,
+                         supported_specs)
 from cgk.diffop import (
     CoefPoly,
     DiffOp,
@@ -187,11 +189,61 @@ def _reference_rep_check(spec, realize):
 def test_forced_rep_failure_matches_reference(monkeypatch):
     import cgk.reps as reps
 
-    patched = _corrupt_left_action(monkeypatch, reps, Gen("H"))
-    for spec in (D1, EX2):
+    true_left = reps.left_action
+    # H is kept; D on D1 and P1+ on EX2 lie outside the generating set
+    for spec, victim in ((D1, Gen("H")), (EX2, Gen("H")),
+                         (D1, Gen("D")), (EX2, Gen("P", 1, "+"))):
+        monkeypatch.setattr(reps, "left_action", true_left)
+        patched = _corrupt_left_action(monkeypatch, reps, victim)
         failures = reps.rep_check(spec, side="left")
         want = _reference_rep_check(spec, patched)
-        assert want and failures == want
+        assert want and failures == want, (spec, victim)
+
+
+def _count_pairs(monkeypatch):
+    """Record every pair that ``reps.bracket_failures`` is asked to check."""
+    import cgk.reps as reps
+
+    true_failures, pairs = reps.bracket_failures, []
+
+    def counted(spec, ops, checked):
+        pairs.extend(checked)
+        return true_failures(spec, ops, checked)
+
+    monkeypatch.setattr(reps, "bracket_failures", counted)
+    return pairs
+
+
+def test_passing_left_check_runs_only_pairs_with_a_kept_generator(monkeypatch):
+    spec = AlgebraSpec(2, 5, "mass")
+    pairs = _count_pairs(monkeypatch)
+    assert rep_check(spec, side="left") == []
+    kept = generating_set(spec)[0]
+    # 70 of the 136 pairs of the 17 generators
+    assert len(pairs) == 70 and len(set(pairs)) == 70
+    assert all(x in kept or y in kept for x, y in pairs)
+
+
+def test_right_check_runs_every_pair(monkeypatch):
+    pairs = _count_pairs(monkeypatch)
+    for spec in (D1, EX2, NONE):
+        pairs.clear()
+        assert rep_check(spec, side="right") == []
+        domain = right_domain(spec)
+        assert pairs == [(x, y) for i, x in enumerate(domain) for y in domain[i + 1:]]
+
+
+def test_witness_certificate_fails_on_a_corrupted_witness(monkeypatch):
+    from cgk.invariants import _homomorphic_on_witnesses
+
+    for spec in (D1, M1, EX2):
+        witnesses = generating_set(spec)[1]
+        assert _homomorphic_on_witnesses(spec, left_action)
+        # every derived generator, and a kept one that enters a witness
+        for victim in {g for g, _, _, _ in witnesses} | {witnesses[0][1]}:
+            corrupted = _corrupt_left_action(
+                monkeypatch, SimpleNamespace(left_action=left_action), victim)
+            assert not _homomorphic_on_witnesses(spec, corrupted), (spec, victim)
 
 
 # --- the hand-written realizations, kept as the oracle ---------------------
