@@ -19,7 +19,8 @@ them.  g0 is D, J, the central element, then any grade-zero P left.  Each
 wing lists its sl(2) generator first, then its grade-zero P's, then the
 other P's by index.  The creation P's, split by sign, are the a and b
 strings; the normal order is the creation wing reversed, so the sl(2)
-generator, the top factor, is highest.
+generator, the top factor, is highest.  The top factor, the a string and
+the b string, in that order, are the slots of the basis and of the chart.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ _WEIGHTS = {"D": ("delta", -1), "J": ("r", -1), "M": ("mu", -1),
             "Theta": ("theta", 1), "P": ("kappa", -1)}
 _CENTRAL = {"mass": "M", "exotic": "Theta"}
 _SL2_GRADE = {"H": 2, "C": -2}
+_ROTATION = {"+": 1, "-": -1, "": 0}
 
 
 def _grade(spec, g):
@@ -117,10 +119,19 @@ def _grade(spec, g):
     return _SL2_GRADE.get(g.tag, 0)
 
 
+def _rotation(g):
+    """The rotation grade of g: [J, g] = rotation * g."""
+    return _ROTATION[g.sign]
+
+
 @lru_cache(maxsize=None)
 def _family(spec):
-    """Cached per-family structure: the split, the creation strings and the
-    normal order, all read from the scaling grade (see the module docstring)."""
+    """Cached per-family structure, all read from the scaling grade (see the
+    module docstring): the split, the creation strings, the normal order and
+    the basis layout.  ``slot`` maps each basis factor to its slot, ``shape``
+    is (len a, len b), and ``d``, ``j`` and ``level`` hold per slot the D
+    grade, the J grade and the level weight: |d|, or 1 where d = 0 or on
+    the centerless family, so each level is finite-dimensional."""
     central = Gen(_CENTRAL[spec.ext]) if spec.ext in _CENTRAL else None
     gens = [Gen("H"), Gen("C"), Gen("D")] + [Gen("J")] * (spec.d == 2)
     gens += [central] * (central is not None)
@@ -134,7 +145,7 @@ def _family(spec):
         if grade:
             wings[orientation if grade > 0 else -orientation].append(g)
         else:
-            wings[{"+": 1, "-": -1, "": 0}[g.sign]].append(g)
+            wings[_rotation(g)].append(g)
     g_plus, g_zero, g_minus = wings[1], wings[0], wings[-1]
     creation_ps = sorted((g for g in g_plus if g.tag == "P"), key=lambda g: g.n)
     # normal-order position: annihilators and g0 smallest, then the creation
@@ -143,17 +154,26 @@ def _family(spec):
     position = dict.fromkeys(g_minus, 0)
     position.update(dict.fromkeys(g_zero, 1))
     position.update((g, 2 + i) for i, g in enumerate(reversed(g_plus)))
+    a_gens = tuple(g for g in creation_ps if g.sign != "-")
+    b_gens = tuple(g for g in creation_ps if g.sign == "-")
+    factors = (g_plus[0],) + a_gens + b_gens
+    d = tuple(_grade(spec, g) for g in factors)
     return {
         "g_plus": tuple(g_plus),
         "g_zero": tuple(g_zero),
         "g_minus": tuple(g_minus),
         "central": central,
         "top": g_plus[0],
-        "a_gens": tuple(g for g in creation_ps if g.sign != "-"),
-        "b_gens": tuple(g for g in creation_ps if g.sign == "-"),
+        "a_gens": a_gens,
+        "b_gens": b_gens,
         "weights": {g: _WEIGHTS[g.tag] for g in g_zero},
         "position": position,
         "all": tuple(g_minus + g_zero + g_plus),
+        "slot": {g: s for s, g in enumerate(factors)},
+        "shape": (len(a_gens), len(b_gens)),
+        "d": d,
+        "j": tuple(map(_rotation, factors)),
+        "level": tuple(abs(dg) if dg and spec.ext != "none" else 1 for dg in d),
     }
 
 
@@ -215,11 +235,11 @@ def _bracket_raw(spec, x, y):
         return GenCombo.zero()
     if x.tag == "D":
         return GenCombo.of(y, _grade(spec, y))
+    if x.tag == "J":
+        return GenCombo.of(y, _rotation(y))
     tags = (x.tag, y.tag)
     if tags == ("C", "H"):
         return GenCombo.of(Gen("D"))
-    if "J" in tags and tags[0] in "HDCJ" and tags[1] in "HDCJ":
-        return GenCombo.zero()
     if tags == ("H", "P"):
         if y.n == 0:
             return GenCombo.zero()
@@ -228,9 +248,6 @@ def _bracket_raw(spec, x, y):
         if y.n == two_ell:
             return GenCombo.zero()
         return GenCombo.of(Gen("P", y.n + 1, y.sign), two_ell - y.n)
-    if tags == ("J", "P"):
-        coef = 1 if y.sign == "+" else -1
-        return GenCombo.of(y, coef)
     if tags == ("P", "P"):
         if spec.ext == "none" or x.n + y.n != two_ell:
             return GenCombo.zero()

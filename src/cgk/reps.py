@@ -1,11 +1,11 @@
 """Vector-field realizations of the families, derived from the bracket.
 
 The realizations are the induced representations on the coset of the
-creation wing (Dobrev's construction, Rep. Math. Phys. 25, 1988).  Each
-basis factor of ``algebra.creation_data`` other than H is a coordinate
-generator: the i-th of the a string gets ``x<i>``, the i-th of the b
-string ``y<i>``, and H gets ``t``.  A point of the chart is
-g = exp(t H) exp(Y) with Y = sum_v x_v gen(v).
+creation wing (Dobrev's construction, Rep. Math. Phys. 25, 1988).  The
+chart has the slots of the module's basis factors (``algebra._family``):
+the top factor, H on an extended family, is ``t``, and the i-th of the a
+and b strings, the coordinate generators, are ``x<i>`` and ``y<i>``.  A
+point is g = exp(t H) exp(Y) with Y = sum_v x_v gen(v).
 
 ``right_action`` realizes the creation wing by coordinate lifts:
 R(gen(v)) = d/dv, and R(H) = d/dt - sum_v x_v R([H, gen(v)]).
@@ -33,7 +33,7 @@ one residual loop, shared with the witness certificate of
 import functools
 from fractions import Fraction
 
-from .algebra import (Gen, bracket, creation_data, decomposition, enumerate_generators,
+from .algebra import (Gen, _family, bracket, decomposition, enumerate_generators,
                       generating_set, normal_position, weight_table)
 from .diffop import CoefPoly, DiffOp, Var, commutator, make_chart
 from .verma import lowest_weight, resolve_params
@@ -47,8 +47,7 @@ class UnsupportedGenerator(KeyError):
 
 def _coordinates(spec):
     """Map each coordinate generator to its chart slot (t is slot 0)."""
-    _, a_gens, b_gens = creation_data(spec)
-    return {g: i + 1 for i, g in enumerate(a_gens + b_gens)}
+    return {g: s for g, s in _family(spec)["slot"].items() if s}
 
 
 @functools.cache
@@ -58,9 +57,9 @@ def chart(spec):
     Built once per family: ``AlgebraSpec`` is frozen and the chart is an
     immutable tuple.
     """
-    _, a_gens, b_gens = creation_data(spec)
-    return make_chart(Var("t"), *(Var("x", i) for i in range(len(a_gens))),
-                      *(Var("y", i) for i in range(len(b_gens))))
+    n_a, n_b = _family(spec)["shape"]
+    return make_chart(Var("t"), *(Var("x", i) for i in range(n_a)),
+                      *(Var("y", i) for i in range(n_b)))
 
 
 # Algebra elements with polynomial coefficients are raw maps {Gen: poly}: a

@@ -3,7 +3,8 @@
 A module vector is a finite linear combination of basis monomials.  Each
 monomial is a product of creation generators applied to a lowest-weight
 vector that every annihilator kills and on which the diagonal generators
-act by scalars drawn from the family's parameters.
+act by scalars drawn from the family's parameters.  The slots, shape and
+grades of the factors are the basis layout of ``algebra._family``.
 
 Two independent implementations of the generator action are provided:
 
@@ -36,6 +37,7 @@ from types import MappingProxyType
 from .algebra import (
     Gen,
     UnknownGenerator,
+    _family,
     bracket,
     central_element,
     creation_data,
@@ -99,13 +101,17 @@ _mono = partial(tuple.__new__, PbwMonomial)
 
 def check_monomial(spec, m):
     """Validate that ``m`` has the exponent shape of ``spec``'s module."""
-    _, a_gens, b_gens = creation_data(spec)
-    if len(m.a) != len(a_gens) or len(m.b) != len(b_gens):
-        raise ValueError(
-            "monomial %s does not fit %r (want %d+%d exponents)"
-            % (m, spec, len(a_gens), len(b_gens))
-        )
+    shape = _family(spec)["shape"]
+    if (len(m.a), len(m.b)) != shape:
+        raise ValueError("monomial %s does not fit %r (want %d+%d exponents)"
+                         % ((m, spec) + shape))
     return m
+
+
+def _monomial(shape, expo):
+    """The basis monomial of a flat exponent sequence in slot order."""
+    n = 1 + shape[0]
+    return _mono((expo[0], tuple(expo[1:n]), tuple(expo[n:])))
 
 
 def _bump(t, i, step):
@@ -194,51 +200,17 @@ def resolve_params(spec, params):
 def vacuum(spec, params=None):
     """The lowest-weight vector as a ModuleVector (single unit monomial)."""
     resolve_params(spec, params)
-    _, a_gens, b_gens = creation_data(spec)
-    return ModuleVector.of(PbwMonomial(0, (0,) * len(a_gens), (0,) * len(b_gens)))
+    n_a, n_b = _family(spec)["shape"]
+    return ModuleVector.of(PbwMonomial(0, (0,) * n_a, (0,) * n_b))
 
 
-# --- gradings -------------------------------------------------------------
+# --- gradings, read from the basis layout of algebra._family --------------
 
 def _int_value(coef):
     """A structure constant as an int (every bracket coefficient is one)."""
     val = coef.rational_value()
     assert val.denominator == 1
     return val.numerator
-
-
-def _int_bracket_coef(spec, diag, gen):
-    """Integer c with [diag, gen] = c * gen (0 when the bracket vanishes)."""
-    combo = bracket(spec, diag, gen)
-    if not combo.terms:
-        return 0
-    [(g, c)] = combo.items()
-    assert g == gen
-    return _int_value(c)
-
-
-# one family's integer grading of the basis factors, built by _grading
-_Grading = namedtuple("_Grading", "d j level slot")
-
-
-@lru_cache(maxsize=None)
-def _grading(spec):
-    """The integer grading of the basis factors, built once per family.
-
-    ``d``, ``j`` and ``level`` are flat tuples in monomial slot order (top
-    factor, a string, b string): [D, f] = d f and [J, f] = j f (j is 0 when
-    the family has no J), and ``level`` is the positive level weight, 1 for
-    the centerless family and |d| otherwise, or 1 where d = 0 (so each
-    level is finite-dimensional).  ``slot`` maps each factor's generator to
-    its slot index.
-    """
-    top, a_gens, b_gens = creation_data(spec)
-    gens = (top,) + a_gens + b_gens
-    has_j = Gen("J") in weight_table(spec)
-    d = tuple(_int_bracket_coef(spec, Gen("D"), g) for g in gens)
-    j = tuple(_int_bracket_coef(spec, Gen("J"), g) if has_j else 0 for g in gens)
-    level = tuple(abs(dg) if dg and spec.ext != "none" else 1 for dg in d)
-    return _Grading(d, j, level, {g: s for s, g in enumerate(gens)})
 
 
 def _dot(grades, expo):
@@ -248,8 +220,8 @@ def _dot(grades, expo):
 
 def d_grade(spec, word):
     """The D-grade g of a word w of basis factors: [D, w] = g w."""
-    grading = _grading(spec)
-    return sum(grading.d[grading.slot[g]] for g in word)
+    fam = _family(spec)
+    return sum(fam["d"][fam["slot"][g]] for g in word)
 
 
 def lowest_weight(spec, pvals):
@@ -259,9 +231,9 @@ def lowest_weight(spec, pvals):
 
 
 def level_of(spec, m):
-    """Integer level of a basis monomial (see _grading)."""
+    """Integer level of a basis monomial (see ``algebra._family``)."""
     check_monomial(spec, m)
-    return _dot(_grading(spec).level, (m.h,) + m.a + m.b)
+    return _dot(_family(spec)["level"], (m.h,) + m.a + m.b)
 
 
 def weight_of(spec, m, params=None):
@@ -272,12 +244,12 @@ def weight_of(spec, m, params=None):
     generator is included only on monomials it actually scales (h == 0).
     """
     check_monomial(spec, m)
-    grading = _grading(spec)
+    fam = _family(spec)
     expo = (m.h,) + m.a + m.b
     eigen = lowest_weight(spec, resolve_params(spec, params))
-    eigen[Gen("D")] += _dot(grading.d, expo)
+    eigen[Gen("D")] += _dot(fam["d"], expo)
     if Gen("J") in eigen:
-        eigen[Gen("J")] += _dot(grading.j, expo)
+        eigen[Gen("J")] += _dot(fam["j"], expo)
     if spec.ext == "none" and m.h:
         del eigen[Gen("P", 1)]
     return Weight(eigen)
@@ -296,10 +268,10 @@ class _Letters:
     lists the ``(symbol, sign)`` of each diagonal letter's eigenvalue in
     exponent order, ``unit`` maps each diagonal letter to its exponent
     tuple and ``zero`` is the exponent tuple of no eigenvalue.  ``slots``
-    holds the letters of the basis factors in monomial order (top, a
-    string, b string), ``slot`` maps each of them back to its slot, and
-    ``order`` lists the slot indices by descending position, the order of
-    the factors in a normal word.
+    holds the letters of the basis factors in slot order, ``slot`` maps
+    each back to its slot, ``shape`` is (len a, len b), and ``order`` lists
+    the slot indices by descending position, the order of the factors in a
+    normal word.
     """
 
     index: dict
@@ -311,13 +283,7 @@ class _Letters:
     slots: tuple
     slot: dict
     order: tuple
-    n_a: int
-    n_b: int
-
-    def monomial(self, expo):
-        """The basis monomial of a flat exponent sequence in slot order."""
-        n = 1 + self.n_a
-        return _mono((expo[0], tuple(expo[1:n]), tuple(expo[n:])))
+    shape: tuple
 
 
 @lru_cache(maxsize=None)
@@ -337,12 +303,11 @@ def _letters(spec):
     diag = [index[g] for g in table]
     zero = (0,) * len(diag)
     unit = {letter: _bump(zero, k, 1) for k, letter in enumerate(diag)}
-    top, a_gens, b_gens = creation_data(spec)
-    slots = tuple(index[g] for g in (top,) + a_gens + b_gens)
+    fam = _family(spec)
+    slots = tuple(index[g] for g in fam["slot"])
     order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
     return _Letters(index, pos, brk, tuple(table.values()), unit, zero, slots,
-                    {letter: s for s, letter in enumerate(slots)}, order, len(a_gens),
-                    len(b_gens))
+                    {letter: s for s, letter in enumerate(slots)}, order, fam["shape"])
 
 
 class _Images(dict):
@@ -385,14 +350,14 @@ class _Images(dict):
             if rank >= 2 and (lead is None or rank >= pos[letters.slots[lead]]):
                 out = list(expo)
                 out[letters.slot[x]] += 1
-                self[x, m] = ((letters.monomial(out), zero, 1),)
+                self[x, m] = ((_monomial(letters.shape, out), zero, 1),)
                 continue
             if lead is None:
                 self[x, m] = ((m, letters.unit[x], 1),) if rank == 1 else ()
                 continue
             out = list(expo)
             out[lead] -= 1
-            rest, f = letters.monomial(out), letters.slots[lead]
+            rest, f = _monomial(letters.shape, out), letters.slots[lead]
             brk = letters.brk[x][f]
             # the entries this one reads: x and each [x, f] letter on m',
             # then f on each monomial of x m'
@@ -464,6 +429,7 @@ def act_generic(spec, x, v, params=None):
     if first is None:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     zero, weights = letters.zero, letters.weights
+    n_a, n_b = letters.shape
     products = {}
 
     def instantiated(image):
@@ -477,7 +443,7 @@ def act_generic(spec, x, v, params=None):
 
     out = {}
     for mono, coef in v.terms.items():
-        if len(mono.a) != letters.n_a or len(mono.b) != letters.n_b:
+        if len(mono.a) != n_a or len(mono.b) != n_b:
             check_monomial(spec, mono)
         _accumulate(out, instantiated(images[first, mono]), coef)
     return ModuleVector.of_raw(out)
@@ -525,7 +491,7 @@ def _strings(spec):
                    tuple(central_sign * _pairing(spec, gens[0].sign, m)
                          for m in range(spec.twoEll + 1)))
                for s, gens in enumerate(blocks, 1)}
-    return _Strings(frozenset(enumerate_generators(spec)), (len(a_gens), len(b_gens)),
+    return _Strings(frozenset(enumerate_generators(spec)), _family(spec)["shape"],
                     spec.twoEll, strings, {st[0]: s for s, st in strings.items()},
                     {**table, Gen("C"): table[Gen("D")]}, central)
 
@@ -619,12 +585,6 @@ def _compositions(weights, total):
             yield (e,) + rest
 
 
-def _monomial(spec, expo):
-    """The basis monomial of a flat exponent tuple in slot order."""
-    n_a = len(creation_data(spec)[1])
-    return _mono((expo[0], tuple(expo[1:1 + n_a]), tuple(expo[1 + n_a:])))
-
-
 def _as_int(scalar, what):
     if not scalar.is_rational():
         raise ValueError("%s is not a number: %s" % (what, scalar))
@@ -645,11 +605,11 @@ def level_basis(spec, constraint, params=None):
     infinite (InfiniteSelection).
     Returns a sorted list (possibly empty).
     """
-    grading = _grading(spec)
+    fam = _family(spec)
     if isinstance(constraint, int):
         if constraint < 0:
             return []
-        return [_monomial(spec, e) for e in _compositions(grading.level, constraint)]
+        return [_monomial(fam["shape"], e) for e in _compositions(fam["level"], constraint)]
 
     if isinstance(constraint, Weight):
         eigen = dict(constraint.eigen)
@@ -687,31 +647,31 @@ def level_basis(spec, constraint, params=None):
     only_h0 = Gen("P", 1) in eigen
 
     # all non-zero scaling grades share one sign within each family
-    free = [s for s, d in enumerate(grading.d) if d]
-    zero = [s for s, d in enumerate(grading.d) if not d]
+    free = [s for s, d in enumerate(fam["d"]) if d]
+    zero = [s for s, d in enumerate(fam["d"]) if not d]
     assert len(zero) <= 1, "at most one grade-zero creation factor"
     if zero and jshift is None:
         raise InfiniteSelection(
             "the scaling eigenvalue alone leaves a grade-zero factor free"
         )
-    if dshift and grading.d[free[0]] * dshift < 0:
+    if dshift and fam["d"][free[0]] * dshift < 0:
         return []
 
     out = []
-    for sub in _compositions([abs(grading.d[s]) for s in free], abs(dshift)):
-        expo = [0] * len(grading.d)
+    for sub in _compositions([abs(fam["d"][s]) for s in free], abs(dshift)):
+        expo = [0] * len(fam["d"])
         for s, e in zip(free, sub):
             expo[s] = e
         if zero:  # the grade-zero factor makes up the rotation eigenvalue
-            jz = grading.j[zero[0]]
-            need = jshift - _dot(grading.j, expo)
+            jz = fam["j"][zero[0]]
+            need = jshift - _dot(fam["j"], expo)
             e0, rem = divmod(need, jz) if jz else (0, need)
             if rem or e0 < 0:
                 continue
             expo[zero[0]] = e0
-        elif jshift is not None and _dot(grading.j, expo) != jshift:
+        elif jshift is not None and _dot(fam["j"], expo) != jshift:
             continue
         if not (only_h0 and expo[0]):
-            out.append(_monomial(spec, expo))
+            out.append(_monomial(fam["shape"], expo))
     out.sort()
     return out

@@ -9,8 +9,14 @@ not match ``test_*.py``, so the tier-1 run does not collect it; it needs
     PYTHONPATH=src python -m pytest tests/bench_layers.py
 
 To compare two checkouts, save a run of the first one and compare the
-second against it, with the same storage directory for both:
+second against it, with the same storage directory for both.  Byte-compile
+each checkout first: with ``PYTHONDONTWRITEBYTECODE`` set, a checkout
+without current ``__pycache__`` files recompiles ``cgk`` in every process,
+which doubles the set-up time of ``cgkbench`` runs and skews a comparison
+towards the checkout that happens to be compiled:
 
+    cd OLD && python3 -m compileall -q src cgkbench
+    cd NEW && python3 -m compileall -q src cgkbench
     cd OLD && PYTHONPATH=src python -m pytest tests/bench_layers.py \\
         --benchmark-storage="$BENCH_DIR" --benchmark-save=old
     cd NEW && PYTHONPATH=src python -m pytest tests/bench_layers.py \\

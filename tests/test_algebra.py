@@ -15,7 +15,7 @@ from cgk.algebra import (
     parse_gen,
     supported_specs,
 )
-from cgk.scalars import Scalar
+from cgk.scalars import Scalar, central_constant
 
 
 def names(gens):
@@ -231,6 +231,65 @@ def test_decomposition_is_partition_and_graded():
                     assert len(combo.terms) <= 1
                     for gen in combo.terms:
                         assert gen in wing
+
+
+def _reference_bracket_raw(spec, x, y):
+    """The ordered bracket rules with a separate J rule per tag pair; None
+    means try the swapped order."""
+    two_ell = spec.twoEll
+    central = _family(spec)["central"]
+    if x == y:
+        return GenCombo.zero()
+    if central is not None and central in (x, y):
+        return GenCombo.zero()
+    if x.tag == "D":
+        grade = two_ell - 2 * y.n if y.tag == "P" else {"H": 2, "C": -2}.get(y.tag, 0)
+        return GenCombo.of(y, grade)
+    tags = (x.tag, y.tag)
+    if tags == ("C", "H"):
+        return GenCombo.of(Gen("D"))
+    if "J" in tags and tags[0] in "HDCJ" and tags[1] in "HDCJ":
+        return GenCombo.zero()
+    if tags == ("H", "P"):
+        if y.n == 0:
+            return GenCombo.zero()
+        return GenCombo.of(Gen("P", y.n - 1, y.sign), -y.n)
+    if tags == ("C", "P"):
+        if y.n == two_ell:
+            return GenCombo.zero()
+        return GenCombo.of(Gen("P", y.n + 1, y.sign), two_ell - y.n)
+    if tags == ("J", "P"):
+        coef = 1 if y.sign == "+" else -1
+        return GenCombo.of(y, coef)
+    if tags == ("P", "P"):
+        if spec.ext == "none" or x.n + y.n != two_ell:
+            return GenCombo.zero()
+        if spec.d == 1:
+            return GenCombo.of(central, central_constant(spec, x.n))
+        if x.sign == y.sign:
+            return GenCombo.zero()
+        coef = central_constant(spec, x.n)
+        if spec.ext == "exotic" and x.sign == "-":
+            coef = -coef
+        return GenCombo.of(central, coef)
+    return None
+
+
+def _reference_bracket(spec, x, y):
+    combo = _reference_bracket_raw(spec, x, y)
+    return -_reference_bracket_raw(spec, y, x) if combo is None else combo
+
+
+def test_bracket_matches_reference():
+    # the whole table, every ordered pair of every family up to twoEll = 21
+    pairs = 0
+    for spec in supported_specs(21):
+        gens = enumerate_generators(spec)
+        for x in gens:
+            for y in gens:
+                assert bracket(spec, x, y) == _reference_bracket(spec, x, y), (spec, x, y)
+                pairs += 1
+    assert pairs == 24033
 
 
 def test_antisymmetry_everywhere():

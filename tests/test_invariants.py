@@ -312,3 +312,16 @@ def test_passing_check_runs_only_the_generating_set(monkeypatch):
         calls.clear()
         assert inv.intertwining_check(spec, q, params_at_root(spec, q)) == []
         assert calls == list(generating_set(spec)[0]), spec
+
+
+@pytest.mark.parametrize("spec, q", [
+    (AlgebraSpec(1, 7, "mass"), 3), (AlgebraSpec(2, 7, "mass"), 3),
+    (AlgebraSpec(2, 6, "exotic"), 3), (AlgebraSpec(1, 9, "mass"), 4),
+    (AlgebraSpec(2, 5, "mass"), 4)], ids=repr)
+def test_intertwining_beyond_criterion_8(spec, q):
+    # larger families and levels than the acceptance criterion checks, at
+    # the root, against the all-generator oracle
+    params = params_at_root(spec, q)
+    power = invariant_operator(spec, q, resolve_params(spec, params))
+    assert intertwining_check(spec, q, params) == \
+        _reference_failures(spec, q, params, power, left_action) == []

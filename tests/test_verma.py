@@ -31,6 +31,7 @@ from cgk.verma import (
     act_generic,
     act_word,
     check_monomial,
+    d_grade,
     level_basis,
     level_of,
     resolve_params,
@@ -568,6 +569,38 @@ def test_closed_form_matches_generic_random():
     check()
 
 
+def test_closed_form_matches_generic_at_high_levels():
+    # long strings on every extended family up to twoEll = 21, levels 10 and up
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    specs = [spec for spec in supported_specs(21) if spec.ext != "none"]
+
+    @st.composite
+    def cases(draw):
+        spec = draw(st.sampled_from(specs))
+        _, a_gens, b_gens = creation_data(spec)
+        m = mono(draw(st.integers(0, 20)),
+                 draw(st.lists(st.integers(0, 2), min_size=len(a_gens),
+                               max_size=len(a_gens))),
+                 draw(st.lists(st.integers(0, 2), min_size=len(b_gens),
+                               max_size=len(b_gens))))
+        hyp.assume(level_of(spec, m) >= 10)
+        return spec, draw(st.sampled_from(enumerate_generators(spec))), m
+
+    levels = []
+
+    @hyp.settings(max_examples=96, deadline=None, derandomize=True, database=None)
+    @hyp.given(cases())
+    def check(case):
+        spec, x, m = case
+        v = ModuleVector.of(m)
+        assert act_closed_form(spec, x, v) == act_generic(spec, x, v)
+        levels.append(level_of(spec, m))
+
+    check()
+    assert min(levels) >= 10 and max(levels) > 40
+
+
 def test_closed_form_never_reads_the_brackets(monkeypatch):
     # the closed form is the oracle for act_generic: with the bracket rules
     # and the central constants unreachable it must give the same vectors
@@ -609,25 +642,33 @@ def test_monomial_is_a_tuple_with_the_dataclass_face():
         m.h = 3
 
 
-def test_grading_is_built_once_per_family(monkeypatch):
-    import cgk.verma as verma
+def test_layout_never_reads_the_brackets(monkeypatch):
+    # levels, weights, bases, the shape checks and the chart read the basis
+    # layout of algebra._family, which no bracket rule enters
+    import cgk.algebra
+    import cgk.reps
+    import cgk.verma
 
-    calls = []
-    true_bracket = verma.bracket
+    def results(spec):
+        basis = level_basis(spec, 3)
+        m = basis[-1]
+        weight = weight_of(spec, m)
+        top, a_gens, b_gens = creation_data(spec)
+        return (basis, level_basis(spec, weight), weight, level_of(spec, m),
+                d_grade(spec, (top,) + a_gens + b_gens), check_monomial(spec, m),
+                vacuum(spec), cgk.reps.chart(spec))
 
-    def spy(*args):
-        calls.append(args)
-        return true_bracket(*args)
+    specs = (D3, M3, EX4, NONE)
+    want = [results(spec) for spec in specs]
 
-    monkeypatch.setattr(verma, "bracket", spy)
-    verma._grading.cache_clear()
-    first = level_basis(M3, 3)
-    assert calls  # the grading reads the bracket on first use
-    calls.clear()
-    assert level_basis(M3, 3) == first
-    assert first[0] in level_basis(M3, weight_of(M3, first[0]))
-    assert level_of(M3, first[0]) == 3
-    assert calls == []
+    def unreachable(*args):
+        raise AssertionError("the basis layout read the bracket rules")
+
+    cgk.algebra._family.cache_clear()
+    cgk.reps.chart.cache_clear()
+    monkeypatch.setattr(cgk.algebra, "bracket", unreachable)
+    monkeypatch.setattr(cgk.verma, "bracket", unreachable)
+    assert [results(spec) for spec in specs] == want
 
 
 # --- the grading as first written: the oracle for the one-table grading ----
@@ -855,6 +896,29 @@ def test_grading_matches_reference(spec):
                     assert _outcome(level_basis, spec, constraint, params=params) == \
                         _outcome(_reference_level_basis, spec, constraint,
                                  params=params), (spec, m, constraint, params)
+
+
+@pytest.mark.parametrize("spec", supported_specs(21), ids=repr)
+def test_layout_matches_reference(spec):
+    # the basis layout of algebra._family beyond the caps of the grading
+    # oracle above: slots, shape and grades, the chart and its coordinates
+    from cgk.algebra import _family
+    from cgk.diffop import Var
+    from cgk.reps import _coordinates, chart
+
+    slots, top, d_top, j_top = _reference_grading(spec)
+    _, top_w, slot_w = _level_weights(spec)
+    _, a_gens, b_gens = creation_data(spec)
+    layout = _family(spec)
+    factors = (top,) + tuple(gen for _, _, gen, *_ in slots)
+    assert list(layout["slot"].items()) == [(g, s) for s, g in enumerate(factors)]
+    assert layout["shape"] == (len(a_gens), len(b_gens))
+    assert layout["d"] == (d_top,) + tuple(d for *_, d, _, _ in slots)
+    assert layout["j"] == (j_top,) + tuple(j for *_, j, _ in slots)
+    assert layout["level"] == (top_w,) + tuple(slot_w)
+    names = [Var("t")] + [Var("x" if block == "a" else "y", i) for block, i, *_ in slots]
+    assert list(chart(spec)) == names
+    assert _coordinates(spec) == {gen: s for s, gen in enumerate(factors) if s}
 
 
 def test_weight_spaces_partition_each_level():
