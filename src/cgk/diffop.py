@@ -97,14 +97,11 @@ class Var:
             return cls(m.group(1), int(m.group(2)))
         return cls("t")
 
-    def sort_key(self):
-        return {"t": 0, "x": 1, "y": 2}[self.kind], self.n
-
 
 def make_chart(*names):
     """Canonically ordered chart from variable names or Vars."""
     vs = [v if isinstance(v, Var) else Var.parse(v) for v in names]
-    vs.sort(key=Var.sort_key)
+    vs.sort()
     if len(set(vs)) != len(vs):
         raise ValueError("duplicate chart variables")
     return tuple(vs)

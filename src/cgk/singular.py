@@ -302,15 +302,12 @@ def search_singular(spec, constraint, params=None):
     """
     pvals = resolve_params(spec, params)
     basis = level_basis(spec, constraint, params=params)
-    if not basis:
-        return SearchResult([])
     plus, zero, minus = decomposition(spec)
     operators = [(x, None) for x in minus]
     if spec.ext == "none":
         # require P1 v = -kappa v as well (its diagonal part is forced)
         operators.append((Gen("P", 1), pvals["kappa"]))
 
-    index = {m: i for i, m in enumerate(basis)}
     rows = []
     for x, shift in operators:
         images = []

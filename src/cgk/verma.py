@@ -27,7 +27,6 @@ at all when it is 1), and the result is assembled in one map.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
@@ -257,70 +256,33 @@ def weight_of(spec, m, params=None):
 
 # --- generic action by normal-ordering words ------------------------------
 
-@dataclass(frozen=True)
-class _Letters:
-    """A family's generators as integer letters, for the generic action.
-
-    Letter ``i`` is ``enumerate_generators(spec)[i]``.  ``pos[i]`` is its
-    normal-order position (0 for an annihilator, 1 for a diagonal letter,
-    2 and up for a creation letter), ``brk[i][j]`` the bracket of letters
-    ``i`` and ``j`` as ``((letter, int coefficient), ...)``.  ``weights``
-    lists the ``(symbol, sign)`` of each diagonal letter's eigenvalue in
-    exponent order, ``unit`` maps each diagonal letter to its exponent
-    tuple and ``zero`` is the exponent tuple of no eigenvalue.  ``slots``
-    holds the letters of the basis factors in slot order, ``slot`` maps
-    each back to its slot, ``shape`` is (len a, len b), and ``order`` lists
-    the slot indices by descending position, the order of the factors in a
-    normal word.
-    """
-
-    index: dict
-    pos: tuple
-    brk: tuple
-    weights: tuple
-    unit: dict
-    zero: tuple
-    slots: tuple
-    slot: dict
-    order: tuple
-    shape: tuple
-
-
-@lru_cache(maxsize=None)
-def _letters(spec):
-    """The integer-letter tables of ``spec``, built from ``algebra.bracket``
-    on first use, so the generic action depends only on the bracket rules."""
-    gens = enumerate_generators(spec)
-    index = {g: i for i, g in enumerate(gens)}
-    position = normal_position(spec)
-    pos = tuple(position[g] for g in gens)
-    brk = tuple(
-        tuple(tuple((index[g], _int_value(c)) for g, c in bracket(spec, x, y).items())
-              for y in gens)
-        for x in gens
-    )
-    table = weight_table(spec)
-    diag = [index[g] for g in table]
-    zero = (0,) * len(diag)
-    unit = {letter: _bump(zero, k, 1) for k, letter in enumerate(diag)}
-    fam = _family(spec)
-    slots = tuple(index[g] for g in fam["slot"])
-    order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
-    return _Letters(index, pos, brk, tuple(table.values()), unit, zero, slots,
-                    {letter: s for s, letter in enumerate(slots)}, order, fam["shape"])
-
-
 class _Images(dict):
     """The generic action's images on one family, free of parameters.
+
+    Letter ``i`` is ``enumerate_generators(spec)[i]``; the tables, built
+    from ``algebra.bracket`` on the first action in the family, are:
+
+    * ``index`` maps each generator to its letter and ``pos[i]`` is the
+      letter's normal-order position (0 for an annihilator, 1 for a
+      diagonal letter, 2 and up for a creation letter);
+    * ``brk[i][j]`` is the bracket of letters ``i`` and ``j`` as
+      ``((letter, int coefficient), ...)``;
+    * ``weights`` lists the ``(symbol, sign)`` of each diagonal letter's
+      eigenvalue in exponent order, ``unit`` maps each diagonal letter to
+      its exponent tuple and ``zero`` is the tuple of no eigenvalue;
+    * ``slots`` holds the letters of the basis factors in slot order,
+      ``slot`` maps each back to its slot, ``order`` lists the slots by
+      descending position (the factor order of a normal word) and
+      ``shape`` is (len a, len b).
 
     ``images[letter, mono]`` is the normal-ordered product of the letter
     and the basis monomial ``mono``: a tuple of ``(monomial, diagonal
     exponents, int)`` triples, the exponents counting how often each
-    diagonal letter's eigenvalue (in ``_Letters.weights`` order) multiplies
-    the term.  Normal ordering is unique (PBW), so one entry per pair serves
-    every parameter assignment.  A missing entry is filled on lookup, with
-    every entry it needs, by the commutation recursion: with f the leading
-    factor of the normal word of ``mono`` and m' the rest,
+    diagonal letter's eigenvalue multiplies the term.  Normal ordering is
+    unique (PBW), so one entry per pair serves every parameter assignment.
+    A missing entry is filled on lookup, with every entry it needs, by the
+    commutation recursion: with f the leading factor of the normal word of
+    ``mono`` and m' the rest,
 
         x f m' = f (x m') + [x, f] m'.
 
@@ -328,16 +290,32 @@ class _Images(dict):
     already normal, and at the empty word, where an annihilator gives 0, a
     diagonal letter its eigenvalue and a creation letter its factor.  The
     recursion runs on an explicit work stack, so a word of any length fills
-    without nesting calls; only the bracket table of ``_letters`` enters.
+    without nesting calls; only the bracket table enters.
     """
 
     def __init__(self, spec):
         super().__init__()
-        self.letters = _letters(spec)
+        gens = enumerate_generators(spec)
+        self.index = index = {g: i for i, g in enumerate(gens)}
+        position = normal_position(spec)
+        self.pos = pos = tuple(position[g] for g in gens)
+        self.brk = tuple(
+            tuple(tuple((index[g], _int_value(c)) for g, c in bracket(spec, x, y).items())
+                  for y in gens)
+            for x in gens
+        )
+        table = weight_table(spec)
+        self.weights = tuple(table.values())
+        self.zero = zero = (0,) * len(table)
+        self.unit = {index[g]: _bump(zero, k, 1) for k, g in enumerate(table)}
+        fam = _family(spec)
+        self.slots = slots = tuple(index[g] for g in fam["slot"])
+        self.slot = {letter: s for s, letter in enumerate(slots)}
+        self.order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
+        self.shape = fam["shape"]
 
     def __missing__(self, key):
-        letters = self.letters
-        pos, zero = letters.pos, letters.zero
+        pos, zero, slots, shape = self.pos, self.zero, self.slots, self.shape
         stack = [key]
         while stack:
             x, m = stack[-1]
@@ -345,20 +323,20 @@ class _Images(dict):
                 stack.pop()
                 continue
             expo = (m[0],) + m[1] + m[2]
-            lead = next((s for s in letters.order if expo[s]), None)
+            lead = next((s for s in self.order if expo[s]), None)
             rank = pos[x]
-            if rank >= 2 and (lead is None or rank >= pos[letters.slots[lead]]):
+            if rank >= 2 and (lead is None or rank >= pos[slots[lead]]):
                 out = list(expo)
-                out[letters.slot[x]] += 1
-                self[x, m] = ((_monomial(letters.shape, out), zero, 1),)
+                out[self.slot[x]] += 1
+                self[x, m] = ((_monomial(shape, out), zero, 1),)
                 continue
             if lead is None:
-                self[x, m] = ((m, letters.unit[x], 1),) if rank == 1 else ()
+                self[x, m] = ((m, self.unit[x], 1),) if rank == 1 else ()
                 continue
             out = list(expo)
             out[lead] -= 1
-            rest, f = _monomial(letters.shape, out), letters.slots[lead]
-            brk = letters.brk[x][f]
+            rest, f = _monomial(shape, out), slots[lead]
+            brk = self.brk[x][f]
             # the entries this one reads: x and each [x, f] letter on m',
             # then f on each monomial of x m'
             missing = [(g, rest) for g in (x,) + tuple(g for g, _ in brk)
@@ -424,12 +402,11 @@ def act_generic(spec, x, v, params=None):
     """
     pvals = resolve_params(spec, params)
     images = _images(spec)
-    letters = images.letters
-    first = letters.index.get(x)
+    first = images.index.get(x)
     if first is None:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
-    zero, weights = letters.zero, letters.weights
-    n_a, n_b = letters.shape
+    zero, weights = images.zero, images.weights
+    n_a, n_b = images.shape
     products = {}
 
     def instantiated(image):

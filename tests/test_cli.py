@@ -1,5 +1,6 @@
 """Command-line interface: grammar, exit codes, and exact serialization."""
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -41,6 +42,7 @@ from cgk.verma import (
     MissingParameter,
     ModuleVector,
     PbwMonomial,
+    Weight,
     level_basis,
     required_parameters,
     resolve_params,
@@ -623,6 +625,17 @@ def test_usage_errors_exit_two(capsys):
             2, "", "usage error: level must be a non-negative integer\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["pde", "check", *D1_FLAGS, "--q", "1", "--delta", "foo"],
+     "usage error: --delta expects a rational or 'auto'\n"),
+    (["verma", "act", *D1_FLAGS, "--gen", "H", "--monomial", '{"h":0,"a":[0]}',
+      "--delta", "auto"],
+     "usage error: --delta auto needs --q\n"),
+])
+def test_bad_delta_is_a_usage_error(capsys, argv, err):
+    assert invoke(capsys, *argv) == (2, "", err)
+
+
 def test_key_error_messages_print_without_quotes(capsys):
     family = ["--d", "1", "--two-ell", "1", "--ext", "mass"]
     code, out, err = invoke(capsys, "verma", "act", *family, "--gen", "P5",
@@ -715,12 +728,15 @@ def test_selftest_with_reduced_caps(capsys, monkeypatch):
     assert "selftest: PASS" in out
 
 
-def test_bad_caps_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("CGK_CAPS_LEVEL", "many")
+@pytest.mark.parametrize("value, err", [
+    ("many", "usage error: CGK_CAPS_LEVEL must be an integer, got 'many'\n"),
+    ("-1", "usage error: CGK_CAPS_LEVEL must be non-negative\n"),
+])
+def test_bad_caps_env_rejected(capsys, monkeypatch, value, err):
+    monkeypatch.setenv("CGK_CAPS_LEVEL", value)
     # fails before the first criterion, not midway through the suite
     monkeypatch.setattr(cli, "acceptance_criteria", lambda: pytest.fail("ran"))
-    assert invoke(capsys, "selftest") == (
-        2, "", "usage error: CGK_CAPS_LEVEL must be an integer, got 'many'\n")
+    assert invoke(capsys, "selftest") == (2, "", err)
 
 
 def test_caps_env_read_by_selftest_only(capsys, monkeypatch):
@@ -912,3 +928,121 @@ def test_centerless_names_kernel_and_failure(monkeypatch):
         true_search(spec_, p, params={**params, "kappa": 0})))
     assert cli.criterion_centerless() == (
         False, "kappa=1, level 1: kernel of dimension 1, want 0")
+
+
+# --- failure writers, fed crafted failures through the names cli binds -----
+
+def test_jacobi_failure_text_and_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "jacobi_check", lambda spec: [
+        (Gen("D"), Gen("H"), Gen("C"), GenCombo.of(Gen("H"), 3))])
+    assert invoke(capsys, "algebra", "jacobi", *D1_FLAGS) == (
+        1, "jacobi: FAIL (1 triples)\n  [[D,H],C]-cycle residue: 3*H\n", "")
+    code, out, err = invoke(capsys, "algebra", "jacobi", *D1_FLAGS, "--render", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "failures": [
+        {"x": "D", "y": "H", "z": "C", "residual": [{"gen": "H", "coef": "3"}]}]}
+
+
+def test_rep_check_failure_text_and_json(capsys, monkeypatch):
+    residual = parse_diffop("3*x0*d/dt", chart(D1))
+    monkeypatch.setattr(cli, "rep_check", lambda spec, side="left", params=None: [
+        (Gen("H"), Gen("D"), residual)])
+    assert invoke(capsys, "reps", "check", *D1_FLAGS) == (
+        1, "rep check (left): FAIL\n  [H, D] residual: 3*x0*d/dt\n", "")
+    code, out, err = invoke(capsys, "reps", "check", *D1_FLAGS, "--render", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"side": "left", "ok": False, "failures": [
+        {"x": "H", "y": "D", "residual": [{"coef": "3*x0", "partials": {"t": 1}}]}]}
+
+
+def test_pde_check_names_the_failing_residual(capsys, monkeypatch):
+    residual = parse_diffop("3*x0*d/dt", chart(D1))
+    monkeypatch.setattr(cli, "intertwining_check", lambda spec, q, params=None: [
+        (Gen("H"), residual)])
+    code, out, err = invoke(capsys, "pde", "check", *D1_FLAGS, "--q", "1",
+                            "--delta", "auto")
+    assert (code, err) == (1, "")
+    passing = [{"gen": g, "ok": True} for g in ("C", "P1", "D", "M")]
+    assert json.loads(out) == {"q": 1, "delta": "-1/2", "ok": False, "generators": [
+        *passing, {"gen": "H", "ok": False,
+                   "residual": [{"coef": "3*x0", "partials": {"t": 1}}]},
+        {"gen": "P0", "ok": True}]}
+
+
+def test_singular_verify_writes_each_failure_payload(capsys, monkeypatch):
+    argv = ["singular", "verify", *D1_FLAGS, "--q", "1", "--delta", "auto"]
+    true_verify = cli.verify_singular
+
+    # a wrong expected weight: a Scalar payload, and a generator that is
+    # not diagonal on the vector
+    def misweighed(spec, v, params=None, expect_weight=None):
+        eigen = {**expect_weight.eigen, Gen("D"): expect_weight[Gen("D")] + 1,
+                 Gen("P", 1): 0}
+        return true_verify(spec, v, params=params, expect_weight=Weight(eigen))
+
+    monkeypatch.setattr(cli, "verify_singular", misweighed)
+    assert invoke(capsys, *argv) == (
+        1, "verify: FAIL\n  weight D: -1\n  weight P1: not diagonal\n", "")
+    code, out, err = invoke(capsys, *argv, "--render", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"q": 1, "ok": False, "weight": {"D": "5/2", "M": "-mu"},
+                               "failures": [
+        {"kind": "weight", "generator": "D", "detail": "-1"},
+        {"kind": "weight", "generator": "P1", "detail": "not diagonal"}]}
+
+    monkeypatch.setattr(cli, "verify_singular", lambda spec, v, params=None, **_: (
+        true_verify(spec, ModuleVector.zero(), params=params)))
+    assert invoke(capsys, *argv) == (1, "verify: FAIL\n  candidate vector is zero\n", "")
+    code, out, err = invoke(capsys, *argv, "--render", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"q": 1, "ok": False, "weight": None, "failures": [
+        {"kind": "degenerate", "detail": "candidate vector is zero"}]}
+
+
+def _scaling_off_by_one(monkeypatch):
+    true_verify = cli.verify_singular
+
+    def shifted(spec, v, params=None, expect_weight=None):
+        report = true_verify(spec, v, params=params, expect_weight=expect_weight)
+        eigen = {**report.weight.eigen, Gen("D"): report.weight[Gen("D")] + 1}
+        return dataclasses.replace(report, weight=Weight(eigen))
+
+    monkeypatch.setattr(cli, "verify_singular", shifted)
+    return "singular-annihilation", "scaling eigenvalue is not 2q - delta"
+
+
+def _vanishing_residual(monkeypatch):
+    true_residual = cli.intertwining_residual
+
+    def vanishing(*args):
+        residual = true_residual(*args)
+        return residual - residual
+
+    monkeypatch.setattr(cli, "intertwining_residual", vanishing)
+    return "intertwining-identity", "symbolic residual vanishes"
+
+
+def _indivisible_residual(monkeypatch):
+    monkeypatch.setattr(cli, "divisible_by_condition", lambda residual, cond: False)
+    return "intertwining-identity", "residual not divisible by condition"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _scaling_off_by_one, _vanishing_residual, _indivisible_residual])
+def test_selftest_names_the_failing_case(capsys, monkeypatch, corrupt):
+    monkeypatch.setenv("CGK_CAPS_LEVEL", "0")
+    code, passing, _ = invoke(capsys, "selftest")
+    assert code == 0
+    name, reason = corrupt(monkeypatch)
+    detail = "AlgebraSpec(d=1, twoEll=1, ext='mass') q=1: " + reason
+    lines = passing.splitlines(keepends=True)
+    index = next(i for i, line in enumerate(lines) if line.startswith("[PASS] %s:" % name))
+    lines[index] = "[FAIL] %s: %s\n" % (name, detail)
+    lines[-1] = "selftest: FAIL\n"
+    assert invoke(capsys, "selftest") == (1, "".join(lines), "")
+    code, out, err = invoke(capsys, "selftest", "--render", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    failed = [(c["name"], c["detail"]) for c in payload["criteria"] if not c["ok"]]
+    assert failed == [(name, detail)]

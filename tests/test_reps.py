@@ -17,6 +17,7 @@ from cgk.diffop import (
 )
 from cgk.reps import (
     UnsupportedGenerator,
+    bracket_failures,
     chart,
     left_action,
     rep_check,
@@ -559,3 +560,14 @@ def test_derived_chart_equals_hand_written():
 def test_rep_check_left_beyond_the_caps(spec):
     assert rep_check(spec, side="left") == []
     assert rep_check(spec, side="right") == []
+
+
+def test_left_check_equals_all_pairs_beyond_the_caps():
+    # the generating-set shortcut of rep_check against the audit of every
+    # pair, on families past the twoEll <= 5 of the selftest
+    for spec in (s for s in supported_specs(11) if s.ext != "none"):
+        domain = enumerate_generators(spec)
+        ops = {g: left_action(spec, g) for g in domain}
+        pairs = [(x, y) for i, x in enumerate(domain) for y in domain[i + 1:]]
+        want = bracket_failures(spec, ops, pairs)
+        assert want == [] and rep_check(spec, side="left") == want, spec

@@ -236,6 +236,15 @@ def test_search_off_root_is_empty():
         assert len(found) == 0, (spec, q)
 
 
+def test_search_on_an_empty_weight_space():
+    # a half-integer scaling shift selects no monomial: no rows, no kernel;
+    # the centerless family adds its kappa row to the operators all the same
+    for spec in (D1, NONE):
+        eigen = {Gen("D"): -DELTA + Fraction(1, 2)}
+        assert level_basis(spec, eigen) == []
+        assert search_singular(spec, eigen) == SearchResult([], []), spec
+
+
 def test_centerless_search():
     free = {"delta": Scalar.symbol("delta"), "kappa": 0}
     for p in range(1, 4):

@@ -39,7 +39,7 @@ from cgk.verma import (
     vacuum,
     weight_of,
 )
-from cgk.verma import _images, _letters
+from cgk.verma import _images
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -470,7 +470,7 @@ def test_images_are_shared_across_parameters(monkeypatch):
 
     x, m = parse_gen("P1+"), mono(2, (1,), (1,))
     images = _images(M1)
-    key = (_letters(M1).index[x], m)
+    key = (images.index[x], m)
     images.pop(key, None)
     v = ModuleVector.of(m)
     first = _params("root", M1)
@@ -491,12 +491,12 @@ def test_images_are_shared_across_parameters(monkeypatch):
 
 def test_structure_table_equals_bracket():
     for spec in supported_specs(6):
-        letters = _letters(spec)
+        images = _images(spec)
         gens = enumerate_generators(spec)
-        assert [letters.index[g] for g in gens] == list(range(len(gens)))
+        assert [images.index[g] for g in gens] == list(range(len(gens)))
         for i, x in enumerate(gens):
             for j, y in enumerate(gens):
-                table = {gens[k]: Scalar.const(c) for k, c in letters.brk[i][j]}
+                table = {gens[k]: Scalar.const(c) for k, c in images.brk[i][j]}
                 assert table == bracket(spec, x, y).terms, (spec, x, y)
 
 
@@ -608,7 +608,7 @@ def test_closed_form_never_reads_the_brackets(monkeypatch):
     import cgk.scalars
     import cgk.verma
 
-    # the expected vectors come first, which also warms _letters(spec)
+    # the expected vectors come first, which also warms _images(spec)
     cases = []
     for spec in (s for s in supported_specs(5) if s.ext != "none"):
         for m in (m for p in range(4) for m in level_basis(spec, p)):
