@@ -129,7 +129,8 @@ class ParamPoly:
         return not self.terms
 
     def is_const(self):
-        return not self.terms or set(self.terms) == {ZERO_EXPO}
+        terms = self.terms
+        return not terms or (len(terms) == 1 and ZERO_EXPO in terms)
 
     def const_value(self):
         """The Fraction value of a constant polynomial."""
@@ -482,8 +483,10 @@ class Scalar:
         if not isinstance(num, ParamPoly):
             num = ParamPoly.const(num)
         if den is None:
-            den = _POLY_ONE
-        elif not isinstance(den, ParamPoly):
+            self.num = num
+            self.den = _POLY_ONE
+            return
+        if not isinstance(den, ParamPoly):
             den = ParamPoly.const(den)
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")

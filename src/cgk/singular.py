@@ -10,7 +10,7 @@ weight space provides the independent route.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import Gen, central_element, creation_data, decomposition, weight_table
 from .scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd
@@ -45,11 +45,13 @@ class SingularReport:
 class SearchResult:
     """Nullspace search outcome: vectors plus genericity caveats.
 
-    The system is solved by fraction-free forward elimination and back
-    substitution (see _scalar_matrix_kernel).  ``caveats`` lists the pivots
-    Gauss-Jordan elimination would divide by that are not rational,
-    recovered as b / (s_r * prev) from the fraction-free entries; the
-    reported dimension is valid wherever none of them vanishes.
+    The system is solved by fraction-free forward elimination on sparse,
+    lazily updated rows and back substitution (see _scalar_matrix_kernel).
+    ``caveats`` lists the pivots Gauss-Jordan elimination would divide by
+    that are not rational, recovered as b / (s_r * ref) from the stored
+    fraction-free entry b of row r, its row scale s_r and the pivot ref it
+    was last updated with; the reported dimension is valid wherever none of
+    them vanishes.
     """
 
     vectors: list
@@ -183,56 +185,101 @@ def verify_singular(spec, v, params=None, expect_weight=None):
     return SingularReport(not failures, v, weight, failures)
 
 
-def _cleared_row(row):
-    """(polys, s) with row[c] = polys[c] / s, s the lcm of the row's
-    denominators (None when every denominator is 1)."""
-    dens = list(dict.fromkeys(x.den for x in row if not x.den.is_const()))
-    if not dens:
-        return [x.num for x in row], None
-    scale = dens[0]
-    for den in dens[1:]:
-        scale = poly_div_exact(scale * den, poly_gcd(scale, den))
-    return [x.num * poly_div_exact(scale, x.den) for x in row], scale
+def _cleared_rows(rows):
+    """(mat, scales, one): each row times the lcm s_r of its denominators,
+    as a dict {col: entry} of its nonzero entries; the s_r; and the 1 of the
+    ring the entries now lie in.
+
+    A matrix whose entries are all rational is cleared into Python ints, s_r
+    the lcm of the row's denominators.  Any other matrix is cleared into
+    ParamPoly, s_r the lcm of the row's polynomial denominators (None when
+    every one of them is 1).
+    """
+    mat, scales = [], []
+    if all(x.is_rational() for row in rows for x in row):
+        for row in rows:
+            # a rational entry's numerator has one coefficient, none for 0
+            values = {c: v for c, x in enumerate(row) for v in x.num.terms.values()}
+            scale = lcm(*(v.denominator for v in values.values()))
+            mat.append({c: v.numerator * (scale // v.denominator)
+                        for c, v in values.items()})
+            scales.append(scale)
+        return mat, scales, 1
+    for row in rows:
+        dens = list(dict.fromkeys(x.den for x in row if not x.den.is_const()))
+        scale = dens[0] if dens else None
+        for den in dens[1:]:
+            scale = poly_div_exact(scale * den, poly_gcd(scale, den))
+        mat.append({c: x.num if scale is None else x.num * poly_div_exact(scale, x.den)
+                    for c, x in enumerate(row) if x})
+        scales.append(scale)
+    return mat, scales, ParamPoly.const(1)
+
+
+def _divider(ref):
+    """x -> x / ref on the entries x that ref divides; None when ref is 1."""
+    if type(ref) is int:
+        return None if ref == 1 else (lambda x: x // ref)
+    if not ref.is_const():
+        return lambda x: poly_div_exact(x, ref)
+    inv = 1 / ref.const_value()
+    return None if inv == 1 else (lambda x: x * inv)
 
 
 def _scalar_matrix_kernel(rows, ncols):
     """Exact kernel basis of a Scalar matrix by fraction-free elimination.
 
-    Each row is multiplied once by the lcm s_r of its denominators.  The
-    forward pass is Bareiss's integer-preserving elimination: below a pivot
-    p every entry becomes (p*b_ij - b_ic*b_pj) / prev, an exact polynomial
-    division by the previous pivot; the rows above are left alone.
+    Each row is multiplied once by the lcm s_r of its denominators
+    (``_cleared_rows``): into Python ints when every entry is rational,
+    else into ParamPoly.  The forward pass is Bareiss's integer-preserving
+    elimination (Bareiss 1968): with pivot p in column c and prev the
+    pivot before it, each row below becomes (p*b_j - b_c*p_j) / prev, an
+    exact division, and the rows above are left alone.
 
-    The Gauss-Jordan entry at the same place is b / (s_r * prev), so the
+    The rows are sparse and lazy.  A row is a dict of its nonzero entries
+    and carries ``ref``, the pivot that was current when it was last
+    updated (1 at the start).  The dense pass multiplies a row whose entry
+    in the pivot column is zero by p / prev; these factors telescope, since
+    each pivot is the next step's prev, so a row left alone since its last
+    update holds its Bareiss value times ref / prev.  Such rows are never
+    touched.  A row with a nonzero entry b_c is updated to
+    (p*b_j - b_c*p_j) / ref, the Bareiss step applied to its true value
+    (stored * prev / ref) and divided by prev: again an exact division, by
+    the row's own ref.  A chosen pivot row that is stale is first brought
+    up to date, so every pivot is the Bareiss pivot.
+
+    The Gauss-Jordan entry at the same place is b / (s_r * ref), so the
     pivots are those Gauss-Jordan picks (minimal total degree of that
-    reduced quotient, the first row winning ties).  Returns (basis,
-    caveats): caveats lists those Gauss-Jordan pivots that are not rational
-    (the kernel is correct wherever they do not vanish; denominators that
-    later entries pick up are not listed).  Each basis vector is a tuple of
-    Scalars with 1 at one free column and 0 at the others, solved by back
-    substitution; the reduced row echelon form is unique, so these are the
-    Gauss-Jordan kernel vectors.
+    reduced quotient, the first row winning ties); on an integer matrix
+    every such entry is rational and the first nonzero row is the pivot.
+    Returns (basis, caveats): caveats lists those Gauss-Jordan pivots that
+    are not rational (the kernel is correct wherever they do not vanish;
+    denominators that later entries pick up are not listed).  Each basis
+    vector is a tuple of Scalars with 1 at one free column and 0 at the
+    others, solved by back substitution; the reduced row echelon form is
+    unique, so these are the Gauss-Jordan kernel vectors.
     """
-    mat, scales = [], []
-    for r in rows:
-        polys, scale = _cleared_row(r)
-        mat.append(polys)
-        scales.append(scale)
+    mat, scales, one = _cleared_rows(rows)
     nrows = len(mat)
+    steps = [(one, None)]  # (pivot, _divider(pivot)) per step, after the 1
+    refs = [0] * nrows  # index in steps of each row's ref
     caveats = []
     pivots = []  # (row, col)
-    prev = ParamPoly.const(1)
     row = 0
     for col in range(ncols):
         if row == nrows:
             break
-        # the Gauss-Jordan rule: a pivot of minimal total degree, reduced
         best = None  # (degree, row, Gauss-Jordan entry)
         for r in range(row, nrows):
-            b = mat[r][col]
-            if not b:
+            b = mat[r].get(col)
+            if b is None:
                 continue
-            den = prev if scales[r] is None else scales[r] * prev
+            if type(b) is int:
+                best = (0, r, None)  # every entry is rational: the first row
+                break
+            # the Gauss-Jordan rule: a pivot of minimal total degree, reduced
+            ref = steps[refs[r]][0]
+            den = ref if scales[r] is None else scales[r] * ref
             bound = abs(b.total_degree() - den.total_degree())
             if best is not None and bound >= best[0]:
                 continue  # reducing b / den cannot go below this degree
@@ -247,28 +294,31 @@ def _scalar_matrix_kernel(rows, ncols):
         _, r, entry = best
         mat[row], mat[r] = mat[r], mat[row]
         scales[row], scales[r] = scales[r], scales[row]
-        if not entry.is_rational():
+        refs[row], refs[r] = refs[r], refs[row]
+        if entry is not None and not entry.is_rational():
             caveats.append(entry)
         prow = mat[row]
+        step = len(steps) - 1
+        if refs[row] != step:
+            # bring the pivot row up to date: stored * prev / ref
+            prev, div = steps[-1][0], steps[refs[row]][1]
+            for c, b in prow.items():
+                prow[c] = div(b * prev) if div else b * prev
         piv = prow[col]
-        # the division by prev is exact; by a constant it is a product
-        inv = 1 / prev.const_value() if prev.is_const() else None
-        for line in mat[row + 1:]:
-            # columns up to col are never read again in the rows below
-            factor = line[col]
-            for c in range(col + 1, ncols):
-                b = line[c]
-                if b:
-                    b = b * piv
-                if factor and prow[c]:
-                    b = b - factor * prow[c]
-                if b and inv is None:
-                    b = poly_div_exact(b, prev)
-                elif b and inv != 1:
-                    b = b * inv
-                line[c] = b
+        tail = [(c, -b) for c, b in prow.items() if c != col]  # the -p_j
+        for i in range(row + 1, nrows):
+            line = mat[i]
+            factor = line.pop(col, None)
+            if factor is None:
+                continue  # left alone: its ref stays
+            new = {c: b * piv for c, b in line.items()}
+            for c, b in tail:
+                new[c] = new[c] + factor * b if c in new else factor * b
+            div = steps[refs[i]][1]
+            mat[i] = {c: div(b) if div else b for c, b in new.items() if b}
+            refs[i] = step + 1
+        steps.append((piv, _divider(piv)))
         pivots.append((row, col))
-        prev = piv
         row += 1
     pivot_cols = {c for _, c in pivots}
     basis = []
@@ -281,28 +331,22 @@ def _scalar_matrix_kernel(rows, ncols):
             # b_pcol * x_pcol + sum of b_c * x_c over later columns = 0
             line = mat[prow]
             acc = Scalar.zero()
-            for c in range(pcol + 1, ncols):
-                if line[c] and vec[c]:
-                    acc = acc + vec[c] * Scalar(line[c])
+            for c, b in line.items():
+                if c != pcol and vec[c]:
+                    acc = acc + vec[c] * b
             if acc:
-                vec[pcol] = -(acc / Scalar(line[pcol]))
+                vec[pcol] = -(acc / line[pcol])
         basis.append(tuple(vec))
     return basis, caveats
 
 
-def search_singular(spec, constraint, params=None):
-    """Exact nullspace search for singular vectors in one weight space.
-
-    ``constraint`` is passed to level_basis (an integer level or a weight
-    constraint).  Annihilator actions are stacked into one exact linear
-    system; for the centerless family the non-diagonalizable g0 generator
-    contributes rows forcing an eigenvector of it as well.  Returns a
-    SearchResult whose vectors are normalized so their lexicographically
-    first monomial has coefficient 1.
-    """
+def _search_system(spec, constraint, params=None):
+    """(basis, rows): the basis of one weight space and the exact linear
+    system whose kernel search_singular reads, one column per basis
+    monomial and one row per (operator, monomial of its images)."""
     pvals = resolve_params(spec, params)
     basis = level_basis(spec, constraint, params=params)
-    plus, zero, minus = decomposition(spec)
+    minus = decomposition(spec)[2]
     operators = [(x, None) for x in minus]
     if spec.ext == "none":
         # require P1 v = -kappa v as well (its diagonal part is forced)
@@ -320,6 +364,20 @@ def search_singular(spec, constraint, params=None):
             targets.update(img.terms)
         for t in sorted(targets, key=lambda m: (m.h, m.a, m.b)):
             rows.append([img.coefficient(t) for img in images])
+    return basis, rows
+
+
+def search_singular(spec, constraint, params=None):
+    """Exact nullspace search for singular vectors in one weight space.
+
+    ``constraint`` is passed to level_basis (an integer level or a weight
+    constraint).  Annihilator actions are stacked into one exact linear
+    system (``_search_system``); for the centerless family the
+    non-diagonalizable g0 generator contributes rows forcing an eigenvector
+    of it as well.  Returns a SearchResult whose vectors are normalized so
+    their lexicographically first monomial has coefficient 1.
+    """
+    basis, rows = _search_system(spec, constraint, params)
     kernel, caveats = _scalar_matrix_kernel(rows, len(basis))
     vectors = []
     for vec in kernel:

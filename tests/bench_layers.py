@@ -1,7 +1,8 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
-act_generic / act_closed_form -> diffop.compose, commutator and
+act_generic / act_closed_form -> the search's elimination
+(_scalar_matrix_kernel) -> diffop.compose, commutator and
 twisted_commutator -> rep_check / intertwining_check.  The file name does
 not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
@@ -43,7 +44,13 @@ from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
 from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
 import cgk  # noqa: E402
-from cgk.singular import delta_at_condition, weight_shift  # noqa: E402
+from cgk.singular import (  # noqa: E402
+    _scalar_matrix_kernel,
+    _search_system,
+    delta_at_condition,
+    predicted_weight,
+    weight_shift,
+)
 from cgk.verma import (  # noqa: E402
     ModuleVector,
     act_closed_form,
@@ -120,6 +127,18 @@ def test_module_action(benchmark, action):
 @ACTIONS
 def test_module_action_line_family(benchmark, action):
     _module_action(benchmark, action, D5)
+
+
+@pytest.mark.parametrize("point", ["symbolic", "root"])
+def test_matrix_kernel(benchmark, point):
+    """The elimination of the search workload's top case, (2,3,mass) q = 3:
+    every parameter symbolic (ParamPoly entries), and at the numeric root
+    mu = 1, r = 2/3 (a rational matrix, so Python ints)."""
+    params = symbolic_params(M3) if point == "symbolic" else {
+        "delta": delta_at_condition(M3, 3), "mu": 1, "r": Fraction(2, 3)}
+    basis, rows = _search_system(M3, predicted_weight(M3, 3, params=params).eigen, params)
+    basis, _ = benchmark(_scalar_matrix_kernel, rows, len(basis))
+    assert len(basis) == (point == "root")
 
 
 def test_compose(benchmark):

@@ -340,7 +340,9 @@ def _search_grid():
             yield NONE, level, {"delta": DELTA, "kappa": kappa}
 
 
-def test_kernel_matches_reference_on_search_grid(monkeypatch):
+def _kernel_calls_match_reference(monkeypatch, searches):
+    """Run the searches with every kernel call checked against
+    ``_reference_kernel``; return the number of calls."""
     matrices = []
 
     def both(rows, ncols):
@@ -350,9 +352,59 @@ def test_kernel_matches_reference_on_search_grid(monkeypatch):
         return got
 
     monkeypatch.setattr(singular, "_scalar_matrix_kernel", both)
-    for spec, constraint, params in _search_grid():
+    for spec, constraint, params in searches:
         search_singular(spec, constraint, params=params)
-    assert len(matrices) == 50
+    return len(matrices)
+
+
+def test_kernel_matches_reference_on_search_grid(monkeypatch):
+    assert _kernel_calls_match_reference(monkeypatch, _search_grid()) == 50
+
+
+def test_kernel_matches_reference_on_whole_levels(monkeypatch):
+    # the whole-level searches of tests/bench_layers.py, every parameter
+    # symbolic and at the numeric root of q = level / 2, whose singular
+    # vector lies on that level, so that the kernel is not empty
+    searches = [(spec, level, params)
+                for spec, level in ((D1, 10), (D1, 12), (M1, 6))
+                for params in (symbolic_params(spec),
+                               numeric_params_at_root(spec, level // 2))]
+    assert _kernel_calls_match_reference(monkeypatch, searches) == 6
+    for spec, level, params in searches[1::2]:
+        assert len(search_singular(spec, level, params=params)) == 1, (spec, level)
+
+
+def _matrices(st, size, entries):
+    """A strategy of (rows, ncols) with 1 to ``size`` rows and columns.
+
+    Sometimes a row is a multiple of another on its first t columns (a
+    scaled duplicate when t is every column), two columns are equal, or a
+    column is zero.  Such a row has zeros on those t columns once they are
+    eliminated, so the kernel leaves it alone and may later take it as a
+    stale pivot row.
+    """
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, size))
+        m = draw(st.integers(1, size))
+        rows = [[draw(entries) for _ in range(m)] for _ in range(n)]
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            k = draw(st.integers(-2, 2))
+            t = draw(st.integers(1, m))
+            rows[i][:t] = [x * k for x in rows[j][:t]]
+        if m > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(m)))[:2]
+            for row in rows:
+                row[i] = row[j]
+        if draw(st.booleans()):
+            c = draw(st.integers(0, m - 1))
+            for row in rows:
+                row[c] = Scalar.zero()
+        return rows, m
+
+    return matrices()
 
 
 def test_kernel_matches_reference_random():
@@ -366,25 +418,6 @@ def test_kernel_matches_reference_random():
                          st.sampled_from(names)).map(
             lambda t: Scalar.symbol(t[2]) * t[1] + Scalar.const(t[0]))
 
-    @st.composite
-    def matrices(draw, size, entries):
-        nrows = draw(st.integers(1, size))
-        ncols = draw(st.integers(1, size))
-        rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
-        if nrows > 1 and draw(st.booleans()):
-            i, j = draw(st.permutations(range(nrows)))[:2]
-            k = draw(st.integers(-2, 2))
-            rows[i] = [x * k for x in rows[j]]
-        if ncols > 1 and draw(st.booleans()):
-            i, j = draw(st.permutations(range(ncols)))[:2]
-            for row in rows:
-                row[i] = row[j]
-        if draw(st.booleans()):
-            c = draw(st.integers(0, ncols - 1))
-            for row in rows:
-                row[c] = Scalar.zero()
-        return rows, ncols
-
     zero = st.just(Scalar.zero())
     atom3 = atoms(("delta", "mu", "r"))
     quotients = st.one_of(zero, atom3, st.tuples(atom3, atom3.filter(bool)).map(
@@ -393,10 +426,32 @@ def test_kernel_matches_reference_random():
 
     @hyp.settings(max_examples=100, deadline=None, derandomize=True,
                   database=None)
-    @hyp.given(st.one_of(matrices(3, quotients), matrices(5, polys)))
+    @hyp.given(st.one_of(_matrices(st, 3, quotients), _matrices(st, 5, polys)))
     def check(case):
         rows, ncols = case
         assert _scalar_matrix_kernel(rows, ncols) == _reference_kernel(rows, ncols)
+
+    check()
+
+
+def test_kernel_matches_reference_rational():
+    # every entry rational: the kernel runs on Python ints, which the
+    # random test above almost never reaches.  About a third of the drawn
+    # matrices have one row or one column.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entries = st.one_of(
+        st.just(0), st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from((2, 3)))).map(Scalar.const)
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(_matrices(st, 6, entries))
+    def check(case):
+        rows, ncols = case
+        got = _scalar_matrix_kernel(rows, ncols)
+        assert got == _reference_kernel(rows, ncols)
+        assert not got[1]
 
     check()
 
