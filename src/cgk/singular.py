@@ -186,9 +186,9 @@ def verify_singular(spec, v, params=None, expect_weight=None):
 
 
 def _cleared_rows(rows):
-    """(mat, scales, one): each row times the lcm s_r of its denominators,
-    as a dict {col: entry} of its nonzero entries; the s_r; and the 1 of the
-    ring the entries now lie in.
+    """(mat, scales, one): each row {col: nonzero Scalar} times the lcm s_r
+    of its denominators, as a new dict {col: entry}; the s_r; and the 1 of
+    the ring the entries now lie in.
 
     A matrix whose entries are all rational is cleared into Python ints, s_r
     the lcm of the row's denominators.  Any other matrix is cleared into
@@ -196,22 +196,22 @@ def _cleared_rows(rows):
     every one of them is 1).
     """
     mat, scales = [], []
-    if all(x.is_rational() for row in rows for x in row):
+    if all(x.is_rational() for row in rows for x in row.values()):
         for row in rows:
-            # a rational entry's numerator has one coefficient, none for 0
-            values = {c: v for c, x in enumerate(row) for v in x.num.terms.values()}
+            # a nonzero rational entry's numerator has one coefficient
+            values = {c: v for c, x in row.items() for v in x.num.terms.values()}
             scale = lcm(*(v.denominator for v in values.values()))
             mat.append({c: v.numerator * (scale // v.denominator)
                         for c, v in values.items()})
             scales.append(scale)
         return mat, scales, 1
     for row in rows:
-        dens = list(dict.fromkeys(x.den for x in row if not x.den.is_const()))
+        dens = list(dict.fromkeys(x.den for x in row.values() if not x.den.is_const()))
         scale = dens[0] if dens else None
         for den in dens[1:]:
             scale = poly_div_exact(scale * den, poly_gcd(scale, den))
         mat.append({c: x.num if scale is None else x.num * poly_div_exact(scale, x.den)
-                    for c, x in enumerate(row) if x})
+                    for c, x in row.items()})
         scales.append(scale)
     return mat, scales, ParamPoly.const(1)
 
@@ -229,7 +229,8 @@ def _divider(ref):
 def _scalar_matrix_kernel(rows, ncols):
     """Exact kernel basis of a Scalar matrix by fraction-free elimination.
 
-    Each row is multiplied once by the lcm s_r of its denominators
+    Each row of ``rows`` is a dict {col: nonzero Scalar} ({} for a zero
+    row), multiplied once by the lcm s_r of its denominators
     (``_cleared_rows``): into Python ints when every entry is rational,
     else into ParamPoly.  The forward pass is Bareiss's integer-preserving
     elimination (Bareiss 1968): with pivot p in column c and prev the
@@ -255,9 +256,9 @@ def _scalar_matrix_kernel(rows, ncols):
     Returns (basis, caveats): caveats lists those Gauss-Jordan pivots that
     are not rational (the kernel is correct wherever they do not vanish;
     denominators that later entries pick up are not listed).  Each basis
-    vector is a tuple of Scalars with 1 at one free column and 0 at the
-    others, solved by back substitution; the reduced row echelon form is
-    unique, so these are the Gauss-Jordan kernel vectors.
+    vector is a dict {col: nonzero Scalar}, 1 at its free column and absent
+    at the other free columns, solved by back substitution; the reduced row
+    echelon form is unique, so these are the Gauss-Jordan kernel vectors.
     """
     mat, scales, one = _cleared_rows(rows)
     nrows = len(mat)
@@ -325,25 +326,25 @@ def _scalar_matrix_kernel(rows, ncols):
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        vec = [Scalar.zero()] * ncols
-        vec[fc] = Scalar.const(1)
+        vec = {fc: Scalar.const(1)}
         for prow, pcol in reversed(pivots):
             # b_pcol * x_pcol + sum of b_c * x_c over later columns = 0
             line = mat[prow]
             acc = Scalar.zero()
             for c, b in line.items():
-                if c != pcol and vec[c]:
+                if c in vec:
                     acc = acc + vec[c] * b
             if acc:
                 vec[pcol] = -(acc / line[pcol])
-        basis.append(tuple(vec))
+        basis.append(vec)
     return basis, caveats
 
 
 def _search_system(spec, constraint, params=None):
     """(basis, rows): the basis of one weight space and the exact linear
-    system whose kernel search_singular reads, one column per basis
-    monomial and one row per (operator, monomial of its images)."""
+    system whose kernel search_singular reads: column j is basis[j], and
+    each row is a dict {j: nonzero Scalar}, one per (operator, monomial of
+    its images), each operator's monomials in ascending order."""
     pvals = resolve_params(spec, params)
     basis = level_basis(spec, constraint, params=params)
     minus = decomposition(spec)[2]
@@ -354,16 +355,14 @@ def _search_system(spec, constraint, params=None):
 
     rows = []
     for x, shift in operators:
-        images = []
-        targets = set()
-        for m in basis:
+        by_target = {}
+        for col, m in enumerate(basis):
             img = act_generic(spec, x, ModuleVector.of(m), params=params)
             if shift is not None:
                 img = img + ModuleVector.of(m, shift)
-            images.append(img)
-            targets.update(img.terms)
-        for t in sorted(targets, key=lambda m: (m.h, m.a, m.b)):
-            rows.append([img.coefficient(t) for img in images])
+            for t, c in img.terms.items():
+                by_target.setdefault(t, {})[col] = c
+        rows += [by_target[t] for t in sorted(by_target)]
     return basis, rows
 
 
@@ -375,14 +374,12 @@ def search_singular(spec, constraint, params=None):
     system (``_search_system``); for the centerless family the
     non-diagonalizable g0 generator contributes rows forcing an eigenvector
     of it as well.  Returns a SearchResult whose vectors are normalized so
-    their lexicographically first monomial has coefficient 1.
+    their lexicographically first monomial (least column) has coefficient 1.
     """
     basis, rows = _search_system(spec, constraint, params)
     kernel, caveats = _scalar_matrix_kernel(rows, len(basis))
     vectors = []
     for vec in kernel:
-        lead = next(i for i, c in enumerate(vec) if not c.is_zero())
-        scale = vec[lead]
-        v = ModuleVector({basis[i]: vec[i] / scale for i in range(len(basis))})
-        vectors.append(v)
+        scale = vec[min(vec)]
+        vectors.append(ModuleVector({basis[i]: c / scale for i, c in vec.items()}))
     return SearchResult(vectors, caveats)

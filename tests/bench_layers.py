@@ -1,8 +1,8 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
-act_generic / act_closed_form -> the search's elimination
-(_scalar_matrix_kernel) -> diffop.compose, commutator and
+act_generic / act_closed_form -> the search's system (_search_system) ->
+its elimination (_scalar_matrix_kernel) -> diffop.compose, commutator and
 twisted_commutator -> rep_check / intertwining_check.  The file name does
 not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
@@ -129,14 +129,29 @@ def test_module_action_line_family(benchmark, action):
     _module_action(benchmark, action, D5)
 
 
-@pytest.mark.parametrize("point", ["symbolic", "root"])
-def test_matrix_kernel(benchmark, point):
-    """The elimination of the search workload's top case, (2,3,mass) q = 3:
-    every parameter symbolic (ParamPoly entries), and at the numeric root
-    mu = 1, r = 2/3 (a rational matrix, so Python ints)."""
+def _top_search(point):
+    """(spec, constraint, params) of the search workload's top case,
+    (2,3,mass) q = 3: every parameter symbolic (ParamPoly entries), or at
+    the numeric root mu = 1, r = 2/3 (a rational matrix, so Python ints)."""
     params = symbolic_params(M3) if point == "symbolic" else {
         "delta": delta_at_condition(M3, 3), "mu": 1, "r": Fraction(2, 3)}
-    basis, rows = _search_system(M3, predicted_weight(M3, 3, params=params).eigen, params)
+    return M3, predicted_weight(M3, 3, params=params).eigen, params
+
+
+POINTS = pytest.mark.parametrize("point", ["symbolic", "root"])
+
+
+@POINTS
+def test_search_system(benchmark, point):
+    """Building the linear system of the search workload's top case."""
+    basis, rows = benchmark(_search_system, *_top_search(point))
+    assert (len(basis), len(rows)) == (9, 23)
+
+
+@POINTS
+def test_matrix_kernel(benchmark, point):
+    """The elimination of the search workload's top case."""
+    basis, rows = _search_system(*_top_search(point))
     basis, _ = benchmark(_scalar_matrix_kernel, rows, len(basis))
     assert len(basis) == (point == "root")
 

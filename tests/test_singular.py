@@ -5,11 +5,12 @@ from math import factorial
 import pytest
 
 from cgk import singular
-from cgk.algebra import AlgebraSpec, Gen, supported_specs, weight_table
+from cgk.algebra import AlgebraSpec, Gen, decomposition, supported_specs, weight_table
 from cgk.scalars import Scalar, parse_scalar
 from cgk.singular import (
     SearchResult,
     _scalar_matrix_kernel,
+    _search_system,
     delta_at_condition,
     predicted_weight,
     quadratic_element,
@@ -320,6 +321,27 @@ def _reference_kernel(rows, ncols):
     return basis, caveats
 
 
+def _sparse(rows):
+    """Dense rows as the kernel reads them: a dict {col: entry} of the
+    nonzero entries of each row."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(vectors, ncols):
+    """Sparse rows or kernel vectors {col: entry} as tuples of ncols Scalars."""
+    return [tuple(vec.get(c, Scalar.zero()) for c in range(ncols)) for vec in vectors]
+
+
+def _checked_kernel(rows, ncols):
+    """The kernel of the sparse ``rows``, checked against
+    ``_reference_kernel`` on the dense ones: same vectors, stored without
+    zeros, and same caveats in the same order."""
+    basis, caveats = _scalar_matrix_kernel(rows, ncols)
+    assert all(x for vec in basis for x in vec.values())
+    assert (_dense(basis, ncols), caveats) == _reference_kernel(_dense(rows, ncols), ncols)
+    return basis, caveats
+
+
 # (d, twoEll, ext, highest q): the singular cases the search benchmark runs
 SEARCH_GRID = ((1, 1, "mass", 3), (1, 3, "mass", 3), (1, 5, "mass", 3),
                (2, 1, "mass", 3), (2, 3, "mass", 3), (2, 2, "exotic", 3),
@@ -345,13 +367,11 @@ def _kernel_calls_match_reference(monkeypatch, searches):
     ``_reference_kernel``; return the number of calls."""
     matrices = []
 
-    def both(rows, ncols):
-        got = _scalar_matrix_kernel(rows, ncols)
-        assert got == _reference_kernel(rows, ncols)
+    def checked(rows, ncols):
         matrices.append(ncols)
-        return got
+        return _checked_kernel(rows, ncols)
 
-    monkeypatch.setattr(singular, "_scalar_matrix_kernel", both)
+    monkeypatch.setattr(singular, "_scalar_matrix_kernel", checked)
     for spec, constraint, params in searches:
         search_singular(spec, constraint, params=params)
     return len(matrices)
@@ -359,6 +379,48 @@ def _kernel_calls_match_reference(monkeypatch, searches):
 
 def test_kernel_matches_reference_on_search_grid(monkeypatch):
     assert _kernel_calls_match_reference(monkeypatch, _search_grid()) == 50
+
+
+def _dense_system(spec, constraint, params):
+    """The search's system rebuilt densely from the module action and
+    ``ModuleVector.coefficient``, as ``cgkbench/checks.py`` builds it: one
+    column per basis monomial, one row per (operator, monomial of its
+    images), the monomials sorted by (h, a, b)."""
+    pvals = resolve_params(spec, params)
+    basis = level_basis(spec, constraint, params=params)
+    operators = [(x, None) for x in decomposition(spec)[2]]
+    if spec.ext == "none":
+        operators.append((Gen("P", 1), pvals["kappa"]))
+    rows = []
+    for x, shift in operators:
+        images = []
+        for m in basis:
+            img = act_generic(spec, x, ModuleVector.of(m), params=params)
+            if shift is not None:
+                img = img + ModuleVector.of(m, shift)
+            images.append(img)
+        targets = sorted({t for img in images for t in img.terms},
+                         key=lambda m: (m.h, m.a, m.b))
+        rows += [[img.coefficient(t) for img in images] for t in targets]
+    return basis, rows
+
+
+def test_search_system_matches_dense_rebuild():
+    # the row order decides pivot ties and the order of the caveats
+    for spec, constraint, params in _search_grid():
+        basis, rows = _search_system(spec, constraint, params)
+        want_basis, want_rows = _dense_system(spec, constraint, params)
+        assert basis == want_basis, (spec, constraint)
+        assert rows == _sparse(want_rows), (spec, constraint)
+
+
+def test_level_zero_search_is_the_vacuum():
+    # one basis monomial and no rows: the kernel's one free column, with no
+    # pivot to substitute into
+    for spec in supported_specs(5):
+        basis, rows = _search_system(spec, 0)
+        assert (len(basis), rows) == (1, []), spec
+        assert search_singular(spec, 0) == SearchResult([vacuum(spec)], []), spec
 
 
 def test_kernel_matches_reference_on_whole_levels(monkeypatch):
@@ -429,7 +491,7 @@ def test_kernel_matches_reference_random():
     @hyp.given(st.one_of(_matrices(st, 3, quotients), _matrices(st, 5, polys)))
     def check(case):
         rows, ncols = case
-        assert _scalar_matrix_kernel(rows, ncols) == _reference_kernel(rows, ncols)
+        _checked_kernel(_sparse(rows), ncols)
 
     check()
 
@@ -449,9 +511,7 @@ def test_kernel_matches_reference_rational():
     @hyp.given(_matrices(st, 6, entries))
     def check(case):
         rows, ncols = case
-        got = _scalar_matrix_kernel(rows, ncols)
-        assert got == _reference_kernel(rows, ncols)
-        assert not got[1]
+        assert not _checked_kernel(_sparse(rows), ncols)[1]
 
     check()
 
@@ -465,7 +525,7 @@ def test_kernel_pinned_slow_reference_case():
         ("(-2*r+3)/(mu+2)", "2", "mu+3"),
         ("(delta*r-2*delta*mu+2*mu-3*delta+4)/(r-2*mu-3)", "1", "-2*delta-4"),
     )]
-    basis, caveats = _scalar_matrix_kernel(rows, 3)
+    basis, caveats = _scalar_matrix_kernel(_sparse(rows), 3)
     assert basis == []
     assert [str(c) for c in caveats] == [
         "(-mu-2)/(r-2*mu-3)",
