@@ -34,9 +34,6 @@ from .algebra import (
     supported_specs,
 )
 from .diffop import (
-    CoefPoly,
-    DiffOp,
-    Var,
     latex_diffop,
     op_power,
     parse_diffop,
@@ -117,48 +114,12 @@ def vector_to_json(v):
     ]
 
 
-def vector_from_json(entries, spec=None):
-    out = ModuleVector.zero()
-    for entry in entries:
-        out = out + ModuleVector.of(
-            monomial_from_json(entry["monomial"], spec),
-            parse_scalar(entry["coef"]),
-        )
-    return out
-
-
 def diffop_to_json(op):
     entries = []
     for dexpo, poly in op.items():
         partials = {str(v): e for v, e in zip(op.chart, dexpo) if e}
         entries.append({"coef": render_poly_in_vars(poly), "partials": partials})
     return entries
-
-
-def diffop_from_json(entries, ch):
-    zero_expo = (0,) * len(ch)
-    out = DiffOp.zero(ch)
-    for entry in entries:
-        lifted = parse_diffop(entry["coef"], ch)
-        if any(d != zero_expo for d in lifted.terms):
-            raise UsageError("coef %r is not order-zero" % (entry["coef"],))
-        poly = lifted.terms.get(zero_expo, CoefPoly.zero(ch))
-        dexpo = [0] * len(ch)
-        for name, order in entry["partials"].items():
-            try:
-                slot = ch.index(Var.parse(name))
-            except ValueError:
-                raise UsageError("partial %r is not a variable of the chart (%s)"
-                                 % (name, ", ".join(map(str, ch)))) from None
-            try:
-                order = _json_int(order)
-            except TypeError as exc:
-                raise UsageError("order of partial %r: %s" % (name, exc)) from None
-            if order < 0:
-                raise UsageError("order of partial %r is negative: %d" % (name, order))
-            dexpo[slot] += order
-        out = out + DiffOp(ch, {tuple(dexpo): poly})
-    return out
 
 
 def _weight_items(w):

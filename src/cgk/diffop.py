@@ -147,34 +147,6 @@ class CoefPoly(_Sparse):
         expo = tuple(1 if u == v else 0 for u in chart)
         return cls(chart, {expo: Scalar.const(1)})
 
-    def __mul__(self, other):
-        if type(other) is not CoefPoly:
-            return NotImplemented
-        _check_chart(self, other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                prod = c1 * c2
-                out[e] = prod if prev is None else prev + prod
-        return CoefPoly.of_raw(out, self.chart)
-
-    def derivative(self, i, k=1):
-        """k-th partial derivative with respect to chart variable i."""
-        out = {}
-        for expo, coef in self.terms.items():
-            e = expo[i]
-            if e < k:
-                continue
-            fall = 1
-            for j in range(k):
-                fall *= e - j
-            e2 = list(expo)
-            e2[i] = e - k
-            out[tuple(e2)] = coef * fall
-        return CoefPoly.of_raw(out, self.chart)
-
     def __repr__(self):
         return "CoefPoly(%s)" % (render_poly_in_vars(self),)
 
@@ -466,23 +438,6 @@ def twisted_commutator(s, before, after):
     _leibniz_into(out, fb, fs, -1, skip_order_zero=True)
     _leibniz_into(out, _flat(after - before), fs, -1)
     return _op_of(out, s.chart)
-
-
-def apply_op(a, p):
-    """Apply operator ``a`` to the polynomial ``p`` exactly."""
-    if a.chart != p.chart:
-        raise VariableMismatch("operator and polynomial charts differ")
-    out = CoefPoly.zero(a.chart)
-    for alpha, pa in a.terms.items():
-        dp = p
-        for i, k in enumerate(alpha):
-            if k:
-                dp = dp.derivative(i, k)
-            if not dp:
-                break
-        if dp:
-            out = out + pa * dp
-    return out
 
 
 def op_power(a, q):

@@ -5,9 +5,8 @@ Each extended family carries a distinguished quadratic creation element
 the weight sits at the root of a linear condition.  Pushing that element
 through the coordinate realization of the creation wing (module
 :mod:`cgk.reps`) turns it into a differential operator S; this module
-builds S^q, verifies that S^q intertwines the weight-delta and
-weight-(delta-2q) realizations exactly, and solves for the order-zero
-multipliers that express the same symmetry as commutation relations.
+builds S^q and verifies that S^q intertwines the weight-delta and
+weight-(delta-2q) realizations exactly.
 
 The intertwining residual S^q o pi(X) - pi'(X) o S^q is split as
 [S^q, pi(X)] - (pi'(X) - pi(X)) o S^q: the commutator drops the Leibniz
@@ -26,27 +25,16 @@ so a failing check reports the same list either way.
 
 from functools import cache
 
-from .scalars import Scalar, UnsupportedFamily, poly_div_exact
+from .scalars import UnsupportedFamily, poly_div_exact
 from .algebra import enumerate_generators, generating_set
 from .verma import resolve_params
 from .singular import quadratic_element, singular_condition, weight_shift
-from .diffop import (
-    DiffOp,
-    CoefPoly,
-    commutator,
-    compose,
-    op_power,
-    twisted_commutator,
-)
+from .diffop import compose, op_power, twisted_commutator
 from .reps import bracket_failures, left_action, right_action
 
 
 class ConditionNotSatisfied(ValueError):
     """The weight is not at the root the requested check demands."""
-
-
-class NoMultiplier(ValueError):
-    """The commutator is not an order-zero multiple of the operator."""
 
 
 def invariant_operator(spec, q, params=None):
@@ -186,41 +174,3 @@ def divisible_by_condition(op, cond):
             if poly_div_exact(coef.num, cond.num) is None:
                 return False
     return True
-
-
-def onshell_multiplier(spec, gen, params, q=1):
-    """Order-zero lambda with commutator(S^q, pi_L(gen)) = lambda * S^q.
-
-    Requires delta at the level-q condition root.  Returns the multiplier
-    as a CoefPoly on the family chart (zero when the commutator vanishes);
-    raises NoMultiplier when no order-zero multiplier reproduces the
-    commutator exactly.
-    """
-    _require_extended(spec)
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    pvals = resolve_params(spec, params)
-    _check_at_root(spec, q, pvals)
-    power = invariant_operator(spec, q, pvals)
-    target = commutator(power, left_action(spec, gen, pvals))
-    ch = power.chart
-    if target.is_zero():
-        return CoefPoly.zero(ch)
-    # target = lambda * S^q, so on any slot where S^q has a nonzero constant
-    # coefficient s, lambda is the target's coefficient there divided by s
-    # (the d/dt^q slot has the constant mu^q, which vanishes at mu = 0)
-    origin = (0,) * len(ch)
-    for slot, poly in power.terms.items():
-        if poly.terms.keys() == {origin}:
-            candidate = target.terms.get(slot, CoefPoly.zero(ch)).scaled(
-                Scalar.const(1) / poly.terms[origin]
-            )
-            break
-    else:
-        raise NoMultiplier("the operator has no constant coefficient to divide by")
-    if compose(DiffOp.of_poly(candidate), power) != target:
-        raise NoMultiplier(
-            "commutator with %s is not an order-zero multiple of the operator"
-            % (gen,)
-        )
-    return candidate

@@ -229,12 +229,6 @@ def lowest_weight(spec, pvals):
     return {gen: pvals[sym] * sign for gen, (sym, sign) in weight_table(spec).items()}
 
 
-def level_of(spec, m):
-    """Integer level of a basis monomial (see ``algebra._family``)."""
-    check_monomial(spec, m)
-    return _dot(_family(spec)["level"], (m.h,) + m.a + m.b)
-
-
 def weight_of(spec, m, params=None):
     """Joint diagonal eigenvalues of a basis monomial.
 
@@ -426,11 +420,10 @@ def act_generic(spec, x, v, params=None):
     return ModuleVector.of_raw(out)
 
 
-def act_word(spec, gens, v, params=None, action=None):
+def act_word(spec, gens, v, params=None):
     """Apply a sequence of generators, rightmost factor first."""
-    action = action or act_generic
     for gen in reversed(list(gens)):
-        v = action(spec, gen, v, params=params)
+        v = act_generic(spec, gen, v, params=params)
     return v
 
 

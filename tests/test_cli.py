@@ -24,18 +24,16 @@ from cgk.algebra import (
 )
 from cgk.cli import (
     build_parser,
-    diffop_from_json,
     diffop_to_json,
     monomial_from_json,
     monomial_to_json,
     run,
-    vector_from_json,
     vector_to_json,
 )
-from cgk.diffop import VariableMismatch, parse_diffop, render_diffop
+from cgk.diffop import DiffOp, VariableMismatch, parse_diffop, render_diffop
 from cgk.invariants import invariant_operator
 from cgk.reps import UnsupportedGenerator, chart, left_action
-from cgk.scalars import DivisionByZero, Scalar, UnsupportedFamily
+from cgk.scalars import DivisionByZero, Scalar, UnsupportedFamily, parse_scalar
 from cgk.singular import SearchResult, singular_closed
 from cgk.verma import (
     InfiniteSelection,
@@ -55,6 +53,28 @@ D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
 EX2 = AlgebraSpec(2, 2, "exotic")
 D1_FLAGS = ("--d", "1", "--two-ell", "1", "--ext", "mass")
+
+
+def vector_from_json(entries, spec=None):
+    """The module vector that ``vector_to_json`` wrote: the round-trip
+    oracle."""
+    out = ModuleVector.zero()
+    for entry in entries:
+        out = out + ModuleVector.of(monomial_from_json(entry["monomial"], spec),
+                                    parse_scalar(entry["coef"]))
+    return out
+
+
+def diffop_from_json(entries, ch):
+    """The operator on the chart ``ch`` that ``diffop_to_json`` wrote: the
+    round-trip oracle."""
+    out = DiffOp.zero(ch)
+    for entry in entries:
+        term = parse_diffop(entry["coef"], ch)
+        for name, order in entry["partials"].items():
+            term = term * DiffOp.partial(ch, name, order)
+        out = out + term
+    return out
 
 
 def invoke(capsys, *argv):
@@ -396,8 +416,6 @@ def test_non_object_json_is_usage_error(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
-    with pytest.raises(cli.UsageError, match="1.5 is not an integer"):
-        vector_from_json([{"monomial": {"h": 1.5, "a": [0]}, "coef": "1"}])
 
 
 def test_search_rejects_nonpositive_q(capsys):
@@ -666,20 +684,6 @@ def test_diffop_json_round_trip():
         for entry in entries:
             assert set(entry) == {"coef", "partials"}
             assert all(order >= 1 for order in entry["partials"].values())
-
-
-@pytest.mark.parametrize("partials, message", [
-    ({"t": 1.5}, "order of partial 't': 1.5 is not an integer"),
-    ({"x0": True}, "order of partial 'x0': true is not an integer"),
-    ({"t": "2"}, 'order of partial \'t\': "2" is not an integer'),
-    ({"t": -1}, "order of partial 't' is negative: -1"),
-    ({"x9": 1}, r"partial 'x9' is not a variable of the chart \(t, x0\)"),
-    ({"z": 1}, r"partial 'z' is not a variable of the chart \(t, x0\)"),
-], ids=["float", "bool", "string", "negative", "foreign", "malformed"])
-def test_diffop_json_rejects_bad_partials(partials, message):
-    entries = [{"coef": "1", "partials": partials}]
-    with pytest.raises(cli.UsageError, match=message):
-        diffop_from_json(entries, chart(D1))
 
 
 def test_reps_json_shape(capsys):

@@ -1,4 +1,4 @@
-"""Invariant operators, intertwining identities, and on-shell multipliers."""
+"""Invariant operators and intertwining identities."""
 
 from fractions import Fraction
 
@@ -9,27 +9,21 @@ from cgk.diffop import (
     CoefPoly,
     DiffOp,
     Var,
-    apply_op,
-    commutator,
-    compose,
     op_power,
     parse_diffop,
-    render_poly_in_vars,
 )
 from cgk.invariants import (
     ConditionNotSatisfied,
-    NoMultiplier,
     divisible_by_condition,
     intertwining_check,
     intertwining_residual,
     invariant_operator,
-    onshell_multiplier,
 )
 from cgk.scalars import Scalar, UnsupportedFamily
 from cgk.singular import delta_at_condition, singular_condition
 from cgk.reps import chart, left_action
 from cgk.verma import resolve_params, symbolic_params
-from test_diffop import _reference_residual
+from test_diffop import _apply, _reference_residual
 
 D1 = AlgebraSpec(1, 1, "mass")
 D3 = AlgebraSpec(1, 3, "mass")
@@ -79,13 +73,9 @@ def test_centerless_operator_and_kernel():
     for p in (1, 2, 3, 4):
         assert invariant_operator(NONE, p) == DiffOp.partial(ch, x0, p)
     # low-degree polynomials sit in the kernel of the p-th power
-    poly = (
-        CoefPoly.var(ch, Var("t")).scaled(5)
-        + CoefPoly.var(ch, x0) * CoefPoly.var(ch, x0)
-        + CoefPoly.const(ch, Fraction(7, 3))
-    )
-    assert apply_op(invariant_operator(NONE, 3), poly).is_zero()
-    assert not apply_op(invariant_operator(NONE, 2), poly).is_zero()
+    poly = parse_diffop("5*t + x0^2 + 7/3", ch).terms[(0,) * len(ch)]
+    assert _apply(invariant_operator(NONE, 3), poly).is_zero()
+    assert not _apply(invariant_operator(NONE, 2), poly).is_zero()
 
 
 def test_invariant_operator_rejects_bad_power():
@@ -96,6 +86,10 @@ def test_invariant_operator_rejects_bad_power():
 def test_intertwining_at_root_seed_cases():
     for spec, q in [(D1, 1), (D1, 2), (D3, 1), (M1, 1), (M1, 2), (EX2, 1), (EX2, 2)]:
         assert intertwining_check(spec, q, params_at_root(spec, q)) == []
+    # at mu = 0 the d/dt^q slot of S^q vanishes
+    for spec, q in [(D1, 1), (D1, 2), (M1, 1), (M1, 2)]:
+        params = dict(params_at_root(spec, q), mu=0)
+        assert intertwining_check(spec, q, params) == [], (spec, q)
 
 
 def test_intertwining_exotic_pinned_root():
@@ -132,69 +126,6 @@ def test_seed_residual_is_condition_times_identity():
     ch = chart(D1)
     expected = DiffOp.of_poly(CoefPoly.const(ch, cond * Scalar.symbol("mu")))
     assert residual == expected
-
-
-def test_onshell_multipliers_seed_family():
-    params = params_at_root(D1, 1)
-    ch = chart(D1)
-    lam = {
-        str(g): onshell_multiplier(D1, g, params) for g in enumerate_generators(D1)
-    }
-    assert lam["D"] == CoefPoly.const(ch, -2)
-    assert lam["C"] == CoefPoly.var(ch, Var("t")).scaled(-2)
-    # the creation wing and the central element commute with the operator
-    for name in ("H", "P0", "P1", "M"):
-        assert lam[name].is_zero()
-
-
-def test_onshell_multiplier_consistency_across_families():
-    for spec in (D3, M1, EX2):
-        params = params_at_root(spec, 1)
-        for g in enumerate_generators(spec):
-            onshell_multiplier(spec, g, params)  # must not raise
-
-
-@pytest.mark.parametrize("spec", [D1, M1], ids=["1,1,mass", "2,1,mass"])
-def test_onshell_multiplier_at_mu_zero(spec):
-    # at mu = 0 the d/dt^q slot of S^q vanishes; the multiplier is read from
-    # another slot and must still reproduce the commutator
-    for q in (1, 2):
-        params = dict(params_at_root(spec, q), mu=0)
-        pvals = resolve_params(spec, params)
-        power = invariant_operator(spec, q, pvals)
-        for g in enumerate_generators(spec):
-            lam = onshell_multiplier(spec, g, params, q=q)
-            target = commutator(power, left_action(spec, g, pvals))
-            assert compose(DiffOp.of_poly(lam), power) == target, (spec, q, g)
-    if spec == D1:
-        lam_c = onshell_multiplier(D1, Gen("C"), {"delta": Fraction(-1, 2), "mu": 0})
-        assert lam_c == CoefPoly.var(chart(D1), Var("t")).scaled(-2)
-
-
-def test_onshell_multiplier_requires_root():
-    with pytest.raises(ConditionNotSatisfied):
-        onshell_multiplier(D1, Gen("D"), {"delta": 7, "mu": 1})
-
-
-def test_onshell_multiplier_detects_fault(monkeypatch):
-    import cgk.invariants as inv
-
-    ch = chart(D1)
-    bad = DiffOp(
-        ch,
-        {
-            (1, 0): CoefPoly.var(ch, Var("x", 0)) * CoefPoly.var(ch, Var("x", 0)),
-        },
-    )
-    monkeypatch.setattr(inv, "left_action", lambda spec, gen, pvals: bad)
-    with pytest.raises(NoMultiplier):
-        inv.onshell_multiplier(D1, Gen("D"), params_at_root(D1, 1))
-
-
-def test_multiplier_render_shape():
-    params = params_at_root(D1, 1)
-    lam = onshell_multiplier(D1, Gen("C"), params)
-    assert render_poly_in_vars(lam) == "-2*t"
 
 
 def _shifted_params(pvals, q):
