@@ -240,6 +240,40 @@ def _reference_compose(a, b):
     return DiffOp(a.chart, out)
 
 
+def _reference_apply(a, p):
+    """a applied to the polynomial p term by term: the oracle for ``_apply``."""
+    out = CoefPoly.zero(a.chart)
+    for alpha, coef in a.terms.items():
+        dp = p
+        for i, k in enumerate(alpha):
+            dp = _poly_derivative(dp, i, k)
+        out = out + _poly_mul(coef, dp)
+    return out
+
+
+@pytest.mark.parametrize("spec", supported_specs(3), ids=repr)
+def test_apply_matches_reference(spec):
+    # every left action (none on the centerless family) and S, S^2, on zero,
+    # 1, a polynomial and a rational-function coefficient
+    ops = [invariant_operator(spec, q) for q in (1, 2)]
+    if spec.ext != "none":
+        ops += [left_action(spec, g) for g in enumerate_generators(spec)]
+    ch = ops[0].chart
+    n = len(ch)
+    polys = [
+        CoefPoly.zero(ch),
+        CoefPoly.const(ch, 1),
+        CoefPoly(ch, {(2, 1) + (0,) * (n - 2): Scalar.const(3),
+                      (0,) * (n - 1) + (3,): Scalar.const(Fraction(-1, 2)),
+                      (1,) * n: Scalar.const(1)}),
+        CoefPoly(ch, {(1,) + (0,) * (n - 2) + (2,): parse_scalar("(delta + 1)/(mu - 2)"),
+                      (0,) * n: Scalar.symbol("mu")}),
+    ]
+    for a in ops:
+        for p in polys:
+            assert _apply(a, p) == _reference_apply(a, p), (a, p)
+
+
 def test_compose_matches_reference_on_fixed_operators():
     a = heat()
     d = parse_diffop("delta - 2*t*d/dt - x0*d/dx0", TX)

@@ -1,4 +1,4 @@
-"""Invariant operators and intertwining identities."""
+"""Invariant operators, intertwining identities, and on-shell multipliers."""
 
 from fractions import Fraction
 
@@ -9,8 +9,11 @@ from cgk.diffop import (
     CoefPoly,
     DiffOp,
     Var,
+    commutator,
+    compose,
     op_power,
     parse_diffop,
+    render_poly_in_vars,
 )
 from cgk.invariants import (
     ConditionNotSatisfied,
@@ -130,6 +133,82 @@ def test_seed_residual_is_condition_times_identity():
 
 def _shifted_params(pvals, q):
     return dict(pvals, delta=pvals["delta"] + Scalar.const(-2 * q))
+
+
+def _multiplier(spec, gen, params, q=1):
+    """lambda(X) = pi'(X) - pi(X), pi' the realization at weight delta - 2q:
+    the multiplier of the on-shell identity [S^q, pi(X)] = lambda(X) S^q,
+    which has no derivative."""
+    pvals = resolve_params(spec, params)
+    diff = left_action(spec, gen, _shifted_params(pvals, q)) - left_action(spec, gen, pvals)
+    zero = (0,) * len(diff.chart)
+    assert set(diff.terms) <= {zero}, (spec, gen)
+    return diff.terms.get(zero, CoefPoly.zero(diff.chart))
+
+
+def _onshell_identity_holds(spec, gen, params, lam, q=1):
+    pvals = resolve_params(spec, params)
+    power = invariant_operator(spec, q, pvals)
+    target = commutator(power, left_action(spec, gen, pvals))
+    return compose(DiffOp.of_poly(lam), power) == target
+
+
+def test_onshell_multipliers_seed_family():
+    params = params_at_root(D1, 1)
+    ch = chart(D1)
+    lam = {str(g): _multiplier(D1, g, params) for g in enumerate_generators(D1)}
+    assert lam["D"] == CoefPoly.const(ch, -2)
+    assert lam["C"] == CoefPoly.var(ch, Var("t")).scaled(-2)
+    # the creation wing and the central element commute with the operator
+    for name in ("H", "P0", "P1", "M"):
+        assert lam[name].is_zero()
+    for g in enumerate_generators(D1):
+        assert _onshell_identity_holds(D1, g, params, lam[str(g)]), g
+
+
+def test_onshell_multiplier_consistency_across_families():
+    for spec in (D3, M1, EX2):
+        params = params_at_root(spec, 1)
+        for g in enumerate_generators(spec):
+            lam = _multiplier(spec, g, params)
+            assert _onshell_identity_holds(spec, g, params, lam), (spec, g)
+
+
+@pytest.mark.parametrize("spec", [D1, M1], ids=["1,1,mass", "2,1,mass"])
+def test_onshell_multiplier_at_mu_zero(spec):
+    # at mu = 0 the d/dt^q slot of S^q vanishes; the multiplier must still
+    # reproduce the commutator
+    for q in (1, 2):
+        params = dict(params_at_root(spec, q), mu=0)
+        for g in enumerate_generators(spec):
+            lam = _multiplier(spec, g, params, q=q)
+            assert _onshell_identity_holds(spec, g, params, lam, q=q), (spec, q, g)
+    if spec == D1:
+        lam_c = _multiplier(D1, Gen("C"), {"delta": Fraction(-1, 2), "mu": 0})
+        assert lam_c == CoefPoly.var(chart(D1), Var("t")).scaled(-2)
+
+
+def test_onshell_multiplier_requires_root():
+    # off the root the commutator with C leaves the multiple of S
+    params = {"delta": 7, "mu": 1}
+    assert not _onshell_identity_holds(D1, Gen("C"), params, _multiplier(D1, Gen("C"), params))
+    # D rescales S at every weight
+    assert _onshell_identity_holds(D1, Gen("D"), params, _multiplier(D1, Gen("D"), params))
+
+
+def test_onshell_multiplier_detects_fault():
+    # a wrong multiplier, or none, breaks the identity, so it has teeth
+    params = params_at_root(D1, 1)
+    for g in (Gen("D"), Gen("C")):
+        lam = _multiplier(D1, g, params)
+        one = CoefPoly.const(lam.chart, 1)
+        assert not _onshell_identity_holds(D1, g, params, lam + one), g
+        assert not _onshell_identity_holds(D1, g, params, CoefPoly.zero(lam.chart)), g
+
+
+def test_multiplier_render_shape():
+    lam = _multiplier(D1, Gen("C"), params_at_root(D1, 1))
+    assert render_poly_in_vars(lam) == "-2*t"
 
 
 def test_residual_matches_reference_on_all_cases():
