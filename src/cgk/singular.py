@@ -13,10 +13,12 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .algebra import Gen, central_element, creation_data, decomposition, weight_table
-from .scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd
+from .scalars import ParamPoly, Scalar, _rational, poly_div_exact
 from .verma import (
     ModuleVector,
     Weight,
+    _eigen_product,
+    _images,
     act_generic,
     act_word,
     d_grade,
@@ -26,6 +28,11 @@ from .verma import (
     vacuum,
     weight_of,
 )
+
+
+class NonPolynomialParameter(ValueError):
+    """A parameter value has a denominator in the parameters, which the
+    rows of a nullspace search cannot carry."""
 
 
 @dataclass
@@ -46,12 +53,11 @@ class SearchResult:
     """Nullspace search outcome: vectors plus genericity caveats.
 
     The system is solved by fraction-free forward elimination on sparse,
-    lazily updated rows and back substitution (see _scalar_matrix_kernel).
+    lazily updated rows and back substitution (see _matrix_kernel).
     ``caveats`` lists the pivots Gauss-Jordan elimination would divide by
-    that are not rational, recovered as b / (s_r * ref) from the stored
-    fraction-free entry b of row r, its row scale s_r and the pivot ref it
-    was last updated with; the reported dimension is valid wherever none of
-    them vanishes.
+    that are not rational, recovered as b / ref from the stored
+    fraction-free entry b of a row and the pivot ref it was last updated
+    with; the reported dimension is valid wherever none of them vanishes.
     """
 
     vectors: list
@@ -185,37 +191,6 @@ def verify_singular(spec, v, params=None, expect_weight=None):
     return SingularReport(not failures, v, weight, failures)
 
 
-def _cleared_rows(rows):
-    """(mat, scales, one): each row {col: nonzero Scalar} times the lcm s_r
-    of its denominators, as a new dict {col: entry}; the s_r; and the 1 of
-    the ring the entries now lie in.
-
-    A matrix whose entries are all rational is cleared into Python ints, s_r
-    the lcm of the row's denominators.  Any other matrix is cleared into
-    ParamPoly, s_r the lcm of the row's polynomial denominators (None when
-    every one of them is 1).
-    """
-    mat, scales = [], []
-    if all(x.is_rational() for row in rows for x in row.values()):
-        for row in rows:
-            # a nonzero rational entry's numerator has one coefficient
-            values = {c: v for c, x in row.items() for v in x.num.terms.values()}
-            scale = lcm(*(v.denominator for v in values.values()))
-            mat.append({c: v.numerator * (scale // v.denominator)
-                        for c, v in values.items()})
-            scales.append(scale)
-        return mat, scales, 1
-    for row in rows:
-        dens = list(dict.fromkeys(x.den for x in row.values() if not x.den.is_const()))
-        scale = dens[0] if dens else None
-        for den in dens[1:]:
-            scale = poly_div_exact(scale * den, poly_gcd(scale, den))
-        mat.append({c: x.num if scale is None else x.num * poly_div_exact(scale, x.den)
-                    for c, x in row.items()})
-        scales.append(scale)
-    return mat, scales, ParamPoly.const(1)
-
-
 def _divider(ref):
     """x -> x / ref on the entries x that ref divides; None when ref is 1."""
     if type(ref) is int:
@@ -226,16 +201,16 @@ def _divider(ref):
     return None if inv == 1 else (lambda x: x * inv)
 
 
-def _scalar_matrix_kernel(rows, ncols):
-    """Exact kernel basis of a Scalar matrix by fraction-free elimination.
+def _matrix_kernel(rows, ncols):
+    """Exact kernel basis of a matrix by fraction-free elimination.
 
-    Each row of ``rows`` is a dict {col: nonzero Scalar} ({} for a zero
-    row), multiplied once by the lcm s_r of its denominators
-    (``_cleared_rows``): into Python ints when every entry is rational,
-    else into ParamPoly.  The forward pass is Bareiss's integer-preserving
-    elimination (Bareiss 1968): with pivot p in column c and prev the
-    pivot before it, each row below becomes (p*b_j - b_c*p_j) / prev, an
-    exact division, and the rows above are left alone.
+    Each row of ``rows`` is a dict {col: nonzero entry} ({} for a zero
+    row), the entries all Python ints or all ParamPoly, as
+    ``_search_system`` builds them; ``rows`` is left unchanged.  The forward
+    pass is Bareiss's integer-preserving elimination (Bareiss 1968): with
+    pivot p in column c and prev the pivot before it, each row below becomes
+    (p*b_j - b_c*p_j) / prev, an exact division, and the rows above are left
+    alone.
 
     The rows are sparse and lazy.  A row is a dict of its nonzero entries
     and carries ``ref``, the pivot that was current when it was last
@@ -249,8 +224,8 @@ def _scalar_matrix_kernel(rows, ncols):
     the row's own ref.  A chosen pivot row that is stale is first brought
     up to date, so every pivot is the Bareiss pivot.
 
-    The Gauss-Jordan entry at the same place is b / (s_r * ref), so the
-    pivots are those Gauss-Jordan picks (minimal total degree of that
+    The Gauss-Jordan entry in the place of a stored entry b is b / ref, so
+    the pivots are those Gauss-Jordan picks (minimal total degree of that
     reduced quotient, the first row winning ties); on an integer matrix
     every such entry is rational and the first nonzero row is the pivot.
     Returns (basis, caveats): caveats lists those Gauss-Jordan pivots that
@@ -260,9 +235,11 @@ def _scalar_matrix_kernel(rows, ncols):
     at the other free columns, solved by back substitution; the reduced row
     echelon form is unique, so these are the Gauss-Jordan kernel vectors.
     """
-    mat, scales, one = _cleared_rows(rows)
+    mat = [dict(row) for row in rows]
     nrows = len(mat)
-    steps = [(one, None)]  # (pivot, _divider(pivot)) per step, after the 1
+    # (pivot, _divider(pivot)) per step, after the first ref 1: only a
+    # ParamPoly matrix reads that one, an int matrix refreshes by real pivots
+    steps = [(ParamPoly.const(1), None)]
     refs = [0] * nrows  # index in steps of each row's ref
     caveats = []
     pivots = []  # (row, col)
@@ -280,11 +257,10 @@ def _scalar_matrix_kernel(rows, ncols):
                 break
             # the Gauss-Jordan rule: a pivot of minimal total degree, reduced
             ref = steps[refs[r]][0]
-            den = ref if scales[r] is None else scales[r] * ref
-            bound = abs(b.total_degree() - den.total_degree())
+            bound = abs(b.total_degree() - ref.total_degree())
             if best is not None and bound >= best[0]:
-                continue  # reducing b / den cannot go below this degree
-            entry = Scalar(b, den)
+                continue  # reducing b / ref cannot go below this degree
+            entry = Scalar(b, ref)
             deg = entry.num.total_degree() + entry.den.total_degree()
             if best is None or deg < best[0]:
                 best = (deg, r, entry)
@@ -294,7 +270,6 @@ def _scalar_matrix_kernel(rows, ncols):
             continue
         _, r, entry = best
         mat[row], mat[r] = mat[r], mat[row]
-        scales[row], scales[r] = scales[r], scales[row]
         refs[row], refs[r] = refs[r], refs[row]
         if entry is not None and not entry.is_rational():
             caveats.append(entry)
@@ -340,29 +315,68 @@ def _scalar_matrix_kernel(rows, ncols):
     return basis, caveats
 
 
+def _ring_values(pvals):
+    """(values, one): each resolved parameter as an element of the ring the
+    search's rows are built in, and the 1 of that ring.  The ring is the
+    rationals (an int or a Fraction per value, one = 1) when every
+    parameter is rational, else ParamPoly."""
+    if all(v.is_rational() for v in pvals.values()):
+        return {name: _rational(v.rational_value()) for name, v in pvals.items()}, 1
+    for name, v in pvals.items():
+        if not v.den.is_const():
+            raise NonPolynomialParameter(
+                "the search takes polynomial parameter values, not %s = %s" % (name, v))
+    return {name: v.num for name, v in pvals.items()}, ParamPoly.const(1)
+
+
 def _search_system(spec, constraint, params=None):
     """(basis, rows): the basis of one weight space and the exact linear
     system whose kernel search_singular reads: column j is basis[j], and
-    each row is a dict {j: nonzero Scalar}, one per (operator, monomial of
-    its images), each operator's monomials in ascending order."""
-    pvals = resolve_params(spec, params)
+    each row is a dict {j: nonzero entry}, one per (operator, monomial of
+    its images), each operator's monomials in ascending order.
+
+    The rows are read straight from the parameter-free images of
+    ``verma._images``, in the ring ``_matrix_kernel`` eliminates in.  Each
+    distinct exponent tuple becomes its product of eigenvalues once per
+    call (``_ring_values``).  When every parameter is rational, each row is
+    then multiplied by the lcm of its denominators, so that its entries are
+    Python ints; otherwise the entries are ParamPoly.
+    """
+    values, one = _ring_values(resolve_params(spec, params))
     basis = level_basis(spec, constraint, params=params)
-    minus = decomposition(spec)[2]
-    operators = [(x, None) for x in minus]
+    images = _images(spec)
+    weights = images.weights
+    products = {images.zero: one}
+    letters = [images.index[x] for x in decomposition(spec)[2]]
+    shifted = None
     if spec.ext == "none":
-        # require P1 v = -kappa v as well (its diagonal part is forced)
-        operators.append((Gen("P", 1), pvals["kappa"]))
+        # require P1 v = -kappa v as well (its diagonal part is forced): P1
+        # minus its eigenvalue on the lowest-weight vector, -kappa
+        shifted = images.index[Gen("P", 1)]
+        letters.append(shifted)
 
     rows = []
-    for x, shift in operators:
+    for letter in letters:
         by_target = {}
         for col, m in enumerate(basis):
-            img = act_generic(spec, x, ModuleVector.of(m), params=params)
-            if shift is not None:
-                img = img + ModuleVector.of(m, shift)
-            for t, c in img.terms.items():
-                by_target.setdefault(t, {})[col] = c
-        rows += [by_target[t] for t in sorted(by_target)]
+            terms = images[letter, m]
+            if letter == shifted:
+                terms += ((m, images.unit[letter], -1),)
+            for n, e, c in terms:
+                value = products.get(e)
+                if value is None:
+                    value = products[e] = _eigen_product(weights, e, values)
+                row = by_target.setdefault(n, {})
+                prev = row.get(col)
+                row[col] = value * c if prev is None else prev + value * c
+        for t in sorted(by_target):
+            row = {col: x for col, x in by_target[t].items() if x}
+            if row:
+                rows.append(row)
+    if type(one) is int:
+        for i, row in enumerate(rows):
+            scale = lcm(*(x.denominator for x in row.values()))
+            rows[i] = {col: x.numerator * (scale // x.denominator) for col, x in row.items()}
     return basis, rows
 
 
@@ -373,11 +387,13 @@ def search_singular(spec, constraint, params=None):
     constraint).  Annihilator actions are stacked into one exact linear
     system (``_search_system``); for the centerless family the
     non-diagonalizable g0 generator contributes rows forcing an eigenvector
-    of it as well.  Returns a SearchResult whose vectors are normalized so
-    their lexicographically first monomial (least column) has coefficient 1.
+    of it as well.  Every parameter value must be a polynomial in the
+    parameters (NonPolynomialParameter otherwise).  Returns a SearchResult
+    whose vectors are normalized so their lexicographically first monomial
+    (least column) has coefficient 1.
     """
     basis, rows = _search_system(spec, constraint, params)
-    kernel, caveats = _scalar_matrix_kernel(rows, len(basis))
+    kernel, caveats = _matrix_kernel(rows, len(basis))
     vectors = []
     for vec in kernel:
         scale = vec[min(vec)]

@@ -20,7 +20,9 @@ normal-ordered product of a generator x and a basis monomial f m' (f its
 leading factor) follows from x f m' = f (x m') + [x, f] m' with integer
 coefficients, a trailing diagonal generator leaving an exponent of its
 eigenvalue.  Each call instantiates the cached images, turning the
-exponents into products of eigenvalues.  The closed forms take ``int``
+exponents into products of eigenvalues; the nullspace search of
+``singular`` reads the same images directly, in the ring of its linear
+system, without going through ``act_generic``.  The closed forms take ``int``
 coefficients too, and a Scalar enters only where a parameter does.  In both
 actions the input coefficient multiplies each term of an image once (not
 at all when it is 1), and the result is assembled in one map.

@@ -2,7 +2,7 @@
 
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
 act_generic / act_closed_form -> the search's system (_search_system) ->
-its elimination (_scalar_matrix_kernel) -> diffop.compose, commutator and
+its elimination (_matrix_kernel) -> diffop.compose, commutator and
 twisted_commutator -> rep_check / intertwining_check.  The file name does
 not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
@@ -45,7 +45,7 @@ from cgk.reps import left_action, rep_check  # noqa: E402
 from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
 import cgk  # noqa: E402
 from cgk.singular import (  # noqa: E402
-    _scalar_matrix_kernel,
+    _matrix_kernel,
     _search_system,
     delta_at_condition,
     predicted_weight,
@@ -146,13 +146,15 @@ def test_search_system(benchmark, point):
     """Building the linear system of the search workload's top case."""
     basis, rows = benchmark(_search_system, *_top_search(point))
     assert (len(basis), len(rows)) == (9, 23)
+    ring = ParamPoly if point == "symbolic" else int
+    assert all(type(x) is ring for row in rows for x in row.values())
 
 
 @POINTS
 def test_matrix_kernel(benchmark, point):
     """The elimination of the search workload's top case."""
     basis, rows = _search_system(*_top_search(point))
-    basis, _ = benchmark(_scalar_matrix_kernel, rows, len(basis))
+    basis, _ = benchmark(_matrix_kernel, rows, len(basis))
     assert len(basis) == (point == "root")
 
 

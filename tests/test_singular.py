@@ -1,15 +1,16 @@
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
-from cgk import singular
+from cgk import singular, verma
 from cgk.algebra import AlgebraSpec, Gen, decomposition, supported_specs, weight_table
-from cgk.scalars import Scalar, parse_scalar
+from cgk.scalars import SYMBOLS, ParamPoly, Scalar, parse_scalar, poly_div_exact, poly_gcd
 from cgk.singular import (
+    NonPolynomialParameter,
     SearchResult,
-    _scalar_matrix_kernel,
+    _matrix_kernel,
     _search_system,
     delta_at_condition,
     predicted_weight,
@@ -26,6 +27,7 @@ from cgk.verma import (
     Weight,
     act_generic,
     level_basis,
+    required_parameters,
     resolve_params,
     symbolic_params,
     vacuum,
@@ -322,8 +324,8 @@ def _reference_kernel(rows, ncols):
 
 
 def _sparse(rows):
-    """Dense rows as the kernel reads them: a dict {col: entry} of the
-    nonzero entries of each row."""
+    """Dense rows as sparse ones: a dict {col: entry} of the nonzero
+    entries of each row."""
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
@@ -332,13 +334,38 @@ def _dense(vectors, ncols):
     return [tuple(vec.get(c, Scalar.zero()) for c in range(ncols)) for vec in vectors]
 
 
+def _cleared(rows, rational=None):
+    """Sparse Scalar rows in the ring the kernel eliminates in, each row
+    times the lcm of its denominators.  When ``rational`` (by default: when
+    every entry is rational) the entries become Python ints; otherwise
+    ParamPoly, each row times the lcm of its polynomial denominators."""
+    if rational is None:
+        rational = all(x.is_rational() for row in rows for x in row.values())
+    out = []
+    for row in rows:
+        if rational:
+            values = {c: x.rational_value() for c, x in row.items()}
+            scale = lcm(*(v.denominator for v in values.values()))
+            out.append({c: v.numerator * (scale // v.denominator) for c, v in values.items()})
+            continue
+        scale = ParamPoly.const(1)
+        for x in row.values():
+            scale = poly_div_exact(scale * x.den, poly_gcd(scale, x.den))
+        out.append({c: poly_div_exact(x.num * scale, x.den) for c, x in row.items()})
+    return out
+
+
 def _checked_kernel(rows, ncols):
-    """The kernel of the sparse ``rows``, checked against
-    ``_reference_kernel`` on the dense ones: same vectors, stored without
-    zeros, and same caveats in the same order."""
-    basis, caveats = _scalar_matrix_kernel(rows, ncols)
+    """The kernel of the sparse int or ParamPoly ``rows``, checked against
+    ``_reference_kernel`` on the same rows as dense Scalars: same vectors,
+    stored without zeros, and same caveats in the same order.  The rows are
+    left as they were."""
+    before = [dict(row) for row in rows]
+    basis, caveats = _matrix_kernel(rows, ncols)
+    assert rows == before
     assert all(x for vec in basis for x in vec.values())
-    assert (_dense(basis, ncols), caveats) == _reference_kernel(_dense(rows, ncols), ncols)
+    scalars = [{c: Scalar(x) for c, x in row.items()} for row in rows]
+    assert (_dense(basis, ncols), caveats) == _reference_kernel(_dense(scalars, ncols), ncols)
     return basis, caveats
 
 
@@ -371,7 +398,7 @@ def _kernel_calls_match_reference(monkeypatch, searches):
         matrices.append(ncols)
         return _checked_kernel(rows, ncols)
 
-    monkeypatch.setattr(singular, "_scalar_matrix_kernel", checked)
+    monkeypatch.setattr(singular, "_matrix_kernel", checked)
     for spec, constraint, params in searches:
         search_singular(spec, constraint, params=params)
     return len(matrices)
@@ -405,13 +432,96 @@ def _dense_system(spec, constraint, params):
     return basis, rows
 
 
+def _entries(rows):
+    """Each row's (column, type, entry) in column order."""
+    return [[(c, type(x), x) for c, x in sorted(row.items())] for row in rows]
+
+
+def _check_system_matches_rebuild(spec, constraint, params):
+    """``_search_system`` equals the dense rebuild cleared on the test side:
+    same basis, rows in the same order with the same entries in the same
+    ring, ints when every parameter is rational and ParamPoly otherwise."""
+    basis, rows = _search_system(spec, constraint, params)
+    want_basis, want_rows = _dense_system(spec, constraint, params)
+    rational = all(v.is_rational() for v in resolve_params(spec, params).values())
+    assert basis == want_basis, (spec, constraint, params)
+    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), rational)), (
+        spec, constraint, params)
+
+
 def test_search_system_matches_dense_rebuild():
     # the row order decides pivot ties and the order of the caveats
     for spec, constraint, params in _search_grid():
-        basis, rows = _search_system(spec, constraint, params)
-        want_basis, want_rows = _dense_system(spec, constraint, params)
-        assert basis == want_basis, (spec, constraint)
-        assert rows == _sparse(want_rows), (spec, constraint)
+        _check_system_matches_rebuild(spec, constraint, params)
+
+
+def test_search_system_matches_rebuild_random():
+    # families of supported_specs(5) at a drawn singular weight or level,
+    # each parameter a symbol, an int, a Fraction or a linear polynomial;
+    # half the draws take only numbers, so that the rows are ints.  A
+    # polynomial is in its own symbol or one the family lacks: one in
+    # another parameter's symbol is ambiguous once that parameter is a
+    # number, and level_basis reads the symbol as the number.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    numbers = st.one_of(st.integers(-4, 4), fractions)
+
+    def values(name, names):
+        symbols = [name] + [s for s in SYMBOLS if s not in names]
+        linear = st.tuples(fractions, fractions.filter(bool), st.sampled_from(symbols)).map(
+            lambda t: Scalar.symbol(t[2]) * t[1] + t[0])
+        return st.one_of(st.just(Scalar.symbol(name)), numbers, linear)
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        spec = data.draw(st.sampled_from(supported_specs(5)))
+        names = required_parameters(spec)
+        rational = data.draw(st.booleans())
+        params = {name: data.draw(numbers if rational else values(name, names))
+                  for name in names}
+        if data.draw(st.booleans()):
+            q = data.draw(st.integers(1, 3))
+            constraint = predicted_weight(spec, q, params=params).eigen
+        else:
+            constraint = data.draw(st.integers(0, 4))
+        _check_system_matches_rebuild(spec, constraint, params)
+
+    check()
+
+
+def test_search_never_calls_the_generic_action(monkeypatch):
+    # the rows come from the image table, not from instantiated images
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[:2])
+        return act_generic(*args, **kwargs)
+
+    monkeypatch.setattr(singular, "act_generic", spy)
+    monkeypatch.setattr(verma, "act_generic", spy)
+    for spec, constraint, params in _search_grid():
+        search_singular(spec, constraint, params=params)
+    assert calls == []
+
+
+def test_search_rejects_a_parameter_with_a_denominator():
+    params = {"delta": Scalar.const(1) / (MU + 1), "mu": MU}
+    assert issubclass(NonPolynomialParameter, ValueError)
+    for constraint in (1, predicted_weight(D1, 1).eigen):
+        with pytest.raises(NonPolynomialParameter, match="delta"):
+            search_singular(D1, constraint, params=params)
+
+
+def test_search_accepts_polynomial_parameters(monkeypatch):
+    # delta = mu/2 + 1: a polynomial with a Fraction coefficient
+    params = {"delta": MU / 2 + 1, "mu": MU, "r": Scalar.symbol("r")}
+    searches = [(spec, constraint, params) for spec in (D1, M1)
+                for constraint in (1, 2, predicted_weight(spec, 1, params=params).eigen)]
+    for search in searches:
+        _check_system_matches_rebuild(*search)
+    assert _kernel_calls_match_reference(monkeypatch, searches) == len(searches)
 
 
 def test_level_zero_search_is_the_vacuum():
@@ -491,7 +601,7 @@ def test_kernel_matches_reference_random():
     @hyp.given(st.one_of(_matrices(st, 3, quotients), _matrices(st, 5, polys)))
     def check(case):
         rows, ncols = case
-        _checked_kernel(_sparse(rows), ncols)
+        _checked_kernel(_cleared(_sparse(rows)), ncols)
 
     check()
 
@@ -511,25 +621,25 @@ def test_kernel_matches_reference_rational():
     @hyp.given(_matrices(st, 6, entries))
     def check(case):
         rows, ncols = case
-        assert not _checked_kernel(_sparse(rows), ncols)[1]
+        assert not _checked_kernel(_cleared(_sparse(rows)), ncols)[1]
 
     check()
 
 
 def test_kernel_pinned_slow_reference_case():
-    # the Gauss-Jordan reference takes tens of seconds here; its answer is
-    # pinned instead of recomputed
+    # the Gauss-Jordan reference took tens of seconds on these rows as
+    # Scalars; cleared into ParamPoly they take it well under a second, so
+    # the pinned answer is checked against it as well
     rows = [[parse_scalar(x) for x in row] for row in (
         ("(-mu-2)/(r-2*mu-3)", "0", "r+1"),
         ("0", "r/(delta+3/2)", "0"),
         ("(-2*r+3)/(mu+2)", "2", "mu+3"),
         ("(delta*r-2*delta*mu+2*mu-3*delta+4)/(r-2*mu-3)", "1", "-2*delta-4"),
     )]
-    basis, caveats = _scalar_matrix_kernel(_sparse(rows), 3)
+    basis, caveats = _checked_kernel(_cleared(_sparse(rows)), 3)
     assert basis == []
     assert [str(c) for c in caveats] == [
-        "(-mu-2)/(r-2*mu-3)",
-        "(delta*mu*r^2-2*delta*mu^2*r+r^3-2*mu*r^2+2*delta*r^2+2*mu^2*r"
-        "-6*delta*mu*r-1/2*mu^3-4*delta*mu^2-7/2*r^2+9*mu*r-4*delta*r"
-        "-11/2*mu^2-15*delta*mu+8*r-13*mu-14*delta-19/2)/(mu^2+4*mu+4)",
+        "-mu-2",
+        "r",
+        "(-2*r^3+4*mu*r^2+mu^3+7*r^2-2*mu*r+7*mu^2+10*mu+3)/(mu+2)",
     ]
