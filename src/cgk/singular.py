@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .algebra import Gen, central_element, creation_data, decomposition, weight_table
-from .scalars import ParamPoly, Scalar, _rational, poly_div_exact
+from .scalars import ParamPoly, Scalar, _quotient, _rational, poly_div_exact
 from .verma import (
     ModuleVector,
     Weight,
@@ -53,7 +53,10 @@ class SearchResult:
     """Nullspace search outcome: vectors plus genericity caveats.
 
     The system is solved by fraction-free forward elimination on sparse,
-    lazily updated rows and back substitution (see _matrix_kernel).
+    lazily updated rows and back substitution (see _matrix_kernel), in the
+    field of its entries: the rationals when every parameter is rational,
+    else Scalars.  Each vector is scaled in that field and made of Scalars
+    once, at the end.
     ``caveats`` lists the pivots Gauss-Jordan elimination would divide by
     that are not rational, recovered as b / ref from the stored
     fraction-free entry b of a row and the pivot ref it was last updated
@@ -231,9 +234,11 @@ def _matrix_kernel(rows, ncols):
     Returns (basis, caveats): caveats lists those Gauss-Jordan pivots that
     are not rational (the kernel is correct wherever they do not vanish;
     denominators that later entries pick up are not listed).  Each basis
-    vector is a dict {col: nonzero Scalar}, 1 at its free column and absent
-    at the other free columns, solved by back substitution; the reduced row
-    echelon form is unique, so these are the Gauss-Jordan kernel vectors.
+    vector is a dict {col: nonzero entry}, 1 at its free column and absent
+    at the other free columns, solved by back substitution in the field of
+    the matrix: its entries are ints and Fractions for an int matrix and
+    Scalars for a ParamPoly matrix.  The reduced row echelon form is
+    unique, so these are the Gauss-Jordan kernel vectors.
     """
     mat = [dict(row) for row in rows]
     nrows = len(mat)
@@ -297,20 +302,24 @@ def _matrix_kernel(rows, ncols):
         pivots.append((row, col))
         row += 1
     pivot_cols = {c for _, c in pivots}
+    # back substitution in the field of the entries: the rationals for an
+    # int matrix, else the Scalars
+    rational = len(steps) == 1 or type(steps[1][0]) is int
+    one = 1 if rational else Scalar.const(1)
     basis = []
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        vec = {fc: Scalar.const(1)}
+        vec = {fc: one}
         for prow, pcol in reversed(pivots):
             # b_pcol * x_pcol + sum of b_c * x_c over later columns = 0
             line = mat[prow]
-            acc = Scalar.zero()
+            acc = 0
             for c, b in line.items():
                 if c in vec:
                     acc = acc + vec[c] * b
             if acc:
-                vec[pcol] = -(acc / line[pcol])
+                vec[pcol] = _quotient(-acc, line[pcol]) if rational else -(acc / line[pcol])
         basis.append(vec)
     return basis, caveats
 
@@ -397,5 +406,9 @@ def search_singular(spec, constraint, params=None):
     vectors = []
     for vec in kernel:
         scale = vec[min(vec)]
-        vectors.append(ModuleVector({basis[i]: c / scale for i, c in vec.items()}))
+        if type(scale) is Scalar:
+            coefs = {basis[i]: c / scale for i, c in vec.items()}
+        else:  # rational entries: one Scalar per quotient
+            coefs = {basis[i]: Scalar.const(_quotient(c, scale)) for i, c in vec.items()}
+        vectors.append(ModuleVector.of_raw(coefs))
     return SearchResult(vectors, caveats)

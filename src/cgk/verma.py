@@ -566,58 +566,22 @@ def _as_int(scalar, what):
     return int(val)
 
 
-def level_basis(spec, constraint, params=None):
-    """Basis monomials selected by a level or a weight constraint.
-
-    ``constraint`` is either a non-negative integer level, or a Weight /
-    dict keyed by diagonal generators (a Gen, or a name that parse_gen
-    reads, as ``str(gen)`` prints it).  A weight constraint must pin the
-    scaling eigenvalue; when the family has a grade-zero creation factor,
-    the rotation eigenvalue must be pinned too, otherwise the selection is
-    infinite (InfiniteSelection).
-    Returns a sorted list (possibly empty).
-    """
+@lru_cache(maxsize=None)
+def _level_space(spec, level):
+    """The basis monomials of a non-negative level, in ascending order, as
+    a tuple; one cached selection per family and level."""
     fam = _family(spec)
-    if isinstance(constraint, int):
-        if constraint < 0:
-            return []
-        return [_monomial(fam["shape"], e) for e in _compositions(fam["level"], constraint)]
+    return tuple(_monomial(fam["shape"], e) for e in _compositions(fam["level"], level))
 
-    if isinstance(constraint, Weight):
-        eigen = dict(constraint.eigen)
-    else:
-        eigen = {}
-        for key, val in dict(constraint).items():
-            gen = key if isinstance(key, Gen) else parse_gen(key)
-            eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
 
-    pvals = resolve_params(spec, params)
-    # a constraint may be written in the parameters it was given values for
-    fixed = {name: val.rational_value() for name, val in pvals.items()
-             if val.is_rational()}
-    if fixed:
-        eigen = {gen: val.substitute(fixed) for gen, val in eigen.items()}
-    base = lowest_weight(spec, pvals)
-    for gen in eigen:
-        if gen not in base:
-            raise ValueError("%s is not a diagonal generator of %r" % (gen, spec))
-    if Gen("D") not in eigen:
-        raise ValueError("a weight constraint must pin the D eigenvalue")
-    dshift = _as_int(eigen[Gen("D")] - base[Gen("D")], "scaling shift")
-    if dshift is None:
-        return []
-    jshift = None
-    if Gen("J") in eigen:
-        jshift = _as_int(eigen[Gen("J")] - base[Gen("J")], "rotation shift")
-        if jshift is None:
-            return []
-    # a pinned central eigenvalue is monomial-independent: match or empty;
-    # the centerless g0 generator is diagonal only at h = 0
-    for gen, val in eigen.items():
-        if gen.tag not in ("D", "J") and val != base[gen]:
-            return []
-    only_h0 = Gen("P", 1) in eigen
-
+@lru_cache(maxsize=None)
+def _weight_space(spec, dshift, jshift, only_h0):
+    """The basis monomials whose D eigenvalue exceeds the lowest weight's
+    by ``dshift`` and, unless ``jshift`` is None, whose J eigenvalue exceeds
+    it by ``jshift``; only those with h = 0 when ``only_h0``.  Ascending, as
+    a tuple.  No parameter enters, so one selection per family and shifts
+    serves every parameter assignment."""
+    fam = _family(spec)
     # all non-zero scaling grades share one sign within each family
     free = [s for s, d in enumerate(fam["d"]) if d]
     zero = [s for s, d in enumerate(fam["d"]) if not d]
@@ -627,7 +591,7 @@ def level_basis(spec, constraint, params=None):
             "the scaling eigenvalue alone leaves a grade-zero factor free"
         )
     if dshift and fam["d"][free[0]] * dshift < 0:
-        return []
+        return ()
 
     out = []
     for sub in _compositions([abs(fam["d"][s]) for s in free], abs(dshift)):
@@ -646,4 +610,62 @@ def level_basis(spec, constraint, params=None):
         if not (only_h0 and expo[0]):
             out.append(_monomial(fam["shape"], expo))
     out.sort()
-    return out
+    return tuple(out)
+
+
+def level_basis(spec, constraint, params=None):
+    """Basis monomials selected by a level or a weight constraint.
+
+    ``constraint`` is either a non-negative integer level, or a Weight /
+    dict keyed by diagonal generators (a Gen, or a name that parse_gen
+    reads, as ``str(gen)`` prints it).  A weight constraint must pin the
+    scaling eigenvalue; when the family has a grade-zero creation factor,
+    the rotation eigenvalue must be pinned too, otherwise the selection is
+    infinite (InfiniteSelection).
+    The parameters enter only through the shifts of the constraint over
+    the lowest weight; the enumeration itself is cached per family
+    (``_level_space``, ``_weight_space``).
+    Returns a fresh sorted list (possibly empty).
+    """
+    if isinstance(constraint, int):
+        return list(_level_space(spec, constraint)) if constraint >= 0 else []
+
+    if isinstance(constraint, Weight):
+        eigen = dict(constraint.eigen)
+    else:
+        eigen = {}
+        for key, val in dict(constraint).items():
+            gen = key if isinstance(key, Gen) else parse_gen(key)
+            eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
+
+    pvals = resolve_params(spec, params)
+    base = lowest_weight(spec, pvals)
+    # a constraint may be written in the parameters it was given values for,
+    # and so may another parameter's value: both sides take the fixed values,
+    # substituted into the entries that are not numbers yet
+    fixed = {name: val.rational_value() for name, val in pvals.items()
+             if val.is_rational()}
+    if fixed:
+        for weight in (eigen, base):
+            for gen, val in weight.items():
+                if not val.is_rational():
+                    weight[gen] = val.substitute(fixed)
+    for gen in eigen:
+        if gen not in base:
+            raise ValueError("%s is not a diagonal generator of %r" % (gen, spec))
+    if Gen("D") not in eigen:
+        raise ValueError("a weight constraint must pin the D eigenvalue")
+    dshift = _as_int(eigen[Gen("D")] - base[Gen("D")], "scaling shift")
+    if dshift is None:
+        return []
+    jshift = None
+    if Gen("J") in eigen:
+        jshift = _as_int(eigen[Gen("J")] - base[Gen("J")], "rotation shift")
+        if jshift is None:
+            return []
+    # a pinned central eigenvalue is monomial-independent: match or empty;
+    # the centerless g0 generator is diagonal only at h = 0
+    for gen, val in eigen.items():
+        if gen.tag not in ("D", "J") and val != base[gen]:
+            return []
+    return list(_weight_space(spec, dshift, jshift, Gen("P", 1) in eigen))

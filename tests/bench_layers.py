@@ -1,9 +1,10 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
-act_generic / act_closed_form -> the search's system (_search_system) ->
-its elimination (_matrix_kernel) -> diffop.compose, commutator and
-twisted_commutator -> rep_check / intertwining_check.  The file name does
+act_generic / act_closed_form -> the search's weight space (level_basis) and
+system (_search_system) -> its elimination (_matrix_kernel) ->
+diffop.compose, commutator and twisted_commutator -> rep_check /
+intertwining_check.  The file name does
 not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
 
@@ -139,6 +140,13 @@ def _top_search(point):
 
 
 POINTS = pytest.mark.parametrize("point", ["symbolic", "root"])
+
+
+@POINTS
+def test_level_basis(benchmark, point):
+    """Selecting the weight space of the search workload's top case."""
+    spec, constraint, params = _top_search(point)
+    assert len(benchmark(level_basis, spec, constraint, params=params)) == 9
 
 
 @POINTS

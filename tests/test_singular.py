@@ -457,19 +457,16 @@ def test_search_system_matches_dense_rebuild():
 
 def test_search_system_matches_rebuild_random():
     # families of supported_specs(5) at a drawn singular weight or level,
-    # each parameter a symbol, an int, a Fraction or a linear polynomial;
-    # half the draws take only numbers, so that the rows are ints.  A
-    # polynomial is in its own symbol or one the family lacks: one in
-    # another parameter's symbol is ambiguous once that parameter is a
-    # number, and level_basis reads the symbol as the number.
+    # each parameter a symbol, an int, a Fraction or a linear polynomial in
+    # any symbol, another parameter's included; half the draws take only
+    # numbers, so that the rows are ints
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
     numbers = st.one_of(st.integers(-4, 4), fractions)
 
-    def values(name, names):
-        symbols = [name] + [s for s in SYMBOLS if s not in names]
-        linear = st.tuples(fractions, fractions.filter(bool), st.sampled_from(symbols)).map(
+    def values(name):
+        linear = st.tuples(fractions, fractions.filter(bool), st.sampled_from(SYMBOLS)).map(
             lambda t: Scalar.symbol(t[2]) * t[1] + t[0])
         return st.one_of(st.just(Scalar.symbol(name)), numbers, linear)
 
@@ -479,7 +476,7 @@ def test_search_system_matches_rebuild_random():
         spec = data.draw(st.sampled_from(supported_specs(5)))
         names = required_parameters(spec)
         rational = data.draw(st.booleans())
-        params = {name: data.draw(numbers if rational else values(name, names))
+        params = {name: data.draw(numbers if rational else values(name))
                   for name in names}
         if data.draw(st.booleans()):
             q = data.draw(st.integers(1, 3))
@@ -533,17 +530,68 @@ def test_level_zero_search_is_the_vacuum():
         assert search_singular(spec, 0) == SearchResult([vacuum(spec)], []), spec
 
 
+def _whole_level_searches():
+    """The whole-level searches of tests/bench_layers.py, every parameter
+    symbolic and at the numeric root of q = level / 2, whose singular
+    vector lies on that level, so that the kernel is not empty."""
+    return [(spec, level, params)
+            for spec, level in ((D1, 10), (D1, 12), (M1, 6))
+            for params in (symbolic_params(spec), numeric_params_at_root(spec, level // 2))]
+
+
 def test_kernel_matches_reference_on_whole_levels(monkeypatch):
-    # the whole-level searches of tests/bench_layers.py, every parameter
-    # symbolic and at the numeric root of q = level / 2, whose singular
-    # vector lies on that level, so that the kernel is not empty
-    searches = [(spec, level, params)
-                for spec, level in ((D1, 10), (D1, 12), (M1, 6))
-                for params in (symbolic_params(spec),
-                               numeric_params_at_root(spec, level // 2))]
+    searches = _whole_level_searches()
     assert _kernel_calls_match_reference(monkeypatch, searches) == 6
     for spec, level, params in searches[1::2]:
         assert len(search_singular(spec, level, params=params)) == 1, (spec, level)
+
+
+def test_search_scales_the_reference_kernel(monkeypatch):
+    # search_singular divides each kernel vector by its least-column entry
+    # in the field of the matrix: its vectors are _reference_kernel's divided
+    # the same way, and until then an int matrix's kernel holds ints and
+    # Fractions (canonical: no Fraction is integral), a ParamPoly matrix's
+    # Scalars
+    calls = []
+
+    def recorded(rows, ncols):
+        basis, caveats = _matrix_kernel(rows, ncols)
+        calls.append((rows, ncols, basis))
+        return basis, caveats
+
+    monkeypatch.setattr(singular, "_matrix_kernel", recorded)
+    rings = Counter()
+    for spec, constraint, params in list(_search_grid()) + _whole_level_searches():
+        found = search_singular(spec, constraint, params=params)
+        [(rows, ncols, kernel)] = calls
+        calls.clear()
+        [ring] = {type(x) for row in rows for x in row.values()}
+        entries = [x for vec in kernel for x in vec.values()]
+        if ring is int:
+            assert all(type(x) is int or type(x) is Fraction and x.denominator != 1
+                       for x in entries), (spec, constraint, params)
+        else:
+            assert ring is ParamPoly and all(type(x) is Scalar for x in entries)
+        rings[ring] += len(entries)
+        monos = level_basis(spec, constraint, params=params)
+        scalars = [{c: Scalar(x) for c, x in row.items()} for row in rows]
+        want = []
+        for vec in _reference_kernel(_dense(scalars, ncols), ncols)[0]:
+            scale = next(x for x in vec if x)
+            want.append(ModuleVector({monos[c]: x / scale for c, x in enumerate(vec)}))
+        assert found.vectors == want, (spec, constraint, params)
+    assert rings[int] and rings[ParamPoly]
+
+
+def test_search_with_a_parameter_valued_in_another_parameters_symbol(monkeypatch):
+    # r = theta with theta = 0: the lowest weight's rotation eigenvalue is
+    # written in theta, and the weight space takes theta = 0 on both sides
+    params = {"delta": DELTA, "r": Scalar.symbol("theta"), "theta": 0}
+    weight = predicted_weight(EX2, 1, params=params).eigen
+    _check_system_matches_rebuild(EX2, weight, params)
+    assert _kernel_calls_match_reference(monkeypatch, [(EX2, weight, params)]) == 1
+    assert search_singular(EX2, weight, params=params) == SearchResult(
+        [ModuleVector.of(mono(0, (0, 1), (1,)))], [])
 
 
 def _matrices(st, size, entries):

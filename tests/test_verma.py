@@ -20,7 +20,7 @@ from cgk.algebra import (
     weight_table,
 )
 from cgk.scalars import Scalar, UnsupportedFamily
-from cgk.singular import delta_at_condition
+from cgk.singular import delta_at_condition, predicted_weight
 from cgk.verma import (
     InfiniteSelection,
     MissingParameter,
@@ -943,3 +943,32 @@ def test_weight_spaces_partition_each_level():
         assert sorted(covered) == basis
 
     check()
+
+
+@pytest.mark.parametrize("spec", supported_specs(5), ids=repr)
+def test_cached_selection_matches_brute_force(spec):
+    # the cached enumeration against the independent one: levels 0-6, and
+    # the monomials of levels 0-12 filtered by weight_of for each predicted
+    # weight of q <= 3, every parameter symbolic and at two numeric points
+    # (the exotic weight spaces of q = 3 reach level 9, the others 2q)
+    pool = [m for p in range(13) for m in _enumerate_by_level(spec, p)]
+    for p in range(7):
+        assert level_basis(spec, p) == _enumerate_by_level(spec, p), (spec, p)
+    for params in GRID_POINTS:
+        for q in range(1, 4):
+            weight = predicted_weight(spec, q, params=params)
+            want = sorted(m for m in pool if weight_of(spec, m, params=params) == weight)
+            assert want, (spec, q, params)
+            assert level_basis(spec, weight.eigen, params=params) == want, (spec, q, params)
+
+
+def test_selection_returns_a_fresh_list():
+    weight = predicted_weight(EX2, 2).eigen
+    for constraint in (3, weight):
+        want = level_basis(EX2, constraint)
+        got = level_basis(EX2, constraint)
+        got.append(got.pop(0))
+        got.append(PbwMonomial(9, (0, 0), (0,)))
+        assert level_basis(EX2, constraint) == want
+        got.clear()
+        assert level_basis(EX2, constraint) == want != []
