@@ -26,8 +26,8 @@ the b string, in that order, are the slots of the basis and of the chart.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .scalars import _Sparse, central_constant
 
@@ -40,41 +40,67 @@ class UnknownGenerator(KeyError):
     """Raised when a generator does not belong to the family."""
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    d: int
-    twoEll: int
-    ext: str
+class AlgebraSpec(tuple):
+    """One family, the tuple ``(d, twoEll, ext)`` with its fields readable by
+    name.  As a tuple it hashes and compares at C level, which the lookups
+    of every per-family cache keyed by it rely on."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, d, twoEll, ext):
         # bool is an int subclass and 1.0 == 1, so only an exact int is taken
-        if type(self.d) is not int or self.d not in (1, 2):
-            raise InvalidSpec("d must be 1 or 2, got %r" % (self.d,))
-        if type(self.twoEll) is not int or self.twoEll < 1:
+        if type(d) is not int or d not in (1, 2):
+            raise InvalidSpec("d must be 1 or 2, got %r" % (d,))
+        if type(twoEll) is not int or twoEll < 1:
             raise InvalidSpec("twoEll must be a positive integer")
-        if self.ext == "mass":
-            if self.twoEll % 2 == 0:
+        if ext == "mass":
+            if twoEll % 2 == 0:
                 raise InvalidSpec("mass extension needs twoEll odd")
-        elif self.ext == "exotic":
-            if self.d != 2 or self.twoEll % 2 == 1:
+        elif ext == "exotic":
+            if d != 2 or twoEll % 2 == 1:
                 raise InvalidSpec("exotic extension needs d=2 and twoEll even")
-        elif self.ext == "none":
-            if (self.d, self.twoEll) != (1, 2):
+        elif ext == "none":
+            if (d, twoEll) != (1, 2):
                 raise InvalidSpec("centerless support is limited to d=1, twoEll=2")
         else:
             raise InvalidSpec("ext must be none, mass, or exotic")
+        return tuple.__new__(cls, (d, twoEll, ext))
+
+    d = property(itemgetter(0))
+    twoEll = property(itemgetter(1))
+    ext = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return "AlgebraSpec(d=%r, twoEll=%r, ext=%r)" % tuple(self)
 
 
-@dataclass(frozen=True)
-class Gen:
-    tag: str
-    n: int | None = None
-    sign: str = ""
+class Gen(tuple):
+    """One generator, the tuple ``(tag, n, sign)``: the tag names it, ``n``
+    is the index of a P and ``sign`` the string of a planar P.  As a tuple
+    it hashes and compares at C level, and it equals the plain tuple of its
+    fields, so such a tuple passes the family's membership checks too.
+    Pass Gen objects all the same (``parse_gen`` makes one from a name): the
+    bracket and the closed-form action read the fields by name.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tag, n=None, sign=""):
+        return tuple.__new__(cls, (tag, n, sign))
+
+    tag = property(itemgetter(0))
+    n = property(itemgetter(1))
+    sign = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __str__(self):
-        if self.tag == "P":
-            return "P%d%s" % (self.n, self.sign)
-        return self.tag
+        tag, n, sign = self
+        return "P%d%s" % (n, sign) if tag == "P" else tag
 
     __repr__ = __str__
 

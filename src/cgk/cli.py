@@ -60,6 +60,7 @@ from .singular import (
 from .verma import (
     ModuleVector,
     PbwMonomial,
+    _D,
     act_closed_form,
     act_generic,
     check_monomial,
@@ -594,7 +595,7 @@ def criterion_singular_verify():
             return False, "%r q=%d: %d failures; first %s" % (
                 spec, q, len(report.failures), _failure_text(report.failures[0]))
         root = delta_at_condition(spec, q)
-        if report.weight[Gen("D")] != Scalar.const(Fraction(2 * q) - root):
+        if report.weight[_D] != Scalar.const(Fraction(2 * q) - root):
             return False, "%r q=%d: scaling eigenvalue is not 2q - delta" % (spec, q)
     return True, "%d (family, level) cases verified" % len(_singular_cases())
 

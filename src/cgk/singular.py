@@ -12,17 +12,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 
-from .algebra import Gen, central_element, creation_data, decomposition, weight_table
+from .algebra import central_element, creation_data, decomposition, weight_table
 from .scalars import ParamPoly, Scalar, _quotient, _rational, poly_div_exact
 from .verma import (
     ModuleVector,
     Weight,
+    _D,
+    _P1,
     _eigen_product,
     _images,
+    _selection,
     act_generic,
     act_word,
     d_grade,
-    level_basis,
     lowest_weight,
     resolve_params,
     vacuum,
@@ -161,7 +163,7 @@ def predicted_weight(spec, q, params=None):
     if q < 1:
         raise ValueError("q must be a positive integer")
     eigen = lowest_weight(spec, resolve_params(spec, params))
-    eigen[Gen("D")] += weight_shift(spec, q)
+    eigen[_D] += weight_shift(spec, q)
     return Weight(eigen)
 
 
@@ -351,8 +353,9 @@ def _search_system(spec, constraint, params=None):
     then multiplied by the lcm of its denominators, so that its entries are
     Python ints; otherwise the entries are ParamPoly.
     """
-    values, one = _ring_values(resolve_params(spec, params))
-    basis = level_basis(spec, constraint, params=params)
+    pvals = resolve_params(spec, params)
+    values, one = _ring_values(pvals)
+    basis = _selection(spec, constraint, pvals)
     images = _images(spec)
     weights = images.weights
     products = {images.zero: one}
@@ -361,7 +364,7 @@ def _search_system(spec, constraint, params=None):
     if spec.ext == "none":
         # require P1 v = -kappa v as well (its diagonal part is forced): P1
         # minus its eigenvalue on the lowest-weight vector, -kappa
-        shifted = images.index[Gen("P", 1)]
+        shifted = images.index[_P1]
         letters.append(shifted)
 
     rows = []
@@ -392,9 +395,9 @@ def _search_system(spec, constraint, params=None):
 def search_singular(spec, constraint, params=None):
     """Exact nullspace search for singular vectors in one weight space.
 
-    ``constraint`` is passed to level_basis (an integer level or a weight
-    constraint).  Annihilator actions are stacked into one exact linear
-    system (``_search_system``); for the centerless family the
+    ``constraint`` selects the space as in level_basis (an integer level
+    or a weight constraint).  Annihilator actions are stacked into one
+    exact linear system (``_search_system``); for the centerless family the
     non-diagonalizable g0 generator contributes rows forcing an eigenvector
     of it as well.  Every parameter value must be a polynomial in the
     parameters (NonPolynomialParameter otherwise).  Returns a SearchResult

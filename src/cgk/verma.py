@@ -50,6 +50,10 @@ from .algebra import (
 from .scalars import Scalar, UnsupportedFamily, _Sparse
 
 
+# the diagonal generators the weight bookkeeping reads, built once
+_D, _J, _P1 = Gen("D"), Gen("J"), Gen("P", 1)
+
+
 class MissingParameter(KeyError):
     """A family parameter needed for the computation was not supplied."""
 
@@ -242,11 +246,11 @@ def weight_of(spec, m, params=None):
     fam = _family(spec)
     expo = (m.h,) + m.a + m.b
     eigen = lowest_weight(spec, resolve_params(spec, params))
-    eigen[Gen("D")] += _dot(fam["d"], expo)
-    if Gen("J") in eigen:
-        eigen[Gen("J")] += _dot(fam["j"], expo)
+    eigen[_D] += _dot(fam["d"], expo)
+    if _J in eigen:
+        eigen[_J] += _dot(fam["j"], expo)
     if spec.ext == "none" and m.h:
-        del eigen[Gen("P", 1)]
+        del eigen[_P1]
     return Weight(eigen)
 
 
@@ -465,7 +469,7 @@ def _strings(spec):
                for s, gens in enumerate(blocks, 1)}
     return _Strings(frozenset(enumerate_generators(spec)), _family(spec)["shape"],
                     spec.twoEll, strings, {st[0]: s for s, st in strings.items()},
-                    {**table, Gen("C"): table[Gen("D")]}, central)
+                    {**table, Gen("C"): table[_D]}, central)
 
 
 def _moved(m, h, *steps):
@@ -627,6 +631,13 @@ def level_basis(spec, constraint, params=None):
     (``_level_space``, ``_weight_space``).
     Returns a fresh sorted list (possibly empty).
     """
+    pvals = None if isinstance(constraint, int) else resolve_params(spec, params)
+    return _selection(spec, constraint, pvals)
+
+
+def _selection(spec, constraint, pvals):
+    """level_basis from parameters already resolved by ``resolve_params``;
+    an integer level reads none, so ``pvals`` may then be None."""
     if isinstance(constraint, int):
         return list(_level_space(spec, constraint)) if constraint >= 0 else []
 
@@ -638,7 +649,6 @@ def level_basis(spec, constraint, params=None):
             gen = key if isinstance(key, Gen) else parse_gen(key)
             eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
 
-    pvals = resolve_params(spec, params)
     base = lowest_weight(spec, pvals)
     # a constraint may be written in the parameters it was given values for,
     # and so may another parameter's value: both sides take the fixed values,
@@ -653,14 +663,14 @@ def level_basis(spec, constraint, params=None):
     for gen in eigen:
         if gen not in base:
             raise ValueError("%s is not a diagonal generator of %r" % (gen, spec))
-    if Gen("D") not in eigen:
+    if _D not in eigen:
         raise ValueError("a weight constraint must pin the D eigenvalue")
-    dshift = _as_int(eigen[Gen("D")] - base[Gen("D")], "scaling shift")
+    dshift = _as_int(eigen[_D] - base[_D], "scaling shift")
     if dshift is None:
         return []
     jshift = None
-    if Gen("J") in eigen:
-        jshift = _as_int(eigen[Gen("J")] - base[Gen("J")], "rotation shift")
+    if _J in eigen:
+        jshift = _as_int(eigen[_J] - base[_J], "rotation shift")
         if jshift is None:
             return []
     # a pinned central eigenvalue is monomial-independent: match or empty;
@@ -668,4 +678,4 @@ def level_basis(spec, constraint, params=None):
     for gen, val in eigen.items():
         if gen.tag not in ("D", "J") and val != base[gen]:
             return []
-    return list(_weight_space(spec, dshift, jshift, Gen("P", 1) in eigen))
+    return list(_weight_space(spec, dshift, jshift, _P1 in eigen))

@@ -1,7 +1,8 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
-act_generic / act_closed_form -> the search's weight space (level_basis) and
+act_generic / act_closed_form, on one vector and per unit monomial
+(test_module_action_per_monomial) -> the search's weight space (level_basis) and
 system (_search_system) -> its elimination (_matrix_kernel) ->
 diffop.compose, commutator and twisted_commutator -> rep_check /
 intertwining_check.  The file name does
@@ -128,6 +129,22 @@ def test_module_action(benchmark, action):
 @ACTIONS
 def test_module_action_line_family(benchmark, action):
     _module_action(benchmark, action, D5)
+
+
+@ACTIONS
+def test_module_action_per_monomial(benchmark, action):
+    """Every generator of (2,3,mass) on each level-4 monomial as a unit
+    vector, the shape of the closed-vs-generic cases, where the per-call
+    overhead dominates.  The calls go through a spec built afresh, equal to
+    the key of the family's caches but not the same object, as each CLI
+    command and workload case builds its own."""
+    vectors = [ModuleVector.of(m) for m in level_basis(M3, 4)]
+    gens = enumerate_generators(M3)
+    for x in gens:  # the family's caches take their key before spec exists
+        action(M3, x, vectors[0])
+    spec = AlgebraSpec(2, 3, "mass")
+    assert spec == M3 and spec is not M3
+    benchmark(lambda: [action(spec, x, v) for x in gens for v in vectors])
 
 
 def _top_search(point):

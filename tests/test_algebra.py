@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from cgk.algebra import (
@@ -16,6 +19,7 @@ from cgk.algebra import (
     supported_specs,
 )
 from cgk.scalars import Scalar, central_constant
+from cgk.verma import _images
 
 
 def names(gens):
@@ -41,6 +45,60 @@ def test_spec_rejects_non_integers(d, two_ell):
     ext = "exotic" if two_ell == 2 else "mass"
     with pytest.raises(InvalidSpec):
         AlgebraSpec(d, two_ell, ext)
+
+
+def test_spec_and_gen_are_tuples_with_the_dataclass_face():
+    # the faces that ids=repr, the %r error messages and str(gen) rely on
+    spec, gen = AlgebraSpec(2, 3, "mass"), Gen("P", 1, "+")
+    assert (spec.d, spec.twoEll, spec.ext) == (2, 3, "mass")
+    assert (gen.tag, gen.n, gen.sign) == ("P", 1, "+")
+    assert repr(spec) == str(spec) == "AlgebraSpec(d=2, twoEll=3, ext='mass')"
+    assert repr(gen) == str(gen) == "P1+"
+    assert repr(Gen("P", 2)) == str(Gen("P", 2)) == "P2"
+    assert repr(Gen("Theta")) == str(Gen("Theta")) == "Theta"
+    assert hash(spec) == hash((2, 3, "mass"))
+    assert hash(gen) == hash(("P", 1, "+"))
+    assert hash(Gen("D")) == hash(("D", None, ""))
+    # a generator equals the plain tuple of its fields
+    assert gen == ("P", 1, "+") and Gen("D") == ("D", None, "")
+    for obj in (spec, gen, Gen("D")):
+        copies = [copy.deepcopy(obj), copy.copy(obj)]
+        copies += [pickle.loads(pickle.dumps(obj, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin == obj and type(twin) is type(obj), (obj, twin)
+    assert AlgebraSpec(d=2, twoEll=3, ext="mass") == spec
+    assert AlgebraSpec(2, ext="mass", twoEll=3) == spec
+    assert Gen(tag="P", n=1, sign="+") == gen
+    assert Gen(tag="D") == Gen("D", None, "")
+    for obj, field in ((spec, "d"), (spec, "ext"), (gen, "tag"), (gen, "n")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1)
+    with pytest.raises(AttributeError):
+        spec.label = "x"
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"d": True, "twoEll": 1, "ext": "mass"}, r"^d must be 1 or 2, got True$"),
+    ({"d": 1.0, "twoEll": 1, "ext": "mass"}, r"^d must be 1 or 2, got 1\.0$"),
+    ({"d": 1, "twoEll": 0, "ext": "mass"}, r"^twoEll must be a positive integer$"),
+    ({"d": 2, "twoEll": 4, "ext": "mass"}, r"^mass extension needs twoEll odd$"),
+    ({"d": 1, "twoEll": 1, "ext": "bogus"}, r"^ext must be none, mass, or exotic$"),
+], ids=["d=True", "d=1.0", "twoEll=0", "even-mass", "unknown-ext"])
+def test_spec_construction_still_validates(kwargs, message):
+    # positional and keyword construction both check, with the same message
+    with pytest.raises(InvalidSpec, match=message):
+        AlgebraSpec(*kwargs.values())
+    with pytest.raises(InvalidSpec, match=message):
+        AlgebraSpec(**kwargs)
+
+
+def test_equal_specs_share_the_family_caches():
+    # each caller builds its own spec; the caches key on its value
+    one, two = AlgebraSpec(2, 3, "mass"), AlgebraSpec(2, 3, "mass")
+    assert one == two and one is not two
+    assert _family(one) is _family(two)
+    assert _images(one) is _images(two)
 
 
 def test_enumerate_counts_and_order():

@@ -398,6 +398,16 @@ def test_closed_action_beyond_annihilator_range(capsys):
         assert (code, out, err) == (0, "3*|2;1;0>\n", ""), action
 
 
+@pytest.mark.parametrize("action", ["closed", "generic"])
+def test_act_with_a_generator_outside_the_family_exits_two(capsys, action):
+    code, out, err = invoke(
+        capsys, "verma", "act", "--d", "2", "--two-ell", "3", "--ext", "mass",
+        "--gen", "P9+", "--monomial", '{"h":0,"a":[0,0],"b":[0,0]}', "--action", action)
+    assert (code, out) == (2, "")
+    assert err == ("error: P9+ is not a generator of "
+                   "AlgebraSpec(d=2, twoEll=3, ext='mass')\n")
+
+
 def test_non_object_json_is_usage_error(capsys):
     family = ["--d", "2", "--two-ell", "1", "--ext", "mass"]
     cases = [
