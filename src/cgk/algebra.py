@@ -80,10 +80,10 @@ class AlgebraSpec(tuple):
 class Gen(tuple):
     """One generator, the tuple ``(tag, n, sign)``: the tag names it, ``n``
     is the index of a P and ``sign`` the string of a planar P.  As a tuple
-    it hashes and compares at C level, and it equals the plain tuple of its
-    fields, so such a tuple passes the family's membership checks too.
-    Pass Gen objects all the same (``parse_gen`` makes one from a name): the
-    bracket and the closed-form action read the fields by name.
+    it hashes and compares at C level and equals the plain tuple of its
+    fields, but the bracket and both module actions take only a Gen
+    (``parse_gen`` makes one from a name) and raise UnknownGenerator for
+    anything else, a plain tuple included.
     """
 
     __slots__ = ()
@@ -235,7 +235,7 @@ def central_element(spec):
 
 
 def _check_member(spec, gen):
-    if gen not in _family(spec)["position"]:
+    if type(gen) is not Gen or gen not in _family(spec)["position"]:
         raise UnknownGenerator("%s is not a generator of %r" % (gen, spec))
 
 
@@ -301,31 +301,49 @@ def _closure(edges, start):
     return witnesses
 
 
-@lru_cache(maxsize=None)
-def generating_set(spec):
-    """(kept, witnesses): generators whose brackets span the algebra.
+def _generating(spec, gens):
+    """(kept, witnesses) for ``gens``, generators spanning a subalgebra.
 
-    kept is a greedy drop in ``enumerate_generators`` order, so the
-    annihilators and g0 go first whenever brackets of the rest reach them.
-    Each witness (g, x, y, c) records bracket(spec, x, y) == c * g, with x
-    and y kept or derived earlier.  Only a bracket with a single term is a
-    witness, so each generator not kept is one bracket of two earlier ones.
+    kept is a greedy drop in the order of gens: each generator is dropped
+    when brackets of the rest still reach every generator.  Each witness
+    (g, x, y, c) records bracket(spec, x, y) == c * g, with g in gens and
+    x and y kept or derived earlier.  Only a bracket with a single term
+    inside gens is a witness, so each generator not kept is one bracket of
+    two earlier ones.
     """
-    gens = enumerate_generators(spec)
     edges = {g: [] for g in gens}
     for i, x in enumerate(gens):
         for y in gens[i + 1:]:
             terms = bracket(spec, x, y).items()
-            if len(terms) == 1:
+            if len(terms) == 1 and terms[0][0] in edges:
                 (g, c), = terms
                 edges[x].append((y, (g, x, y, c)))
                 edges[y].append((x, (g, x, y, c)))
     kept = gens
     for g in gens:
-        trial = [k for k in kept if k != g]
+        trial = tuple(k for k in kept if k != g)
         if len(trial) + len(_closure(edges, trial)) == len(gens):
             kept = trial
-    return tuple(kept), tuple(_closure(edges, kept))
+    return kept, tuple(_closure(edges, kept))
+
+
+@lru_cache(maxsize=None)
+def generating_set(spec):
+    """(kept, witnesses): generators whose brackets span the algebra, as
+    ``_generating`` picks them in ``enumerate_generators`` order, so the
+    annihilators and g0 go first whenever brackets of the rest reach them.
+    """
+    return _generating(spec, _family(spec)["all"])
+
+
+@lru_cache(maxsize=None)
+def annihilator_generators(spec):
+    """(kept, witnesses): annihilators whose brackets span the annihilator
+    wing ``decomposition(spec)[2]``, as ``_generating`` picks them in that
+    order.  The elements that kill a module vector v are closed under the
+    bracket, as [x, y] v = x y v - y x v, so v is killed by the whole wing
+    once it is killed by the kept annihilators."""
+    return _generating(spec, _family(spec)["g_minus"])
 
 
 def jacobi_check(spec, bracket_fn=None):

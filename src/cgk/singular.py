@@ -1,18 +1,22 @@
 """Singular vectors of the lowest-weight modules.
 
 A singular vector is a non-vacuum module vector that every annihilator
-kills and on which the diagonal generators act by scalars.  Each family
-has a closed-form candidate built from a quadratic (or simpler) element
-raised to a power q, which is singular exactly when the lowest weight
-satisfies a linear condition; an exact linear-algebra search over a fixed
-weight space provides the independent route.
+kills and on which the diagonal generators act by scalars.  The elements
+that kill a vector are closed under the bracket, so both the check and the
+search test only the kept annihilators of ``algebra.annihilator_generators``,
+whose brackets span the wing.  Each family has a closed-form candidate
+built from a quadratic (or simpler) element raised to a power q, which is
+singular exactly when the lowest weight satisfies a linear condition; an
+exact linear-algebra search over a fixed weight space provides the
+independent route.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
 
-from .algebra import central_element, creation_data, decomposition, weight_table
+from .algebra import (annihilator_generators, central_element, creation_data, decomposition,
+                      weight_table)
 from .scalars import ParamPoly, Scalar, _quotient, _rational, poly_div_exact
 from .verma import (
     ModuleVector,
@@ -54,8 +58,11 @@ class SingularReport:
 class SearchResult:
     """Nullspace search outcome: vectors plus genericity caveats.
 
-    The system is solved by fraction-free forward elimination on sparse,
-    lazily updated rows and back substitution (see _matrix_kernel), in the
+    The system has one block of rows per kept annihilator of
+    ``algebra.annihilator_generators`` (see _search_system), and the same
+    row space, so the same kernel, as the system over every annihilator.
+    It is solved by fraction-free forward elimination on sparse, lazily
+    updated rows and back substitution (see _matrix_kernel), in the
     field of its entries: the rationals when every parameter is rational,
     else Scalars.  Each vector is scaled in that field and made of Scalars
     once, at the end.
@@ -63,6 +70,9 @@ class SearchResult:
     that are not rational, recovered as b / ref from the stored
     fraction-free entry b of a row and the pivot ref it was last updated
     with; the reported dimension is valid wherever none of them vanishes.
+    They are the pivots of this system: the rows of the other annihilators
+    can offer a rational pivot where these rows have none, so over every
+    annihilator a search can list fewer caveats.
     """
 
     vectors: list
@@ -169,16 +179,24 @@ def predicted_weight(spec, q, params=None):
 
 def verify_singular(spec, v, params=None, expect_weight=None):
     """Check that ``v`` is singular: annihilated by the lowering side and
-    a joint eigenvector of the diagonal side.  Exact, no tolerance."""
+    a joint eigenvector of the diagonal side.  Exact, no tolerance.
+
+    Annihilation is checked on the kept annihilators of
+    ``algebra.annihilator_generators``: the elements that kill v are
+    closed under the bracket, and those brackets span the wing.  If any
+    kept image is nonzero, every annihilator is checked and every failing
+    one listed, so a failing check reports the same list either way."""
     pvals = resolve_params(spec, params)
     failures = []
     if v.is_zero():
         return SingularReport(False, v, None, ["candidate vector is zero"])
-    plus, zero, minus = decomposition(spec)
-    for x in minus:
-        img = act_generic(spec, x, v, params=params)
-        if not img.is_zero():
-            failures.append(("annihilator", x, img))
+    kept = annihilator_generators(spec)[0]
+    images = {x: act_generic(spec, x, v, params=params) for x in kept}
+    if any(not img.is_zero() for img in images.values()):
+        for x in decomposition(spec)[2]:
+            img = images[x] if x in images else act_generic(spec, x, v, params=params)
+            if not img.is_zero():
+                failures.append(("annihilator", x, img))
     # joint diagonal eigenvalue, read off the first monomial
     first = v.items()[0][0]
     weight = weight_of(spec, first, params=params)
@@ -344,7 +362,12 @@ def _search_system(spec, constraint, params=None):
     """(basis, rows): the basis of one weight space and the exact linear
     system whose kernel search_singular reads: column j is basis[j], and
     each row is a dict {j: nonzero entry}, one per (operator, monomial of
-    its images), each operator's monomials in ascending order.
+    its images), each operator's monomials in ascending order.  The
+    operators are the kept annihilators of ``annihilator_generators`` in
+    wing order, then, on the centerless family, P1 shifted by kappa.  A
+    vector those annihilators kill is killed by their brackets, the whole
+    wing, so the rows of the other annihilators would add nothing to the
+    row space.
 
     The rows are read straight from the parameter-free images of
     ``verma._images``, in the ring ``_matrix_kernel`` eliminates in.  Each
@@ -359,7 +382,7 @@ def _search_system(spec, constraint, params=None):
     images = _images(spec)
     weights = images.weights
     products = {images.zero: one}
-    letters = [images.index[x] for x in decomposition(spec)[2]]
+    letters = [images.index[x] for x in annihilator_generators(spec)[0]]
     shifted = None
     if spec.ext == "none":
         # require P1 v = -kappa v as well (its diagonal part is forced): P1
@@ -396,8 +419,10 @@ def search_singular(spec, constraint, params=None):
     """Exact nullspace search for singular vectors in one weight space.
 
     ``constraint`` selects the space as in level_basis (an integer level
-    or a weight constraint).  Annihilator actions are stacked into one
-    exact linear system (``_search_system``); for the centerless family the
+    or a weight constraint).  The actions of the kept annihilators of
+    ``algebra.annihilator_generators``, which span the annihilator wing by
+    brackets, are stacked into one exact linear system
+    (``_search_system``); for the centerless family the
     non-diagonalizable g0 generator contributes rows forcing an eigenvector
     of it as well.  Every parameter value must be a polynomial in the
     parameters (NonPolynomialParameter otherwise).  Returns a SearchResult

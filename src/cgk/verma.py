@@ -403,7 +403,7 @@ def act_generic(spec, x, v, params=None):
     pvals = resolve_params(spec, params)
     images = _images(spec)
     first = images.index.get(x)
-    if first is None:
+    if first is None or type(x) is not Gen:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     zero, weights = images.zero, images.weights
     n_a, n_b = images.shape
@@ -535,7 +535,7 @@ def act_closed_form(spec, x, v, params=None):
     if spec.ext == "none":
         raise UnsupportedFamily("closed-form actions cover the extended families only")
     fam = _strings(spec)
-    if x not in fam.gens:
+    if type(x) is not Gen or x not in fam.gens:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     pvals = resolve_params(spec, params)
     out = {}

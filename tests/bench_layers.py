@@ -3,9 +3,13 @@
 ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
 act_generic / act_closed_form, on one vector and per unit monomial
 (test_module_action_per_monomial) -> the search's weight space (level_basis) and
-system (_search_system) -> its elimination (_matrix_kernel) ->
+system (_search_system) -> its elimination (_matrix_kernel) -> the whole
+search (search_singular) and the check of its vector (verify_singular) ->
 diffop.compose, commutator and twisted_commutator -> rep_check /
-intertwining_check.  The file name does
+intertwining_check.  The search's system has one block of rows per kept
+annihilator of ``algebra.annihilator_generators``, so _search_system and
+_matrix_kernel time a smaller system than before that reduction (17 rows
+and 42 entries, not 23 and 60, on the top case).  The file name does
 not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
 
@@ -51,6 +55,9 @@ from cgk.singular import (  # noqa: E402
     _search_system,
     delta_at_condition,
     predicted_weight,
+    search_singular,
+    singular_closed,
+    verify_singular,
     weight_shift,
 )
 from cgk.verma import (  # noqa: E402
@@ -168,9 +175,10 @@ def test_level_basis(benchmark, point):
 
 @POINTS
 def test_search_system(benchmark, point):
-    """Building the linear system of the search workload's top case."""
+    """Building the linear system of the search workload's top case: the
+    rows of the kept annihilators C, P2+ and P2-."""
     basis, rows = benchmark(_search_system, *_top_search(point))
-    assert (len(basis), len(rows)) == (9, 23)
+    assert (len(basis), len(rows), sum(map(len, rows))) == (9, 17, 42)
     ring = ParamPoly if point == "symbolic" else int
     assert all(type(x) is ring for row in rows for x in row.values())
 
@@ -181,6 +189,22 @@ def test_matrix_kernel(benchmark, point):
     basis, rows = _search_system(*_top_search(point))
     basis, _ = benchmark(_matrix_kernel, rows, len(basis))
     assert len(basis) == (point == "root")
+
+
+@POINTS
+def test_search_singular(benchmark, point):
+    """The whole search of the search workload's top case."""
+    spec, constraint, params = _top_search(point)
+    found = benchmark(search_singular, spec, constraint, params=params)
+    assert len(found) == (point == "root")
+
+
+def test_verify_singular(benchmark):
+    """Checking the closed-form vector of the search workload's top case at
+    the root: the kept annihilators and the diagonal generators."""
+    spec, _, params = _top_search("root")
+    v = singular_closed(spec, 3, params=params)
+    assert benchmark(verify_singular, spec, v, params=params).ok
 
 
 def test_compose(benchmark):

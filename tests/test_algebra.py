@@ -10,6 +10,7 @@ from cgk.algebra import (
     InvalidSpec,
     UnknownGenerator,
     _family,
+    annihilator_generators,
     bracket,
     decomposition,
     enumerate_generators,
@@ -160,6 +161,10 @@ def test_unknown_generator():
         bracket(spec, Gen("P", 7), Gen("H"))
     with pytest.raises(UnknownGenerator):
         bracket(AlgebraSpec(2, 1, "mass"), Gen("P", 0), Gen("H"))
+    # a plain tuple equal to H is not a Gen: refused on either side
+    for x, y in ((("H", None, ""), Gen("C")), (Gen("C"), ("H", None, ""))):
+        with pytest.raises(UnknownGenerator, match="is not a generator of AlgebraSpec"):
+            bracket(spec, x, y)
 
 
 def test_decomposition_examples():
@@ -419,6 +424,36 @@ def test_generating_set_example():
     assert (Gen("D"), Gen("C"), Gen("H"), Scalar.const(1)) in witnesses
     # the centerless family gets a set too, though nothing realizes it yet
     assert names(generating_set(AlgebraSpec(1, 2, "none"))[0]) == ["H", "C", "P2"]
+
+
+@pytest.mark.parametrize("spec", supported_specs(21),
+                         ids=lambda s: "%d-%d-%s" % (s.d, s.twoEll, s.ext))
+def test_annihilator_generators_span_the_wing(spec):
+    minus = decomposition(spec)[2]
+    kept, witnesses = annihilator_generators(spec)
+    assert list(kept) == [g for g in minus if g in kept]
+    known = set(kept)
+    for g, x, y, c in witnesses:
+        assert {g, x, y} <= set(minus) and {x, y} <= known and g not in known, (g, x, y)
+        assert bracket(spec, x, y) == GenCombo.of(g, c)
+        known.add(g)
+    assert known == set(minus)
+    assert _single_term_closure(spec, kept) == set(minus)
+
+
+def test_annihilator_generators_examples():
+    def kept(*spec):
+        return names(annihilator_generators(AlgebraSpec(*spec))[0])
+
+    assert kept(2, 3, "mass") == ["C", "P2+", "P2-"]
+    assert kept(2, 2, "exotic") == ["C", "P1-", "P2+"]
+    assert kept(1, 2, "none") == ["H", "P0"]
+    # d = 1: C and the lowest annihilating P, which C raises to the rest
+    for two_ell in range(1, 12, 2):
+        assert kept(1, two_ell, "mass") == ["C", "P%d" % ((two_ell + 1) // 2)]
+    assert annihilator_generators(AlgebraSpec(2, 3, "mass"))[1] == (
+        (Gen("P", 3, "+"), Gen("C"), Gen("P", 2, "+"), Scalar.const(1)),
+        (Gen("P", 3, "-"), Gen("C"), Gen("P", 2, "-"), Scalar.const(1)))
 
 
 def test_gencombo_arithmetic():

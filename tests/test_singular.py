@@ -5,7 +5,8 @@ from math import factorial, lcm
 import pytest
 
 from cgk import singular, verma
-from cgk.algebra import AlgebraSpec, Gen, decomposition, supported_specs, weight_table
+from cgk.algebra import (AlgebraSpec, Gen, annihilator_generators, decomposition,
+                         supported_specs, weight_table)
 from cgk.scalars import SYMBOLS, ParamPoly, Scalar, parse_scalar, poly_div_exact, poly_gcd
 from cgk.singular import (
     NonPolynomialParameter,
@@ -192,6 +193,57 @@ def test_verify_rejects_zero_and_inhomogeneous():
     assert not report.ok
     v = vacuum(D1) + ModuleVector.of(mono(1, (0,)))
     assert not verify_singular(D1, v).ok
+
+
+def _verify_cases():
+    """(spec, q, params, vector): for every family of supported_specs(5) and
+    q = 1, 2, the closed-form vector at the numeric root (kappa = 0 on the
+    centerless family), off the root, and at the root plus a stray monomial,
+    the last of level 4, which most annihilators fail on."""
+    for spec in supported_specs(5):
+        for q in (1, 2):
+            if spec.ext == "none":
+                root, off = {"delta": DELTA, "kappa": 0}, {"delta": DELTA, "kappa": 1}
+            else:
+                root = numeric_params_at_root(spec, q)
+                off = dict(root, delta=root["delta"] + 1)
+            v = singular_closed(spec, q, params=root)
+            yield spec, q, root, v
+            yield spec, q, off, singular_closed(spec, q, params=off)
+            yield spec, q, root, v + ModuleVector.of(level_basis(spec, 4)[-1])
+
+
+def test_verify_reports_as_on_every_annihilator(monkeypatch):
+    # a failing check lists every failing annihilator: the same report as a
+    # check over the whole wing
+    reports = [verify_singular(spec, v, params=params) for spec, _, params, v in _verify_cases()]
+    assert [r.ok for r in reports] == [True, False, False] * (len(reports) // 3)
+    # some of them fail on an annihilator that is not kept
+    assert any(kind == "annihilator" and x not in annihilator_generators(spec)[0]
+               for (spec, *_), r in zip(_verify_cases(), reports) for kind, x, _ in r.failures)
+    monkeypatch.setattr(singular, "annihilator_generators",
+                        lambda spec: (tuple(decomposition(spec)[2]), ()))
+    for (spec, q, params, v), report in zip(_verify_cases(), reports):
+        assert verify_singular(spec, v, params=params) == report, (spec, q, params)
+
+
+def test_passing_verify_acts_with_the_kept_annihilators_only(monkeypatch):
+    calls = []
+
+    def spy(spec, x, v, params=None):
+        calls.append(x)
+        return act_generic(spec, x, v, params=params)
+
+    monkeypatch.setattr(singular, "act_generic", spy)
+    passed = 0
+    for spec, q, params, v in _verify_cases():
+        calls.clear()
+        report = verify_singular(spec, v, params=params)
+        if report.ok:
+            passed += 1
+            assert calls == list(annihilator_generators(spec)[0]) + list(report.weight.eigen), (
+                spec, q)
+    assert passed == 2 * len(supported_specs(5))
 
 
 def numeric_params_at_root(spec, q):
@@ -408,14 +460,16 @@ def test_kernel_matches_reference_on_search_grid(monkeypatch):
     assert _kernel_calls_match_reference(monkeypatch, _search_grid()) == 50
 
 
-def _dense_system(spec, constraint, params):
-    """The search's system rebuilt densely from the module action and
-    ``ModuleVector.coefficient``, as ``cgkbench/checks.py`` builds it: one
-    column per basis monomial, one row per (operator, monomial of its
-    images), the monomials sorted by (h, a, b)."""
+def _dense_system(spec, constraint, params, annihilators):
+    """A search's system rebuilt densely from the module action and
+    ``ModuleVector.coefficient``, as ``cgkbench/checks.py`` builds it over
+    every annihilator: one column per basis monomial, one row per
+    (operator, monomial of its images), the monomials sorted by (h, a, b).
+    The operators are ``annihilators`` and, on the centerless family, P1
+    shifted by kappa."""
     pvals = resolve_params(spec, params)
     basis = level_basis(spec, constraint, params=params)
-    operators = [(x, None) for x in decomposition(spec)[2]]
+    operators = [(x, None) for x in annihilators]
     if spec.ext == "none":
         operators.append((Gen("P", 1), pvals["kappa"]))
     rows = []
@@ -437,16 +491,48 @@ def _entries(rows):
     return [[(c, type(x), x) for c, x in sorted(row.items())] for row in rows]
 
 
+def _is_rational(spec, params):
+    return all(v.is_rational() for v in resolve_params(spec, params).values())
+
+
 def _check_system_matches_rebuild(spec, constraint, params):
-    """``_search_system`` equals the dense rebuild cleared on the test side:
-    same basis, rows in the same order with the same entries in the same
-    ring, ints when every parameter is rational and ParamPoly otherwise."""
+    """``_search_system`` equals the dense rebuild over the kept
+    annihilators, cleared on the test side: same basis, rows in the same
+    order with the same entries in the same ring, ints when every parameter
+    is rational and ParamPoly otherwise."""
     basis, rows = _search_system(spec, constraint, params)
-    want_basis, want_rows = _dense_system(spec, constraint, params)
-    rational = all(v.is_rational() for v in resolve_params(spec, params).values())
+    want_basis, want_rows = _dense_system(spec, constraint, params,
+                                          annihilator_generators(spec)[0])
     assert basis == want_basis, (spec, constraint, params)
-    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), rational)), (
+    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), _is_rational(spec, params))), (
         spec, constraint, params)
+
+
+def _check_search_matches_full_system(monkeypatch, spec, constraint, params):
+    """``search_singular`` answers as ``_matrix_kernel`` on the cleared
+    rebuild over every annihilator: the same kernel vectors with entries of
+    the same types, the same caveats in the same order, and the same
+    vectors once each is divided by its least-column entry."""
+    calls = []
+
+    def recorded(rows, ncols):
+        calls.append(_matrix_kernel(rows, ncols))
+        return calls[-1]
+
+    monkeypatch.setattr(singular, "_matrix_kernel", recorded)
+    found = search_singular(spec, constraint, params=params)
+    [(kernel, caveats)] = calls
+    basis, rows = _dense_system(spec, constraint, params, decomposition(spec)[2])
+    want_kernel, want_caveats = _matrix_kernel(
+        _cleared(_sparse(rows), _is_rational(spec, params)), len(basis))
+    assert _entries(kernel) == _entries(want_kernel), (spec, constraint, params)
+    assert caveats == want_caveats, (spec, constraint, params)
+    as_scalar = lambda x: x if type(x) is Scalar else Scalar.const(x)
+    want = []
+    for vec in want_kernel:
+        scale = as_scalar(vec[min(vec)])
+        want.append(ModuleVector({basis[c]: as_scalar(x) / scale for c, x in vec.items()}))
+    assert found == SearchResult(want, want_caveats), (spec, constraint, params)
 
 
 def test_search_system_matches_dense_rebuild():
@@ -455,11 +541,12 @@ def test_search_system_matches_dense_rebuild():
         _check_system_matches_rebuild(spec, constraint, params)
 
 
-def test_search_system_matches_rebuild_random():
-    # families of supported_specs(5) at a drawn singular weight or level,
-    # each parameter a symbol, an int, a Fraction or a linear polynomial in
-    # any symbol, another parameter's included; half the draws take only
-    # numbers, so that the rows are ints
+def _random_searches(check):
+    """Run check(spec, constraint, params) on drawn searches: families of
+    supported_specs(5) at a drawn singular weight or level, each parameter
+    a symbol, an int, a Fraction or a linear polynomial in any symbol,
+    another parameter's included; half the draws take only numbers, so
+    that the rows are ints."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -472,7 +559,7 @@ def test_search_system_matches_rebuild_random():
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @hyp.given(st.data())
-    def check(data):
+    def run(data):
         spec = data.draw(st.sampled_from(supported_specs(5)))
         names = required_parameters(spec)
         rational = data.draw(st.booleans())
@@ -483,9 +570,27 @@ def test_search_system_matches_rebuild_random():
             constraint = predicted_weight(spec, q, params=params).eigen
         else:
             constraint = data.draw(st.integers(0, 4))
-        _check_system_matches_rebuild(spec, constraint, params)
+        check(spec, constraint, params)
 
-    check()
+    run()
+
+
+def test_search_system_matches_rebuild_random():
+    _random_searches(_check_system_matches_rebuild)
+
+
+def test_search_matches_the_full_annihilator_system(monkeypatch):
+    # the kept annihilators' rows span the same row space as every
+    # annihilator's, with the same reduced row echelon form, and are the
+    # first of them: same kernel, same pivots, same caveats
+    searches = list(_search_grid()) + _whole_level_searches()
+    assert len(searches) == 56
+    for search in searches:
+        _check_search_matches_full_system(monkeypatch, *search)
+
+
+def test_search_matches_the_full_annihilator_system_random(monkeypatch):
+    _random_searches(lambda *search: _check_search_matches_full_system(monkeypatch, *search))
 
 
 def test_search_never_calls_the_generic_action(monkeypatch):
@@ -691,3 +796,20 @@ def test_kernel_pinned_slow_reference_case():
         "r",
         "(-2*r^3+4*mu*r^2+mu^3+7*r^2-2*mu*r+7*mu^2+10*mu+3)/(mu+2)",
     ]
+
+
+def test_search_lists_the_caveats_of_its_own_rows():
+    # on (2,5,mass) level 8, every parameter symbolic, the rows of P4+- and
+    # P5+- offer a rational pivot at two columns where the kept rows have
+    # only a linear one in delta: the same (empty) kernel, and two caveats
+    # more than over every annihilator, both vanishing at delta = -9
+    spec = AlgebraSpec(2, 5, "mass")
+    found = search_singular(spec, 8)
+    basis, rows = _dense_system(spec, 8, None, decomposition(spec)[2])
+    kernel, caveats = _matrix_kernel(_cleared(_sparse(rows), False), len(basis))
+    assert found.vectors == kernel == []
+    remaining = iter(found.caveats)
+    assert all(c in remaining for c in caveats)  # in the same order
+    assert len(found.caveats) == len(caveats) + 2
+    assert [str(c) for c in found.caveats if c not in caveats] == [
+        "-5/8*delta-45/8", "1/4*delta+9/4"]

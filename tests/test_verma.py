@@ -162,11 +162,11 @@ def test_closed_form_unsupported():
             action(M1, Gen("P", 2, "+"), ModuleVector.of(mono(0, (1,), (1,))))
 
 
-@pytest.mark.parametrize("x", ["H", Gen("P", 9, "+"), Gen("H", 0), ("P", 9, "+")],
-                         ids=repr)
+@pytest.mark.parametrize("x", ["H", Gen("P", 9, "+"), Gen("H", 0), ("P", 9, "+"),
+                               ("H", None, ""), ("P", 1, "+")], ids=repr)
 def test_a_non_generator_is_refused_by_both_actions(x):
-    # lookups key on a generator's value: a name, or a tuple of fields no
-    # generator of the family has, finds no entry in either action's table
+    # a name, a tuple of fields no generator of the family has, or a plain
+    # tuple equal to one of its generators: only a Gen is a generator
     v = ModuleVector.of(mono(1, (0, 1), (1, 0)))
     for action in (act_closed_form, act_generic):
         with pytest.raises(UnknownGenerator, match=r"is not a generator of AlgebraSpec"):
