@@ -2,9 +2,11 @@
 
 A singular vector is a non-vacuum module vector that every annihilator
 kills and on which the diagonal generators act by scalars.  The elements
-that kill a vector are closed under the bracket, so both the check and the
-search test only the kept annihilators of ``algebra.annihilator_generators``,
-whose brackets span the wing.  Each family has a closed-form candidate
+that kill a vector are closed under the bracket, so a vector killed by the
+kept annihilators of ``algebra.annihilator_generators``, whose brackets
+span the wing, is killed by every annihilator: the check tests those first,
+and the search eliminates the other annihilators' rows only where they
+could change a pivot.  Each family has a closed-form candidate
 built from a quadratic (or simpler) element raised to a power q, which is
 singular exactly when the lowest weight satisfies a linear condition; an
 exact linear-algebra search over a fixed weight space provides the
@@ -14,10 +16,11 @@ independent route.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm
+from operator import sub
 
 from .algebra import (annihilator_generators, central_element, creation_data, decomposition,
                       weight_table)
-from .scalars import ParamPoly, Scalar, _quotient, _rational, poly_div_exact
+from .scalars import ZERO_EXPO, ParamPoly, Scalar, _quotient, _rational, poly_div_exact
 from .verma import (
     ModuleVector,
     Weight,
@@ -58,9 +61,7 @@ class SingularReport:
 class SearchResult:
     """Nullspace search outcome: vectors plus genericity caveats.
 
-    The system has one block of rows per kept annihilator of
-    ``algebra.annihilator_generators`` (see _search_system), and the same
-    row space, so the same kernel, as the system over every annihilator.
+    The system has one block of rows per annihilator (see _search_system).
     It is solved by fraction-free forward elimination on sparse, lazily
     updated rows and back substitution (see _matrix_kernel), in the
     field of its entries: the rationals when every parameter is rational,
@@ -70,9 +71,10 @@ class SearchResult:
     that are not rational, recovered as b / ref from the stored
     fraction-free entry b of a row and the pivot ref it was last updated
     with; the reported dimension is valid wherever none of them vanishes.
-    They are the pivots of this system: the rows of the other annihilators
-    can offer a rational pivot where these rows have none, so over every
-    annihilator a search can list fewer caveats.
+    The rows of the annihilators that the kept ones of
+    ``algebra.annihilator_generators`` reach by brackets are eliminated
+    only where they could change a pivot, so the caveats are those of the
+    whole system.
     """
 
     vectors: list
@@ -224,7 +226,132 @@ def _divider(ref):
     return None if inv == 1 else (lambda x: x * inv)
 
 
-def _matrix_kernel(rows, ncols):
+def _pick(mat, refs, steps, col, lo, hi, best=None):
+    """The pivot the Gauss-Jordan rule takes in column ``col`` among rows
+    lo..hi-1 and ``best``, the pick among earlier rows: (degree, row,
+    Gauss-Jordan entry), the entry None in an int matrix, whose first row
+    with an entry wins; None when no row has one."""
+    for r in range(lo, hi):
+        b = mat[r].get(col)
+        if b is None:
+            continue
+        if type(b) is int:
+            return (0, r, None)
+        # a pivot of minimal total degree, reduced, the first row winning ties
+        ref = steps[refs[r]][0]
+        bound = abs(b.total_degree() - ref.total_degree())
+        if best is not None and bound >= best[0]:
+            continue  # reducing b / ref cannot go below this degree
+        entry = Scalar(b, ref)
+        deg = entry.num.total_degree() + entry.den.total_degree()
+        if best is None or deg < best[0]:
+            best = (deg, r, entry)
+            if not deg:
+                break
+    return best
+
+
+def _restrict(terms, point):
+    """The terms of a polynomial with slot i set to the rational point[i]."""
+    if not point:
+        return terms
+    out = {}
+    for expo, c in terms.items():
+        for i, v in point.items():
+            if expo[i]:
+                c = c * v ** expo[i]
+                expo = expo[:i] + (0,) + expo[i + 1:]
+        if c:
+            out[expo] = out.get(expo, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _low_parts(pairs, point, x):
+    """The parts of the b of ``pairs`` that must vanish for each b / ref,
+    restricted to ``point``, to be 0 or of positive order in the symbol
+    slot x (x None: b itself); None when a ref vanishes at the point."""
+    low = []
+    for b, ref in pairs:
+        b, ref = _restrict(b.terms, point), _restrict(ref.terms, point)
+        if not ref:
+            return None
+        if x is None:
+            if b:
+                low.append(b)
+            continue
+        order = min(e[x] for e in ref)
+        for k in {e[x] for e in b if e[x] <= order}:
+            low.append({e[:x] + (0,) + e[x + 1:]: c for e, c in b.items() if e[x] == k})
+    return low
+
+
+def _vanishing_point(pairs, point, x):
+    """A certificate that no combination with polynomial coefficients of
+    the entries b / ref of ``pairs`` is a nonzero constant, or None.
+
+    It is (point, x): a rational value for some of the symbols, at which no
+    ref vanishes, and a symbol slot x (or None), such that ``_low_parts``
+    is empty: restricted to the point, each b / ref is 0 or has positive
+    order in x.  So then is the restriction of any such combination, which
+    a nonzero constant is not.  The search extends ``point`` and ``x`` by
+    what the first part that must vanish offers, once its monomial content
+    is divided out: its root if it is linear in one symbol, then each
+    symbol of the content as x while x is None, then each such symbol set
+    to 0.  Each step fixes one more symbol, so it ends; it is greedy, and
+    None does not mean that there is no certificate."""
+    low = _low_parts(pairs, point, x)
+    if not low:
+        return None if low is None else (point, x)
+    part = low[0]
+    content = tuple(map(min, zip(*part)))
+    part = {tuple(map(sub, e, content)): c for e, c in part.items()}
+    slots = {i for e in part for i, k in enumerate(e) if k}
+    ways = []  # (slot, value, x)
+    if len(slots) == 1 and max(map(sum, part)) == 1:
+        i, = slots
+        a = next(c for e, c in part.items() if e[i])
+        ways.append((i, _quotient(-part.get(ZERO_EXPO, 0), a), x))
+    symbols = [i for i, k in enumerate(content) if k]  # x is not among them
+    if x is None:
+        ways += [(None, None, i) for i in symbols]
+    ways += [(i, 0, x) for i in symbols]
+    for slot, value, axis in ways:
+        found = _vanishing_point(pairs, point if slot is None else {**point, slot: value}, axis)
+        if found is not None:
+            return found
+    return None
+
+
+def _least_in_span(best, mat, refs, steps, col, lo, hi, hint):
+    """A certificate that ``best``, a pick of positive degree in column
+    ``col`` among rows lo..hi-1, is of a degree that no combination of
+    those rows with polynomial coefficients can go below there, or None.
+    Such a combination's Gauss-Jordan entry is a sum of polynomial
+    multiples of theirs, b / ref.  Below degree 1 it would be a nonzero
+    constant, which ``_vanishing_point`` can rule out, and ``hint``, the
+    certificate of an earlier column or None, often does; a degree above
+    1 is not certified."""
+    degree, at, _ = best
+    if degree != 1:
+        return None
+    rows = [at] + [r for r in range(lo, hi) if r != at and col in mat[r]]  # best first
+    pairs = [(mat[r][col], steps[refs[r]][0]) for r in rows]
+    if hint is not None and _low_parts(pairs, *hint) == []:
+        return hint
+    return _vanishing_point(pairs, {}, None)
+
+
+def _bareiss_step(line, factor, piv, tail, div):
+    """``line``, whose entry ``factor`` in the pivot column is popped, after
+    one elimination step: (piv*b_j + factor*t_j) / ref over the pivot row's
+    ``tail`` of (column, -p_j), ``div`` dividing by the row's ref."""
+    new = {c: b * piv for c, b in line.items()}
+    for c, b in tail:
+        new[c] = new[c] + factor * b if c in new else factor * b
+    return {c: div(b) if div else b for c, b in new.items() if b}
+
+
+def _matrix_kernel(rows, ncols, spare=None):
     """Exact kernel basis of a matrix by fraction-free elimination.
 
     Each row of ``rows`` is a dict {col: nonzero entry} ({} for a zero
@@ -251,6 +378,17 @@ def _matrix_kernel(rows, ncols):
     the pivots are those Gauss-Jordan picks (minimal total degree of that
     reduced quotient, the first row winning ties); on an integer matrix
     every such entry is rational and the first nonzero row is the pivot.
+
+    ``spare``, when not None, builds more rows, to follow ``rows``, each a
+    combination of ``rows`` with polynomial coefficients.  They change
+    neither the row space nor the kernel, only, through the pivot rule,
+    which pivots are picked.  So they are built, brought up to date and
+    offered only in a column where no certificate shows that the pick
+    among ``rows`` is of least degree for their span (``_least_in_span``),
+    which is never needed in an int matrix.  Where a spare row wins, every
+    row is updated at each step from then on.  The result is that of the
+    elimination of all the rows, pivots and caveats included.
+
     Returns (basis, caveats): caveats lists those Gauss-Jordan pivots that
     are not rational (the kernel is correct wherever they do not vanish;
     denominators that later entries pick up are not listed).  Each basis
@@ -261,38 +399,42 @@ def _matrix_kernel(rows, ncols):
     unique, so these are the Gauss-Jordan kernel vectors.
     """
     mat = [dict(row) for row in rows]
-    nrows = len(mat)
+    end = len(mat)  # the rows below end are updated at each step
     # (pivot, _divider(pivot)) per step, after the first ref 1: only a
     # ParamPoly matrix reads that one, an int matrix refreshes by real pivots
     steps = [(ParamPoly.const(1), None)]
-    refs = [0] * nrows  # index in steps of each row's ref
+    refs = [0] * end  # index in steps of each row's ref
+    history = []  # (col, piv, tail) per step, for the spare rows to catch up on
+    caught = 0  # steps the spare rows have caught up on
+    hint = None  # the last certificate that they cannot win a pivot
     caveats = []
     pivots = []  # (row, col)
     row = 0
     for col in range(ncols):
-        if row == nrows:
-            break
-        best = None  # (degree, row, Gauss-Jordan entry)
-        for r in range(row, nrows):
-            b = mat[r].get(col)
-            if b is None:
-                continue
-            if type(b) is int:
-                best = (0, r, None)  # every entry is rational: the first row
-                break
-            # the Gauss-Jordan rule: a pivot of minimal total degree, reduced
-            ref = steps[refs[r]][0]
-            bound = abs(b.total_degree() - ref.total_degree())
-            if best is not None and bound >= best[0]:
-                continue  # reducing b / ref cannot go below this degree
-            entry = Scalar(b, ref)
-            deg = entry.num.total_degree() + entry.den.total_degree()
-            if best is None or deg < best[0]:
-                best = (deg, r, entry)
-                if not deg:
-                    break
+        if row == end:
+            break  # the spare rows lie in the pivot rows' span
+        best = _pick(mat, refs, steps, col, row, end)
         if best is None:
-            continue
+            continue  # and so they have no entry here either
+        if spare is not None and best[0] and (hint := _least_in_span(
+                best, mat, refs, steps, col, row, end, hint)) is None:
+            if len(mat) == end:
+                built = spare()
+                mat += built
+                refs += [0] * len(built)
+            for i in range(end, len(mat)):
+                line = mat[i]
+                for s in range(caught, len(history)):
+                    c, piv, tail = history[s]
+                    factor = line.pop(c, None)
+                    if factor is not None:
+                        line = mat[i] = _bareiss_step(line, factor, piv, tail,
+                                                      steps[refs[i]][1])
+                        refs[i] = s + 1
+            caught = len(history)
+            best = _pick(mat, refs, steps, col, end, len(mat), best)
+            if best[1] >= end:
+                end, spare = len(mat), None
         _, r, entry = best
         mat[row], mat[r] = mat[r], mat[row]
         refs[row], refs[r] = refs[r], refs[row]
@@ -307,18 +449,15 @@ def _matrix_kernel(rows, ncols):
                 prow[c] = div(b * prev) if div else b * prev
         piv = prow[col]
         tail = [(c, -b) for c, b in prow.items() if c != col]  # the -p_j
-        for i in range(row + 1, nrows):
+        for i in range(row + 1, end):
             line = mat[i]
             factor = line.pop(col, None)
             if factor is None:
                 continue  # left alone: its ref stays
-            new = {c: b * piv for c, b in line.items()}
-            for c, b in tail:
-                new[c] = new[c] + factor * b if c in new else factor * b
-            div = steps[refs[i]][1]
-            mat[i] = {c: div(b) if div else b for c, b in new.items() if b}
+            mat[i] = _bareiss_step(line, factor, piv, tail, steps[refs[i]][1])
             refs[i] = step + 1
         steps.append((piv, _divider(piv)))
+        history.append((col, piv, tail))
         pivots.append((row, col))
         row += 1
     pivot_cols = {c for _, c in pivots}
@@ -359,15 +498,23 @@ def _ring_values(pvals):
 
 
 def _search_system(spec, constraint, params=None):
-    """(basis, rows): the basis of one weight space and the exact linear
-    system whose kernel search_singular reads: column j is basis[j], and
-    each row is a dict {j: nonzero entry}, one per (operator, monomial of
-    its images), each operator's monomials in ascending order.  The
-    operators are the kept annihilators of ``annihilator_generators`` in
-    wing order, then, on the centerless family, P1 shifted by kappa.  A
-    vector those annihilators kill is killed by their brackets, the whole
-    wing, so the rows of the other annihilators would add nothing to the
-    row space.
+    """(basis, rows, spare): the basis of one weight space and the exact
+    linear system whose kernel search_singular reads: column j is basis[j],
+    and each row is a dict {j: nonzero entry}, one per (operator, monomial
+    of its images), each operator's monomials in ascending order.  The
+    operators are the kept annihilators of ``annihilator_generators`` up to
+    the last one, in wing order, then, on the centerless family, P1 shifted
+    by kappa.
+
+    ``spare`` builds, when called, the rows of the annihilators after them
+    in the same way (None when there are none, or when the rows are ints).
+    Those rows are combinations of ``rows`` with polynomial coefficients:
+    an annihilator that is not kept is [x, y] / c for
+    annihilators x, y kept or dropped before it, and [x, y] v =
+    x (y v) - y (x v), where the matrices of x and y have polynomial
+    entries.  So they change neither the row space nor the kernel, only,
+    through the pivot rule, the caveats (see ``_matrix_kernel``), and an
+    int matrix has none.
 
     The rows are read straight from the parameter-free images of
     ``verma._images``, in the ring ``_matrix_kernel`` eliminates in.  Each
@@ -382,55 +529,65 @@ def _search_system(spec, constraint, params=None):
     images = _images(spec)
     weights = images.weights
     products = {images.zero: one}
-    letters = [images.index[x] for x in annihilator_generators(spec)[0]]
+    wing = decomposition(spec)[2]
+    kept = annihilator_generators(spec)[0]
+    letters = [images.index[x] for x in wing]
+    lead = 1 + max(i for i, x in enumerate(wing) if x in kept)  # the rest are spare
     shifted = None
     if spec.ext == "none":
         # require P1 v = -kappa v as well (its diagonal part is forced): P1
         # minus its eigenvalue on the lowest-weight vector, -kappa
         shifted = images.index[_P1]
         letters.append(shifted)
+        lead = len(letters)
 
-    rows = []
-    for letter in letters:
-        by_target = {}
-        for col, m in enumerate(basis):
-            terms = images[letter, m]
-            if letter == shifted:
-                terms += ((m, images.unit[letter], -1),)
-            for n, e, c in terms:
-                value = products.get(e)
-                if value is None:
-                    value = products[e] = _eigen_product(weights, e, values)
-                row = by_target.setdefault(n, {})
-                prev = row.get(col)
-                row[col] = value * c if prev is None else prev + value * c
-        for t in sorted(by_target):
-            row = {col: x for col, x in by_target[t].items() if x}
-            if row:
-                rows.append(row)
+    def block(letters):
+        rows = []
+        for letter in letters:
+            by_target = {}
+            for col, m in enumerate(basis):
+                terms = images[letter, m]
+                if letter == shifted:
+                    terms += ((m, images.unit[letter], -1),)
+                for n, e, c in terms:
+                    value = products.get(e)
+                    if value is None:
+                        value = products[e] = _eigen_product(weights, e, values)
+                    row = by_target.setdefault(n, {})
+                    prev = row.get(col)
+                    row[col] = value * c if prev is None else prev + value * c
+            for t in sorted(by_target):
+                row = {col: x for col, x in by_target[t].items() if x}
+                if row:
+                    rows.append(row)
+        return rows
+
+    rows = block(letters[:lead])
     if type(one) is int:
         for i, row in enumerate(rows):
             scale = lcm(*(x.denominator for x in row.values()))
             rows[i] = {col: x.numerator * (scale // x.denominator) for col, x in row.items()}
-    return basis, rows
+        return basis, rows, None
+    return basis, rows, (lambda: block(letters[lead:])) if lead < len(letters) else None
 
 
 def search_singular(spec, constraint, params=None):
     """Exact nullspace search for singular vectors in one weight space.
 
     ``constraint`` selects the space as in level_basis (an integer level
-    or a weight constraint).  The actions of the kept annihilators of
-    ``algebra.annihilator_generators``, which span the annihilator wing by
-    brackets, are stacked into one exact linear system
-    (``_search_system``); for the centerless family the
+    or a weight constraint).  Annihilator actions are stacked into one
+    exact linear system (``_search_system``); for the centerless family the
     non-diagonalizable g0 generator contributes rows forcing an eigenvector
-    of it as well.  Every parameter value must be a polynomial in the
+    of it as well.  The rows of the annihilators after the kept ones of
+    ``algebra.annihilator_generators``, which span the annihilator wing by
+    brackets, are spare: the elimination takes them up only in a column
+    where they could win the pivot, and an int matrix leaves them out.  Every parameter value must be a polynomial in the
     parameters (NonPolynomialParameter otherwise).  Returns a SearchResult
     whose vectors are normalized so their lexicographically first monomial
     (least column) has coefficient 1.
     """
-    basis, rows = _search_system(spec, constraint, params)
-    kernel, caveats = _matrix_kernel(rows, len(basis))
+    basis, rows, spare = _search_system(spec, constraint, params)
+    kernel, caveats = _matrix_kernel(rows, len(basis), spare)
     vectors = []
     for vec in kernel:
         scale = vec[min(vec)]

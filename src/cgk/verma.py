@@ -402,8 +402,8 @@ def act_generic(spec, x, v, params=None):
     """
     pvals = resolve_params(spec, params)
     images = _images(spec)
-    first = images.index.get(x)
-    if first is None or type(x) is not Gen:
+    first = images.index.get(x) if type(x) is Gen else None
+    if first is None:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     zero, weights = images.zero, images.weights
     n_a, n_b = images.shape

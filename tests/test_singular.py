@@ -407,15 +407,16 @@ def _cleared(rows, rational=None):
     return out
 
 
-def _checked_kernel(rows, ncols):
-    """The kernel of the sparse int or ParamPoly ``rows``, checked against
-    ``_reference_kernel`` on the same rows as dense Scalars: same vectors,
-    stored without zeros, and same caveats in the same order.  The rows are
-    left as they were."""
+def _checked_kernel(rows, ncols, spare=None):
+    """The kernel of the sparse int or ParamPoly ``rows`` and the rows
+    ``spare`` builds, checked against ``_reference_kernel`` on all of them
+    as dense Scalars: same vectors, stored without zeros, and same caveats
+    in the same order.  The rows are left as they were."""
     before = [dict(row) for row in rows]
-    basis, caveats = _matrix_kernel(rows, ncols)
+    basis, caveats = _matrix_kernel(rows, ncols, spare)
     assert rows == before
     assert all(x for vec in basis for x in vec.values())
+    rows = rows + (spare() if spare else [])
     scalars = [{c: Scalar(x) for c, x in row.items()} for row in rows]
     assert (_dense(basis, ncols), caveats) == _reference_kernel(_dense(scalars, ncols), ncols)
     return basis, caveats
@@ -446,9 +447,9 @@ def _kernel_calls_match_reference(monkeypatch, searches):
     ``_reference_kernel``; return the number of calls."""
     matrices = []
 
-    def checked(rows, ncols):
+    def checked(rows, ncols, spare=None):
         matrices.append(ncols)
-        return _checked_kernel(rows, ncols)
+        return _checked_kernel(rows, ncols, spare)
 
     monkeypatch.setattr(singular, "_matrix_kernel", checked)
     for spec, constraint, params in searches:
@@ -496,16 +497,27 @@ def _is_rational(spec, params):
 
 
 def _check_system_matches_rebuild(spec, constraint, params):
-    """``_search_system`` equals the dense rebuild over the kept
-    annihilators, cleared on the test side: same basis, rows in the same
-    order with the same entries in the same ring, ints when every parameter
-    is rational and ParamPoly otherwise."""
-    basis, rows = _search_system(spec, constraint, params)
-    want_basis, want_rows = _dense_system(spec, constraint, params,
-                                          annihilator_generators(spec)[0])
+    """``_search_system`` equals the dense rebuild over the annihilators up
+    to the last kept one, cleared on the test side: same basis, rows in the
+    same order with the same entries in the same ring, ints when every
+    parameter is rational and ParamPoly otherwise.  Its spare rows are the
+    rebuild over the other annihilators, and are built for ParamPoly rows
+    only."""
+    basis, rows, spare = _search_system(spec, constraint, params)
+    wing, kept = decomposition(spec)[2], annihilator_generators(spec)[0]
+    lead = 1 + max(i for i, x in enumerate(wing) if x in kept)
+    want_basis, want_rows = _dense_system(spec, constraint, params, wing[:lead])
+    rational = _is_rational(spec, params)
     assert basis == want_basis, (spec, constraint, params)
-    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), _is_rational(spec, params))), (
+    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), rational)), (
         spec, constraint, params)
+    if rational or lead == len(wing):
+        assert spare is None, (spec, constraint, params)
+    else:
+        assert spec.ext != "none"  # the shifted P1 rows come last
+        _, want_spare = _dense_system(spec, constraint, params, wing[lead:])
+        assert _entries(spare()) == _entries(_cleared(_sparse(want_spare), False)), (
+            spec, constraint, params)
 
 
 def _check_search_matches_full_system(monkeypatch, spec, constraint, params):
@@ -515,8 +527,8 @@ def _check_search_matches_full_system(monkeypatch, spec, constraint, params):
     vectors once each is divided by its least-column entry."""
     calls = []
 
-    def recorded(rows, ncols):
-        calls.append(_matrix_kernel(rows, ncols))
+    def recorded(rows, ncols, spare=None):
+        calls.append(_matrix_kernel(rows, ncols, spare))
         return calls[-1]
 
     monkeypatch.setattr(singular, "_matrix_kernel", recorded)
@@ -581,8 +593,10 @@ def test_search_system_matches_rebuild_random():
 
 def test_search_matches_the_full_annihilator_system(monkeypatch):
     # the kept annihilators' rows span the same row space as every
-    # annihilator's, with the same reduced row echelon form, and are the
-    # first of them: same kernel, same pivots, same caveats
+    # annihilator's, so the kernel is the same; the spare rows are taken up
+    # in every column where they could win the pivot, so the pivots and the
+    # caveats are the same too (see the (2,5,mass) level-8 test below, where
+    # one of them wins)
     searches = list(_search_grid()) + _whole_level_searches()
     assert len(searches) == 56
     for search in searches:
@@ -630,8 +644,8 @@ def test_level_zero_search_is_the_vacuum():
     # one basis monomial and no rows: the kernel's one free column, with no
     # pivot to substitute into
     for spec in supported_specs(5):
-        basis, rows = _search_system(spec, 0)
-        assert (len(basis), rows) == (1, []), spec
+        basis, rows, spare = _search_system(spec, 0)
+        assert (len(basis), rows, spare() if spare else []) == (1, [], []), spec
         assert search_singular(spec, 0) == SearchResult([vacuum(spec)], []), spec
 
 
@@ -659,8 +673,8 @@ def test_search_scales_the_reference_kernel(monkeypatch):
     # Scalars
     calls = []
 
-    def recorded(rows, ncols):
-        basis, caveats = _matrix_kernel(rows, ncols)
+    def recorded(rows, ncols, spare=None):
+        basis, caveats = _matrix_kernel(rows, ncols, spare)
         calls.append((rows, ncols, basis))
         return basis, caveats
 
@@ -798,18 +812,59 @@ def test_kernel_pinned_slow_reference_case():
     ]
 
 
-def test_search_lists_the_caveats_of_its_own_rows():
+def test_a_spare_row_wins_where_the_kept_rows_offer_no_rational_pivot():
     # on (2,5,mass) level 8, every parameter symbolic, the rows of P4+- and
-    # P5+- offer a rational pivot at two columns where the kept rows have
-    # only a linear one in delta: the same (empty) kernel, and two caveats
-    # more than over every annihilator, both vanishing at delta = -9
+    # P5+- offer a rational pivot at a column where the kept rows' best is
+    # linear in delta: the search builds and takes them up, and answers as
+    # the system over every annihilator, without that caveat
     spec = AlgebraSpec(2, 5, "mass")
-    found = search_singular(spec, 8)
-    basis, rows = _dense_system(spec, 8, None, decomposition(spec)[2])
-    kernel, caveats = _matrix_kernel(_cleared(_sparse(rows), False), len(basis))
-    assert found.vectors == kernel == []
-    remaining = iter(found.caveats)
-    assert all(c in remaining for c in caveats)  # in the same order
-    assert len(found.caveats) == len(caveats) + 2
-    assert [str(c) for c in found.caveats if c not in caveats] == [
+    basis, rows, spare = _search_system(spec, 8)
+    built = []
+
+    def counted():
+        built.append(spare())
+        return built[-1]
+
+    found = _matrix_kernel(rows, len(basis), counted)
+    assert len(built) == 1
+    assert found == _matrix_kernel(rows + spare(), len(basis))
+    dense_basis, dense = _dense_system(spec, 8, None, decomposition(spec)[2])
+    assert found == _matrix_kernel(_cleared(_sparse(dense), False), len(dense_basis))
+    kept_only = _matrix_kernel(rows, len(basis))
+    assert found[0] == kept_only[0] == []
+    assert [str(c) for c in kept_only[1] if c not in found[1]] == [
         "-5/8*delta-45/8", "1/4*delta+9/4"]
+    assert search_singular(spec, 8) == SearchResult([], found[1])
+
+
+def _poly(text):
+    return parse_scalar(text).num
+
+
+def test_kernel_takes_up_spare_rows_only_where_they_could_win():
+    built = []
+
+    def spare_of(rows):
+        def spare():
+            built.append(rows)
+            return [dict(row) for row in rows]
+        return spare
+
+    # the spare row is the second row minus the first: a rational pivot in
+    # column 0, where the others offer delta + 1 and delta + 2, which no
+    # point makes vanish together
+    rows = [{0: _poly("delta+1"), 1: _poly("mu")}, {0: _poly("delta+2"), 1: _poly("mu")}]
+    spare = [{0: _poly("1")}]
+    assert _matrix_kernel(rows, 2)[1] == [parse_scalar("delta+1"), parse_scalar("-mu/(delta+1)")]
+    assert _matrix_kernel(rows, 2, spare_of(spare)) == _matrix_kernel(rows + spare, 2)
+    assert _matrix_kernel(rows, 2, spare_of(spare))[1] == [parse_scalar("mu")]
+    assert len(built) == 2
+    # here every entry of column 0 vanishes at mu = 0, and so does that of
+    # the spare row, the sum of the two: it is never built
+    built.clear()
+    rows = [{0: _poly("mu"), 1: _poly("1")}, {0: _poly("2*mu"), 1: _poly("delta")}]
+    spare = [{0: _poly("3*mu"), 1: _poly("delta+1")}]
+    assert _matrix_kernel(rows, 2, spare_of(spare)) == _matrix_kernel(rows + spare, 2)
+    assert _matrix_kernel(rows, 2, spare_of(spare))[1] == [parse_scalar("mu"),
+                                                          parse_scalar("delta-2")]
+    assert built == []

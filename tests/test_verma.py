@@ -163,10 +163,11 @@ def test_closed_form_unsupported():
 
 
 @pytest.mark.parametrize("x", ["H", Gen("P", 9, "+"), Gen("H", 0), ("P", 9, "+"),
-                               ("H", None, ""), ("P", 1, "+")], ids=repr)
+                               ("H", None, ""), ("P", 1, "+"), ["H", None, ""]], ids=repr)
 def test_a_non_generator_is_refused_by_both_actions(x):
-    # a name, a tuple of fields no generator of the family has, or a plain
-    # tuple equal to one of its generators: only a Gen is a generator
+    # a name, a tuple of fields no generator of the family has, a plain
+    # tuple equal to one of its generators, or an unhashable list of its
+    # fields: only a Gen is a generator
     v = ModuleVector.of(mono(1, (0, 1), (1, 0)))
     for action in (act_closed_form, act_generic):
         with pytest.raises(UnknownGenerator, match=r"is not a generator of AlgebraSpec"):
