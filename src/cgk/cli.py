@@ -50,6 +50,7 @@ from .invariants import (
 from .reps import chart, left_action, rep_check, right_action
 from .scalars import DivisionByZero, Scalar, parse_scalar, render_scalar
 from .singular import (
+    certify,
     delta_at_condition,
     predicted_weight,
     search_singular,
@@ -403,6 +404,8 @@ def _failure_text(failure):
 
 def cmd_singular_search(args):
     spec, params = _config(args, q=args.q)
+    if args.level is not None and args.q is not None:
+        raise UsageError("give --level or --q, not both")
     if args.level is not None:
         constraint = _level(args.level)
     elif args.q is not None:
@@ -410,15 +413,23 @@ def cmd_singular_search(args):
     else:
         raise UsageError("give --level, or --q for the predicted weight space")
     found = search_singular(spec, constraint, params=params)
-    caveats = [render_scalar(c) for c in found.caveats]
+    loci, uncertified = certify(spec, constraint, params, found)
+    at = lambda point: {name: render_scalar(Scalar.const(v)) for name, v in point}
     if args.render == "json":
+        caveats = [{"at": at(point), "dimension": dim} for point, dim in loci.items()]
+        caveats += [{"at": at(point), "vanishes": render_scalar(Scalar(factor)),
+                     "dimension": None} for point, factor in uncertified]
         out = {"dimension": len(found), "caveats": caveats,
                "vectors": [vector_to_json(v) for v in found.vectors]}
     else:
         lines = ["kernel dimension: %d" % len(found)]
         lines += ["  %s" % v for v in found.vectors]
-        if caveats:
-            lines.append("valid where none of these vanish: %s" % ", ".join(caveats))
+        where = lambda point: ["%s = %s" % kv for kv in at(point).items()]
+        lines += ["at %s: dimension %d" % (", ".join(where(point)), dim)
+                  for point, dim in loci.items()]
+        lines += ["at %s: not certified" % ", ".join(
+            where(point) + ["%s = 0" % render_scalar(Scalar(factor))])
+            for point, factor in uncertified]
         out = "\n".join(lines)
     _emit(args, out)
     return 0

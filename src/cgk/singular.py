@@ -5,22 +5,22 @@ kills and on which the diagonal generators act by scalars.  The elements
 that kill a vector are closed under the bracket, so a vector killed by the
 kept annihilators of ``algebra.annihilator_generators``, whose brackets
 span the wing, is killed by every annihilator: the check tests those first,
-and the search eliminates the other annihilators' rows only where they
-could change a pivot.  Each family has a closed-form candidate
-built from a quadratic (or simpler) element raised to a power q, which is
-singular exactly when the lowest weight satisfies a linear condition; an
-exact linear-algebra search over a fixed weight space provides the
-independent route.
+and the search stacks their rows only.  Each family has a closed-form
+candidate built from a quadratic (or simpler) element raised to a power q,
+which is singular exactly when the lowest weight satisfies a linear
+condition; an exact linear-algebra search over a fixed weight space
+provides the independent route, and ``certify`` turns the caveats of a
+search into the loci where its answer changes.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from operator import sub
 
 from .algebra import (annihilator_generators, central_element, creation_data, decomposition,
                       weight_table)
-from .scalars import ZERO_EXPO, ParamPoly, Scalar, _quotient, _rational, poly_div_exact
+from .scalars import SYMBOLS, ParamPoly, Scalar, _quotient, _rational, poly_div_exact
 from .verma import (
     ModuleVector,
     Weight,
@@ -71,10 +71,9 @@ class SearchResult:
     that are not rational, recovered as b / ref from the stored
     fraction-free entry b of a row and the pivot ref it was last updated
     with; the reported dimension is valid wherever none of them vanishes.
-    The rows of the annihilators that the kept ones of
-    ``algebra.annihilator_generators`` reach by brackets are eliminated
-    only where they could change a pivot, so the caveats are those of the
-    whole system.
+    These raw caveats depend on the pivot rule and on which redundant rows
+    the system holds, and over-report; ``certify`` gives the canonical
+    answer, the loci where the dimension or a vector changes.
     """
 
     vectors: list
@@ -226,132 +225,31 @@ def _divider(ref):
     return None if inv == 1 else (lambda x: x * inv)
 
 
-def _pick(mat, refs, steps, col, lo, hi, best=None):
-    """The pivot the Gauss-Jordan rule takes in column ``col`` among rows
-    lo..hi-1 and ``best``, the pick among earlier rows: (degree, row,
-    Gauss-Jordan entry), the entry None in an int matrix, whose first row
-    with an entry wins; None when no row has one."""
+def _pick(mat, refs, steps, col, lo, hi):
+    """The pivot in column ``col`` among rows lo..hi-1: (row, Gauss-Jordan
+    entry b / ref), the entry None in an int matrix, whose first row with
+    an entry wins; None when no row has one.  In a ParamPoly matrix the
+    stored entry b with the fewest terms wins, then the one of least total
+    degree, the first row winning ties, and only the winner is reduced."""
+    best = None
     for r in range(lo, hi):
         b = mat[r].get(col)
         if b is None:
             continue
         if type(b) is int:
-            return (0, r, None)
-        # a pivot of minimal total degree, reduced, the first row winning ties
-        ref = steps[refs[r]][0]
-        bound = abs(b.total_degree() - ref.total_degree())
-        if best is not None and bound >= best[0]:
-            continue  # reducing b / ref cannot go below this degree
-        entry = Scalar(b, ref)
-        deg = entry.num.total_degree() + entry.den.total_degree()
-        if best is None or deg < best[0]:
-            best = (deg, r, entry)
-            if not deg:
-                break
-    return best
-
-
-def _restrict(terms, point):
-    """The terms of a polynomial with slot i set to the rational point[i]."""
-    if not point:
-        return terms
-    out = {}
-    for expo, c in terms.items():
-        for i, v in point.items():
-            if expo[i]:
-                c = c * v ** expo[i]
-                expo = expo[:i] + (0,) + expo[i + 1:]
-        if c:
-            out[expo] = out.get(expo, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _low_parts(pairs, point, x):
-    """The parts of the b of ``pairs`` that must vanish for each b / ref,
-    restricted to ``point``, to be 0 or of positive order in the symbol
-    slot x (x None: b itself); None when a ref vanishes at the point."""
-    low = []
-    for b, ref in pairs:
-        b, ref = _restrict(b.terms, point), _restrict(ref.terms, point)
-        if not ref:
-            return None
-        if x is None:
-            if b:
-                low.append(b)
-            continue
-        order = min(e[x] for e in ref)
-        for k in {e[x] for e in b if e[x] <= order}:
-            low.append({e[:x] + (0,) + e[x + 1:]: c for e, c in b.items() if e[x] == k})
-    return low
-
-
-def _vanishing_point(pairs, point, x):
-    """A certificate that no combination with polynomial coefficients of
-    the entries b / ref of ``pairs`` is a nonzero constant, or None.
-
-    It is (point, x): a rational value for some of the symbols, at which no
-    ref vanishes, and a symbol slot x (or None), such that ``_low_parts``
-    is empty: restricted to the point, each b / ref is 0 or has positive
-    order in x.  So then is the restriction of any such combination, which
-    a nonzero constant is not.  The search extends ``point`` and ``x`` by
-    what the first part that must vanish offers, once its monomial content
-    is divided out: its root if it is linear in one symbol, then each
-    symbol of the content as x while x is None, then each such symbol set
-    to 0.  Each step fixes one more symbol, so it ends; it is greedy, and
-    None does not mean that there is no certificate."""
-    low = _low_parts(pairs, point, x)
-    if not low:
-        return None if low is None else (point, x)
-    part = low[0]
-    content = tuple(map(min, zip(*part)))
-    part = {tuple(map(sub, e, content)): c for e, c in part.items()}
-    slots = {i for e in part for i, k in enumerate(e) if k}
-    ways = []  # (slot, value, x)
-    if len(slots) == 1 and max(map(sum, part)) == 1:
-        i, = slots
-        a = next(c for e, c in part.items() if e[i])
-        ways.append((i, _quotient(-part.get(ZERO_EXPO, 0), a), x))
-    symbols = [i for i, k in enumerate(content) if k]  # x is not among them
-    if x is None:
-        ways += [(None, None, i) for i in symbols]
-    ways += [(i, 0, x) for i in symbols]
-    for slot, value, axis in ways:
-        found = _vanishing_point(pairs, point if slot is None else {**point, slot: value}, axis)
-        if found is not None:
-            return found
-    return None
-
-
-def _least_in_span(best, mat, refs, steps, col, lo, hi, hint):
-    """A certificate that ``best``, a pick of positive degree in column
-    ``col`` among rows lo..hi-1, is of a degree that no combination of
-    those rows with polynomial coefficients can go below there, or None.
-    Such a combination's Gauss-Jordan entry is a sum of polynomial
-    multiples of theirs, b / ref.  Below degree 1 it would be a nonzero
-    constant, which ``_vanishing_point`` can rule out, and ``hint``, the
-    certificate of an earlier column or None, often does; a degree above
-    1 is not certified."""
-    degree, at, _ = best
-    if degree != 1:
+            return r, None
+        key = (len(b.terms), b.total_degree())
+        if best is None or key < best[0]:
+            best = key, r
+            if key == (1, 0):
+                break  # a constant: no entry comes before it
+    if best is None:
         return None
-    rows = [at] + [r for r in range(lo, hi) if r != at and col in mat[r]]  # best first
-    pairs = [(mat[r][col], steps[refs[r]][0]) for r in rows]
-    if hint is not None and _low_parts(pairs, *hint) == []:
-        return hint
-    return _vanishing_point(pairs, {}, None)
+    r = best[1]
+    return r, Scalar(mat[r][col], steps[refs[r]][0])
 
 
-def _bareiss_step(line, factor, piv, tail, div):
-    """``line``, whose entry ``factor`` in the pivot column is popped, after
-    one elimination step: (piv*b_j + factor*t_j) / ref over the pivot row's
-    ``tail`` of (column, -p_j), ``div`` dividing by the row's ref."""
-    new = {c: b * piv for c, b in line.items()}
-    for c, b in tail:
-        new[c] = new[c] + factor * b if c in new else factor * b
-    return {c: div(b) if div else b for c, b in new.items() if b}
-
-
-def _matrix_kernel(rows, ncols, spare=None):
+def _matrix_kernel(rows, ncols):
     """Exact kernel basis of a matrix by fraction-free elimination.
 
     Each row of ``rows`` is a dict {col: nonzero entry} ({} for a zero
@@ -374,20 +272,10 @@ def _matrix_kernel(rows, ncols, spare=None):
     the row's own ref.  A chosen pivot row that is stale is first brought
     up to date, so every pivot is the Bareiss pivot.
 
-    The Gauss-Jordan entry in the place of a stored entry b is b / ref, so
-    the pivots are those Gauss-Jordan picks (minimal total degree of that
-    reduced quotient, the first row winning ties); on an integer matrix
-    every such entry is rational and the first nonzero row is the pivot.
-
-    ``spare``, when not None, builds more rows, to follow ``rows``, each a
-    combination of ``rows`` with polynomial coefficients.  They change
-    neither the row space nor the kernel, only, through the pivot rule,
-    which pivots are picked.  So they are built, brought up to date and
-    offered only in a column where no certificate shows that the pick
-    among ``rows`` is of least degree for their span (``_least_in_span``),
-    which is never needed in an int matrix.  Where a spare row wins, every
-    row is updated at each step from then on.  The result is that of the
-    elimination of all the rows, pivots and caveats included.
+    The Gauss-Jordan entry in the place of a stored entry b is b / ref.
+    ``_pick`` chooses the pivot row by its stored entry and reduces only
+    that one; on an integer matrix every such entry is rational and the
+    first nonzero row is the pivot.
 
     Returns (basis, caveats): caveats lists those Gauss-Jordan pivots that
     are not rational (the kernel is correct wherever they do not vanish;
@@ -396,46 +284,25 @@ def _matrix_kernel(rows, ncols, spare=None):
     at the other free columns, solved by back substitution in the field of
     the matrix: its entries are ints and Fractions for an int matrix and
     Scalars for a ParamPoly matrix.  The reduced row echelon form is
-    unique, so these are the Gauss-Jordan kernel vectors.
+    unique, so these are the Gauss-Jordan kernel vectors, whatever rows
+    the pivot rule picks.
     """
     mat = [dict(row) for row in rows]
-    end = len(mat)  # the rows below end are updated at each step
+    nrows = len(mat)
     # (pivot, _divider(pivot)) per step, after the first ref 1: only a
     # ParamPoly matrix reads that one, an int matrix refreshes by real pivots
     steps = [(ParamPoly.const(1), None)]
-    refs = [0] * end  # index in steps of each row's ref
-    history = []  # (col, piv, tail) per step, for the spare rows to catch up on
-    caught = 0  # steps the spare rows have caught up on
-    hint = None  # the last certificate that they cannot win a pivot
+    refs = [0] * nrows  # index in steps of each row's ref
     caveats = []
     pivots = []  # (row, col)
     row = 0
     for col in range(ncols):
-        if row == end:
-            break  # the spare rows lie in the pivot rows' span
-        best = _pick(mat, refs, steps, col, row, end)
+        if row == nrows:
+            break
+        best = _pick(mat, refs, steps, col, row, nrows)
         if best is None:
-            continue  # and so they have no entry here either
-        if spare is not None and best[0] and (hint := _least_in_span(
-                best, mat, refs, steps, col, row, end, hint)) is None:
-            if len(mat) == end:
-                built = spare()
-                mat += built
-                refs += [0] * len(built)
-            for i in range(end, len(mat)):
-                line = mat[i]
-                for s in range(caught, len(history)):
-                    c, piv, tail = history[s]
-                    factor = line.pop(c, None)
-                    if factor is not None:
-                        line = mat[i] = _bareiss_step(line, factor, piv, tail,
-                                                      steps[refs[i]][1])
-                        refs[i] = s + 1
-            caught = len(history)
-            best = _pick(mat, refs, steps, col, end, len(mat), best)
-            if best[1] >= end:
-                end, spare = len(mat), None
-        _, r, entry = best
+            continue
+        r, entry = best
         mat[row], mat[r] = mat[r], mat[row]
         refs[row], refs[r] = refs[r], refs[row]
         if entry is not None and not entry.is_rational():
@@ -449,15 +316,18 @@ def _matrix_kernel(rows, ncols, spare=None):
                 prow[c] = div(b * prev) if div else b * prev
         piv = prow[col]
         tail = [(c, -b) for c, b in prow.items() if c != col]  # the -p_j
-        for i in range(row + 1, end):
+        for i in range(row + 1, nrows):
             line = mat[i]
             factor = line.pop(col, None)
             if factor is None:
                 continue  # left alone: its ref stays
-            mat[i] = _bareiss_step(line, factor, piv, tail, steps[refs[i]][1])
+            new = {c: b * piv for c, b in line.items()}
+            for c, b in tail:
+                new[c] = new[c] + factor * b if c in new else factor * b
+            div = steps[refs[i]][1]
+            mat[i] = {c: div(b) if div else b for c, b in new.items() if b}
             refs[i] = step + 1
         steps.append((piv, _divider(piv)))
-        history.append((col, piv, tail))
         pivots.append((row, col))
         row += 1
     pivot_cols = {c for _, c in pivots}
@@ -498,23 +368,16 @@ def _ring_values(pvals):
 
 
 def _search_system(spec, constraint, params=None):
-    """(basis, rows, spare): the basis of one weight space and the exact
-    linear system whose kernel search_singular reads: column j is basis[j],
-    and each row is a dict {j: nonzero entry}, one per (operator, monomial
-    of its images), each operator's monomials in ascending order.  The
-    operators are the kept annihilators of ``annihilator_generators`` up to
-    the last one, in wing order, then, on the centerless family, P1 shifted
-    by kappa.
-
-    ``spare`` builds, when called, the rows of the annihilators after them
-    in the same way (None when there are none, or when the rows are ints).
-    Those rows are combinations of ``rows`` with polynomial coefficients:
-    an annihilator that is not kept is [x, y] / c for
-    annihilators x, y kept or dropped before it, and [x, y] v =
-    x (y v) - y (x v), where the matrices of x and y have polynomial
-    entries.  So they change neither the row space nor the kernel, only,
-    through the pivot rule, the caveats (see ``_matrix_kernel``), and an
-    int matrix has none.
+    """(basis, rows): the basis of one weight space and the exact linear
+    system whose kernel search_singular reads: column j is basis[j], and
+    each row is a dict {j: nonzero entry}, one per (operator, monomial of
+    its images), each operator's monomials in ascending order.  The
+    operators are the kept annihilators of ``annihilator_generators`` in
+    wing order, then, on the centerless family, P1 shifted by kappa.  A
+    vector those annihilators kill is killed by their brackets, the whole
+    wing, so the rows of the other annihilators would add nothing to the
+    row space, at any value of the parameters: they could change the raw
+    caveats, but not the loci of ``certify``.
 
     The rows are read straight from the parameter-free images of
     ``verma._images``, in the ring ``_matrix_kernel`` eliminates in.  Each
@@ -529,65 +392,56 @@ def _search_system(spec, constraint, params=None):
     images = _images(spec)
     weights = images.weights
     products = {images.zero: one}
-    wing = decomposition(spec)[2]
-    kept = annihilator_generators(spec)[0]
-    letters = [images.index[x] for x in wing]
-    lead = 1 + max(i for i, x in enumerate(wing) if x in kept)  # the rest are spare
+    letters = [images.index[x] for x in annihilator_generators(spec)[0]]
     shifted = None
     if spec.ext == "none":
         # require P1 v = -kappa v as well (its diagonal part is forced): P1
         # minus its eigenvalue on the lowest-weight vector, -kappa
         shifted = images.index[_P1]
         letters.append(shifted)
-        lead = len(letters)
 
-    def block(letters):
-        rows = []
-        for letter in letters:
-            by_target = {}
-            for col, m in enumerate(basis):
-                terms = images[letter, m]
-                if letter == shifted:
-                    terms += ((m, images.unit[letter], -1),)
-                for n, e, c in terms:
-                    value = products.get(e)
-                    if value is None:
-                        value = products[e] = _eigen_product(weights, e, values)
-                    row = by_target.setdefault(n, {})
-                    prev = row.get(col)
-                    row[col] = value * c if prev is None else prev + value * c
-            for t in sorted(by_target):
-                row = {col: x for col, x in by_target[t].items() if x}
-                if row:
-                    rows.append(row)
-        return rows
-
-    rows = block(letters[:lead])
+    rows = []
+    for letter in letters:
+        by_target = {}
+        for col, m in enumerate(basis):
+            terms = images[letter, m]
+            if letter == shifted:
+                terms += ((m, images.unit[letter], -1),)
+            for n, e, c in terms:
+                value = products.get(e)
+                if value is None:
+                    value = products[e] = _eigen_product(weights, e, values)
+                row = by_target.setdefault(n, {})
+                prev = row.get(col)
+                row[col] = value * c if prev is None else prev + value * c
+        for t in sorted(by_target):
+            row = {col: x for col, x in by_target[t].items() if x}
+            if row:
+                rows.append(row)
     if type(one) is int:
         for i, row in enumerate(rows):
             scale = lcm(*(x.denominator for x in row.values()))
             rows[i] = {col: x.numerator * (scale // x.denominator) for col, x in row.items()}
-        return basis, rows, None
-    return basis, rows, (lambda: block(letters[lead:])) if lead < len(letters) else None
+    return basis, rows
 
 
 def search_singular(spec, constraint, params=None):
     """Exact nullspace search for singular vectors in one weight space.
 
     ``constraint`` selects the space as in level_basis (an integer level
-    or a weight constraint).  Annihilator actions are stacked into one
-    exact linear system (``_search_system``); for the centerless family the
-    non-diagonalizable g0 generator contributes rows forcing an eigenvector
-    of it as well.  The rows of the annihilators after the kept ones of
+    or a weight constraint).  The actions of the kept annihilators of
     ``algebra.annihilator_generators``, which span the annihilator wing by
-    brackets, are spare: the elimination takes them up only in a column
-    where they could win the pivot, and an int matrix leaves them out.  Every parameter value must be a polynomial in the
+    brackets, are stacked into one exact linear system
+    (``_search_system``); for the centerless family the
+    non-diagonalizable g0 generator contributes rows forcing an eigenvector
+    of it as well.  Every parameter value must be a polynomial in the
     parameters (NonPolynomialParameter otherwise).  Returns a SearchResult
     whose vectors are normalized so their lexicographically first monomial
-    (least column) has coefficient 1.
+    (least column) has coefficient 1, with the raw caveats; it runs no
+    second search (see ``certify``).
     """
-    basis, rows, spare = _search_system(spec, constraint, params)
-    kernel, caveats = _matrix_kernel(rows, len(basis), spare)
+    basis, rows = _search_system(spec, constraint, params)
+    kernel, caveats = _matrix_kernel(rows, len(basis))
     vectors = []
     for vec in kernel:
         scale = vec[min(vec)]
@@ -597,3 +451,139 @@ def search_singular(spec, constraint, params=None):
             coefs = {basis[i]: Scalar.const(_quotient(c, scale)) for i, c in vec.items()}
         vectors.append(ModuleVector.of_raw(coefs))
     return SearchResult(vectors, caveats)
+
+
+_ROOT_BOUND = 10 ** 8  # larger end coefficients leave a factor unsplit
+
+
+def _divisors(n):
+    small = [k for k in range(1, isqrt(n) + 1) if not n % k]
+    return set(small) | {n // k for k in small}
+
+
+def _rational_roots(u):
+    """The nonzero rational roots of the univariate polynomial {power:
+    coefficient}, by the rational root theorem; none when its end
+    coefficients exceed _ROOT_BOUND."""
+    lo, hi = min(u), max(u)
+    scale = lcm(*(Fraction(c).denominator for c in u.values()))
+    first, last = abs(u[lo] * scale), abs(u[hi] * scale)
+    if hi - lo == 1:
+        return [Fraction(-u[lo], u[hi])]
+    if max(first, last) > _ROOT_BOUND:
+        return []
+    return [v for p in _divisors(int(first)) for q in _divisors(int(last)) for v in
+            (Fraction(p, q), Fraction(-p, q)) if not sum(c * v ** k for k, c in u.items())]
+
+
+def _linear_factors(p):
+    """(roots, rest): the roots (slot, v) of the factors c*(s - v) of the
+    polynomial p, s the symbol of the slot, found by exact division
+    (``poly_div_exact``), its monomial content giving v = 0; and the
+    quotient of p by all of them."""
+    content = tuple(map(min, zip(*p.terms)))
+    roots = [(i, 0) for i, k in enumerate(content) if k]
+    rest = ParamPoly({tuple(map(sub, e, content)): c for e, c in p.terms.items()})
+    while True:
+        for i, v in _root_candidates(rest):
+            quot = poly_div_exact(rest, ParamPoly.symbol(SYMBOLS[i]) - v)
+            if quot is not None:
+                roots.append((i, _rational(v)))
+                rest = quot
+                break
+        else:
+            return roots, rest
+
+
+def _root_candidates(p):
+    """(slot, v) for each symbol of p and each nonzero rational v at which
+    the coefficient of p of fewest terms, as a polynomial in that symbol,
+    vanishes: every v with s - v dividing p is among them."""
+    for i in range(len(SYMBOLS)):
+        if not any(e[i] for e in p.terms):
+            continue
+        parts = {}
+        for e, c in p.terms.items():
+            parts.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i]] = c
+        u = min(parts.values(), key=lambda u: (len(u), max(u)))
+        if len(u) > 1:
+            yield from ((i, v) for v in _rational_roots(u))
+
+
+def certify(spec, constraint, params, result):
+    """The loci where the answer of a search changes: (loci, uncertified).
+
+    ``result`` is ``search_singular(spec, constraint, params)``.  Its raw
+    caveats depend on the pivot rule and on which redundant rows the
+    system holds; these loci do not.  The numerator and denominator of each
+    caveat, and the denominator of each coefficient of its vectors, split
+    into their monomial content and factors c*(s - v) with rational v
+    (``_linear_factors``).  At each such s = v the search runs again, with
+    s = v substituted into the parameters and into a weight constraint,
+    and the locus is kept, with the dimension found there, when (a) that
+    dimension differs, or (b) a coefficient of a vector of ``result`` has a
+    denominator that vanishes at s = v.  (c) The search at each locus is
+    split and searched again in turn, and an intersection so found is kept
+    when its dimension differs from that of each locus it lies in with one
+    condition less.
+
+    Every valid elimination has the same pivot minors: the product of the
+    first k Gauss-Jordan pivots is, up to sign, a k x k minor of the
+    matrix, so where the rank drops some pivot vanishes, whatever the
+    pivot rule (Sit 1992 treats such parametric linear systems).  So a
+    hyperplane s = v on which the dimension changes divides a caveat of
+    any elimination, and the rule keeps it.  It sees hyperplanes s = v,
+    and loci of higher codimension only through rule (c), which finds one
+    in every elimination when every factor on the way splits.
+
+    ``loci`` maps each kept point, a tuple of (symbol, value) pairs in the
+    order of SYMBOLS, to the kernel dimension there, hyperplanes first.
+    ``uncertified`` lists (point, factor): a factor, found in the search at
+    that point (() at the start), that does not split into such linear
+    factors, so that the answer may change where it vanishes, unseen.
+    """
+    pvals = resolve_params(spec, params)
+    if not isinstance(constraint, int):
+        constraint = dict(constraint.eigen if isinstance(constraint, Weight) else constraint)
+    found = {(): result}
+
+    def research(point):
+        if point not in found:
+            at = dict(point)
+            put = lambda x: x.substitute(at) if isinstance(x, Scalar) else x
+            where = constraint if isinstance(constraint, int) else {
+                g: put(x) for g, x in constraint.items()}
+            found[point] = search_singular(spec, where, {n: put(x) for n, x in pvals.items()})
+        return found[point]
+
+    return _certified(research)
+
+
+def _certified(research):
+    """``certify`` of research(()), with research(point) the search at a
+    point, which a caller caches."""
+    top = research(())
+    dens = [c.den for vec in top.vectors for c in vec.terms.values() if not c.den.is_const()]
+    seen, uncertified = {}, {}
+
+    def explore(point, polys):
+        for p in polys:
+            roots, rest = _linear_factors(p)
+            if not rest.is_const():
+                uncertified[point, rest * _quotient(1, rest.leading()[1])] = None
+            for i, v in roots:
+                at = tuple(sorted(point + ((SYMBOLS[i], v),), key=lambda kv: SYMBOLS.index(kv[0])))
+                if at not in seen:
+                    seen[at] = None
+                    explore(at, [q for c in research(at).caveats for q in (c.num, c.den)])
+
+    explore((), [q for c in top.caveats for q in (c.num, c.den)] + dens)
+    loci = {}
+    for at in seen:
+        dim = len(research(at))
+        if (all(dim != len(research(at[:i] + at[i + 1:])) for i in range(len(at)))
+                or len(at) == 1 and any(not den.substitute(dict(at)) for den in dens)):
+            loci[at] = dim
+    order = lambda point: (len(point), [(SYMBOLS.index(n), v) for n, v in point])
+    return (dict(sorted(loci.items(), key=lambda kv: order(kv[0]))),
+            sorted(uncertified, key=lambda pf: (order(pf[0]), str(pf[1]))))

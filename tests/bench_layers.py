@@ -4,17 +4,13 @@ ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
 act_generic / act_closed_form, on one vector and per unit monomial
 (test_module_action_per_monomial) -> the search's weight space (level_basis) and
 system (_search_system) -> its elimination (_matrix_kernel) -> the whole
-search (search_singular) and the check of its vector (verify_singular) ->
+search (search_singular), the certification of its caveats (certify, on
+(2,5,mass) level 8) and the check of its vector (verify_singular) ->
 diffop.compose, commutator and twisted_commutator -> rep_check /
-intertwining_check.  The search's system is built with one block of rows
-per kept annihilator of ``algebra.annihilator_generators`` (17 rows and 42
-entries on the top case, where every annihilator gives 23 and 60); the
-other annihilators' rows are built and eliminated only in a column where
-they could change a pivot, which the top case has none of.  So
-_search_system and _matrix_kernel time a smaller system than before that
-reduction, and _matrix_kernel includes the check of each such column.  The
-file name does
-not match ``test_*.py``, so the tier-1 run does not collect it; it needs
+intertwining_check.  The search's system has one block of rows per kept
+annihilator of ``algebra.annihilator_generators`` (17 rows and 42 entries
+on the top case, where every annihilator gives 23 and 60).  The file name
+does not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py
@@ -57,6 +53,7 @@ import cgk  # noqa: E402
 from cgk.singular import (  # noqa: E402
     _matrix_kernel,
     _search_system,
+    certify,
     delta_at_condition,
     predicted_weight,
     search_singular,
@@ -181,19 +178,17 @@ def test_level_basis(benchmark, point):
 def test_search_system(benchmark, point):
     """Building the linear system of the search workload's top case: the
     rows of the kept annihilators C, P2+ and P2-."""
-    basis, rows, spare = benchmark(_search_system, *_top_search(point))
+    basis, rows = benchmark(_search_system, *_top_search(point))
     assert (len(basis), len(rows), sum(map(len, rows))) == (9, 17, 42)
-    assert (spare is None) == (point == "root")
     ring = ParamPoly if point == "symbolic" else int
     assert all(type(x) is ring for row in rows for x in row.values())
 
 
 @POINTS
 def test_matrix_kernel(benchmark, point):
-    """The elimination of the search workload's top case, which never
-    builds its spare rows."""
-    basis, rows, spare = _search_system(*_top_search(point))
-    basis, _ = benchmark(_matrix_kernel, rows, len(basis), spare)
+    """The elimination of the search workload's top case."""
+    basis, rows = _search_system(*_top_search(point))
+    basis, _ = benchmark(_matrix_kernel, rows, len(basis))
     assert len(basis) == (point == "root")
 
 
@@ -203,6 +198,14 @@ def test_search_singular(benchmark, point):
     spec, constraint, params = _top_search(point)
     found = benchmark(search_singular, spec, constraint, params=params)
     assert len(found) == (point == "root")
+
+
+def test_certify(benchmark):
+    """Certifying the 51 raw caveats of (2,5,mass) level 8, every parameter
+    symbolic: a search at each locus and at each locus those find."""
+    found = search_singular(M5, 8)
+    loci = benchmark(certify, M5, 8, None, found)
+    assert loci == ({(("delta", -6),): 1, (("mu", 0),): 23}, [])
 
 
 def test_verify_singular(benchmark):

@@ -442,6 +442,13 @@ def test_search_rejects_nonpositive_q(capsys):
         0, "kernel dimension: 1\n  |0;0;>\n", "")
 
 
+def test_search_takes_level_or_q_not_both(capsys):
+    # a valid --q beside --level would otherwise be ignored
+    for argv in (["--level", "2", "--q", "1"], ["--q", "1", "--level", "2"]):
+        assert invoke(capsys, "singular", "search", *D1_FLAGS, *argv) == (
+            2, "", "usage error: give --level or --q, not both\n")
+
+
 def test_parser_reused_across_calls(capsys):
     calls = [
         ["pde", "emit", "--d", "1", "--two-ell", "1", "--ext", "mass", "--q", "2"],

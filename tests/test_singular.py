@@ -1,10 +1,13 @@
+import functools
+import json
+import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm
 
 import pytest
 
-from cgk import singular, verma
+from cgk import cli, singular, verma
 from cgk.algebra import (AlgebraSpec, Gen, annihilator_generators, decomposition,
                          supported_specs, weight_table)
 from cgk.scalars import SYMBOLS, ParamPoly, Scalar, parse_scalar, poly_div_exact, poly_gcd
@@ -13,6 +16,7 @@ from cgk.singular import (
     SearchResult,
     _matrix_kernel,
     _search_system,
+    certify,
     delta_at_condition,
     predicted_weight,
     quadratic_element,
@@ -407,18 +411,67 @@ def _cleared(rows, rational=None):
     return out
 
 
-def _checked_kernel(rows, ncols, spare=None):
-    """The kernel of the sparse int or ParamPoly ``rows`` and the rows
-    ``spare`` builds, checked against ``_reference_kernel`` on all of them
-    as dense Scalars: same vectors, stored without zeros, and same caveats
-    in the same order.  The rows are left as they were."""
+def _as_scalar(x):
+    return x if type(x) is Scalar else Scalar.const(x)
+
+
+def _solved(kernel, ncols):
+    """The kernel vectors {col: entry} (ints, Fractions or Scalars) as the
+    search prints them: Scalars, each vector divided by its least-column
+    entry, over the columns."""
+    out = []
+    for vec in kernel:
+        scale = _as_scalar(vec[min(vec)])
+        out.append(ModuleVector.of_raw({c: _as_scalar(x) / scale for c, x in vec.items()}))
+    return out
+
+
+def _matrix_kernel_of_scalars(rows, ncols):
+    return _matrix_kernel(_cleared(rows), ncols)
+
+
+def _reference_kernel_of_sparse(rows, ncols):
+    basis, caveats = _reference_kernel(_dense(rows, ncols), ncols)
+    return [{c: x for c, x in enumerate(vec) if x} for vec in basis], caveats
+
+
+def _matrix_loci(solve, rows, ncols):
+    """``singular._certified`` of the kernel of the sparse Scalar ``rows``:
+    the kernel and each re-search at a point are solve(rows, ncols), with
+    the point substituted into the rows."""
+    @functools.cache
+    def search(point):
+        at = dict(point)
+        moved = [{c: x.substitute(at) for c, x in row.items()} for row in rows]
+        kernel, caveats = solve([{c: x for c, x in row.items() if x} for row in moved], ncols)
+        return SearchResult(_solved(kernel, ncols), caveats)
+
+    return singular._certified(search)
+
+
+def _same_loci(got, want):
+    """Certified loci of two eliminations agree: the hyperplanes always,
+    and every locus when every factor splits on both sides."""
+    assert {k: d for k, d in got[0].items() if len(k) == 1} == {
+        k: d for k, d in want[0].items() if len(k) == 1}
+    if not (got[1] or want[1]):
+        assert got == want
+
+
+def _checked_kernel(rows, ncols):
+    """The kernel of the sparse int or ParamPoly ``rows``, checked against
+    ``_reference_kernel`` on them as dense Scalars: same vectors, stored
+    without zeros, and the same certified loci, each side re-solving its
+    own rows at each point (see ``_same_loci``).  The rows are left as
+    they were."""
     before = [dict(row) for row in rows]
-    basis, caveats = _matrix_kernel(rows, ncols, spare)
+    basis, caveats = _matrix_kernel(rows, ncols)
     assert rows == before
     assert all(x for vec in basis for x in vec.values())
-    rows = rows + (spare() if spare else [])
     scalars = [{c: Scalar(x) for c, x in row.items()} for row in rows]
-    assert (_dense(basis, ncols), caveats) == _reference_kernel(_dense(scalars, ncols), ncols)
+    assert _dense(basis, ncols) == _reference_kernel(_dense(scalars, ncols), ncols)[0]
+    _same_loci(_matrix_loci(_matrix_kernel_of_scalars, scalars, ncols),
+               _matrix_loci(_reference_kernel_of_sparse, scalars, ncols))
     return basis, caveats
 
 
@@ -447,9 +500,9 @@ def _kernel_calls_match_reference(monkeypatch, searches):
     ``_reference_kernel``; return the number of calls."""
     matrices = []
 
-    def checked(rows, ncols, spare=None):
+    def checked(rows, ncols):
         matrices.append(ncols)
-        return _checked_kernel(rows, ncols, spare)
+        return _checked_kernel(rows, ncols)
 
     monkeypatch.setattr(singular, "_matrix_kernel", checked)
     for spec, constraint, params in searches:
@@ -497,58 +550,45 @@ def _is_rational(spec, params):
 
 
 def _check_system_matches_rebuild(spec, constraint, params):
-    """``_search_system`` equals the dense rebuild over the annihilators up
-    to the last kept one, cleared on the test side: same basis, rows in the
-    same order with the same entries in the same ring, ints when every
-    parameter is rational and ParamPoly otherwise.  Its spare rows are the
-    rebuild over the other annihilators, and are built for ParamPoly rows
-    only."""
-    basis, rows, spare = _search_system(spec, constraint, params)
-    wing, kept = decomposition(spec)[2], annihilator_generators(spec)[0]
-    lead = 1 + max(i for i, x in enumerate(wing) if x in kept)
-    want_basis, want_rows = _dense_system(spec, constraint, params, wing[:lead])
-    rational = _is_rational(spec, params)
+    """``_search_system`` equals the dense rebuild over the kept
+    annihilators, cleared on the test side: same basis, rows in the same
+    order with the same entries in the same ring, ints when every
+    parameter is rational and ParamPoly otherwise."""
+    basis, rows = _search_system(spec, constraint, params)
+    want_basis, want_rows = _dense_system(spec, constraint, params,
+                                          annihilator_generators(spec)[0])
     assert basis == want_basis, (spec, constraint, params)
-    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), rational)), (
+    assert _entries(rows) == _entries(_cleared(_sparse(want_rows), _is_rational(spec, params))), (
         spec, constraint, params)
-    if rational or lead == len(wing):
-        assert spare is None, (spec, constraint, params)
-    else:
-        assert spec.ext != "none"  # the shifted P1 rows come last
-        _, want_spare = _dense_system(spec, constraint, params, wing[lead:])
-        assert _entries(spare()) == _entries(_cleared(_sparse(want_spare), False)), (
-            spec, constraint, params)
+
+
+def _full_system(spec, constraint, params=None):
+    """The search's system rebuilt over every annihilator, cleared."""
+    basis, rows = _dense_system(spec, constraint, params, decomposition(spec)[2])
+    return basis, _cleared(_sparse(rows), _is_rational(spec, params))
+
+
+def _certified_search(spec, constraint, params):
+    """(search_singular, certify of it) on the same arguments."""
+    found = search_singular(spec, constraint, params=params)
+    return found, certify(spec, constraint, params, found)
 
 
 def _check_search_matches_full_system(monkeypatch, spec, constraint, params):
-    """``search_singular`` answers as ``_matrix_kernel`` on the cleared
-    rebuild over every annihilator: the same kernel vectors with entries of
-    the same types, the same caveats in the same order, and the same
-    vectors once each is divided by its least-column entry."""
-    calls = []
-
-    def recorded(rows, ncols, spare=None):
-        calls.append(_matrix_kernel(rows, ncols, spare))
-        return calls[-1]
-
-    monkeypatch.setattr(singular, "_matrix_kernel", recorded)
-    found = search_singular(spec, constraint, params=params)
-    [(kernel, caveats)] = calls
-    basis, rows = _dense_system(spec, constraint, params, decomposition(spec)[2])
-    want_kernel, want_caveats = _matrix_kernel(
-        _cleared(_sparse(rows), _is_rational(spec, params)), len(basis))
-    assert _entries(kernel) == _entries(want_kernel), (spec, constraint, params)
-    assert caveats == want_caveats, (spec, constraint, params)
-    as_scalar = lambda x: x if type(x) is Scalar else Scalar.const(x)
-    want = []
-    for vec in want_kernel:
-        scale = as_scalar(vec[min(vec)])
-        want.append(ModuleVector({basis[c]: as_scalar(x) / scale for c, x in vec.items()}))
-    assert found == SearchResult(want, want_caveats), (spec, constraint, params)
+    """``search_singular`` and ``certify`` answer as on the rebuild over
+    every annihilator, which every re-search of ``certify`` rebuilds too:
+    the same vectors, and the same certified loci."""
+    found, loci = _certified_search(spec, constraint, params)
+    with monkeypatch.context() as patch:
+        patch.setattr(singular, "_search_system", _full_system)
+        want, want_loci = _certified_search(spec, constraint, params)
+    assert found.vectors == want.vectors, (spec, constraint, params)
+    assert loci == want_loci, (spec, constraint, params)
+    return loci
 
 
 def test_search_system_matches_dense_rebuild():
-    # the row order decides pivot ties and the order of the caveats
+    # the row order decides pivot ties and the order of the raw caveats
     for spec, constraint, params in _search_grid():
         _check_system_matches_rebuild(spec, constraint, params)
 
@@ -593,10 +633,9 @@ def test_search_system_matches_rebuild_random():
 
 def test_search_matches_the_full_annihilator_system(monkeypatch):
     # the kept annihilators' rows span the same row space as every
-    # annihilator's, so the kernel is the same; the spare rows are taken up
-    # in every column where they could win the pivot, so the pivots and the
-    # caveats are the same too (see the (2,5,mass) level-8 test below, where
-    # one of them wins)
+    # annihilator's at every point, so the kernel is the same, and so are
+    # the certified loci, though the raw caveats may differ (see the
+    # (2,5,mass) level-8 test below)
     searches = list(_search_grid()) + _whole_level_searches()
     assert len(searches) == 56
     for search in searches:
@@ -644,8 +683,8 @@ def test_level_zero_search_is_the_vacuum():
     # one basis monomial and no rows: the kernel's one free column, with no
     # pivot to substitute into
     for spec in supported_specs(5):
-        basis, rows, spare = _search_system(spec, 0)
-        assert (len(basis), rows, spare() if spare else []) == (1, [], []), spec
+        basis, rows = _search_system(spec, 0)
+        assert (len(basis), rows) == (1, []), spec
         assert search_singular(spec, 0) == SearchResult([vacuum(spec)], []), spec
 
 
@@ -673,8 +712,8 @@ def test_search_scales_the_reference_kernel(monkeypatch):
     # Scalars
     calls = []
 
-    def recorded(rows, ncols, spare=None):
-        basis, caveats = _matrix_kernel(rows, ncols, spare)
+    def recorded(rows, ncols):
+        basis, caveats = _matrix_kernel(rows, ncols)
         calls.append((rows, ncols, basis))
         return basis, caveats
 
@@ -812,59 +851,93 @@ def test_kernel_pinned_slow_reference_case():
     ]
 
 
-def test_a_spare_row_wins_where_the_kept_rows_offer_no_rational_pivot():
-    # on (2,5,mass) level 8, every parameter symbolic, the rows of P4+- and
-    # P5+- offer a rational pivot at a column where the kept rows' best is
-    # linear in delta: the search builds and takes them up, and answers as
-    # the system over every annihilator, without that caveat
+def test_search_certifies_the_kept_rows_as_the_full_system(monkeypatch):
+    # (2,5,mass) level 8, every parameter symbolic: the kept rows list 51
+    # raw caveats and the full system 52, each a multiple of mu or 1/mu but
+    # for (3/16*delta+9/8)/mu^2; both certify to the same two loci
     spec = AlgebraSpec(2, 5, "mass")
-    basis, rows, spare = _search_system(spec, 8)
-    built = []
-
-    def counted():
-        built.append(spare())
-        return built[-1]
-
-    found = _matrix_kernel(rows, len(basis), counted)
-    assert len(built) == 1
-    assert found == _matrix_kernel(rows + spare(), len(basis))
-    dense_basis, dense = _dense_system(spec, 8, None, decomposition(spec)[2])
-    assert found == _matrix_kernel(_cleared(_sparse(dense), False), len(dense_basis))
-    kept_only = _matrix_kernel(rows, len(basis))
-    assert found[0] == kept_only[0] == []
-    assert [str(c) for c in kept_only[1] if c not in found[1]] == [
-        "-5/8*delta-45/8", "1/4*delta+9/4"]
-    assert search_singular(spec, 8) == SearchResult([], found[1])
+    found = search_singular(spec, 8)
+    assert (len(found), len(found.caveats)) == (0, 51)
+    want = ({(("delta", -6),): 1, (("mu", 0),): 23}, [])
+    assert _check_search_matches_full_system(monkeypatch, spec, 8, None) == want
 
 
-def _poly(text):
-    return parse_scalar(text).num
+def test_loci_do_not_depend_on_the_row_order(monkeypatch):
+    # the rows of _search_system, shuffled before _matrix_kernel in the
+    # search and in every re-search: other pivots, other raw caveats, the
+    # same vectors and certified loci
+    hyp = pytest.importorskip("hypothesis")
+    searches = [(spec, constraint) for spec in supported_specs(5)
+                for constraint in [*range(7), *(predicted_weight(spec, q).eigen
+                                                for q in (1, 2, 3))]]
+    want = [_certified_search(spec, constraint, None) for spec, constraint in searches]
+    system = singular._search_system
+
+    @hyp.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @hyp.given(hyp.strategies.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+
+        def shuffled(*args):
+            basis, rows = system(*args)
+            return basis, rng.sample(rows, len(rows))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(singular, "_search_system", shuffled)
+            for (spec, constraint), (found, loci) in zip(searches, want):
+                got, got_loci = _certified_search(spec, constraint, None)
+                assert (got.vectors, got_loci) == (found.vectors, loci), (spec, constraint)
+
+    check()
+    assert sum(len(found.caveats) for found, _ in want) > len(searches)
 
 
-def test_kernel_takes_up_spare_rows_only_where_they_could_win():
-    built = []
+def _hand_built(monkeypatch, rows):
+    """Make the search of every family solve the rows ``rows``, each a dict
+    {column: scalar text} with the resolved parameters substituted, over
+    the first columns of (1,1,mass) level 4."""
+    ncols = 1 + max(c for row in rows for c in row)
+    basis = level_basis(D1, 4)[:ncols]
 
-    def spare_of(rows):
-        def spare():
-            built.append(rows)
-            return [dict(row) for row in rows]
-        return spare
+    def system(spec, constraint, params=None):
+        values = {n: v.num for n, v in resolve_params(spec, params).items()}
+        built = [{c: parse_scalar(x).num.substitute(values) for c, x in row.items()}
+                 for row in rows]
+        return basis, [{c: x for c, x in row.items() if x} for row in built]
 
-    # the spare row is the second row minus the first: a rational pivot in
-    # column 0, where the others offer delta + 1 and delta + 2, which no
-    # point makes vanish together
-    rows = [{0: _poly("delta+1"), 1: _poly("mu")}, {0: _poly("delta+2"), 1: _poly("mu")}]
-    spare = [{0: _poly("1")}]
-    assert _matrix_kernel(rows, 2)[1] == [parse_scalar("delta+1"), parse_scalar("-mu/(delta+1)")]
-    assert _matrix_kernel(rows, 2, spare_of(spare)) == _matrix_kernel(rows + spare, 2)
-    assert _matrix_kernel(rows, 2, spare_of(spare))[1] == [parse_scalar("mu")]
-    assert len(built) == 2
-    # here every entry of column 0 vanishes at mu = 0, and so does that of
-    # the spare row, the sum of the two: it is never built
-    built.clear()
-    rows = [{0: _poly("mu"), 1: _poly("1")}, {0: _poly("2*mu"), 1: _poly("delta")}]
-    spare = [{0: _poly("3*mu"), 1: _poly("delta+1")}]
-    assert _matrix_kernel(rows, 2, spare_of(spare)) == _matrix_kernel(rows + spare, 2)
-    assert _matrix_kernel(rows, 2, spare_of(spare))[1] == [parse_scalar("mu"),
-                                                          parse_scalar("delta-2")]
-    assert built == []
+    monkeypatch.setattr(singular, "_search_system", system)
+    return basis
+
+
+def _printed(capsys, *argv):
+    assert cli.run(["singular", "search", "--d", "1", "--two-ell", "1", "--ext", "mass",
+                    *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_a_locus_kept_only_for_a_vector_denominator(monkeypatch, capsys):
+    # at delta = -1 the kernel keeps its dimension 1, but the printed vector
+    # has the coefficient 1/(delta+1) there: rule (b) keeps the locus
+    basis = _hand_built(monkeypatch, [{0: "1", 2: "1"}, {1: "delta+1", 2: "1"}])
+    found = search_singular(D1, 4)
+    assert [str(c) for c in found.caveats] == ["delta+1"]
+    assert found.vectors == [ModuleVector({basis[0]: Scalar.const(1),
+                                           basis[1]: Scalar.const(1) / (DELTA + 1),
+                                           basis[2]: Scalar.const(-1)})]
+    assert len(search_singular(D1, 4, {"delta": -1, "mu": MU})) == 1
+    assert certify(D1, 4, None, found) == ({(("delta", -1),): 1}, [])
+    assert _printed(capsys, "--level", "4").endswith("\nat delta = -1: dimension 1\n")
+
+
+def test_a_factor_that_does_not_split_is_uncertified(monkeypatch, capsys):
+    # (delta+1)(delta^2+2)(delta+mu): delta = -1 splits off and is dropped,
+    # as the dimension and the printed vector hold there; the rest has no
+    # factor linear in one symbol, and is printed whole
+    _hand_built(monkeypatch, [{0: "(delta+1)*(delta^2+2)*(delta+mu)", 1: "1"}])
+    found = search_singular(D1, 4)
+    assert len(found) == 1 and len(found.caveats) == 1
+    rest = parse_scalar("(delta^2+2)*(delta+mu)")
+    assert certify(D1, 4, None, found) == ({}, [((), rest.num)])
+    assert _printed(capsys, "--level", "4").endswith("\nat %s = 0: not certified\n" % rest)
+    assert json.loads(_printed(capsys, "--level", "4", "--render", "json"))["caveats"] == [
+        {"at": {}, "vanishes": str(rest), "dimension": None}]
