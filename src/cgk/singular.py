@@ -20,7 +20,8 @@ from operator import sub
 
 from .algebra import (annihilator_generators, central_element, creation_data, decomposition,
                       weight_table)
-from .scalars import SYMBOLS, ParamPoly, Scalar, _quotient, _rational, poly_div_exact
+from .scalars import (SYMBOLS, ParamPoly, Scalar, _min_expo, _monic, _quotient, _rational, _shift,
+                      poly_div_exact)
 from .verma import (
     ModuleVector,
     Weight,
@@ -481,9 +482,9 @@ def _linear_factors(p):
     polynomial p, s the symbol of the slot, found by exact division
     (``poly_div_exact``), its monomial content giving v = 0; and the
     quotient of p by all of them."""
-    content = tuple(map(min, zip(*p.terms)))
+    content = _min_expo(p)
     roots = [(i, 0) for i, k in enumerate(content) if k]
-    rest = ParamPoly({tuple(map(sub, e, content)): c for e, c in p.terms.items()})
+    rest = _shift(p, content, sub)
     while True:
         for i, v in _root_candidates(rest):
             quot = poly_div_exact(rest, ParamPoly.symbol(SYMBOLS[i]) - v)
@@ -565,19 +566,20 @@ def _certified(research):
     top = research(())
     dens = [c.den for vec in top.vectors for c in vec.terms.values() if not c.den.is_const()]
     seen, uncertified = {}, {}
+    parts = lambda found: [q for c in found.caveats for q in (c.num, c.den)]
 
     def explore(point, polys):
         for p in polys:
             roots, rest = _linear_factors(p)
             if not rest.is_const():
-                uncertified[point, rest * _quotient(1, rest.leading()[1])] = None
+                uncertified[point, _monic(rest)] = None
             for i, v in roots:
                 at = tuple(sorted(point + ((SYMBOLS[i], v),), key=lambda kv: SYMBOLS.index(kv[0])))
                 if at not in seen:
                     seen[at] = None
-                    explore(at, [q for c in research(at).caveats for q in (c.num, c.den)])
+                    explore(at, parts(research(at)))
 
-    explore((), [q for c in top.caveats for q in (c.num, c.den)] + dens)
+    explore((), parts(top) + dens)
     loci = {}
     for at in seen:
         dim = len(research(at))
