@@ -39,17 +39,20 @@ normalisation.
 For each pair of terms pa d^alpha, pb d^beta the Leibniz sum runs over
 gamma <= min(alpha, top) only, where top is the componentwise maximum
 exponent of pb: d^gamma pb is zero unless gamma <= top, so the bound drops
-no term.  The derivative row d^gamma pb is made once per (group of b,
-gamma) in a call and reused for every alpha of a.  A commutator skips the
-gamma = 0 Leibniz terms: in a.b they are pa pb d^(alpha+beta), in b.a the
-same product in the other order, and coefficients commute, so they always
-cancel.
+no term.  C(alpha, gamma) and alpha - gamma factor by axis, so the table
+of a pair (alpha, top) is the product of cached per-axis tuples
+(``_axis``), built once per pair.  The derivative row d^gamma pb is made
+once per (group of b, gamma) in a call and reused for every alpha of a.
+A commutator skips the gamma = 0 Leibniz terms: in a.b they are
+pa pb d^(alpha+beta), in b.a the same product in the other order, and
+coefficients commute, so they always cancel.
 """
 
 import functools
 import re
 from dataclasses import dataclass
-from math import comb
+from itertools import product
+from math import comb, prod
 from operator import add, sub
 
 from .scalars import (
@@ -224,27 +227,21 @@ class DiffOp(_Sparse):
         return "DiffOp(%s)" % (render_diffop(self),)
 
 
-def _subindices(alpha):
-    """All multi-indices gamma <= alpha (componentwise), gamma = 0 first."""
-    out = [()]
-    for a in alpha:
-        out = [g + (i,) for g in out for i in range(a + 1)]
-    return out
+@functools.cache
+def _axis(a, bound):
+    """One axis of a Leibniz table: (g, C(a, g), a - g), g = 0 .. min(a, bound)."""
+    return tuple((g, comb(a, g), a - g) for g in range(min(a, bound) + 1))
 
 
 @functools.cache
 def _leibniz_table(alpha, bound):
-    """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha
-    with gamma <= bound (componentwise), gamma = 0 first; derivative
-    multi-indices and exponent bounds are few, so each pair is tabulated
-    once."""
-    out = []
-    for gamma in _subindices(tuple(map(min, alpha, bound))):
-        binom = 1
-        for ai, gi in zip(alpha, gamma):
-            binom *= comb(ai, gi)
-        out.append((gamma, binom, tuple(ai - gi for ai, gi in zip(alpha, gamma))))
-    return tuple(out)
+    """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha with
+    gamma <= bound, the first axis slowest and gamma = 0 first: the product
+    of the per-axis tuples.  Multi-indices and bounds are few, so each pair
+    is tabulated once."""
+    return tuple((tuple(p[0] for p in parts), prod(p[1] for p in parts),
+                  tuple(p[2] for p in parts))
+                 for parts in product(*map(_axis, alpha, bound)))
 
 
 def _flat(op):

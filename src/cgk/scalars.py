@@ -4,10 +4,12 @@ Everything downstream (structure constants, module actions, differential
 operators) computes over the field of rational functions in the five weight
 parameters.  This module provides that field: sparse multivariate polynomials
 with rational coefficients (ParamPoly), normalized quotients of them
-(Scalar), a polynomial gcd so quotients stay canonical, the integer
-constants attached to the central extensions, and three pieces that the
-other modules build on: ``_Sparse``, the one base of every finite sparse
-sum, ``parse_expression``, the one text grammar (numbers, parameter names,
+(Scalar), a polynomial gcd so quotients stay canonical (the monomial
+content split off, then a primitive pseudo-remainder sequence in the top
+symbol on ParamPoly itself, Brown 1971), the integer constants attached
+to the central extensions, and three pieces that the other modules build
+on: ``_Sparse``, the one base of every finite sparse sum,
+``parse_expression``, the one text grammar (numbers, parameter names,
 ``+ - * / ^`` and parentheses, with the atoms supplied by the caller), and
 the one writer of printed sums (``term_text``, ``sum_text``,
 ``coef_text``), in text and in LaTeX.
@@ -290,105 +292,58 @@ def poly_div_exact(a, b):
     return _poly_of(quot)
 
 
-# gcd machinery: recursive content / primitive-part with a primitive
-# pseudo-remainder sequence in the top active variable.
+# gcd machinery: recursive content and primitive part, and a primitive
+# pseudo-remainder sequence in the top symbol, all on ParamPoly.
 
-def _active_vars(p):
-    return [i for i in range(NSYM) if any(e[i] for e in p.terms)]
-
-
-def _as_univariate(p, v):
-    """View p as dict: exponent of symbol v -> ParamPoly in the others."""
-    out = {}
+def _content(p, v):
+    """(content, primitive part) of p as a polynomial in symbol v: the
+    monic gcd of its coefficients, and p divided by it."""
+    by_power = {}
     for expo, coef in p.terms.items():
-        k = expo[v]
-        rest = expo[:v] + (0,) + expo[v + 1:]
-        out.setdefault(k, {})[rest] = coef
-    return {k: _poly_of(d) for k, d in out.items()}
-
-
-def _from_univariate(u, v):
-    terms = {}
-    for k, poly in u.items():
-        for expo, coef in poly.terms.items():
-            terms[expo[:v] + (k,) + expo[v + 1:]] = coef
-    return _poly_of(terms)
-
-
-def _uni_degree(u):
-    return max(u) if u else -1
-
-
-def _uni_scale(u, poly):
-    out = {}
-    for k, c in u.items():
-        prod = c * poly
-        if prod:
-            out[k] = prod
-    return out
-
-
-def _uni_sub(u, w):
-    out = dict(u)
-    for k, c in w.items():
-        acc = out.get(k, ParamPoly.zero()) - c
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _uni_shift(u, s):
-    return {k + s: c for k, c in u.items()}
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of univariate views a, b (deg a >= deg b >= 0)."""
-    db = _uni_degree(b)
-    lb = b[db]
-    rem = a
-    while rem and _uni_degree(rem) >= db:
-        dr = _uni_degree(rem)
-        lr = rem[dr]
-        rem = _uni_sub(_uni_scale(rem, lb), _uni_scale(_uni_shift(b, dr - db), lr))
-    return rem
-
-
-def _uni_content(u):
+        by_power.setdefault(expo[v], {})[expo[:v] + (0,) + expo[v + 1:]] = coef
     cont = ParamPoly.zero()
-    for c in u.values():
-        cont = poly_gcd(cont, c)
-    return cont
+    for terms in by_power.values():
+        cont = poly_gcd(cont, _poly_of(terms))
+    prim = poly_div_exact(p, cont)
+    assert prim is not None, "content division must be exact"
+    return cont, prim
 
 
-def _uni_zprim(u):
-    """u rescaled to coprime integer coefficients; u itself when it has them.
+def _lead(p, v):
+    """(degree, leading coefficient) of nonzero p as a polynomial in v."""
+    deg = max(e[v] for e in p.terms)
+    return deg, _poly_of({e[:v] + (0,) + e[v + 1:]: c
+                          for e, c in p.terms.items() if e[v] == deg})
+
+
+def _pseudo_rem(a, b, v):
+    """Pseudo-remainder of a by b in symbol v (deg_v a >= deg_v b >= 0)."""
+    db, lb = _lead(b, v)
+    while a:
+        da, la = _lead(a, v)
+        if da < db:
+            break
+        shift = ZERO_EXPO[:v] + (da - db,) + ZERO_EXPO[v + 1:]
+        a = a * lb - _shift(b, shift, add) * la
+    return a
+
+
+def _zprim(p):
+    """p rescaled to coprime integer coefficients; p itself when it has them.
 
     The rational content of reduced fractions n_i/d_i is
     gcd(n_i)/lcm(d_i), so one positive rescale by its inverse suffices.
     """
     num, den = 0, 1
-    for poly in u.values():
-        for c in poly.terms.values():
-            if type(c) is int:
-                num = gcd(num, c)
-            else:
-                num = gcd(num, c.numerator)
-                den = lcm(den, c.denominator)
+    for c in p.terms.values():
+        if type(c) is int:
+            num = gcd(num, c)
+        else:
+            num = gcd(num, c.numerator)
+            den = lcm(den, c.denominator)
     if num == 1 and den == 1:
-        return u
-    scale = _quotient(den, num)
-    return {k: poly * scale for k, poly in u.items()}
-
-
-def _uni_div(u, d):
-    out = {}
-    for k, c in u.items():
-        q = poly_div_exact(c, d)
-        assert q is not None, "content division must be exact"
-        out[k] = q
-    return out
+        return p
+    return p * _quotient(den, num)
 
 
 def _monic(p):
@@ -434,23 +389,20 @@ def poly_gcd(a, b):
 
 def _prs_gcd(a, b):
     """Monic gcd of two non-constant ParamPoly by a primitive PRS."""
-    v = max(set(_active_vars(a)) | set(_active_vars(b)))
-    ua, ub = _as_univariate(a, v), _as_univariate(b, v)
-    ca, cb = _uni_content(ua), _uni_content(ub)
+    v = max(i for e in (*a.terms, *b.terms) for i, k in enumerate(e) if k)
+    (ca, pa), (cb, pb) = _content(a, v), _content(b, v)
     cg = poly_gcd(ca, cb)
-    pa, pb = _uni_div(ua, ca), _uni_div(ub, cb)
-    if _uni_degree(pa) < _uni_degree(pb):
+    if _lead(pa, v)[0] < _lead(pb, v)[0]:
         pa, pb = pb, pa
     while True:
-        rem = _pseudo_rem(pa, pb)
+        rem = _pseudo_rem(pa, pb, v)
         if not rem:
             break
         # the content in the other symbols is monic, so the remainder is
         # also made primitive over the integers: without that rescale its
         # coefficients grow exponentially along the sequence
-        cont = _uni_content(rem)
-        pa, pb = pb, _uni_zprim(_uni_div(rem, cont))
-    return _monic(_from_univariate(pb, v) * cg)
+        pa, pb = pb, _zprim(_content(rem, v)[1])
+    return _monic(pb * cg)
 
 
 # The one denominator of every Scalar whose denominator has no parameters.

@@ -542,6 +542,10 @@ def certify(spec, constraint, params, result):
     ``uncertified`` lists (point, factor): a factor, found in the search at
     that point (() at the start), that does not split into such linear
     factors, so that the answer may change where it vanishes, unseen.
+    Beside such a factor the loci listed may depend on the elimination:
+    on [[delta+1, delta], [delta, mu]], whose determinant does not split,
+    a rule that pivots on delta reports delta = mu = 0 (from its search at
+    delta = 0) and one that pivots on delta+1 does not.
     """
     pvals = resolve_params(spec, params)
     if not isinstance(constraint, int):

@@ -7,9 +7,13 @@ system (_search_system) -> its elimination (_matrix_kernel) -> the whole
 search (search_singular), the certification of its caveats (certify, on
 (2,5,mass) level 8) and the check of its vector (verify_singular) ->
 diffop.compose, commutator and twisted_commutator -> rep_check /
-intertwining_check.  The search's system has one block of rows per kept
-annihilator of ``algebra.annihilator_generators`` (17 rows and 42 entries
-on the top case, where every annihilator gives 23 and 60).  The file name
+intertwining_check.  The scale rows run larger families; each cold row
+(test_module_scale_cold, test_intertwining_check_scale_cold) times a fresh
+interpreter that imports cgk and runs its warm row's call once, the cost
+of a one-shot command, caches and Leibniz tables built included.  The
+search's system has one block of rows per kept annihilator of
+``algebra.annihilator_generators`` (17 rows and 42 entries on the top case,
+where every annihilator gives 23 and 60).  The file name
 does not match ``test_*.py``, so the tier-1 run does not collect it; it needs
 ``pytest-benchmark`` and skips without it.  Run it from the repository root:
 
@@ -263,13 +267,39 @@ def test_intertwining_check(benchmark):
 
 
 # scale rows: families larger than the ones the tests and cgkbench use
-@pytest.mark.parametrize("spec, q", [(M5, 5), (EX6, 4), (D7, 5)],
-                         ids=["2-5-mass-q5", "2-6-exotic-q4", "1-7-mass-q5"])
+INTERTWINING_SCALE_ROWS = pytest.mark.parametrize(
+    "spec, q", [(M5, 5), (EX6, 4), (D7, 5)],
+    ids=["2-5-mass-q5", "2-6-exotic-q4", "1-7-mass-q5"])
+
+
+@INTERTWINING_SCALE_ROWS
 def test_intertwining_check_scale(benchmark, spec, q):
     """``cgk pde check --delta auto`` on a larger family: delta at the
     level-q root, every other parameter symbolic."""
     params = dict(symbolic_params(spec), delta=delta_at_condition(spec, q))
     assert benchmark(intertwining_check, spec, q, params) == []
+
+
+def _cold(benchmark, source):
+    """Time a fresh interpreter that runs ``source`` once and exits."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cgk.__file__)))
+    argv = [sys.executable, "-c", source]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
+                       rounds=3, iterations=1)
+
+
+@INTERTWINING_SCALE_ROWS
+def test_intertwining_check_scale_cold(benchmark, spec, q):
+    """The warm row's check as a one-shot command runs it: in a fresh
+    interpreter, import and every Leibniz table built included."""
+    _cold(benchmark, "\n".join([
+        "from cgk.algebra import AlgebraSpec",
+        "from cgk.invariants import intertwining_check",
+        "from cgk.singular import delta_at_condition",
+        "from cgk.verma import symbolic_params",
+        "spec = %r" % (spec,),
+        "params = dict(symbolic_params(spec), delta=delta_at_condition(spec, %d))" % q,
+        "assert intertwining_check(spec, %d, params) == []" % q]))
 
 
 def test_rep_check_scale(benchmark):
@@ -310,8 +340,5 @@ def test_module_scale(benchmark, row):
 
 @SCALE_ROWS
 def test_module_scale_cold(benchmark, row):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cgk.__file__)))
-    argv = [sys.executable, "-c", _SCALE_SETUP + MODULE_SCALE[row]]
-    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
-                       rounds=3, iterations=1)
+    _cold(benchmark, _SCALE_SETUP + MODULE_SCALE[row])
 

@@ -658,6 +658,12 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases[-3:-1]:
         assert invoke(capsys, *argv) == (
             2, "", "usage error: level must be a non-negative integer\n")
+    # a parameter that is not a rational number is refused by the parser
+    code, out, err = invoke(capsys, "singular", "closed", "--d", "1", "--two-ell", "1",
+                            "--ext", "mass", "--q", "1", "--mu", "abc")
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --mu: not a rational number: 'abc'\n")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -84,6 +84,8 @@ def test_centerless_operator_and_kernel():
 def test_invariant_operator_rejects_bad_power():
     with pytest.raises(ValueError):
         invariant_operator(D1, 0)
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        intertwining_check(D1, 0, {"delta": 0, "mu": 1})
 
 
 def test_intertwining_at_root_seed_cases():
@@ -121,6 +123,8 @@ def test_symbolic_residual_divisible_by_condition():
         assert divisible_by_condition(residual, cond)
         # a shifted condition must not divide, so the test has teeth
         assert not divisible_by_condition(residual, cond + Scalar.const(1))
+    with pytest.raises(ValueError, match="divisibility by zero"):
+        divisible_by_condition(residual, Scalar.zero())
 
 
 def test_seed_residual_is_condition_times_identity():

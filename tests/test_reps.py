@@ -64,6 +64,10 @@ def test_right_action_commutator_audit():
     # [piR(H), piR(P1)] = piR([H, P1]) = -piR(P0)
     got = commutator(right_action(D3, Gen("H")), right_action(D3, Gen("P", 1)))
     assert got == right_action(D3, Gen("P", 0)).scaled(-1)
+    # an audit without P0's operator cannot read the bracket's image
+    ops = {g: right_action(D3, g) for g in (Gen("H"), Gen("P", 1))}
+    with pytest.raises(UnsupportedGenerator):
+        bracket_failures(D3, ops, [(Gen("H"), Gen("P", 1))])
 
 
 def test_right_action_domain_errors():

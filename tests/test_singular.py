@@ -75,6 +75,8 @@ def test_condition_examples():
     for q in (0, -1):
         with pytest.raises(ValueError, match="q must be a positive integer"):
             predicted_weight(D1, q)
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            singular_closed(D1, q)
 
 
 def _reference_singular_condition(spec, q):
@@ -941,3 +943,6 @@ def test_a_factor_that_does_not_split_is_uncertified(monkeypatch, capsys):
     assert _printed(capsys, "--level", "4").endswith("\nat %s = 0: not certified\n" % rest)
     assert json.loads(_printed(capsys, "--level", "4", "--render", "json"))["caveats"] == [
         {"at": {}, "vanishes": str(rest), "dimension": None}]
+    # roots whose end coefficients pass _ROOT_BOUND are not looked for
+    big = parse_scalar("(delta-100000)*(delta-100001)").num
+    assert singular._linear_factors(big) == ([], big)

@@ -160,6 +160,9 @@ def test_closed_form_unsupported():
     for action in (act_closed_form, act_generic):
         with pytest.raises(UnknownGenerator):
             action(M1, Gen("P", 2, "+"), ModuleVector.of(mono(0, (1,), (1,))))
+        # a planar monomial does not fit the line family
+        with pytest.raises(ValueError, match="does not fit"):
+            action(D1, Gen("C"), ModuleVector.of(mono(0, (1,), (1,))))
 
 
 @pytest.mark.parametrize("x", ["H", Gen("P", 9, "+"), Gen("H", 0), ("P", 9, "+"),
@@ -311,6 +314,9 @@ def test_level_basis_weight_constraint():
     assert plus_only == [mono(0, (1,), (0,))]
     # mismatched central eigenvalue selects nothing
     assert level_basis(M1, {Gen("D"): Scalar.const(1) - DELTA, Gen("M"): MU}) == []
+    # H raises the weight, so a constraint cannot pin it
+    with pytest.raises(ValueError, match="not a diagonal generator"):
+        level_basis(D1, {Gen("D"): Scalar.const(2) - DELTA, Gen("H"): DELTA})
 
 
 def test_level_basis_infinite_selection():
