@@ -7,8 +7,10 @@ A family is labelled by (d, twoEll, ext).  Supported combinations:
   d=2, twoEll even, ext=exotic  planar basis, rotation J, central Theta
   d=1, twoEll=2,    ext=none    the six-dimensional centerless case
 
-The bracket is generated from the closed coefficient rules rather than
-per-family tables; jacobi_check audits the result.
+The bracket follows from closed coefficient rules, tabulated once per
+family as integers in ``_structure``, the one table that every layer reads
+(the module images of ``verma``, the realizations of ``reps``); jacobi_check
+audits it.
 
 Every family's layout follows from one grade, the ad D eigenvalue
 [D, g] = grade * g: 2 for H, -2 for C, 2l - 2n for P(n), 0 otherwise.  A
@@ -27,9 +29,10 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations
 from operator import itemgetter
 
-from .scalars import _Sparse, central_constant
+from .scalars import Scalar, _Sparse, central_constant
 
 
 class InvalidSpec(ValueError):
@@ -240,52 +243,55 @@ def _check_member(spec, gen):
 
 
 def bracket(spec, x, y):
-    """[x, y] as a GenCombo, from the family's coefficient rules."""
+    """[x, y] as a GenCombo, read from the family's integer table."""
     _check_member(spec, x)
     _check_member(spec, y)
-    combo = _bracket_raw(spec, x, y)
-    if combo is None:
-        swapped = _bracket_raw(spec, y, x)
-        assert swapped is not None, "no bracket rule for (%s, %s)" % (x, y)
-        combo = -swapped
-    return combo
+    return GenCombo.of_raw({g: Scalar.const(c) for g, c in _structure(spec)[x, y]})
 
 
-def _bracket_raw(spec, x, y):
-    """Bracket for the ordered rules; None means try the swapped order."""
+def _bracket_rule(spec, x, y):
+    """[x, y] as ((Gen, int), ...) by the ordered coefficient rules; None
+    means the rule is written for (y, x)."""
     two_ell = spec.twoEll
     central = central_element(spec)
-    if x == y:
-        return GenCombo.zero()
-    if central is not None and central in (x, y):
-        return GenCombo.zero()
+    if x == y or (central is not None and central in (x, y)):
+        return ()
     if x.tag == "D":
-        return GenCombo.of(y, _grade(spec, y))
+        return ((y, _grade(spec, y)),)
     if x.tag == "J":
-        return GenCombo.of(y, _rotation(y))
+        return ((y, _rotation(y)),)
     tags = (x.tag, y.tag)
     if tags == ("C", "H"):
-        return GenCombo.of(Gen("D"))
+        return ((Gen("D"), 1),)
     if tags == ("H", "P"):
-        if y.n == 0:
-            return GenCombo.zero()
-        return GenCombo.of(Gen("P", y.n - 1, y.sign), -y.n)
+        return ((Gen("P", y.n - 1, y.sign), -y.n),) if y.n else ()
     if tags == ("C", "P"):
-        if y.n == two_ell:
-            return GenCombo.zero()
-        return GenCombo.of(Gen("P", y.n + 1, y.sign), two_ell - y.n)
+        return ((Gen("P", y.n + 1, y.sign), two_ell - y.n),) if y.n != two_ell else ()
     if tags == ("P", "P"):
-        if spec.ext == "none" or x.n + y.n != two_ell:
-            return GenCombo.zero()
-        if spec.d == 1:
-            return GenCombo.of(central, central_constant(spec, x.n))
-        if x.sign == y.sign:
-            return GenCombo.zero()
-        coef = central_constant(spec, x.n)
-        if spec.ext == "exotic" and x.sign == "-":
-            coef = -coef
-        return GenCombo.of(central, coef)
+        # the planar strings pair with each other, never with themselves
+        if spec.ext == "none" or x.n + y.n != two_ell or (spec.d == 2 and x.sign == y.sign):
+            return ()
+        sign = -1 if spec.ext == "exotic" and x.sign == "-" else 1
+        return ((central, sign * central_constant(spec, x.n)),)
     return None
+
+
+@lru_cache(maxsize=None)
+def _structure(spec):
+    """The family's bracket as integers: ``table[x, y]`` is the tuple of
+    nonzero ``(Gen, int)`` terms of [x, y], for every ordered pair, and the
+    negation of ``table[y, x]``.  The one dict is shared by every reader,
+    which never mutates it."""
+    gens = _family(spec)["all"]
+    table = {}
+    for i, x in enumerate(gens):
+        for y in gens[i:]:
+            terms = _bracket_rule(spec, x, y)
+            if terms is None:
+                terms = [(g, -c) for g, c in _bracket_rule(spec, y, x)]
+            table[x, y] = terms = tuple((g, c) for g, c in terms if c)
+            table[y, x] = tuple((g, -c) for g, c in terms)
+    return table
 
 
 def _closure(edges, start):
@@ -306,15 +312,15 @@ def _generating(spec, gens):
 
     kept is a greedy drop in the order of gens: each generator is dropped
     when brackets of the rest still reach every generator.  Each witness
-    (g, x, y, c) records bracket(spec, x, y) == c * g, with g in gens and
-    x and y kept or derived earlier.  Only a bracket with a single term
-    inside gens is a witness, so each generator not kept is one bracket of
-    two earlier ones.
+    (g, x, y, c) records [x, y] == c * g, c an int of ``_structure``, with
+    g in gens and x and y kept or derived earlier.  Only a bracket with a
+    single term inside gens is a witness, so each generator not kept is one
+    bracket of two earlier ones.
     """
     edges = {g: [] for g in gens}
     for i, x in enumerate(gens):
         for y in gens[i + 1:]:
-            terms = bracket(spec, x, y).items()
+            terms = _structure(spec)[x, y]
             if len(terms) == 1 and terms[0][0] in edges:
                 (g, c), = terms
                 edges[x].append((y, (g, x, y, c)))
@@ -346,35 +352,22 @@ def annihilator_generators(spec):
     return _generating(spec, _family(spec)["g_minus"])
 
 
-def jacobi_check(spec, bracket_fn=None):
+def jacobi_check(spec):
     """Audit [[X,Y],Z] + [[Y,Z],X] + [[Z,X],Y] = 0 over all triples.
 
     Returns the list of failures as (X, Y, Z, residual GenCombo); an empty
-    list means the structure constants close.  bracket_fn lets tests inject
-    a corrupted table.
+    list means the structure constants close.  Each residual is summed in
+    ints from ``_structure``; only a failing triple builds a GenCombo.
     """
-    brk = bracket_fn if bracket_fn is not None else (lambda a, b: bracket(spec, a, b))
-
-    def brk_combo(combo, z):
-        out = GenCombo.zero()
-        for gen, coef in combo.items():
-            out = out + brk(gen, z).scaled(coef)
-        return out
-
-    gens = enumerate_generators(spec)
+    table = _structure(spec)
     failures = []
-    for i, x in enumerate(gens):
-        for j in range(i + 1, len(gens)):
-            y = gens[j]
-            for k in range(j + 1, len(gens)):
-                z = gens[k]
-                residual = (
-                    brk_combo(brk(x, y), z)
-                    + brk_combo(brk(y, z), x)
-                    + brk_combo(brk(z, x), y)
-                )
-                if residual:
-                    failures.append((x, y, z, residual))
+    for x, y, z in combinations(enumerate_generators(spec), 3):
+        residual = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for g, s in table[a, b]:
+                GenCombo.add_into(residual, table[g, c], s)
+        if any(residual.values()):
+            failures.append((x, y, z, GenCombo(residual)))
     return failures
 
 

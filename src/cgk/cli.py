@@ -25,6 +25,7 @@ from fractions import Fraction
 from .algebra import (
     AlgebraSpec,
     Gen,
+    _structure,
     bracket,
     central_element,
     decomposition,
@@ -107,6 +108,14 @@ def monomial_from_json(data, spec=None):
     if spec is not None:
         check_monomial(spec, m)
     return m
+
+
+def _json_flag(text, flag):
+    """The JSON value given to ``flag``; UsageError when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError("%s is not JSON: %s" % (flag, exc)) from None
 
 
 def vector_to_json(v):
@@ -246,12 +255,8 @@ def cmd_algebra_show(args):
     spec, _ = _config(args)
     blocks = dict(zip(("plus", "zero", "minus"), decomposition(spec)))
     gens = enumerate_generators(spec)
-    brackets = []
-    for i, x in enumerate(gens):
-        for y in gens[i + 1:]:
-            combo = bracket(spec, x, y)
-            if not combo.is_zero():
-                brackets.append((x, y, combo))
+    brackets = [(x, y, bracket(spec, x, y)) for i, x in enumerate(gens)
+                for y in gens[i + 1:] if _structure(spec)[x, y]]
     if args.render == "json":
         central = central_element(spec)
         out = {
@@ -298,7 +303,7 @@ def cmd_algebra_jacobi(args):
 def cmd_verma_act(args):
     spec, params = _config(args)
     gen = parse_gen(args.gen)
-    mono = monomial_from_json(json.loads(args.monomial), spec)
+    mono = monomial_from_json(_json_flag(args.monomial, "--monomial"), spec)
     action = act_closed_form if args.action == "closed" else act_generic
     result = action(spec, gen, ModuleVector.of(mono), params=params)
     _emit(args, {"vector": vector_to_json(result)} if args.render == "json"
@@ -313,7 +318,7 @@ def cmd_verma_basis(args):
     if args.level is not None:
         constraint = _level(args.level)
     else:
-        raw = json.loads(args.weight)
+        raw = _json_flag(args.weight, "--weight")
         if not isinstance(raw, dict) or not all(
                 isinstance(val, str) for val in raw.values()):
             raise UsageError('--weight must be a JSON object of scalar strings, '
@@ -327,7 +332,7 @@ def cmd_verma_basis(args):
 
 def cmd_verma_weight(args):
     spec, params = _config(args)
-    mono = monomial_from_json(json.loads(args.monomial), spec)
+    mono = monomial_from_json(_json_flag(args.monomial, "--monomial"), spec)
     w = weight_of(spec, mono, params=params)
     _emit(args, {"weight": weight_to_json(w)} if args.render == "json"
           else "\n".join("%s -> %s" % item for item in _weight_items(w)))

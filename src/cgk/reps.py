@@ -1,5 +1,7 @@
 """Vector-field realizations of the families, derived from the bracket.
 
+Every bracket is read as ``(Gen, int)`` terms from ``algebra._structure``.
+
 The realizations are the induced representations on the coset of the
 creation wing (Dobrev's construction, Rep. Math. Phys. 25, 1988).  The
 chart has the slots of the module's basis factors (``algebra._family``):
@@ -33,7 +35,7 @@ one residual loop, shared with the witness certificate of
 import functools
 from fractions import Fraction
 
-from .algebra import (Gen, _family, bracket, decomposition, enumerate_generators,
+from .algebra import (Gen, _family, _structure, decomposition, enumerate_generators,
                       generating_set, normal_position, weight_table)
 from .diffop import CoefPoly, DiffOp, Var, commutator, make_chart
 from .verma import lowest_weight, resolve_params
@@ -82,8 +84,8 @@ def _ad(spec, w, z, scale=1):
     out = {}
     for gw, pw in w.items():
         for gz, pz in z.items():
-            for g, c in bracket(spec, gw, gz).items():
-                _mul_into(out.setdefault(g, {}), pw, pz, scale * c.rational_value())
+            for g, c in _structure(spec)[gw, gz]:
+                _mul_into(out.setdefault(g, {}), pw, pz, scale * c)
     return {g: q for g, p in out.items() if (q := {m: c for m, c in p.items() if c})}
 
 
@@ -108,8 +110,8 @@ def _lift_into(out, spec, elem):
         _mul_into(out.setdefault(0 if g == _H else coords[g], {}), p, _ONE)
         if g == _H:
             for v, slot in coords.items():
-                for g2, c in bracket(spec, _H, v).items():
-                    _mul_into(rest.setdefault(g2, {}), p, {(slot,): -c.rational_value()})
+                for g2, c in _structure(spec)[_H, v]:
+                    _mul_into(rest.setdefault(g2, {}), p, {(slot,): -c})
     if rest:
         _lift_into(out, spec, rest)
 
@@ -186,7 +188,7 @@ def bracket_failures(spec, ops, pairs):
     failures = []
     for x, y in pairs:
         image = []
-        for gen, coef in bracket(spec, x, y).items():
+        for gen, coef in _structure(spec)[x, y]:
             if gen not in ops:
                 raise UnsupportedGenerator("[%s, %s] leaves the realized domain" % (x, y))
             image.append((ops[gen], coef))

@@ -393,21 +393,18 @@ def _search_system(spec, constraint, params=None):
     images = _images(spec)
     weights = images.weights
     products = {images.zero: one}
-    letters = [images.index[x] for x in annihilator_generators(spec)[0]]
-    shifted = None
-    if spec.ext == "none":
-        # require P1 v = -kappa v as well (its diagonal part is forced): P1
-        # minus its eigenvalue on the lowest-weight vector, -kappa
-        shifted = images.index[_P1]
-        letters.append(shifted)
+    # on the centerless family, require P1 v = -kappa v as well (its diagonal
+    # part is forced): P1 minus its eigenvalue on the lowest-weight vector
+    shifted = _P1 if spec.ext == "none" else None
+    gens = annihilator_generators(spec)[0] + (shifted,) * (shifted is not None)
 
     rows = []
-    for letter in letters:
+    for g in gens:
         by_target = {}
         for col, m in enumerate(basis):
-            terms = images[letter, m]
-            if letter == shifted:
-                terms += ((m, images.unit[letter], -1),)
+            terms = images[g, m]
+            if g == shifted:
+                terms += ((m, images.unit[g], -1),)
             for n, e, c in terms:
                 value = products.get(e)
                 if value is None:

@@ -39,7 +39,7 @@ from .algebra import (
     Gen,
     UnknownGenerator,
     _family,
-    bracket,
+    _structure,
     central_element,
     creation_data,
     enumerate_generators,
@@ -211,13 +211,6 @@ def vacuum(spec, params=None):
 
 # --- gradings, read from the basis layout of algebra._family --------------
 
-def _int_value(coef):
-    """A structure constant as an int (every bracket coefficient is one)."""
-    val = coef.rational_value()
-    assert val.denominator == 1
-    return val.numerator
-
-
 def _dot(grades, expo):
     """The grade of a flat exponent tuple under one per-slot table."""
     return sum(map(mul, grades, expo))
@@ -259,58 +252,49 @@ def weight_of(spec, m, params=None):
 class _Images(dict):
     """The generic action's images on one family, free of parameters.
 
-    Letter ``i`` is ``enumerate_generators(spec)[i]``; the tables, built
-    from ``algebra.bracket`` on the first action in the family, are:
+    The tables, read from ``algebra._family`` and ``algebra._structure`` on
+    the first action in the family, are:
 
-    * ``index`` maps each generator to its letter and ``pos[i]`` is the
-      letter's normal-order position (0 for an annihilator, 1 for a
-      diagonal letter, 2 and up for a creation letter);
-    * ``brk[i][j]`` is the bracket of letters ``i`` and ``j`` as
-      ``((letter, int coefficient), ...)``;
-    * ``weights`` lists the ``(symbol, sign)`` of each diagonal letter's
-      eigenvalue in exponent order, ``unit`` maps each diagonal letter to
-      its exponent tuple and ``zero`` is the tuple of no eigenvalue;
-    * ``slots`` holds the letters of the basis factors in slot order,
-      ``slot`` maps each back to its slot, ``order`` lists the slots by
-      descending position (the factor order of a normal word) and
-      ``shape`` is (len a, len b).
+    * ``pos`` is ``normal_position(spec)``: 0 for an annihilator, 1 for a
+      diagonal generator, 2 and up for a creation generator;
+    * ``brk`` is ``_structure(spec)``: ``brk[x, y]`` is the bracket of x
+      and y as ``((Gen, int coefficient), ...)``;
+    * ``weights`` lists the ``(symbol, sign)`` of each diagonal generator's
+      eigenvalue in exponent order, ``unit`` maps each diagonal generator
+      to its exponent tuple and ``zero`` is the tuple of no eigenvalue;
+    * ``slots`` holds the basis factors in slot order, ``slot`` maps each
+      back to its slot, ``order`` lists the slots by descending position
+      (the factor order of a normal word) and ``shape`` is (len a, len b).
 
-    ``images[letter, mono]`` is the normal-ordered product of the letter
+    ``images[x, mono]`` is the normal-ordered product of the generator x
     and the basis monomial ``mono``: a tuple of ``(monomial, diagonal
     exponents, int)`` triples, the exponents counting how often each
-    diagonal letter's eigenvalue multiplies the term.  Normal ordering is
-    unique (PBW), so one entry per pair serves every parameter assignment.
-    A missing entry is filled on lookup, with every entry it needs, by the
-    commutation recursion: with f the leading factor of the normal word of
-    ``mono`` and m' the rest,
+    diagonal generator's eigenvalue multiplies the term.  Normal ordering
+    is unique (PBW), so one entry per pair serves every parameter
+    assignment.  A missing entry is filled on lookup, with every entry it
+    needs, by the commutation recursion: with f the leading factor of the
+    normal word of ``mono`` and m' the rest,
 
         x f m' = f (x m') + [x, f] m'.
 
-    It stops at a creation letter x with pos[x] >= pos[f], whose word is
-    already normal, and at the empty word, where an annihilator gives 0, a
-    diagonal letter its eigenvalue and a creation letter its factor.  The
-    recursion runs on an explicit work stack, so a word of any length fills
-    without nesting calls; only the bracket table enters.
+    It stops at a creation generator x with pos[x] >= pos[f], whose word
+    is already normal, and at the empty word, where an annihilator gives 0,
+    a diagonal generator its eigenvalue and a creation generator its
+    factor.  The recursion runs on an explicit work stack, so a word of any
+    length fills without nesting calls; only the bracket table enters.
     """
 
     def __init__(self, spec):
         super().__init__()
-        gens = enumerate_generators(spec)
-        self.index = index = {g: i for i, g in enumerate(gens)}
-        position = normal_position(spec)
-        self.pos = pos = tuple(position[g] for g in gens)
-        self.brk = tuple(
-            tuple(tuple((index[g], _int_value(c)) for g, c in bracket(spec, x, y).items())
-                  for y in gens)
-            for x in gens
-        )
+        self.pos = pos = normal_position(spec)
+        self.brk = _structure(spec)
         table = weight_table(spec)
         self.weights = tuple(table.values())
         self.zero = zero = (0,) * len(table)
-        self.unit = {index[g]: _bump(zero, k, 1) for k, g in enumerate(table)}
+        self.unit = {g: _bump(zero, k, 1) for k, g in enumerate(table)}
         fam = _family(spec)
-        self.slots = slots = tuple(index[g] for g in fam["slot"])
-        self.slot = {letter: s for s, letter in enumerate(slots)}
+        self.slot = fam["slot"]
+        self.slots = slots = tuple(fam["slot"])
         self.order = tuple(sorted(range(len(slots)), key=lambda s: -pos[slots[s]]))
         self.shape = fam["shape"]
 
@@ -336,8 +320,8 @@ class _Images(dict):
             out = list(expo)
             out[lead] -= 1
             rest, f = _monomial(shape, out), slots[lead]
-            brk = self.brk[x][f]
-            # the entries this one reads: x and each [x, f] letter on m',
+            brk = self.brk[x, f]
+            # the entries this one reads: x and each [x, f] term on m',
             # then f on each monomial of x m'
             missing = [(g, rest) for g in (x,) + tuple(g for g, _ in brk)
                        if (g, rest) not in self]
@@ -394,7 +378,7 @@ def act_generic(spec, x, v, params=None):
     """Action of generator ``x`` on vector ``v`` by normal ordering.
 
     Independent of every closed-form action: it reads only the family's
-    integer structure-constant table, built from ``algebra.bracket``.  The
+    integer structure-constant table, ``algebra._structure``.  The
     image of ``x`` on each basis monomial comes from ``_images``, cached per
     family and free of parameters, and is instantiated here: each term's
     diagonal exponents become a product of eigenvalues, built once per call
@@ -402,8 +386,7 @@ def act_generic(spec, x, v, params=None):
     """
     pvals = resolve_params(spec, params)
     images = _images(spec)
-    first = images.index.get(x) if type(x) is Gen else None
-    if first is None:
+    if type(x) is not Gen or x not in images.pos:
         raise UnknownGenerator("%s is not a generator of %r" % (x, spec))
     zero, weights = images.zero, images.weights
     n_a, n_b = images.shape
@@ -422,7 +405,7 @@ def act_generic(spec, x, v, params=None):
     for mono, coef in v.terms.items():
         if len(mono.a) != n_a or len(mono.b) != n_b:
             check_monomial(spec, mono)
-        _accumulate(out, instantiated(images[first, mono]), coef)
+        _accumulate(out, instantiated(images[x, mono]), coef)
     return ModuleVector.of_raw(out)
 
 

@@ -1,7 +1,8 @@
 """Microbenchmarks, one small fixed input per layer of the stack.
 
-ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket ->
-act_generic / act_closed_form, on one vector and per unit monomial
+ParamPoly mul, poly_div_exact and poly_gcd -> Scalar normalisation -> bracket
+and the Jacobi audit of its integer table (jacobi_check) -> act_generic /
+act_closed_form, on one vector and per unit monomial
 (test_module_action_per_monomial) -> the search's weight space (level_basis) and
 system (_search_system) -> its elimination (_matrix_kernel) -> the whole
 search (search_singular), the certification of its caveats (certify, on
@@ -48,7 +49,13 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from cgk.algebra import AlgebraSpec, Gen, bracket, enumerate_generators  # noqa: E402
+from cgk.algebra import (  # noqa: E402
+    AlgebraSpec,
+    Gen,
+    bracket,
+    enumerate_generators,
+    jacobi_check,
+)
 from cgk.diffop import commutator, compose, twisted_commutator  # noqa: E402
 from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
@@ -119,6 +126,10 @@ def test_scalar_normalisation(benchmark):
 def test_bracket(benchmark):
     gens = enumerate_generators(M3)
     benchmark(lambda: [bracket(M3, x, y) for x in gens for y in gens])
+
+
+def test_jacobi_check(benchmark):
+    assert benchmark(jacobi_check, M3) == []
 
 
 def _module_action(benchmark, action, spec):

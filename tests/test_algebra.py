@@ -10,6 +10,7 @@ from cgk.algebra import (
     InvalidSpec,
     UnknownGenerator,
     _family,
+    _structure,
     annihilator_generators,
     bracket,
     decomposition,
@@ -344,13 +345,21 @@ def _reference_bracket(spec, x, y):
 
 
 def test_bracket_matches_reference():
-    # the whole table, every ordered pair of every family up to twoEll = 21
+    # the whole table, every ordered pair of every family up to twoEll = 21;
+    # each entry of the integer table is the reference as ints, with no zero
+    # term, and the negation of its swapped entry
     pairs = 0
     for spec in supported_specs(21):
         gens = enumerate_generators(spec)
+        table = _structure(spec)
         for x in gens:
             for y in gens:
-                assert bracket(spec, x, y) == _reference_bracket(spec, x, y), (spec, x, y)
+                want = _reference_bracket(spec, x, y)
+                assert bracket(spec, x, y) == want, (spec, x, y)
+                terms = table[x, y]
+                assert all(type(c) is int and c for _, c in terms), (spec, x, y)
+                assert {g: Scalar.const(c) for g, c in terms} == want.terms, (spec, x, y)
+                assert terms == tuple((g, -c) for g, c in table[y, x]), (spec, x, y)
                 pairs += 1
     assert pairs == 24033
 
@@ -368,17 +377,22 @@ def test_jacobi_all_supported():
         assert jacobi_check(spec) == []
 
 
-def test_jacobi_fault_injection():
+def _corrupt_structure(monkeypatch, spec):
+    """Have ``algebra`` read a copy of spec's table with [D, H] = 3 H."""
+    import cgk.algebra
+
+    true_structure = cgk.algebra._structure
+    table = dict(true_structure(spec))
+    table[Gen("D"), Gen("H")] = ((Gen("H"), 3),)
+    table[Gen("H"), Gen("D")] = ((Gen("H"), -3),)
+    monkeypatch.setattr(cgk.algebra, "_structure",
+                        lambda s: table if s == spec else true_structure(s))
+
+
+def test_jacobi_fault_injection(monkeypatch):
     spec = AlgebraSpec(1, 1, "mass")
-
-    def corrupted(x, y):
-        if (x.tag, y.tag) == ("D", "H"):
-            return GenCombo.of(Gen("H"), 3)
-        if (x.tag, y.tag) == ("H", "D"):
-            return GenCombo.of(Gen("H"), -3)
-        return bracket(spec, x, y)
-
-    failures = jacobi_check(spec, bracket_fn=corrupted)
+    _corrupt_structure(monkeypatch, spec)
+    failures = jacobi_check(spec)
     assert failures
     assert any({"D", "H"} <= {g.tag for g in triple[:3]} for triple in failures)
 

@@ -45,6 +45,7 @@ from cgk.verma import (
     required_parameters,
     resolve_params,
 )
+from test_algebra import _corrupt_structure
 from test_diffop import _reference_residual
 from test_invariants import _corrupt_left_action, _shifted_params
 from test_reps import _reference_rep_check
@@ -658,6 +659,13 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases[-3:-1]:
         assert invoke(capsys, *argv) == (
             2, "", "usage error: level must be a non-negative integer\n")
+    # a flag value that is not JSON is named, with the decoder's message
+    assert invoke(capsys, *cases[3]) == (
+        2, "", "usage error: --monomial is not JSON: "
+               "Expecting value: line 1 column 1 (char 0)\n")
+    assert invoke(capsys, "verma", "basis", *cases[3][2:8], "--weight", "{") == (
+        2, "", "usage error: --weight is not JSON: Expecting property name "
+               "enclosed in double quotes: line 1 column 2 (char 1)\n")
     # a parameter that is not a rational number is refused by the parser
     code, out, err = invoke(capsys, "singular", "closed", "--d", "1", "--two-ell", "1",
                             "--ext", "mass", "--q", "1", "--mu", "abc")
@@ -870,20 +878,9 @@ def test_singular_verify_names_first_failure(monkeypatch):
 
 
 def test_jacobi_names_first_failing_triple(monkeypatch):
-    import cgk.algebra as algebra
-
-    true_bracket = algebra.bracket
-
-    def corrupted(spec, x, y):
-        if (x.tag, y.tag) == ("D", "H"):
-            return GenCombo.of(Gen("H"), 3)
-        if (x.tag, y.tag) == ("H", "D"):
-            return GenCombo.of(Gen("H"), -3)
-        return true_bracket(spec, x, y)
-
-    monkeypatch.setattr(algebra, "bracket", corrupted)
     spec = cli.supported_specs(6)[0]
-    failures = jacobi_check(spec, bracket_fn=lambda x, y: corrupted(spec, x, y))
+    _corrupt_structure(monkeypatch, spec)
+    failures = jacobi_check(spec)
     x, y, z, residual = failures[0]
     assert not residual.is_zero()
     detail = "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (

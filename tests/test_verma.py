@@ -362,7 +362,7 @@ def test_closed_form_matches_generic_levels_6_and_7():
 
 def _reference_act_generic(spec, x, v, params=None):
     """The generic action over Gen words, as first written: the oracle for
-    the integer-letter ``act_generic``."""
+    the ``act_generic`` of the integer table."""
     pvals = resolve_params(spec, params)
     pos = normal_position(spec)
     top, a_gens, b_gens = creation_data(spec)
@@ -487,7 +487,7 @@ def test_images_are_shared_across_parameters(monkeypatch):
 
     x, m = parse_gen("P1+"), mono(2, (1,), (1,))
     images = _images(M1)
-    key = (images.index[x], m)
+    key = (x, m)
     images.pop(key, None)
     v = ModuleVector.of(m)
     first = _params("root", M1)
@@ -510,10 +510,10 @@ def test_structure_table_equals_bracket():
     for spec in supported_specs(6):
         images = _images(spec)
         gens = enumerate_generators(spec)
-        assert [images.index[g] for g in gens] == list(range(len(gens)))
-        for i, x in enumerate(gens):
-            for j, y in enumerate(gens):
-                table = {gens[k]: Scalar.const(c) for k, c in images.brk[i][j]}
+        assert images.pos.keys() == set(gens)
+        for x in gens:
+            for y in gens:
+                table = {g: Scalar.const(c) for g, c in images.brk[x, y]}
                 assert table == bracket(spec, x, y).terms, (spec, x, y)
 
 
@@ -619,8 +619,9 @@ def test_closed_form_matches_generic_at_high_levels():
 
 
 def test_closed_form_never_reads_the_brackets(monkeypatch):
-    # the closed form is the oracle for act_generic: with the bracket rules
-    # and the central constants unreachable it must give the same vectors
+    # the closed form is the oracle for act_generic: with the bracket, its
+    # integer table and the central constants unreachable it must give the
+    # same vectors
     import cgk.algebra
     import cgk.scalars
     import cgk.verma
@@ -638,7 +639,8 @@ def test_closed_form_never_reads_the_brackets(monkeypatch):
 
     cgk.verma._strings.cache_clear()
     monkeypatch.setattr(cgk.algebra, "bracket", unreachable)
-    monkeypatch.setattr(cgk.verma, "bracket", unreachable)
+    monkeypatch.setattr(cgk.algebra, "_structure", unreachable)
+    monkeypatch.setattr(cgk.verma, "_structure", unreachable)
     monkeypatch.setattr(cgk.scalars, "central_constant", unreachable)
     monkeypatch.setattr(cgk.algebra, "central_constant", unreachable)
     for spec, x, v, want in cases:
@@ -684,7 +686,8 @@ def test_layout_never_reads_the_brackets(monkeypatch):
     cgk.algebra._family.cache_clear()
     cgk.reps.chart.cache_clear()
     monkeypatch.setattr(cgk.algebra, "bracket", unreachable)
-    monkeypatch.setattr(cgk.verma, "bracket", unreachable)
+    monkeypatch.setattr(cgk.algebra, "_structure", unreachable)
+    monkeypatch.setattr(cgk.verma, "_structure", unreachable)
     assert [results(spec) for spec in specs] == want
 
 
