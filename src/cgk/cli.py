@@ -10,6 +10,9 @@ starts with a command path is parsed by that command's leaf parser, which
 gives the namespace, the errors and the help of the whole tree; any other
 argv, or one with words the leaf does not take, goes through the whole
 tree (``_parse``).
+
+``_emit`` writes every result, and ``_emit_check`` every check report
+through it, so a check's one verdict is its list of failures.
 """
 
 from __future__ import annotations
@@ -97,6 +100,9 @@ def monomial_from_json(data, spec=None):
     if not isinstance(data, dict):
         raise UsageError("monomial JSON must be an object with integer fields "
                          "h, a, b, got %s" % (json.dumps(data),))
+    extra = [json.dumps(key) for key in sorted(data.keys() - {"h", "a", "b"})]
+    if extra:
+        raise UsageError("monomial JSON has no field %s (its fields are h, a, b)" % extra[0])
     try:
         m = PbwMonomial(
             _json_int(data["h"]),
@@ -111,9 +117,16 @@ def monomial_from_json(data, spec=None):
 
 
 def _json_flag(text, flag):
-    """The JSON value given to ``flag``; UsageError when it is not JSON."""
+    """The JSON value given to ``flag``; UsageError when it is not JSON or repeats a key."""
+    def unique(pairs):
+        keys = [key for key, _ in pairs]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise UsageError("%s repeats the key %s" % (flag, json.dumps(key)))
+        return dict(pairs)
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise UsageError("%s is not JSON: %s" % (flag, exc)) from None
 
@@ -233,6 +246,19 @@ def _emit(args, out):
             _drop_stdout()
 
 
+def _emit_check(args, failures, fields, entry, head, line, passed):
+    """Write a check's report and return its exit code, 1 when anything
+    failed.  As JSON it is ``fields`` plus ``ok`` and the failures, each
+    written by ``entry``; as text, ``passed``, or ``head`` and one indented
+    ``line`` per failure."""
+    if args.render == "json":
+        out = {**fields, "ok": not failures, "failures": [entry(f) for f in failures]}
+    else:
+        out = "\n".join([head] + ["  " + line(f) for f in failures]) if failures else passed
+    _emit(args, out)
+    return 1 if failures else 0
+
+
 def _drop_stdout():
     """The reader of stdout has gone: send later output, and the flush at
     interpreter exit, to the null device, so the command still ends with
@@ -249,7 +275,7 @@ def _drop_stdout():
 # --- subcommand handlers ---------------------------------------------------
 #
 # Each handler hands _emit one output: the JSON payload or the text, with
-# the form --render did not ask for left unbuilt.
+# the form --render did not ask for left unbuilt; a check hands _emit_check its failures.
 
 def cmd_algebra_show(args):
     spec, _ = _config(args)
@@ -277,27 +303,12 @@ def cmd_algebra_show(args):
 def cmd_algebra_jacobi(args):
     spec, _ = _config(args)
     failures = jacobi_check(spec)
-    if args.render == "json":
-        out = {
-            "ok": not failures,
-            "failures": [
-                {"x": str(x), "y": str(y), "z": str(z),
-                 "residual": combo_to_json(r)}
-                for x, y, z, r in failures
-            ],
-        }
-    elif failures:
-        lines = ["jacobi: FAIL (%d triples)" % len(failures)]
-        lines += [
-            "  [[%s,%s],%s]-cycle residue: %s" % (x, y, z, r)
-            for x, y, z, r in failures
-        ]
-        out = "\n".join(lines)
-    else:
-        out = "jacobi: ok (%d generators, all triples close)" % len(
-            enumerate_generators(spec))
-    _emit(args, out)
-    return 1 if failures else 0
+    return _emit_check(
+        args, failures, {},
+        lambda f: dict(zip("xyz", map(str, f)), residual=combo_to_json(f[3])),
+        "jacobi: FAIL (%d triples)" % len(failures),
+        lambda f: "[[%s,%s],%s]-cycle residue: %s" % tuple(f),
+        "jacobi: ok (%d generators, all triples close)" % len(enumerate_generators(spec)))
 
 
 def cmd_verma_act(args):
@@ -366,20 +377,10 @@ def cmd_singular_verify(args):
     v = singular_closed(spec, args.q, params=params)
     expected = predicted_weight(spec, args.q, params=params)
     report = verify_singular(spec, v, params=params, expect_weight=expected)
-    if args.render == "json":
-        out = {
-            "q": args.q,
-            "ok": report.ok,
-            "weight": weight_to_json(report.weight) if report.weight else None,
-            "failures": [_failure_json(f) for f in report.failures],
-        }
-    elif report.ok:
-        out = "verify: PASS (level-%d vector is singular)" % args.q
-    else:
-        out = "\n".join(["verify: FAIL"]
-                        + ["  %s" % _failure_text(f) for f in report.failures])
-    _emit(args, out)
-    return 0 if report.ok else 1
+    weight = weight_to_json(report.weight) if report.weight else None
+    return _emit_check(args, report.failures, {"q": args.q, "weight": weight},
+                       _failure_json, "verify: FAIL", _failure_text,
+                       "verify: PASS (level-%d vector is singular)" % args.q)
 
 
 def _failure_detail(payload, vector):
@@ -467,26 +468,12 @@ def cmd_reps(args):
 def cmd_reps_check(args):
     spec, params = _config(args)
     failures = rep_check(spec, side=args.side, params=params)
-    if args.render == "json":
-        out = {
-            "side": args.side,
-            "ok": not failures,
-            "failures": [
-                {"x": str(x), "y": str(y), "residual": diffop_to_json(r)}
-                for x, y, r in failures
-            ],
-        }
-    elif failures:
-        lines = ["rep check (%s): FAIL" % args.side]
-        lines += [
-            "  [%s, %s] residual: %s" % (x, y, render_diffop(r))
-            for x, y, r in failures
-        ]
-        out = "\n".join(lines)
-    else:
-        out = "rep check (%s): ok" % args.side
-    _emit(args, out)
-    return 1 if failures else 0
+    return _emit_check(
+        args, failures, {"side": args.side},
+        lambda f: dict(zip("xy", map(str, f)), residual=diffop_to_json(f[2])),
+        "rep check (%s): FAIL" % args.side,
+        lambda f: "[%s, %s] residual: %s" % (f[0], f[1], render_diffop(f[2])),
+        "rep check (%s): ok" % args.side)
 
 
 def cmd_pde_emit(args):

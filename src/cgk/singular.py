@@ -47,12 +47,15 @@ class NonPolynomialParameter(ValueError):
 
 @dataclass
 class SingularReport:
-    """Outcome of verifying one candidate singular vector."""
+    """Outcome of verifying one candidate singular vector; its verdict is ``not failures``."""
 
-    ok: bool
     vector: ModuleVector
     weight: Weight | None
     failures: list = field(default_factory=list)
+
+    @property
+    def ok(self):
+        return not self.failures
 
     def __bool__(self):
         return self.ok
@@ -191,7 +194,7 @@ def verify_singular(spec, v, params=None, expect_weight=None):
     pvals = resolve_params(spec, params)
     failures = []
     if v.is_zero():
-        return SingularReport(False, v, None, ["candidate vector is zero"])
+        return SingularReport(v, None, ["candidate vector is zero"])
     kept = annihilator_generators(spec)[0]
     images = {x: act_generic(spec, x, v, params=params) for x in kept}
     if any(not img.is_zero() for img in images.values()):
@@ -213,7 +216,7 @@ def verify_singular(spec, v, params=None, expect_weight=None):
                     failures.append(("weight", gen, weight[gen] - val))
             else:
                 failures.append(("weight", gen, "not diagonal"))
-    return SingularReport(not failures, v, weight, failures)
+    return SingularReport(v, weight, failures)
 
 
 def _divider(ref):

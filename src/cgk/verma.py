@@ -630,6 +630,8 @@ def _selection(spec, constraint, pvals):
         eigen = {}
         for key, val in dict(constraint).items():
             gen = key if isinstance(key, Gen) else parse_gen(key)
+            if gen in eigen:
+                raise ValueError("%s is pinned twice in the weight constraint" % (gen,))
             eigen[gen] = val if isinstance(val, Scalar) else Scalar.const(val)
 
     base = lowest_weight(spec, pvals)

@@ -25,7 +25,9 @@ second against it, with the same storage directory for both.  Byte-compile
 each checkout first: with ``PYTHONDONTWRITEBYTECODE`` set, a checkout
 without current ``__pycache__`` files recompiles ``cgk`` in every process,
 which doubles the set-up time of ``cgkbench`` runs and skews a comparison
-towards the checkout that happens to be compiled:
+towards the checkout that happens to be compiled.  Time two byte-compiled
+copies of the same commit first: they can differ by a few per cent, so read
+a difference between the checkouts only beyond that offset:
 
     cd OLD && python3 -m compileall -q src cgkbench
     cd NEW && python3 -m compileall -q src cgkbench

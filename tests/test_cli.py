@@ -666,6 +666,21 @@ def test_usage_errors_exit_two(capsys):
     assert invoke(capsys, "verma", "basis", *cases[3][2:8], "--weight", "{") == (
         2, "", "usage error: --weight is not JSON: Expecting property name "
                "enclosed in double quotes: line 1 column 2 (char 1)\n")
+    # a monomial field cgk does not read, and a key given twice, which
+    # json.loads alone would keep the last value of, are refused
+    d1 = ["--d", "1", "--two-ell", "3", "--ext", "mass"]
+    assert invoke(capsys, "verma", "act", *d1, "--gen", "C",
+                  "--monomial", '{"h":1,"a":[0,1],"bb":[2]}') == (
+        2, "", 'usage error: monomial JSON has no field "bb" (its fields are h, a, b)\n')
+    assert invoke(capsys, "verma", "basis", *d1, "--weight", '{"D": "1", "D": "2"}') == (
+        2, "", 'usage error: --weight repeats the key "D"\n')
+    # two keys that name one generator pin it twice
+    assert invoke(capsys, "verma", "basis", *d1,
+                  "--weight", '{"D": "-delta+2", " D": "-delta"}') == (
+        2, "", "error: D is pinned twice in the weight constraint\n")
+    # a d = 1 monomial may leave out b
+    assert invoke(capsys, "verma", "act", *d1, "--gen", "C",
+                  "--monomial", '{"h":1,"a":[0,1]}')[0] == 0
     # a parameter that is not a rational number is refused by the parser
     code, out, err = invoke(capsys, "singular", "closed", "--d", "1", "--two-ell", "1",
                             "--ext", "mass", "--q", "1", "--mu", "abc")

@@ -2,8 +2,9 @@
 
 Each command gets its own flags, with values biased to valid ones so that
 most calls reach a command's exit-0 path.  Every call must exit 0, 1 or 2
-and print no traceback, a usage error must be one ``error:`` line, and the
-leaf parse of ``cli._parse`` must agree with the whole parser tree.
+and print no traceback, a usage error must be one ``error:`` line, a JSON
+report with an ``ok`` verdict must exit 0 when it is true and 1 otherwise,
+and the leaf parse of ``cli._parse`` must agree with the whole parser tree.
 """
 
 import contextlib
@@ -69,14 +70,14 @@ def _value(draw, flag, options, spec, auto=False):
     if flag == "--monomial":
         basis = level_basis(spec, draw(st.integers(0, 2)))
         mono = json.dumps(cli.monomial_to_json(draw(st.sampled_from(basis))))
-        return _rare(draw, mono, ("not json", '{"h": -1}', "[1]"))
+        return _rare(draw, mono, ("not json", '{"h": -1}', "[1]", '{"h": 0, "bb": []}'))
     if flag == "--q":
         return _rare(draw, str(draw(st.integers(1, 3))), ("0", "-1", "x"))
     if flag == "--level":
         return _rare(draw, str(draw(st.integers(0, 3))), ("-1", "x"))
     if flag == "--weight":
         return _rare(draw, draw(st.sampled_from(('{"D": "-delta+2"}', '{"D": "-delta"}'))),
-                     ('{"D": 2}', "[]"))
+                     ('{"D": 2}', "[]", '{"D": "1", "D": "2"}'))
     raise AssertionError("no value strategy for %s" % flag)
 
 
@@ -133,6 +134,13 @@ def _check_contract(argv):
     if code == 2:
         assert [line for line in err.splitlines() if "error: " in line] == [
             err.splitlines()[-1]], argv
+    # a report with a verdict exits 0 when it holds and 1 when it does not
+    try:
+        report = json.loads(out.getvalue())
+    except json.JSONDecodeError:
+        report = None
+    if isinstance(report, dict) and "ok" in report:
+        assert code == (0 if report["ok"] is True else 1), (argv, code)
     joined = cli._joined_params(argv)
     assert _outcome(cli._parse, joined) == _outcome(cli.build_parser().parse_args, joined)
     CODES[code] += 1

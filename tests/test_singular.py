@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -217,6 +218,17 @@ def _verify_cases():
             yield spec, q, root, v
             yield spec, q, off, singular_closed(spec, q, params=off)
             yield spec, q, root, v + ModuleVector.of(level_basis(spec, 4)[-1])
+
+
+def test_verify_verdict_is_its_failure_list():
+    # ok, bool() and an empty failure list agree, and replacing the
+    # failures of a passing report flips its verdict
+    for spec, q, params, v in _verify_cases():
+        report = verify_singular(spec, v, params=params)
+        assert report.ok == bool(report) == (not report.failures), (spec, q, params)
+        if report.ok:
+            failed = dataclasses.replace(report, failures=["candidate vector is zero"])
+            assert not failed.ok and not failed and report.ok
 
 
 def test_verify_reports_as_on_every_annihilator(monkeypatch):

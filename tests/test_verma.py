@@ -317,6 +317,11 @@ def test_level_basis_weight_constraint():
     # H raises the weight, so a constraint cannot pin it
     with pytest.raises(ValueError, match="not a diagonal generator"):
         level_basis(D1, {Gen("D"): Scalar.const(2) - DELTA, Gen("H"): DELTA})
+    # two keys that parse to one generator pin it twice
+    with pytest.raises(ValueError, match="D is pinned twice"):
+        level_basis(D1, {"D": Scalar.const(2) - DELTA, " D": -DELTA})
+    with pytest.raises(ValueError, match="D is pinned twice"):
+        level_basis(D1, {Gen("D"): Scalar.const(2) - DELTA, "D": Scalar.const(2) - DELTA})
 
 
 def test_level_basis_infinite_selection():
