@@ -13,6 +13,13 @@ tree (``_parse``).
 
 ``_emit`` writes every result, and ``_emit_check`` every check report
 through it, so a check's one verdict is its list of failures.
+
+Each command is one process, so start-up counts: the module imports only
+the layers every command needs (``algebra``, ``scalars``, ``verma``,
+``singular``).  The ``reps`` and ``pde`` handlers, the selftest criteria
+that realize or intertwine, and the operator writers import the names
+they use from ``diffop``, ``reps`` and ``invariants`` in the function, so
+``algebra``, ``verma`` and ``singular`` commands never load those three.
 """
 
 from __future__ import annotations
@@ -37,21 +44,6 @@ from .algebra import (
     parse_gen,
     supported_specs,
 )
-from .diffop import (
-    latex_diffop,
-    op_power,
-    parse_diffop,
-    render_diffop,
-    render_poly_in_vars,
-)
-from .invariants import (
-    ConditionNotSatisfied,
-    divisible_by_condition,
-    intertwining_check,
-    intertwining_residual,
-    invariant_operator,
-)
-from .reps import chart, left_action, rep_check, right_action
 from .scalars import DivisionByZero, Scalar, parse_scalar, render_scalar
 from .singular import (
     certify,
@@ -139,6 +131,8 @@ def vector_to_json(v):
 
 
 def diffop_to_json(op):
+    from .diffop import render_poly_in_vars
+
     entries = []
     for dexpo, poly in op.items():
         partials = {str(v): e for v, e in zip(op.chart, dexpo) if e}
@@ -448,14 +442,18 @@ def _emit_operator(args, op, fields=None, text="%s", latex="%s"):
         out = {**(fields or {}), "chart": [str(v) for v in op.chart],
                "operator": diffop_to_json(op)}
     elif args.render == "latex":
+        from .diffop import latex_diffop
         out = latex % latex_diffop(op)
     else:
+        from .diffop import render_diffop
         out = text % render_diffop(op)
     _emit(args, out)
     return 0
 
 
 def cmd_reps(args):
+    from .reps import left_action, right_action
+
     spec, params = _config(args)
     gen = parse_gen(args.gen)
     if args.action == "left":
@@ -466,6 +464,9 @@ def cmd_reps(args):
 
 
 def cmd_reps_check(args):
+    from .diffop import render_diffop
+    from .reps import rep_check
+
     spec, params = _config(args)
     failures = rep_check(spec, side=args.side, params=params)
     return _emit_check(
@@ -477,6 +478,8 @@ def cmd_reps_check(args):
 
 
 def cmd_pde_emit(args):
+    from .invariants import invariant_operator
+
     spec, params = _config(args, q=args.q)
     op = invariant_operator(spec, args.q, params=params)
     return _emit_operator(args, op, {"q": args.q}, text="(%s) psi = 0",
@@ -484,6 +487,8 @@ def cmd_pde_emit(args):
 
 
 def cmd_pde_check(args):
+    from .invariants import ConditionNotSatisfied, intertwining_check
+
     spec, params = _config(args, q=args.q)
     try:
         failures = intertwining_check(spec, args.q, params)
@@ -644,6 +649,9 @@ def criterion_centerless():
 
 def criterion_rep_audit():
     """The weighted realization reproduces every bracket."""
+    from .diffop import render_diffop
+    from .reps import rep_check
+
     specs = _extended_specs(5)
     for spec in specs:
         failures = rep_check(spec, side="left")
@@ -656,6 +664,10 @@ def criterion_rep_audit():
 
 def _heat_cases():
     """(label, computed operator, expected operator), one case at a time."""
+    from .diffop import op_power, parse_diffop
+    from .invariants import invariant_operator
+    from .reps import chart
+
     d1 = AlgebraSpec(1, 1, "mass")
     heat = parse_diffop("2*mu*d/dt + (d/dx0)^2", chart(d1))
     for q in (1, 2, 3):
@@ -670,6 +682,8 @@ def _heat_cases():
 
 def criterion_heat():
     """The lowest line-family hierarchy is the heat hierarchy, verbatim."""
+    from .diffop import render_diffop
+
     for label, got, want in _heat_cases():
         if got != want:
             return False, "%s: operator differs; computed - expected: %s" % (
@@ -679,6 +693,9 @@ def criterion_heat():
 
 def criterion_intertwining():
     """The invariant operator intertwines the shifted realizations."""
+    from .diffop import render_diffop
+    from .invariants import divisible_by_condition, intertwining_check, intertwining_residual
+
     count = 0
     for spec in _extended_specs(5):
         for q in (1, 2):

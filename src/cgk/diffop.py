@@ -50,10 +50,9 @@ coefficients commute, so they always cancel.
 
 import functools
 import re
-from dataclasses import dataclass
 from itertools import product
 from math import comb, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .scalars import (
     _POLY_ONE,
@@ -73,23 +72,36 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    """A chart variable: t, x(n), or y(n)."""
+class Var(tuple):
+    """A chart variable, the tuple ``(kind, n)``: t, x(n), or y(n), with
+    n = -1 on t.  As a tuple it hashes and sorts at C level, in
+    ``(kind, n)`` order, and reads its fields by name; it is not a
+    dataclass, whose import would cost every command its start-up time.
+    Format it with ``%`` only inside a tuple: ``"%s" % (v,)``."""
 
-    kind: str
-    n: int = -1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("t", "x", "y"):
-            raise ValueError("unknown variable kind %r" % (self.kind,))
-        if self.kind == "t":
-            object.__setattr__(self, "n", -1)
-        elif self.n < 0:
+    def __new__(cls, kind, n=-1):
+        if kind not in ("t", "x", "y"):
+            raise ValueError("unknown variable kind %r" % (kind,))
+        if kind == "t":
+            n = -1
+        elif n < 0:
             raise ValueError("indexed variable needs a nonnegative index")
+        return tuple.__new__(cls, (kind, n))
+
+    kind = property(itemgetter(0))
+    n = property(itemgetter(1))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __str__(self):
-        return self.kind if self.kind == "t" else "%s%d" % (self.kind, self.n)
+        kind, n = self
+        return kind if kind == "t" else "%s%d" % (kind, n)
+
+    def __repr__(self):
+        return "Var(kind=%r, n=%r)" % tuple(self)
 
     @classmethod
     def parse(cls, text):
@@ -470,7 +482,7 @@ def _var_text(v, latex):
 def _partial_text(v, d, latex):
     if latex:
         return power_text(r"\partial_{%s}" % _var_text(v, True), d, True)
-    return "d/d%s" % v if d == 1 else "(d/d%s)^%d" % (v, d)
+    return "d/d%s" % (v,) if d == 1 else "(d/d%s)^%d" % (v, d)
 
 
 def _render(chart, items, latex=False):

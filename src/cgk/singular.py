@@ -13,7 +13,6 @@ provides the independent route, and ``certify`` turns the caveats of a
 search into the loci where its answer changes.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt, lcm
 from operator import sub
@@ -45,13 +44,36 @@ class NonPolynomialParameter(ValueError):
     rows of a nullspace search cannot carry."""
 
 
-@dataclass
-class SingularReport:
+class _Record:
+    """A record with the dataclass face, without importing ``dataclasses``
+    (which costs every command its start-up time): it equals a record of
+    its own class with equal fields, and its repr names them in order."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+
+class SingularReport(_Record):
     """Outcome of verifying one candidate singular vector; its verdict is ``not failures``."""
 
-    vector: ModuleVector
-    weight: Weight | None
-    failures: list = field(default_factory=list)
+    __slots__ = ("vector", "weight", "failures")
+
+    def __init__(self, vector, weight, failures=None):
+        self.vector = vector
+        self.weight = weight
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self):
@@ -61,8 +83,7 @@ class SingularReport:
         return self.ok
 
 
-@dataclass
-class SearchResult:
+class SearchResult(_Record):
     """Nullspace search outcome: vectors plus genericity caveats.
 
     The system has one block of rows per annihilator (see _search_system).
@@ -80,8 +101,11 @@ class SearchResult:
     answer, the loci where the dimension or a vector changes.
     """
 
-    vectors: list
-    caveats: list = field(default_factory=list)
+    __slots__ = ("vectors", "caveats")
+
+    def __init__(self, vectors, caveats=None):
+        self.vectors = vectors
+        self.caveats = [] if caveats is None else caveats
 
     def __iter__(self):
         return iter(self.vectors)

@@ -11,7 +11,8 @@ diffop.compose, commutator and twisted_commutator -> rep_check /
 intertwining_check.  The scale rows run larger families; each cold row
 (test_module_scale_cold, test_intertwining_check_scale_cold) times a fresh
 interpreter that imports cgk and runs its warm row's call once, the cost
-of a one-shot command, caches and Leibniz tables built included.  The
+of a one-shot command, caches and Leibniz tables built included, and
+test_cli_cold times three ``cgk`` commands the same way.  The
 search's system has one block of rows per kept annihilator of
 ``algebra.annihilator_generators`` (17 rows and 42 entries on the top case,
 where every annihilator gives 23 and 60).  The file name
@@ -297,8 +298,24 @@ def _cold(benchmark, source):
     """Time a fresh interpreter that runs ``source`` once and exits."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cgk.__file__)))
     argv = [sys.executable, "-c", source]
-    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
-                       rounds=3, iterations=1)
+    benchmark.pedantic(subprocess.run, args=(argv,), rounds=3, iterations=1, kwargs={
+        "env": env, "check": True, "stdout": subprocess.DEVNULL})
+
+
+# the three steps of the paper's pipeline as one-shot commands: the
+# singular vector, its realization and the invariant equation it yields
+CLI_COLD = {
+    "singular-search": "singular search --d 2 --two-ell 3 --ext mass --level 3",
+    "reps-check": "reps check --d 2 --two-ell 1 --ext mass",
+    "pde-check": "pde check --d 2 --two-ell 2 --ext exotic --q 3 --delta auto",
+}
+
+
+@pytest.mark.parametrize("row", sorted(CLI_COLD))
+def test_cli_cold(benchmark, row):
+    """A ``cgk`` command in a fresh interpreter: start-up, the import of
+    the layers it loads, argv parsing and the command itself."""
+    _cold(benchmark, "from cgk.cli import main\nmain(%r)" % (CLI_COLD[row].split(),))
 
 
 @INTERTWINING_SCALE_ROWS

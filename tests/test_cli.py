@@ -1,6 +1,5 @@
 """Command-line interface: grammar, exit codes, and exact serialization."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -11,6 +10,8 @@ import sys
 
 import pytest
 
+import cgk.invariants
+import cgk.reps
 from cgk import cli
 from cgk.algebra import (
     AlgebraSpec,
@@ -34,7 +35,7 @@ from cgk.diffop import DiffOp, VariableMismatch, parse_diffop, render_diffop
 from cgk.invariants import invariant_operator
 from cgk.reps import UnsupportedGenerator, chart, left_action
 from cgk.scalars import DivisionByZero, Scalar, UnsupportedFamily, parse_scalar
-from cgk.singular import SearchResult, singular_closed
+from cgk.singular import SearchResult, SingularReport, singular_closed
 from cgk.verma import (
     InfiniteSelection,
     MissingParameter,
@@ -630,6 +631,24 @@ def test_negative_delta_as_next_word_in_pde_check(capsys):
     assert code == 2 and "expected one argument" in err
 
 
+@pytest.mark.parametrize("spec", [D1, EX2], ids=repr)
+def test_json_verdict_matches_exit_code(capsys, spec):
+    # every check report with a verdict, passing and failing: the exit code
+    # is 0 exactly when the JSON says ok
+    family = ["--d", str(spec.d), "--two-ell", str(spec.twoEll), "--ext", spec.ext]
+    checks = [["algebra", "jacobi"], ["reps", "check", "--side", "left"],
+              ["reps", "check", "--side", "right"],
+              ["singular", "verify", "--q", "1", "--delta", "auto"],
+              ["singular", "verify", "--q", "1", "--delta", "1/7"]]
+    verdicts = []
+    for group, command, *flags in checks:
+        code, out, err = invoke(capsys, group, command, *family, *flags, "--render", "json")
+        ok = json.loads(out)["ok"]
+        assert err == "" and code == (0 if ok is True else 1), (command, flags)
+        verdicts.append(ok)
+    assert verdicts == [True, True, True, True, False]
+
+
 def test_usage_errors_exit_two(capsys):
     cases = [
         ["algebra", "show", "--d", "1", "--two-ell", "1", "--ext", "bogus"],
@@ -922,14 +941,14 @@ def test_search_matches_names_kernel_and_ray(monkeypatch):
 
 
 def test_heat_names_operator_difference(monkeypatch):
-    true_operator = cli.invariant_operator
+    true_operator = cgk.invariants.invariant_operator
     extra = parse_diffop("3*x0*d/dt", chart(D1))
 
     def patched(spec, q, params=None):
         out = true_operator(spec, q, params)
         return out + extra if (spec, q) == (D1, 2) else out
 
-    monkeypatch.setattr(cli, "invariant_operator", patched)
+    monkeypatch.setattr(cgk.invariants, "invariant_operator", patched)
     detail = "twoEll=1, q=2: operator differs; computed - expected: %s" % (
         render_diffop(extra),)
     assert cli.criterion_heat() == (False, detail)
@@ -969,7 +988,7 @@ def test_centerless_names_kernel_and_failure(monkeypatch):
         False, "kappa=1, level 1: kernel of dimension 1, want 0")
 
 
-# --- failure writers, fed crafted failures through the names cli binds -----
+# --- failure writers, fed crafted failures through the names the handlers read
 
 def test_jacobi_failure_text_and_json(capsys, monkeypatch):
     monkeypatch.setattr(cli, "jacobi_check", lambda spec: [
@@ -984,7 +1003,7 @@ def test_jacobi_failure_text_and_json(capsys, monkeypatch):
 
 def test_rep_check_failure_text_and_json(capsys, monkeypatch):
     residual = parse_diffop("3*x0*d/dt", chart(D1))
-    monkeypatch.setattr(cli, "rep_check", lambda spec, side="left", params=None: [
+    monkeypatch.setattr(cgk.reps, "rep_check", lambda spec, side="left", params=None: [
         (Gen("H"), Gen("D"), residual)])
     assert invoke(capsys, "reps", "check", *D1_FLAGS) == (
         1, "rep check (left): FAIL\n  [H, D] residual: 3*x0*d/dt\n", "")
@@ -996,7 +1015,7 @@ def test_rep_check_failure_text_and_json(capsys, monkeypatch):
 
 def test_pde_check_names_the_failing_residual(capsys, monkeypatch):
     residual = parse_diffop("3*x0*d/dt", chart(D1))
-    monkeypatch.setattr(cli, "intertwining_check", lambda spec, q, params=None: [
+    monkeypatch.setattr(cgk.invariants, "intertwining_check", lambda spec, q, params=None: [
         (Gen("H"), residual)])
     code, out, err = invoke(capsys, "pde", "check", *D1_FLAGS, "--q", "1",
                             "--delta", "auto")
@@ -1044,25 +1063,25 @@ def _scaling_off_by_one(monkeypatch):
     def shifted(spec, v, params=None, expect_weight=None):
         report = true_verify(spec, v, params=params, expect_weight=expect_weight)
         eigen = {**report.weight.eigen, Gen("D"): report.weight[Gen("D")] + 1}
-        return dataclasses.replace(report, weight=Weight(eigen))
+        return SingularReport(report.vector, Weight(eigen), report.failures)
 
     monkeypatch.setattr(cli, "verify_singular", shifted)
     return "singular-annihilation", "scaling eigenvalue is not 2q - delta"
 
 
 def _vanishing_residual(monkeypatch):
-    true_residual = cli.intertwining_residual
+    true_residual = cgk.invariants.intertwining_residual
 
     def vanishing(*args):
         residual = true_residual(*args)
         return residual - residual
 
-    monkeypatch.setattr(cli, "intertwining_residual", vanishing)
+    monkeypatch.setattr(cgk.invariants, "intertwining_residual", vanishing)
     return "intertwining-identity", "symbolic residual vanishes"
 
 
 def _indivisible_residual(monkeypatch):
-    monkeypatch.setattr(cli, "divisible_by_condition", lambda residual, cond: False)
+    monkeypatch.setattr(cgk.invariants, "divisible_by_condition", lambda residual, cond: False)
     return "intertwining-identity", "residual not divisible by condition"
 
 

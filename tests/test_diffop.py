@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -47,6 +49,33 @@ def test_var_ordering_and_chart():
         make_chart("t", "t")
     with pytest.raises(ValueError):
         Var.parse("z3")
+
+
+def test_var_is_a_tuple_with_the_dataclass_face():
+    # the faces that charts, the renderers and the %r error messages rely on
+    x3, t = Var("x", 3), Var("t")
+    assert (x3.kind, x3.n) == ("x", 3) and (t.kind, t.n) == ("t", -1)
+    assert Var("t", 5).n == -1 and Var("t", 5) == t
+    assert Var(kind="y", n=1) == Var("y", 1)
+    assert sorted([Var("y", 0), Var("x", 2), t, Var("x", 0), Var("x", 10)]) == [
+        t, Var("x", 0), Var("x", 2), Var("x", 10), Var("y", 0)]
+    assert str(x3) == "x3" and str(t) == "t"
+    assert repr(x3) == "Var(kind='x', n=3)" and repr(t) == "Var(kind='t', n=-1)"
+    assert hash(x3) == hash(("x", 3))
+    assert "d/d%s" % (x3,) == "d/dx3"
+    for bad, message in [(("z",), "unknown variable kind 'z'"),
+                         (("x",), "indexed variable needs a nonnegative index"),
+                         (("y", -2), "indexed variable needs a nonnegative index")]:
+        with pytest.raises(ValueError, match="^%s$" % message):
+            Var(*bad)
+    for obj in (x3, t):
+        copies = [copy.deepcopy(obj), copy.copy(obj)]
+        copies += [pickle.loads(pickle.dumps(obj, proto))
+                   for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin == obj and type(twin) is Var, (obj, twin)
+    with pytest.raises(AttributeError):
+        x3.n = 4
 
 
 def test_leibniz_base_case():

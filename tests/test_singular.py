@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import functools
 import json
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from cgk.scalars import SYMBOLS, ParamPoly, Scalar, parse_scalar, poly_div_exact
 from cgk.singular import (
     NonPolynomialParameter,
     SearchResult,
+    SingularReport,
     _matrix_kernel,
     _search_system,
     certify,
@@ -227,8 +229,37 @@ def test_verify_verdict_is_its_failure_list():
         report = verify_singular(spec, v, params=params)
         assert report.ok == bool(report) == (not report.failures), (spec, q, params)
         if report.ok:
-            failed = dataclasses.replace(report, failures=["candidate vector is zero"])
+            failed = SingularReport(report.vector, report.weight, ["candidate vector is zero"])
             assert not failed.ok and not failed and report.ok
+
+
+def test_reports_are_records_with_the_dataclass_face():
+    v = ModuleVector.of(PbwMonomial(0, (1,), ()))
+    found, report = SearchResult([v]), SingularReport(v, None)
+    assert (found.vectors, found.caveats) == ([v], [])
+    assert (report.vector, report.weight, report.failures) == (v, None, [])
+    assert SearchResult(vectors=[v], caveats=[]) == found
+    assert SingularReport(vector=v, weight=None, failures=[]) == report
+    assert found != SearchResult([v], [Scalar.symbol("mu")]) and found != SearchResult([])
+    assert report != SingularReport(v, None, ["candidate vector is zero"])
+    # equal fields of another class do not make an equal record
+    assert found != (found.vectors, found.caveats) and report != found
+    assert repr(found) == "SearchResult(vectors=[%r], caveats=[])" % (v,)
+    assert repr(report) == "SingularReport(vector=%r, weight=None, failures=[])" % (v,)
+    # the default lists are not shared between instances
+    SearchResult([]).caveats.append(1)
+    SingularReport(v, None).failures.append("x")
+    assert SearchResult([]).caveats == [] and SingularReport(v, None).failures == []
+    for obj in (found, report):
+        copies = [copy.deepcopy(obj), copy.copy(obj)]
+        copies += [pickle.loads(pickle.dumps(obj, proto))
+                   for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert twin == obj and type(twin) is type(obj), (obj, twin)
+    assert list(found) == [v] and len(found) == 1 and not SearchResult([])
+    assert report.ok and report and not SingularReport(v, None, ["x"])
+    with pytest.raises(TypeError):
+        hash(found)
 
 
 def test_verify_reports_as_on_every_annihilator(monkeypatch):
