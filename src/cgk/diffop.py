@@ -245,12 +245,14 @@ def _axis(a, bound):
     return tuple((g, comb(a, g), a - g) for g in range(min(a, bound) + 1))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=16384)
 def _leibniz_table(alpha, bound):
     """(gamma, C(alpha, gamma), alpha - gamma) for every gamma <= alpha with
     gamma <= bound, the first axis slowest and gamma = 0 first: the product
     of the per-axis tuples.  Multi-indices and bounds are few, so each pair
-    is tabulated once."""
+    is tabulated once per working set.  The bound holds the largest one
+    (10,773 pairs, ``pde check`` on (2, 5, mass) at q = 5), so a long
+    process that checks many families does not keep every table."""
     return tuple((tuple(p[0] for p in parts), prod(p[1] for p in parts),
                   tuple(p[2] for p in parts))
                  for parts in product(*map(_axis, alpha, bound)))

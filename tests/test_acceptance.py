@@ -8,7 +8,7 @@ no tolerances anywhere.
 
 import pytest
 
-from cgk.cli import (
+from cgk.acceptance import (
     criterion_centerless,
     criterion_closed_form,
     criterion_heat,

@@ -12,7 +12,7 @@ import pytest
 
 import cgk.invariants
 import cgk.reps
-from cgk import cli
+from cgk import acceptance, cli
 from cgk.algebra import (
     AlgebraSpec,
     Gen,
@@ -804,8 +804,19 @@ def test_selftest_with_reduced_caps(capsys, monkeypatch):
 def test_bad_caps_env_rejected(capsys, monkeypatch, value, err):
     monkeypatch.setenv("CGK_CAPS_LEVEL", value)
     # fails before the first criterion, not midway through the suite
-    monkeypatch.setattr(cli, "acceptance_criteria", lambda: pytest.fail("ran"))
+    monkeypatch.setattr(acceptance, "acceptance_criteria", lambda: pytest.fail("ran"))
     assert invoke(capsys, "selftest") == (2, "", err)
+
+
+def test_bad_caps_env_under_python_m_is_a_usage_error():
+    # under -m the module runs as __main__, and the criteria module must
+    # raise the UsageError that its run() catches
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), CGK_CAPS_LEVEL="many")
+    proc = subprocess.run([sys.executable, "-B", "-m", "cgk.cli", "selftest"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "usage error: CGK_CAPS_LEVEL must be an integer, got 'many'\n")
 
 
 def test_caps_env_read_by_selftest_only(capsys, monkeypatch):
@@ -825,7 +836,7 @@ def test_selftest_json_shape(capsys, monkeypatch):
     payload = json.loads(out)
     assert set(payload) == {"criteria", "ok"} and payload["ok"] is True
     assert [c["name"] for c in payload["criteria"]] == [
-        name for name, _ in cli.acceptance_criteria()]
+        name for name, _ in acceptance.acceptance_criteria()]
     for entry in payload["criteria"]:
         assert set(entry) == {"name", "ok", "detail", "seconds"}
         assert entry["ok"] is True
@@ -834,7 +845,7 @@ def test_selftest_json_shape(capsys, monkeypatch):
 
 
 def test_selftest_reports_a_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "acceptance_criteria", lambda: [
+    monkeypatch.setattr(acceptance, "acceptance_criteria", lambda: [
         ("holds", lambda: (True, "fine")), ("breaks", lambda: (False, "case x"))])
     code, out, _ = invoke(capsys, "selftest")
     assert (code, out) == (
@@ -850,20 +861,20 @@ def test_rep_audit_names_first_failing_pair(monkeypatch):
     import cgk.reps as reps
 
     patched = _corrupt_left_action(monkeypatch, reps, Gen("H"))
-    spec = cli._extended_specs(5)[0]
+    spec = acceptance._extended_specs(5)[0]
     want = _reference_rep_check(spec, patched)
     x, y, residual = want[0]
     detail = "%r: %d failing pairs; first [%s, %s] residual: %s" % (
         spec, len(want), x, y, render_diffop(residual))
-    assert cli.criterion_rep_audit() == (False, detail)
+    assert acceptance.criterion_rep_audit() == (False, detail)
 
 
 def test_intertwining_names_first_failing_generator(monkeypatch):
     import cgk.invariants as inv
 
     patched = _corrupt_left_action(monkeypatch, inv, Gen("H"))
-    spec, q = cli._extended_specs(5)[0], 1
-    pvals = resolve_params(spec, cli._root_params_numeric(spec, q))
+    spec, q = acceptance._extended_specs(5)[0], 1
+    pvals = resolve_params(spec, acceptance._root_params_numeric(spec, q))
     shifted = _shifted_params(pvals, q)
     power = invariant_operator(spec, q, pvals)
     want = [(gen, _reference_residual(power, patched(spec, gen, pvals),
@@ -873,12 +884,12 @@ def test_intertwining_names_first_failing_generator(monkeypatch):
     gen, residual = want[0]
     detail = "%r q=%d: %d generators fail; first %s residual: %s" % (
         spec, q, len(want), gen, render_diffop(residual))
-    assert cli.criterion_intertwining() == (False, detail)
+    assert acceptance.criterion_intertwining() == (False, detail)
 
 
 def test_closed_form_names_case_and_difference(monkeypatch):
     monkeypatch.setenv("CGK_CAPS_LEVEL", "1")
-    spec = cli._extended_specs(5)[0]
+    spec = acceptance._extended_specs(5)[0]
     victim = enumerate_generators(spec)[0]
     mono = cli.level_basis(spec, 0)[0]
     extra = PbwMonomial(1, mono.a, mono.b)
@@ -888,19 +899,19 @@ def test_closed_form_names_case_and_difference(monkeypatch):
         out = true_closed(spec_, gen, v, params)
         return out + ModuleVector.of(extra, 3) if gen == victim else out
 
-    monkeypatch.setattr(cli, "act_closed_form", patched)
+    monkeypatch.setattr(acceptance, "act_closed_form", patched)
     detail = "mismatch: %r, %s on %s; closed - generic: 3*%s" % (
         spec, victim, mono, extra)
-    assert cli.criterion_closed_form() == (False, detail)
+    assert acceptance.criterion_closed_form() == (False, detail)
 
 
 def test_singular_verify_names_first_failure(monkeypatch):
-    spec, q = cli._singular_cases()[0]
-    params = cli._root_params_symbolic(spec, q)
+    spec, q = acceptance._singular_cases()[0]
+    params = acceptance._root_params_symbolic(spec, q)
     good = singular_closed(spec, q, params=params)
     (m0, c0), *rest = good.items()
     bad = ModuleVector({m0: c0 * 2, **dict(rest)})
-    monkeypatch.setattr(cli, "singular_closed", lambda *a, **k: bad)
+    monkeypatch.setattr(acceptance, "singular_closed", lambda *a, **k: bad)
     report = cli.verify_singular(
         spec, bad, params=params,
         expect_weight=cli.predicted_weight(spec, q, params=params))
@@ -908,36 +919,36 @@ def test_singular_verify_names_first_failure(monkeypatch):
     assert kind == "annihilator" and not residual.is_zero()
     detail = "%r q=%d: %d failures; first annihilator %s: %s" % (
         spec, q, len(report.failures), gen, str(residual))
-    assert cli.criterion_singular_verify() == (False, detail)
+    assert acceptance.criterion_singular_verify() == (False, detail)
 
 
 def test_jacobi_names_first_failing_triple(monkeypatch):
-    spec = cli.supported_specs(6)[0]
+    spec = acceptance.supported_specs(6)[0]
     _corrupt_structure(monkeypatch, spec)
     failures = jacobi_check(spec)
     x, y, z, residual = failures[0]
     assert not residual.is_zero()
     detail = "%r: %d failing triples; first (%s, %s, %s) residual: %s" % (
         spec, len(failures), x, y, z, str(residual))
-    assert cli.criterion_jacobi() == (False, detail)
+    assert acceptance.criterion_jacobi() == (False, detail)
 
 
 def test_search_matches_names_kernel_and_ray(monkeypatch):
-    spec, q = cli._singular_cases()[0]
-    closed = singular_closed(spec, q, params=cli._root_params_numeric(spec, q))
+    spec, q = acceptance._singular_cases()[0]
+    closed = singular_closed(spec, q, params=acceptance._root_params_numeric(spec, q))
     ray = closed.scaled(closed.items()[0][1] ** -1)
     wrong = ray + ModuleVector.of(PbwMonomial(q, (0,), ()), 2)
     caveat = Scalar.symbol("mu") + 1
-    monkeypatch.setattr(cli, "search_singular",
+    monkeypatch.setattr(acceptance, "search_singular",
                         lambda *a, **k: SearchResult([ray, wrong], [caveat]))
     detail = "%r q=%d: found [%s; %s] (caveats: [mu+1]); closed-form ray %s" % (
         spec, q, str(ray), str(wrong),
         str(ray))
-    assert cli.criterion_search_matches() == (False, detail)
-    monkeypatch.setattr(cli, "search_singular", lambda *a, **k: SearchResult([wrong]))
+    assert acceptance.criterion_search_matches() == (False, detail)
+    monkeypatch.setattr(acceptance, "search_singular", lambda *a, **k: SearchResult([wrong]))
     detail = "%r q=%d: found [%s] (caveats: []); closed-form ray %s" % (
         spec, q, str(wrong), str(ray))
-    assert cli.criterion_search_matches() == (False, detail)
+    assert acceptance.criterion_search_matches() == (False, detail)
 
 
 def test_heat_names_operator_difference(monkeypatch):
@@ -951,7 +962,7 @@ def test_heat_names_operator_difference(monkeypatch):
     monkeypatch.setattr(cgk.invariants, "invariant_operator", patched)
     detail = "twoEll=1, q=2: operator differs; computed - expected: %s" % (
         render_diffop(extra),)
-    assert cli.criterion_heat() == (False, detail)
+    assert acceptance.criterion_heat() == (False, detail)
 
 
 def test_centerless_names_kernel_and_failure(monkeypatch):
@@ -962,29 +973,29 @@ def test_centerless_names_kernel_and_failure(monkeypatch):
     true_search, true_verify = cli.search_singular, cli.verify_singular
 
     # a wrong kernel at kappa = 0: the vectors found are rendered
-    monkeypatch.setattr(cli, "search_singular", lambda spec_, p, params=None: (
+    monkeypatch.setattr(acceptance, "search_singular", lambda spec_, p, params=None: (
         SearchResult([want, want + extra]) if params["kappa"] == 0
         else true_search(spec_, p, params=params)))
-    assert cli.criterion_centerless() == (
+    assert acceptance.criterion_centerless() == (
         False, "kappa=0, level 1: found [%s; %s]; want %s" % (
             str(want), str(want + extra),
             str(want)))
 
     # a kernel vector that fails verification: its first failure is named
-    monkeypatch.setattr(cli, "search_singular", true_search)
-    monkeypatch.setattr(cli, "verify_singular", lambda spec_, v, params=None: (
+    monkeypatch.setattr(acceptance, "search_singular", true_search)
+    monkeypatch.setattr(acceptance, "verify_singular", lambda spec_, v, params=None: (
         true_verify(spec_, v + extra, params=params)))
     report = true_verify(spec, want + extra, params=free)
     assert not report.ok and report.failures
-    assert cli.criterion_centerless() == (
+    assert acceptance.criterion_centerless() == (
         False, "kappa=0, level 1: %d failures; first %s" % (
             len(report.failures), cli._failure_text(report.failures[0])))
 
     # a kernel away from kappa = 0: its dimension is named
-    monkeypatch.setattr(cli, "verify_singular", true_verify)
-    monkeypatch.setattr(cli, "search_singular", lambda spec_, p, params=None: (
+    monkeypatch.setattr(acceptance, "verify_singular", true_verify)
+    monkeypatch.setattr(acceptance, "search_singular", lambda spec_, p, params=None: (
         true_search(spec_, p, params={**params, "kappa": 0})))
-    assert cli.criterion_centerless() == (
+    assert acceptance.criterion_centerless() == (
         False, "kappa=1, level 1: kernel of dimension 1, want 0")
 
 
@@ -1065,7 +1076,7 @@ def _scaling_off_by_one(monkeypatch):
         eigen = {**report.weight.eigen, Gen("D"): report.weight[Gen("D")] + 1}
         return SingularReport(report.vector, Weight(eigen), report.failures)
 
-    monkeypatch.setattr(cli, "verify_singular", shifted)
+    monkeypatch.setattr(acceptance, "verify_singular", shifted)
     return "singular-annihilation", "scaling eigenvalue is not 2q - delta"
 
 
