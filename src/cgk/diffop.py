@@ -21,7 +21,8 @@ plain numbers; the operator is built once from the map (``_op_of``), with
 no intermediate operator and no subtraction of whole operators.
 ``compose`` calls it once, ``commutator`` twice with opposite signs (plus
 once per ``minus`` term), and ``twisted_commutator`` (s.b - c.s) twice
-plus one correction.
+plus one correction, through ``_twisted``, which takes s already split so
+that one split serves many residuals.
 
 The accumulator never touches a Scalar.  Each operand is split once per
 call (``_flat``) into groups, one per derivative multi-index and
@@ -435,28 +436,41 @@ def commutator(a, b, minus=()):
 
 
 def twisted_commutator(s, before, after):
-    """s . before - after . s, computed as [s, before] - (after - before) . s.
-
-    When ``after`` differs from ``before`` only in a few order-zero terms
-    (a weight shift), the commutator's gamma = 0 cancellation applies and
-    the correction is one small product.  ``s`` is split once for all three
-    products, so its derivative rows are made once too.
-    """
+    """s . before - after . s, computed as [s, before] - (after - before) . s
+    by ``_twisted`` on ``s`` split here."""
     _check_chart(s, before)
+    return _twisted(_flat(s), before, after - before)
+
+
+def _twisted(fs, before, correction):
+    """[s, before] - correction . s for ``fs``, s split by ``_flat``: the
+    residual s . before - after . s, where correction = after - before.
+
+    The commutator's gamma = 0 terms cancel, and a correction that is a
+    few order-zero terms (a weight shift) is one small product; a zero one
+    is skipped.  ``s`` is the right operand of the last two products, so
+    the derivative rows cached on the groups of ``fs`` serve every call
+    that shares the split: one split of S^q serves every generator of an
+    intertwining check.
+    """
     out = {}
-    fs, fb = _flat(s), _flat(before)
+    fb = _flat(before)
     _leibniz_into(out, fs, fb, 1, skip_order_zero=True)
     _leibniz_into(out, fb, fs, -1, skip_order_zero=True)
-    _leibniz_into(out, _flat(after - before), fs, -1)
-    return _op_of(out, s.chart)
+    if correction:
+        _leibniz_into(out, _flat(correction), fs, -1)
+    return _op_of(out, before.chart)
 
 
 def op_power(a, q):
-    """q-th composition power (q >= 0)."""
+    """q-th composition power (q >= 0): the identity for q = 0, else q - 1
+    products starting from ``a``."""
     if q < 0:
         raise ValueError("negative operator power")
-    out = DiffOp.const(a.chart, 1)
-    for _ in range(q):
+    if q == 0:
+        return DiffOp.const(a.chart, 1)
+    out = a
+    for _ in range(q - 1):
         out = compose(out, a)
     return out
 

@@ -10,8 +10,12 @@ weight-(delta-2q) realizations exactly.
 
 The intertwining residual S^q o pi(X) - pi'(X) o S^q is split as
 [S^q, pi(X)] - (pi'(X) - pi(X)) o S^q: the commutator drops the Leibniz
-terms that cancel, and pi' - pi is a single order-zero term on D and C
-and zero on every other generator.
+terms that cancel.  A check splits S^q once for every generator, and it
+takes the correction pi'(X) - pi(X) from the change of the lowest weight
+(``reps.left_action_change``) rather than from a second realization: the
+shift of delta changes the weight on D only, so the correction is one
+order-zero term on D and C and the zero operator, skipped, on every other
+generator.
 
 pi and pi' are Lie homomorphisms, so if S^q intertwines them on X and on
 Y it intertwines them on [X, Y] (the standard argument for the induced
@@ -27,10 +31,10 @@ from functools import cache
 
 from .scalars import UnsupportedFamily, poly_div_exact
 from .algebra import enumerate_generators, generating_set
-from .verma import resolve_params
-from .singular import quadratic_element, singular_condition, weight_shift
-from .diffop import compose, op_power, twisted_commutator
-from .reps import bracket_failures, left_action, right_action
+from .verma import lowest_weight, resolve_params
+from .singular import delta_at_condition, quadratic_element, weight_shift
+from .diffop import _flat, _twisted, compose, op_power, twisted_commutator
+from .reps import bracket_failures, left_action, left_action_change, right_action
 
 
 class ConditionNotSatisfied(ValueError):
@@ -71,10 +75,7 @@ def _check_at_root(spec, q, pvals):
         raise ConditionNotSatisfied(
             "delta must be specialized to the condition root, got %s" % (delta,)
         )
-    residue = singular_condition(spec, q).substitute(
-        {"delta": delta.rational_value()}
-    )
-    if not residue.is_zero():
+    if delta.rational_value() != delta_at_condition(spec, q):
         raise ConditionNotSatisfied(
             "delta = %s is not a root of the level-%d condition" % (delta, q)
         )
@@ -86,10 +87,19 @@ def _shifted(spec, pvals, q):
     return dict(pvals, delta=pvals["delta"] - weight_shift(spec, q))
 
 
-def _residual(spec, gen, power, pvals, shifted):
-    return twisted_commutator(
-        power, left_action(spec, gen, pvals), left_action(spec, gen, shifted)
-    )
+def _weight_change(spec, pvals, shifted):
+    """The lowest weight at ``shifted`` minus the one at ``pvals``, on the
+    diagonal generators where it is not zero: D alone for a shift of
+    delta."""
+    after = lowest_weight(spec, shifted)
+    return {g: d for g, w in lowest_weight(spec, pvals).items() if (d := after[g] - w)}
+
+
+def _residual(spec, gen, split, pvals, change):
+    """The residual of ``gen`` for S^q split by ``diffop._flat`` and the
+    weight change of ``_weight_change``."""
+    return _twisted(split, left_action(spec, gen, pvals),
+                    left_action_change(spec, gen, change))
 
 
 def intertwining_residual(spec, gen, q=1, params=None):
@@ -98,18 +108,20 @@ def intertwining_residual(spec, gen, q=1, params=None):
     pi_L' is the realization with delta shifted by -2q; parameters default
     to symbolic, so the residual can be inspected away from the root.
 
-    The residual is computed as [S^q, pi_L(gen)] - (pi_L' - pi_L)(gen) o S^q
-    (``diffop.twisted_commutator``).  In the commutator the order-zero
-    Leibniz terms of the two products cancel, and pi_L' - pi_L is zero
-    except on D and C, where the shift of delta leaves one order-zero term
-    (-2q and -2q*t), so the correction is one cheap product.
+    The residual is computed from both realizations, by its definition:
+    ``diffop.twisted_commutator`` takes [S^q, pi_L(gen)], whose order-zero
+    Leibniz terms cancel, minus (pi_L' - pi_L)(gen) o S^q, the difference
+    of the two operators.  ``intertwining_check`` reads that difference off
+    the weight change instead, so the two routes cross-check each other.
     """
     _require_extended(spec)
     if q < 1:
         raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     power = invariant_operator(spec, q, pvals)
-    return _residual(spec, gen, power, pvals, _shifted(spec, pvals, q))
+    shifted = _shifted(spec, pvals, q)
+    return twisted_commutator(
+        power, left_action(spec, gen, pvals), left_action(spec, gen, shifted))
 
 
 @cache
@@ -132,8 +144,17 @@ def intertwining_check(spec, q, params):
 
     Returns a list of (generator, residual DiffOp) pairs for the
     generators whose residual is not exactly zero; empty means the level-q
-    operator intertwines the two realizations.  Residuals are computed as
-    in ``intertwining_residual``.
+    operator intertwines the two realizations.
+
+    The residual of each generator is [S^q, pi_L(gen)] - (pi_L' - pi_L)(gen)
+    o S^q (``diffop._twisted``), with the set-up done once per check: S^q
+    is built and split once, so the derivative rows of its coefficients
+    serve every generator, and the weight change from delta to its shifted
+    value (``_weight_change``) is taken once.  The correction
+    (pi_L' - pi_L)(gen) is ``reps.left_action_change`` of that change: the
+    D eigenvalue -delta rises by 2q and no other weight moves, so the
+    correction is -2q on D, -2q*t on C and zero, skipped, on every other
+    generator; no second realization is built.
 
     Both realizations are Lie homomorphisms: if S pi(X) = pi'(X) S and
     S pi(Y) = pi'(Y) S, then S pi([X, Y]) = [pi'X, pi'Y] S = pi'([X, Y]) S.
@@ -148,11 +169,11 @@ def intertwining_check(spec, q, params):
         raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     _check_at_root(spec, q, pvals)
-    power = invariant_operator(spec, q, pvals)
-    shifted = _shifted(spec, pvals, q)
+    split = _flat(invariant_operator(spec, q, pvals))
+    change = _weight_change(spec, pvals, _shifted(spec, pvals, q))
 
     def failing(gens):
-        residuals = ((gen, _residual(spec, gen, power, pvals, shifted)) for gen in gens)
+        residuals = ((gen, _residual(spec, gen, split, pvals, change)) for gen in gens)
         return [(gen, residual) for gen, residual in residuals if not residual.is_zero()]
 
     if _homomorphic_on_witnesses(spec, left_action) and not failing(

@@ -23,6 +23,10 @@ diagonal generator's eigenvalue is sign * symbol) and Z- drops out, as
 the annihilators kill the lowest-weight vector.  Everything but lambda
 is parameter-free, so it is derived once per (family, generator); a call
 only adds the order-zero parameter terms, into one raw map with -R(Z+).
+Those terms, the weight part -lambda(Z0), are written by one helper:
+``left_action`` adds it for the lowest weight, and ``left_action_change``
+returns it for a change of the weight alone, which is pi_L' - pi_L for
+the realization pi_L' at the changed weight.
 
 Both honor [pi(X), pi(Y)] = pi([X, Y]) on their domains, and
 ``rep_check`` verifies that identity exactly, pair by pair: on the left,
@@ -160,8 +164,19 @@ def _left_parts(spec, gen):
     return _first_order(spec, lifted, -1), diag
 
 
+def _weight_part(out, diag, weights):
+    """out += -sum_g weights[g] * diag_g, for the diagonal parts ``diag`` of
+    ``_left_parts``: the order-zero terms that a lowest weight, or a change
+    of it, adds to pi_L.  A generator that ``weights`` lacks adds nothing."""
+    for g, poly in diag:
+        w = weights.get(g)
+        if w:
+            DiffOp.add_into(out, [((0,) * len(poly.chart), poly)], -w)
+
+
 def left_action(spec, gen, params=None):
-    """First-order realization of any generator of an extended family."""
+    """First-order realization of any generator of an extended family:
+    -R(Z+) plus the weight part of the lowest weight (``_weight_part``)."""
     if spec.ext == "none":
         raise UnsupportedGenerator("no left realization for the centerless family")
     pvals = resolve_params(spec, params)
@@ -170,12 +185,27 @@ def left_action(spec, gen, params=None):
     op, diag = _left_parts(spec, gen)
     if not diag:
         return op
-    lam = lowest_weight(spec, pvals)
     out = {dexpo: dict(poly.terms) for dexpo, poly in op.terms.items()}
-    origin = (0,) * len(op.chart)
-    for g, poly in diag:
-        DiffOp.add_into(out, [(origin, poly)], -lam[g])
+    _weight_part(out, diag, lowest_weight(spec, pvals))
     return DiffOp.of_raw(out, op.chart)
+
+
+def left_action_change(spec, gen, change):
+    """pi_L'(gen) - pi_L(gen), where the lowest weight of pi_L' is that of
+    pi_L plus ``change``, a map from diagonal generators to Scalars (a
+    missing one is unchanged).
+
+    -R(Z+) does not depend on the weight, so the difference is the weight
+    part of ``change`` alone: an order-zero operator, zero on a generator
+    whose Z0 has no changed diagonal generator.
+    """
+    if spec.ext == "none":
+        raise UnsupportedGenerator("no left realization for the centerless family")
+    if gen not in normal_position(spec):
+        raise UnsupportedGenerator("no left realization of %s" % (gen,))
+    out = {}
+    _weight_part(out, _left_parts(spec, gen)[1], change)
+    return DiffOp.of_raw(out, chart(spec))
 
 
 def bracket_failures(spec, ops, pairs):

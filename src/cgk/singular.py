@@ -19,8 +19,8 @@ from operator import sub
 
 from .algebra import (annihilator_generators, central_element, creation_data, decomposition,
                       weight_table)
-from .scalars import (SYMBOLS, ParamPoly, Scalar, _min_expo, _monic, _quotient, _rational, _shift,
-                      poly_div_exact)
+from .scalars import (_SYMBOL_EXPO, SYMBOLS, ZERO_EXPO, ParamPoly, Scalar, _min_expo, _monic,
+                      _quotient, _rational, _shift, poly_div_exact)
 from .verma import (
     ModuleVector,
     Weight,
@@ -140,16 +140,14 @@ def singular_condition(spec, q):
 
 
 def delta_at_condition(spec, q):
-    """The delta value solving singular_condition (None for centerless)."""
+    """The delta value solving singular_condition (None for centerless).
+
+    The condition is c1 * delta + c0 over 1, so the root -c0 / c1 is read
+    off the two terms of its numerator (c0 is absent when it is 0)."""
     if spec.ext == "none":
         return None
-    cond = singular_condition(spec, q)
-    # cond is linear in delta: c1 * delta + c0
-    one = cond.substitute({"delta": 1})
-    zero = cond.substitute({"delta": 0})
-    c1 = (one - zero).rational_value()
-    c0 = zero.rational_value()
-    return Fraction(-c0, c1)
+    terms = singular_condition(spec, q).num.terms
+    return Fraction(-terms.get(ZERO_EXPO, 0), terms[_SYMBOL_EXPO["delta"]])
 
 
 def quadratic_element(spec, params=None):

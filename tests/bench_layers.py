@@ -8,7 +8,9 @@ system (_search_system) -> its elimination (_matrix_kernel) -> the whole
 search (search_singular), the certification of its caveats (certify, on
 (2,5,mass) level 8) and the check of its vector (verify_singular) ->
 diffop.compose, commutator and twisted_commutator -> rep_check /
-intertwining_check.  The scale rows run larger families; each cold row
+intertwining_check -> the intertwine workload's top case through
+``cli.run`` (test_pde_check_top_case).  The scale rows run larger
+families; each cold row
 (test_module_scale_cold, test_intertwining_check_scale_cold) times a fresh
 interpreter that imports cgk and runs its warm row's call once, the cost
 of a one-shot command, caches and Leibniz tables built included, and
@@ -43,6 +45,8 @@ shared machine, alternate the two checkouts over several rounds before
 trusting a difference of a few per cent.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -64,6 +68,7 @@ from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
 from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
 import cgk  # noqa: E402
+from cgk import cli  # noqa: E402
 from cgk.singular import (  # noqa: E402
     _matrix_kernel,
     _search_system,
@@ -292,6 +297,24 @@ def test_intertwining_check_scale(benchmark, spec, q):
     level-q root, every other parameter symbolic."""
     params = dict(symbolic_params(spec), delta=delta_at_condition(spec, q))
     assert benchmark(intertwining_check, spec, q, params) == []
+
+
+TOP_CASE_ARGV = ["pde", "check", "--d", "2", "--two-ell", "2", "--ext", "exotic",
+                 "--q", "3", "--delta", "auto"]
+
+
+def test_pde_check_top_case(benchmark):
+    """The intertwine workload's top case in process: ``cli.run`` on
+    ``cgk pde check`` for (2,2,exotic) at q = 3 with ``--delta auto``,
+    stdout captured, so parsing, the check and the JSON report are all
+    timed.  Read its ``min`` when comparing checkouts: on a shared machine
+    the median of one run per side spreads more than a change of a few per
+    cent."""
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.run(TOP_CASE_ARGV)
+
+    assert benchmark(run) == 0
 
 
 def _cold(benchmark, source):

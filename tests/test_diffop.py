@@ -100,6 +100,18 @@ def test_heat_square_expansion():
         op_power(a, -1)
 
 
+def test_op_power_starts_from_the_operator():
+    # op_power(a, q) for q >= 1 starts from a, not from the identity: the
+    # same operator as q products from DiffOp.const(chart, 1)
+    x = DiffOp.of_poly(CoefPoly.var(TX, Var("x", 0)))
+    for a in (heat(), heat() + compose(x, DiffOp.partial(TX, "t")).scaled(MU)):
+        assert op_power(a, 1) == a
+        want = DiffOp.const(TX, 1)
+        for q in (1, 2, 3):
+            want = compose(want, a)
+            assert op_power(a, q) == want, q
+
+
 def test_constant_coefficient_operators_commute():
     a = heat()
     b = parse_diffop("-d/dt", TX)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgk.algebra import AlgebraSpec, Gen, enumerate_generators, generating_set
+from cgk.algebra import AlgebraSpec, Gen, enumerate_generators, generating_set, supported_specs
 from cgk.diffop import (
     CoefPoly,
     DiffOp,
@@ -24,7 +24,7 @@ from cgk.invariants import (
 )
 from cgk.scalars import Scalar, UnsupportedFamily
 from cgk.singular import delta_at_condition, singular_condition
-from cgk.reps import chart, left_action
+from cgk.reps import chart, left_action, left_action_change
 from cgk.verma import resolve_params, symbolic_params
 from test_diffop import _apply, _reference_residual
 
@@ -104,10 +104,19 @@ def test_intertwining_exotic_pinned_root():
 
 
 def test_intertwining_requires_root():
-    with pytest.raises(ConditionNotSatisfied):
+    with pytest.raises(ConditionNotSatisfied) as off_root:
         intertwining_check(D1, 1, {"delta": 0, "mu": 1})
-    with pytest.raises(ConditionNotSatisfied):
+    assert str(off_root.value) == "delta = 0 is not a root of the level-1 condition"
+    with pytest.raises(ConditionNotSatisfied) as off_root:
+        intertwining_check(EX2, 3, {"delta": Fraction(-5, 3), "theta": 1, "r": 0})
+    assert str(off_root.value) == "delta = -5/3 is not a root of the level-3 condition"
+    with pytest.raises(ConditionNotSatisfied) as symbolic:
         intertwining_check(D1, 1, None)  # symbolic delta is not a root
+    assert str(symbolic.value) == (
+        "delta must be specialized to the condition root, got delta")
+    with pytest.raises(ConditionNotSatisfied) as symbolic:
+        intertwining_check(D1, 2, {"delta": Scalar.symbol("mu"), "mu": 1})
+    assert str(symbolic.value) == "delta must be specialized to the condition root, got mu"
 
 
 def test_intertwining_needs_extension():
@@ -137,6 +146,34 @@ def test_seed_residual_is_condition_times_identity():
 
 def _shifted_params(pvals, q):
     return dict(pvals, delta=pvals["delta"] + Scalar.const(-2 * q))
+
+
+@pytest.mark.parametrize("at_root", [False, True], ids=["symbolic", "root"])
+def test_weight_change_correction_matches_two_realizations(at_root):
+    # the correction of intertwining_check, from the weight change, against
+    # the difference of the two realizations, on every extended family of
+    # twoEll <= 7: delta symbolic, or at the level-q root with the other
+    # parameters symbolic
+    import cgk.invariants as inv
+
+    for spec in supported_specs(7):
+        if spec.ext == "none":
+            continue
+        for q in (1, 2, 3):
+            params = symbolic_params(spec)
+            if at_root:
+                params = dict(params, delta=delta_at_condition(spec, q))
+            pvals = resolve_params(spec, params)
+            shifted = _shifted_params(pvals, q)
+            change = inv._weight_change(spec, pvals, inv._shifted(spec, pvals, q))
+            nonzero = set()
+            for gen in enumerate_generators(spec):
+                got = left_action_change(spec, gen, change)
+                want = left_action(spec, gen, shifted) - left_action(spec, gen, pvals)
+                assert got == want, (spec, q, gen)
+                if got:
+                    nonzero.add(str(gen))
+            assert nonzero == {"D", "C"}, (spec, q)
 
 
 def _multiplier(spec, gen, params, q=1):

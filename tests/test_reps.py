@@ -19,6 +19,7 @@ from cgk.reps import (
     bracket_failures,
     chart,
     left_action,
+    left_action_change,
     rep_check,
     right_action,
     right_domain,
@@ -132,6 +133,28 @@ def test_left_action_unsupported():
         left_action(NONE, Gen("C"))
     with pytest.raises(UnsupportedGenerator):
         left_action(D1, Gen("J"))
+
+
+def test_left_action_change():
+    # pi_L at weight lambda + change minus pi_L at lambda: only the weight
+    # part moves, so the difference is order zero and linear in the change
+    ch = chart(D1)
+    change = {Gen("D"): Scalar.const(3), Gen("M"): Scalar.symbol("delta")}
+    assert left_action_change(D1, Gen("D"), change) == DiffOp.const(ch, -3)
+    # C's Z0 has D (coefficient t) and the central M (coefficient x0^2/2)
+    assert left_action_change(D1, Gen("C"), change) == parse_diffop(
+        "-3*t - delta*x0^2/2", ch)
+    assert left_action_change(D1, Gen("H"), change).is_zero()
+    assert left_action_change(D1, Gen("D"), {}) == DiffOp.zero(ch)
+    pvals = resolve_params(D1, {"delta": Fraction(1, 3), "mu": 2})
+    after = resolve_params(D1, {"delta": Fraction(-8, 3), "mu": 2})
+    for gen in enumerate_generators(D1):
+        assert left_action_change(D1, gen, {Gen("D"): Scalar.const(3)}) == (
+            left_action(D1, gen, after) - left_action(D1, gen, pvals)), gen
+    with pytest.raises(UnsupportedGenerator):
+        left_action_change(NONE, Gen("C"), {})
+    with pytest.raises(UnsupportedGenerator):
+        left_action_change(D1, Gen("J"), {})
 
 
 def test_rep_check_clean():

@@ -176,6 +176,33 @@ def test_delta_at_condition():
     assert delta_at_condition(NONE, 2) is None
 
 
+def _reference_delta_at_condition(spec, q):
+    """The root solved by substitution: the condition c1 * delta + c0 at
+    delta = 0 gives c0 and at delta = 1 gives c1 + c0."""
+    if spec.ext == "none":
+        return None
+    cond = singular_condition(spec, q)
+    one = cond.substitute({"delta": 1})
+    zero = cond.substitute({"delta": 0})
+    c1 = (one - zero).rational_value()
+    c0 = zero.rational_value()
+    return Fraction(-c0, c1)
+
+
+def test_delta_at_condition_matches_substitution():
+    for spec in supported_specs(9):
+        for q in range(1, 7):
+            got = delta_at_condition(spec, q)
+            assert got == _reference_delta_at_condition(spec, q), (spec, q)
+            if spec.ext != "none":
+                assert type(got) is Fraction
+                assert singular_condition(spec, q).substitute({"delta": got}).is_zero()
+    for spec in (D1, EX2):
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            delta_at_condition(spec, 0)
+    assert delta_at_condition(NONE, 0) is None
+
+
 def test_closed_form_shape_line_family():
     v = singular_closed(D1, 1)
     assert v == ModuleVector(
