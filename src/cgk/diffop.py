@@ -20,9 +20,9 @@ accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw map of
 plain numbers; the operator is built once from the map (``_op_of``), with
 no intermediate operator and no subtraction of whole operators.
 ``compose`` calls it once, ``commutator`` twice with opposite signs (plus
-once per ``minus`` term), and ``twisted_commutator`` (s.b - c.s) twice
-plus one correction, through ``_twisted``, which takes s already split so
-that one split serves many residuals.
+once per ``minus`` term), and ``_twisted``, the intertwining residual
+s.b - c.s, twice plus once for the correction c - b; it takes s already
+split, so that one split serves many residuals.
 
 The accumulator never touches a Scalar.  Each operand is split once per
 call (``_flat``) into groups, one per derivative multi-index and
@@ -433,13 +433,6 @@ def commutator(a, b, minus=()):
         _check_chart(a, z)
         _leibniz_into(out, _flat(DiffOp.const(a.chart, coef)), _flat(z), -1)
     return _op_of(out, a.chart)
-
-
-def twisted_commutator(s, before, after):
-    """s . before - after . s, computed as [s, before] - (after - before) . s
-    by ``_twisted`` on ``s`` split here."""
-    _check_chart(s, before)
-    return _twisted(_flat(s), before, after - before)
 
 
 def _twisted(fs, before, correction):

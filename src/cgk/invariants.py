@@ -10,12 +10,13 @@ weight-(delta-2q) realizations exactly.
 
 The intertwining residual S^q o pi(X) - pi'(X) o S^q is split as
 [S^q, pi(X)] - (pi'(X) - pi(X)) o S^q: the commutator drops the Leibniz
-terms that cancel.  A check splits S^q once for every generator, and it
-takes the correction pi'(X) - pi(X) from the change of the lowest weight
-(``reps.left_action_change``) rather than from a second realization: the
-shift of delta changes the weight on D only, so the correction is one
-order-zero term on D and C and the zero operator, skipped, on every other
-generator.
+terms that cancel.  ``_residual`` is the one residual of a generator, for
+a check and for ``intertwining_residual`` alike: S^q comes split, once for
+every generator of a check, and the correction pi'(X) - pi(X) comes from
+the change of the lowest weight (``reps.left_action_change``) rather than
+from a second realization: the shift of delta changes the weight on D
+only, so the correction is one order-zero term on D and C and the zero
+operator, skipped, on every other generator.
 
 pi and pi' are Lie homomorphisms, so if S^q intertwines them on X and on
 Y it intertwines them on [X, Y] (the standard argument for the induced
@@ -33,7 +34,7 @@ from .scalars import UnsupportedFamily, poly_div_exact
 from .algebra import enumerate_generators, generating_set
 from .verma import lowest_weight, resolve_params
 from .singular import delta_at_condition, quadratic_element, weight_shift
-from .diffop import _flat, _twisted, compose, op_power, twisted_commutator
+from .diffop import _flat, _twisted, compose, op_power
 from .reps import bracket_failures, left_action, left_action_change, right_action
 
 
@@ -108,20 +109,18 @@ def intertwining_residual(spec, gen, q=1, params=None):
     pi_L' is the realization with delta shifted by -2q; parameters default
     to symbolic, so the residual can be inspected away from the root.
 
-    The residual is computed from both realizations, by its definition:
-    ``diffop.twisted_commutator`` takes [S^q, pi_L(gen)], whose order-zero
-    Leibniz terms cancel, minus (pi_L' - pi_L)(gen) o S^q, the difference
-    of the two operators.  ``intertwining_check`` reads that difference off
-    the weight change instead, so the two routes cross-check each other.
+    The residual is ``_residual``, the one ``intertwining_check`` takes on
+    each generator: [S^q, pi_L(gen)], whose order-zero Leibniz terms
+    cancel, minus (pi_L' - pi_L)(gen) o S^q, the correction read off the
+    weight change (``_weight_change``) with no second realization built.
     """
     _require_extended(spec)
     if q < 1:
         raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     power = invariant_operator(spec, q, pvals)
-    shifted = _shifted(spec, pvals, q)
-    return twisted_commutator(
-        power, left_action(spec, gen, pvals), left_action(spec, gen, shifted))
+    change = _weight_change(spec, pvals, _shifted(spec, pvals, q))
+    return _residual(spec, gen, _flat(power), pvals, change)
 
 
 @cache

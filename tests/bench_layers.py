@@ -7,7 +7,7 @@ act_closed_form, on one vector and per unit monomial
 system (_search_system) -> its elimination (_matrix_kernel) -> the whole
 search (search_singular), the certification of its caveats (certify, on
 (2,5,mass) level 8) and the check of its vector (verify_singular) ->
-diffop.compose, commutator and twisted_commutator -> rep_check /
+diffop.compose, commutator and the twisted commutator -> rep_check /
 intertwining_check -> the intertwine workload's top case through
 ``cli.run`` (test_pde_check_top_case).  The scale rows run larger
 families; each cold row
@@ -63,7 +63,7 @@ from cgk.algebra import (  # noqa: E402
     enumerate_generators,
     jacobi_check,
 )
-from cgk.diffop import commutator, compose, twisted_commutator  # noqa: E402
+from cgk.diffop import commutator, compose  # noqa: E402
 from cgk.invariants import intertwining_check, invariant_operator  # noqa: E402
 from cgk.reps import left_action, rep_check  # noqa: E402
 from cgk.scalars import ParamPoly, Scalar, poly_div_exact, poly_gcd  # noqa: E402
@@ -87,6 +87,7 @@ from cgk.verma import (  # noqa: E402
     level_basis,
     symbolic_params,
 )
+from test_diffop import twisted_commutator  # noqa: E402
 
 D5 = AlgebraSpec(1, 5, "mass")
 D7 = AlgebraSpec(1, 7, "mass")
