@@ -15,17 +15,15 @@ takes only a scalar divisor, and ``^`` takes integer exponents (a negative
 one only on a scalar) and chains left to right.  ``render_diffop`` output
 (`2*mu*d/dt + (d/dx0)^2`) parses back to the same operator.
 
-Products, commutators and intertwining residuals share one signed Leibniz
-accumulator, ``_leibniz_into``, which adds sign * (a.b) into a raw map of
-plain numbers; the operator is built once from the map (``_op_of``), with
-no intermediate operator and no subtraction of whole operators.
-``compose`` calls it once, ``commutator`` twice with opposite signs (plus
-once per ``minus`` term), and ``_twisted``, the intertwining residual
-s.b - c.s, twice plus once for the correction c - b; it takes s already
-split, so that one split serves many residuals.
+Products and residuals share one signed Leibniz accumulator,
+``_leibniz_into``, which adds sign * (a.b) into a raw map of plain
+numbers; the operator is built once from the map (``_op_of``), with no
+intermediate operator and no subtraction of whole operators.  ``compose``
+calls it once, and ``commutator``, the one residual of bracket audits and
+intertwining checks, twice with opposite signs plus once per ``minus`` term.
 
-The accumulator never touches a Scalar.  Each operand is split once per
-call (``_flat``) into groups, one per derivative multi-index and
+The accumulator never touches a Scalar.  Each operand is split once
+(``_flat``) into groups, one per derivative multi-index and
 coefficient denominator, of terms keyed by one flat exponent tuple: the
 chart exponents followed by the five parameter exponents, with an
 ``int`` or ``Fraction`` value.  The raw map is
@@ -37,13 +35,18 @@ and summing a coefficient's buckets; with every denominator 1, the case of
 every realization and invariant operator, there is one bucket and no
 normalisation.
 
+An operator keeps its split: a DiffOp is immutable once built, and its
+split and the derivative rows cached on it depend on its terms alone, so
+one split serves every product it enters (S^q in every residual of an
+intertwining check).  A copy goes through the constructor and splits anew.
+
 For each pair of terms pa d^alpha, pb d^beta the Leibniz sum runs over
 gamma <= min(alpha, top) only, where top is the componentwise maximum
 exponent of pb: d^gamma pb is zero unless gamma <= top, so the bound drops
 no term.  C(alpha, gamma) and alpha - gamma factor by axis, so the table
 of a pair (alpha, top) is the product of cached per-axis tuples
 (``_axis``), built once per pair.  The derivative row d^gamma pb is made
-once per (group of b, gamma) in a call and reused for every alpha of a.
+once per (group of b, gamma) and serves every alpha of every product.
 A commutator skips the gamma = 0 Leibniz terms: in a.b they are
 pa pb d^(alpha+beta), in b.a the same product in the other order, and
 coefficients commute, so they always cancel.
@@ -174,7 +177,7 @@ class DiffOp(_Sparse):
     a composition power; a negative power inverts a scalar operator.
     """
 
-    __slots__ = ("chart",)
+    __slots__ = ("chart", "_split")
     _inner = CoefPoly
     _order = staticmethod(_graded)
 
@@ -236,6 +239,11 @@ class DiffOp(_Sparse):
             return DiffOp.const(self.chart, self._divisor() ** q)
         return op_power(self, q)
 
+    def __reduce__(self):
+        # copies and unpickled operators go through the constructor, so they
+        # carry no split and share _POLY_ONE when they split afresh
+        return DiffOp, (self.chart, self.terms)
+
     def __repr__(self):
         return "DiffOp(%s)" % (render_diffop(self),)
 
@@ -260,7 +268,7 @@ def _leibniz_table(alpha, bound):
 
 
 def _flat(op):
-    """``op`` split into Leibniz operands: (dens, groups).
+    """``op`` split into Leibniz operands: (dens, groups), kept in ``op._split``.
 
     ``dens`` lists the distinct coefficient denominators, ``_POLY_ONE``
     first.  ``groups`` has one (dexpo, den index, top, terms, rows) per
@@ -269,9 +277,11 @@ def _flat(op):
     five parameter exponents of one numerator term and the value its
     ``int`` or ``Fraction`` coefficient; ``top`` is the componentwise
     maximum chart exponent of the dexpo's coefficient polynomial, and
-    ``rows`` the empty cache of derivative rows that ``_leibniz_into``
-    fills when the group is in a right operand.
+    ``rows`` the cache of derivative rows that ``_leibniz_into`` fills
+    when the group is in a right operand.  ``op`` keeps it once whole.
     """
+    if split := getattr(op, "_split", None):
+        return split
     dens, groups = [_POLY_ONE], []
     for dexpo, poly in op.terms.items():
         # a single term is its own bound; most coefficients of a
@@ -294,7 +304,8 @@ def _flat(op):
                 groups.append((dexpo, i, top, terms, {}))
             for pexpo, c in coef.num.terms.items():
                 terms.append((expo + pexpo, c))
-    return dens, groups
+    op._split = dens, groups
+    return op._split
 
 
 def _derivative_row(terms, gamma):
@@ -343,7 +354,7 @@ def _leibniz_into(out, fa, fb, sign, skip_order_zero=False):
     with no intermediate operators.  d^gamma pb, the derivative row of a
     group of b (``_derivative_row``), is made once per (group, gamma) and
     kept in the group's ``rows`` for every alpha of a, and for every
-    product of the same split operand.  It is zero unless gamma <= top,
+    later product with b on the right.  It is zero unless gamma <= top,
     the componentwise maximum chart exponent of pb, so gamma runs over
     min(alpha, top) only: the sum is exact, and an operator of high order
     against coefficients of low degree (S^q against pi(X)) walks a few
@@ -414,15 +425,16 @@ def compose(a, b):
 
 
 def commutator(a, b, minus=()):
-    """[a, b] - sum(coef * z for z, coef in minus) in canonical form.
+    """[a, b] - sum(coef . z for z, coef in minus) in canonical form.
 
     The accumulator adds a.b and then -(b.a) into one raw map.  Both
     products leave out gamma = 0: those terms are pa pb d^(alpha+beta) in
     a.b and pb pa d^(beta+alpha) in b.a, equal because coefficients
     commute, so they cancel in every commutator.  ``minus`` subtracts a
-    linear combination in the same map, as the products coef . z, which is
-    how a bracket audit tests [pi X, pi Y] - pi([X, Y]) for zero without a
-    second operator.
+    linear combination in the same map, as the products coef . z, with no
+    second operator: scalar coefficients make a bracket audit
+    [pi X, pi Y] - pi([X, Y]), an operator on the chart an intertwining
+    residual [S, pi X] - (pi' - pi)(X) . S.  A zero coefficient is skipped.
     """
     _check_chart(a, b)
     out = {}
@@ -431,28 +443,12 @@ def commutator(a, b, minus=()):
     _leibniz_into(out, fb, fa, -1, skip_order_zero=True)
     for z, coef in minus:
         _check_chart(a, z)
-        _leibniz_into(out, _flat(DiffOp.const(a.chart, coef)), _flat(z), -1)
+        if type(coef) is not DiffOp:
+            coef = DiffOp.const(a.chart, coef)
+        _check_chart(a, coef)
+        if coef:
+            _leibniz_into(out, _flat(coef), _flat(z), -1)
     return _op_of(out, a.chart)
-
-
-def _twisted(fs, before, correction):
-    """[s, before] - correction . s for ``fs``, s split by ``_flat``: the
-    residual s . before - after . s, where correction = after - before.
-
-    The commutator's gamma = 0 terms cancel, and a correction that is a
-    few order-zero terms (a weight shift) is one small product; a zero one
-    is skipped.  ``s`` is the right operand of the last two products, so
-    the derivative rows cached on the groups of ``fs`` serve every call
-    that shares the split: one split of S^q serves every generator of an
-    intertwining check.
-    """
-    out = {}
-    fb = _flat(before)
-    _leibniz_into(out, fs, fb, 1, skip_order_zero=True)
-    _leibniz_into(out, fb, fs, -1, skip_order_zero=True)
-    if correction:
-        _leibniz_into(out, _flat(correction), fs, -1)
-    return _op_of(out, before.chart)
 
 
 def op_power(a, q):

@@ -8,15 +8,15 @@ through the coordinate realization of the creation wing (module
 builds S^q and verifies that S^q intertwines the weight-delta and
 weight-(delta-2q) realizations exactly.
 
-The intertwining residual S^q o pi(X) - pi'(X) o S^q is split as
-[S^q, pi(X)] - (pi'(X) - pi(X)) o S^q: the commutator drops the Leibniz
-terms that cancel.  ``_residual`` is the one residual of a generator, for
-a check and for ``intertwining_residual`` alike: S^q comes split, once for
-every generator of a check, and the correction pi'(X) - pi(X) comes from
-the change of the lowest weight (``reps.left_action_change``) rather than
-from a second realization: the shift of delta changes the weight on D
-only, so the correction is one order-zero term on D and C and the zero
-operator, skipped, on every other generator.
+The intertwining residual S^q o pi(X) - pi'(X) o S^q is written as
+[S^q, pi(X)] - (pi'(X) - pi(X)) o S^q, one ``diffop.commutator`` whose
+Leibniz terms that cancel are never formed.  ``_residual`` is the one
+residual of a generator, for a check and for ``intertwining_residual``
+alike.  The correction pi'(X) - pi(X) comes from the change of the lowest
+weight (``reps.left_action_change``) rather than from a second
+realization: the shift of delta changes the weight on D only, so the
+correction is one order-zero term on D and C and the zero operator,
+skipped, on every other generator.
 
 pi and pi' are Lie homomorphisms, so if S^q intertwines them on X and on
 Y it intertwines them on [X, Y] (the standard argument for the induced
@@ -34,7 +34,7 @@ from .scalars import UnsupportedFamily, poly_div_exact
 from .algebra import enumerate_generators, generating_set
 from .verma import lowest_weight, resolve_params
 from .singular import delta_at_condition, quadratic_element, weight_shift
-from .diffop import _flat, _twisted, compose, op_power
+from .diffop import commutator, compose, op_power
 from .reps import bracket_failures, left_action, left_action_change, right_action
 
 
@@ -96,11 +96,11 @@ def _weight_change(spec, pvals, shifted):
     return {g: d for g, w in lowest_weight(spec, pvals).items() if (d := after[g] - w)}
 
 
-def _residual(spec, gen, split, pvals, change):
-    """The residual of ``gen`` for S^q split by ``diffop._flat`` and the
-    weight change of ``_weight_change``."""
-    return _twisted(split, left_action(spec, gen, pvals),
-                    left_action_change(spec, gen, change))
+def _residual(spec, gen, power, pvals, change):
+    """The residual of ``gen`` for S^q, ``power``, and the weight change of
+    ``_weight_change``."""
+    return commutator(power, left_action(spec, gen, pvals),
+                      minus=[(power, left_action_change(spec, gen, change))])
 
 
 def intertwining_residual(spec, gen, q=1, params=None):
@@ -120,7 +120,7 @@ def intertwining_residual(spec, gen, q=1, params=None):
     pvals = resolve_params(spec, params)
     power = invariant_operator(spec, q, pvals)
     change = _weight_change(spec, pvals, _shifted(spec, pvals, q))
-    return _residual(spec, gen, _flat(power), pvals, change)
+    return _residual(spec, gen, power, pvals, change)
 
 
 @cache
@@ -146,10 +146,9 @@ def intertwining_check(spec, q, params):
     operator intertwines the two realizations.
 
     The residual of each generator is [S^q, pi_L(gen)] - (pi_L' - pi_L)(gen)
-    o S^q (``diffop._twisted``), with the set-up done once per check: S^q
-    is built and split once, so the derivative rows of its coefficients
-    serve every generator, and the weight change from delta to its shifted
-    value (``_weight_change``) is taken once.  The correction
+    o S^q (``_residual``), with the set-up done once per check: S^q is
+    built once, and the weight change from delta to its shifted value
+    (``_weight_change``) is taken once.  The correction
     (pi_L' - pi_L)(gen) is ``reps.left_action_change`` of that change: the
     D eigenvalue -delta rises by 2q and no other weight moves, so the
     correction is -2q on D, -2q*t on C and zero, skipped, on every other
@@ -168,11 +167,11 @@ def intertwining_check(spec, q, params):
         raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     _check_at_root(spec, q, pvals)
-    split = _flat(invariant_operator(spec, q, pvals))
+    power = invariant_operator(spec, q, pvals)
     change = _weight_change(spec, pvals, _shifted(spec, pvals, q))
 
     def failing(gens):
-        residuals = ((gen, _residual(spec, gen, split, pvals, change)) for gen in gens)
+        residuals = ((gen, _residual(spec, gen, power, pvals, change)) for gen in gens)
         return [(gen, residual) for gen, residual in residuals if not residual.is_zero()]
 
     if _homomorphic_on_witnesses(spec, left_action) and not failing(

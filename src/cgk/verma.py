@@ -422,6 +422,8 @@ def _pairing(spec, sign, m):
     """The paper's I_m in [P(m), P(2l-m)] = I_m Z for P(m) on the string of
     ``sign``: (-1)^(m+l+1/2) (2l-m)! m! for mass, (-1)^m (2l-m)! m! for
     exotic, negated on its - string."""
+    # restates scalars.central_constant on purpose: act_closed_form reads no
+    # bracket data, so it stays an independent oracle of act_generic
     two_ell = spec.twoEll
     power = m + (two_ell + 1) // 2 if spec.ext == "mass" else m + (sign == "-")
     return (-1) ** power * factorial(two_ell - m) * factorial(m)

@@ -7,7 +7,9 @@ act_closed_form, on one vector and per unit monomial
 system (_search_system) -> its elimination (_matrix_kernel) -> the whole
 search (search_singular), the certification of its caveats (certify, on
 (2,5,mass) level 8) and the check of its vector (verify_singular) ->
-diffop.compose, commutator and the twisted commutator -> rep_check /
+diffop.compose, commutator and commutator with an operator ``minus``
+coefficient (the twisted commutator, an intertwining residual), each
+round on fresh operand copies (``_fresh_rounds``) -> rep_check /
 intertwining_check -> the intertwine workload's top case through
 ``cli.run`` (test_pde_check_top_case).  The scale rows run larger
 families; each cold row
@@ -87,7 +89,7 @@ from cgk.verma import (  # noqa: E402
     level_basis,
     symbolic_params,
 )
-from test_diffop import twisted_commutator  # noqa: E402
+from test_diffop import _fresh, twisted_commutator  # noqa: E402
 
 D5 = AlgebraSpec(1, 5, "mass")
 D7 = AlgebraSpec(1, 7, "mass")
@@ -240,11 +242,22 @@ def test_verify_singular(benchmark):
     assert benchmark(verify_singular, spec, v, params=params).ok
 
 
+def _fresh_rounds(benchmark, operation, *operands):
+    """Time ``operation`` on fresh copies of ``operands``, made outside the
+    timed call in each round.  An operator keeps its Leibniz split, so the
+    same operand objects every round would time a split that is already
+    warm; a fresh copy is split again, as in a one-off call."""
+    def setup():
+        return tuple(map(_fresh, operands)), {}
+
+    return benchmark.pedantic(operation, setup=setup, rounds=400)
+
+
 def test_compose(benchmark):
     params = {"delta": delta_at_condition(M1, 2), "mu": 1, "r": Fraction(2, 3)}
     power = invariant_operator(M1, 2, params)
     special = left_action(M1, Gen("C"), params)
-    benchmark(compose, power, special)
+    _fresh_rounds(benchmark, compose, power, special)
 
 
 def _top_case_operands(spec=EX2):
@@ -259,22 +272,22 @@ def _top_case_operands(spec=EX2):
 
 def test_compose_intertwining_operands(benchmark):
     power, special, _ = _top_case_operands()
-    benchmark(compose, power, special)
+    _fresh_rounds(benchmark, compose, power, special)
 
 
 def test_commutator(benchmark):
     power, special, _ = _top_case_operands()
-    benchmark(commutator, power, special)
+    _fresh_rounds(benchmark, commutator, power, special)
 
 
 def test_twisted_commutator(benchmark):
     power, special, shifted = _top_case_operands()
-    assert benchmark(twisted_commutator, power, special, shifted).is_zero()
+    assert _fresh_rounds(benchmark, twisted_commutator, power, special, shifted).is_zero()
 
 
 def test_twisted_commutator_large(benchmark):
     power, special, shifted = _top_case_operands(M5)
-    assert benchmark(twisted_commutator, power, special, shifted).is_zero()
+    assert _fresh_rounds(benchmark, twisted_commutator, power, special, shifted).is_zero()
 
 
 def test_rep_check(benchmark):

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from cgk.algebra import enumerate_generators, supported_specs
+from cgk.algebra import AlgebraSpec, Gen, enumerate_generators, supported_specs
 from cgk.diffop import (
     CoefPoly,
     DiffOp,
@@ -15,7 +15,6 @@ from cgk.diffop import (
     VariableMismatch,
     _flat,
     _leibniz_table,
-    _twisted,
     commutator,
     compose,
     latex_diffop,
@@ -25,7 +24,7 @@ from cgk.diffop import (
     render_diffop,
 )
 from cgk.invariants import invariant_operator
-from cgk.reps import left_action
+from cgk.reps import bracket_failures, left_action
 from cgk.scalars import _POLY_ONE, DivisionByZero, Scalar, parse_scalar
 from cgk.singular import weight_shift
 from cgk.verma import resolve_params
@@ -617,9 +616,9 @@ def _reference_commutator(a, b):
 
 
 def twisted_commutator(s, before, after):
-    """s.before - after.s through the residual core ``_twisted``, with s
-    split by ``_flat`` and the correction after - before."""
-    return _twisted(_flat(s), before, after - before)
+    """s.before - after.s as the one residual ``commutator``: [s, before]
+    minus the correction after - before composed with s."""
+    return commutator(s, before, minus=[(s, after - before)])
 
 
 def _reference_residual(s, before, after):
@@ -674,8 +673,122 @@ def test_accumulated_results_are_canonical():
     one = commutator(dx, x)
     assert one.terms == DiffOp.const(TX, 1).terms
     assert twisted_commutator(dx, x, x) == one
+    other = DiffOp.partial(make_chart("t", "x0", "x1"), "x1")
     with pytest.raises(VariableMismatch):
-        commutator(dx, x, minus=[(DiffOp.partial(make_chart("t", "x0", "x1"), "x1"), 1)])
+        commutator(dx, x, minus=[(other, 1)])
+    # an operator coefficient must live on the chart too
+    with pytest.raises(VariableMismatch):
+        commutator(dx, x, minus=[(dx, other)])
+
+
+# --- an operator keeps its split ------------------------------------------
+
+def _fresh(op):
+    """A copy of ``op`` that has never been split."""
+    return DiffOp.of_raw(dict(op.terms), op.chart)
+
+
+def _reused_split_cases(a, b, c):
+    """(operation, operands, oracle) in an order where each operand is
+    split first on one side of a product and then meets itself and serves
+    on the other side, with scalar and operator ``minus`` coefficients.
+    The oracles use ``_reference_compose``, which never splits."""
+    ref = _reference_compose
+
+    def bracket(x, y):
+        return ref(x, y) - ref(y, x)
+
+    return [
+        (compose, (a, b), ref(a, b)),
+        (compose, (b, a), ref(b, a)),
+        (compose, (a, a), ref(a, a)),
+        (commutator, (a, a), DiffOp.zero(a.chart)),
+        (lambda x, y, z: commutator(x, y, minus=[(z, MU), (y, -3)]), (c, a, b),
+         bracket(c, a) - b.scaled(MU) - a.scaled(-3)),
+        (lambda x, y, z: commutator(x, y, minus=[(x, z)]), (b, c, a),
+         bracket(b, c) - ref(a, b)),
+        (lambda x: commutator(x, x, minus=[(x, x), (x, 0)]), (c,), -ref(c, c)),
+        (lambda x, y: commutator(x, y, minus=[(y, x - x), (x, y)]), (a, c),
+         bracket(a, c) - ref(c, a)),
+    ]
+
+
+def _assert_reused_split_invisible(a, b, c):
+    """Every case of ``_reused_split_cases`` gives, on operands whose splits
+    are reused, first cold and then warm, the oracle's operator and that of
+    fresh copies; equality, hash and repr of the operands do not change."""
+    faces = [(hash(op), repr(op)) for op in (a, b, c)]
+    cases = _reused_split_cases(a, b, c)
+    for _ in range(2):
+        for operation, operands, want in cases:
+            got = operation(*operands)
+            assert got == want, operands
+            assert got == operation(*map(_fresh, operands)), operands
+            _assert_canonical(got)
+    assert [(hash(op), repr(op)) for op in (a, b, c)] == faces
+    for op in (a, b, c):
+        assert op == _fresh(op) and _fresh(op) == op
+
+
+def test_reused_split_is_invisible_on_fixed_operators():
+    a = heat()
+    d = parse_diffop("delta - 2*t*d/dt - x0*d/dx0", TX)
+    m = parse_diffop("1/(delta+1)*t*x0^2*(d/dx0)^2 + mu^-1*x0*d/dt", TX)
+    _assert_reused_split_invisible(a, d, m)
+    _assert_reused_split_invisible(m, a, d)
+    _assert_reused_split_invisible(d, m, m)
+
+
+def test_reused_split_is_invisible_random():
+    hyp = pytest.importorskip("hypothesis")
+    ops = _op_strategy(hyp)
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(ops, ops, ops)
+    def check(a, b, c):
+        _assert_reused_split_invisible(a, b, c)
+
+    check()
+
+
+def test_copies_split_afresh():
+    # a copy goes through the constructor: it carries no split, and its
+    # own split starts with the shared one-polynomial itself (protocols 0
+    # and 1 pickle no slotted class, a Scalar neither)
+    a = heat()
+    m = parse_diffop("1/(delta+1)*t*x0^2*(d/dx0)^2 + mu^-1*x0*d/dt", TX)
+    # split both, with derivative rows cached on each
+    compose(a, m)
+    compose(m, a)
+    for op in (a, m):
+        twins = [copy.copy(op), copy.deepcopy(op)]
+        twins += [pickle.loads(pickle.dumps(op, proto))
+                  for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is DiffOp and twin == op and hash(twin) == hash(op)
+            _assert_canonical(twin)
+            dens, _ = split = _flat(twin)
+            assert dens[0] is _POLY_ONE and dens == _flat(op)[0]
+            assert split is not _flat(op) and _flat(twin) is split
+            assert compose(twin, m) == compose(op, m) == _reference_compose(op, m)
+
+
+def test_bracket_failures_repeat_with_warm_splits(monkeypatch):
+    # a corrupted realization fails the audit; a second run on the same
+    # operators, their splits warm, lists the same failures as fresh copies
+    import cgk.reps as reps
+    from test_invariants import _corrupt_left_action
+
+    spec = AlgebraSpec(2, 2, "exotic")
+    patched = _corrupt_left_action(monkeypatch, reps, Gen("H"))
+    ops = {g: patched(spec, g) for g in enumerate_generators(spec)}
+    gens = list(ops)
+    pairs = [(x, y) for i, x in enumerate(gens) for y in gens[i + 1:]]
+    first = bracket_failures(spec, ops, pairs)
+    assert first and bracket_failures(spec, ops, pairs) == first
+    fresh = {g: _fresh(op) for g, op in ops.items()}
+    assert bracket_failures(spec, fresh, pairs) == first
 
 
 # --- the one grammar, read as a Scalar and as an operator -------------------
