@@ -28,9 +28,9 @@ the b string, in that order, are the slots of the basis and of the chart.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 
 from .scalars import Scalar, _Sparse, central_constant
 
@@ -43,10 +43,11 @@ class UnknownGenerator(KeyError):
     """Raised when a generator does not belong to the family."""
 
 
-class AlgebraSpec(tuple):
-    """One family, the tuple ``(d, twoEll, ext)`` with its fields readable by
-    name.  As a tuple it hashes and compares at C level, which the lookups
-    of every per-family cache keyed by it rely on."""
+class AlgebraSpec(namedtuple("AlgebraSpec", "d twoEll ext")):
+    """One family, the named tuple ``(d, twoEll, ext)`` with a validating
+    constructor.  As a tuple it hashes and compares at C level, which the
+    lookups of every per-family cache keyed by it rely on.  The inherited
+    ``_make`` and ``_replace`` skip the validation."""
 
     __slots__ = ()
 
@@ -69,37 +70,20 @@ class AlgebraSpec(tuple):
             raise InvalidSpec("ext must be none, mass, or exotic")
         return tuple.__new__(cls, (d, twoEll, ext))
 
-    d = property(itemgetter(0))
-    twoEll = property(itemgetter(1))
-    ext = property(itemgetter(2))
 
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return "AlgebraSpec(d=%r, twoEll=%r, ext=%r)" % tuple(self)
-
-
-class Gen(tuple):
-    """One generator, the tuple ``(tag, n, sign)``: the tag names it, ``n``
-    is the index of a P and ``sign`` the string of a planar P.  As a tuple
-    it hashes and compares at C level and equals the plain tuple of its
-    fields, but the bracket and both module actions take only a Gen
+class Gen(namedtuple("Gen", "tag n sign")):
+    """One generator, the named tuple ``(tag, n, sign)``: the tag names it,
+    ``n`` is the index of a P and ``sign`` the string of a planar P.  As a
+    tuple it hashes and compares at C level and equals the plain tuple of
+    its fields, but the bracket and both module actions take only a Gen
     (``parse_gen`` makes one from a name) and raise UnknownGenerator for
-    anything else, a plain tuple included.
+    anything else, a plain tuple included.  It prints as its name.
     """
 
     __slots__ = ()
 
     def __new__(cls, tag, n=None, sign=""):
         return tuple.__new__(cls, (tag, n, sign))
-
-    tag = property(itemgetter(0))
-    n = property(itemgetter(1))
-    sign = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     def __str__(self):
         tag, n, sign = self

@@ -54,9 +54,10 @@ coefficients commute, so they always cancel.
 
 import functools
 import re
+from collections import namedtuple
 from itertools import product
 from math import comb, prod
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .scalars import (
     _POLY_ONE,
@@ -76,12 +77,12 @@ from .scalars import (
 )
 
 
-class Var(tuple):
-    """A chart variable, the tuple ``(kind, n)``: t, x(n), or y(n), with
-    n = -1 on t.  As a tuple it hashes and sorts at C level, in
-    ``(kind, n)`` order, and reads its fields by name; it is not a
-    dataclass, whose import would cost every command its start-up time.
-    Format it with ``%`` only inside a tuple: ``"%s" % (v,)``."""
+class Var(namedtuple("Var", "kind n")):
+    """A chart variable, the named tuple ``(kind, n)``: t, x(n), or y(n),
+    with n = -1 on t and an exact ``int`` index otherwise.  As a tuple it
+    hashes and sorts at C level, in ``(kind, n)`` order; the inherited
+    ``_make`` and ``_replace`` skip the validating constructor.  Format it
+    with ``%`` only inside a tuple: ``"%s" % (v,)``."""
 
     __slots__ = ()
 
@@ -90,22 +91,15 @@ class Var(tuple):
             raise ValueError("unknown variable kind %r" % (kind,))
         if kind == "t":
             n = -1
+        elif type(n) is not int:
+            raise TypeError("variable index %r is not an int" % (n,))
         elif n < 0:
             raise ValueError("indexed variable needs a nonnegative index")
         return tuple.__new__(cls, (kind, n))
 
-    kind = property(itemgetter(0))
-    n = property(itemgetter(1))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
     def __str__(self):
         kind, n = self
         return kind if kind == "t" else "%s%d" % (kind, n)
-
-    def __repr__(self):
-        return "Var(kind=%r, n=%r)" % tuple(self)
 
     @classmethod
     def parse(cls, text):

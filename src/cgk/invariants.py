@@ -14,9 +14,10 @@ Leibniz terms that cancel are never formed.  ``_residual`` is the one
 residual of a generator, for a check and for ``intertwining_residual``
 alike.  The correction pi'(X) - pi(X) comes from the change of the lowest
 weight (``reps.left_action_change``) rather than from a second
-realization: the shift of delta changes the weight on D only, so the
-correction is one order-zero term on D and C and the zero operator,
-skipped, on every other generator.
+realization.  That change is the weight of the level-q singular vector
+over the vacuum (``singular.weight_shift``), on D only, so the correction
+is one order-zero term on D and C and the zero operator, skipped, on
+every other generator.
 
 pi and pi' are Lie homomorphisms, so if S^q intertwines them on X and on
 Y it intertwines them on [X, Y] (the standard argument for the induced
@@ -30,9 +31,9 @@ so a failing check reports the same list either way.
 
 from functools import cache
 
-from .scalars import UnsupportedFamily, poly_div_exact
-from .algebra import enumerate_generators, generating_set
-from .verma import lowest_weight, resolve_params
+from .scalars import Scalar, UnsupportedFamily, poly_div_exact
+from .algebra import Gen, enumerate_generators, generating_set
+from .verma import resolve_params
 from .singular import delta_at_condition, quadratic_element, weight_shift
 from .diffop import commutator, compose, op_power
 from .reps import bracket_failures, left_action, left_action_change, right_action
@@ -82,18 +83,11 @@ def _check_at_root(spec, q, pvals):
         )
 
 
-def _shifted(spec, pvals, q):
-    """The target parameters: the level-q singular vector raises the D
-    eigenvalue -delta by weight_shift, so delta' = delta - shift."""
-    return dict(pvals, delta=pvals["delta"] - weight_shift(spec, q))
-
-
-def _weight_change(spec, pvals, shifted):
-    """The lowest weight at ``shifted`` minus the one at ``pvals``, on the
-    diagonal generators where it is not zero: D alone for a shift of
-    delta."""
-    after = lowest_weight(spec, shifted)
-    return {g: d for g, w in lowest_weight(spec, pvals).items() if (d := after[g] - w)}
+def _weight_change(spec, q):
+    """The lowest weight of pi_L' minus that of pi_L: the level-q singular
+    vector raises the D eigenvalue -delta by weight_shift, so delta' =
+    delta - shift and no other diagonal generator moves."""
+    return {Gen("D"): Scalar.const(weight_shift(spec, q))}
 
 
 def _residual(spec, gen, power, pvals, change):
@@ -112,14 +106,15 @@ def intertwining_residual(spec, gen, q=1, params=None):
     The residual is ``_residual``, the one ``intertwining_check`` takes on
     each generator: [S^q, pi_L(gen)], whose order-zero Leibniz terms
     cancel, minus (pi_L' - pi_L)(gen) o S^q, the correction read off the
-    weight change (``_weight_change``) with no second realization built.
+    weight of the singular vector (``_weight_change``) with no second
+    realization built.
     """
     _require_extended(spec)
     if q < 1:
         raise ValueError("q must be a positive integer")
     pvals = resolve_params(spec, params)
     power = invariant_operator(spec, q, pvals)
-    change = _weight_change(spec, pvals, _shifted(spec, pvals, q))
+    change = _weight_change(spec, q)
     return _residual(spec, gen, power, pvals, change)
 
 
@@ -147,8 +142,8 @@ def intertwining_check(spec, q, params):
 
     The residual of each generator is [S^q, pi_L(gen)] - (pi_L' - pi_L)(gen)
     o S^q (``_residual``), with the set-up done once per check: S^q is
-    built once, and the weight change from delta to its shifted value
-    (``_weight_change``) is taken once.  The correction
+    built once, and the weight change, read from the weight of the level-q
+    singular vector (``_weight_change``), is taken once.  The correction
     (pi_L' - pi_L)(gen) is ``reps.left_action_change`` of that change: the
     D eigenvalue -delta rises by 2q and no other weight moves, so the
     correction is -2q on D, -2q*t on C and zero, skipped, on every other
@@ -168,7 +163,7 @@ def intertwining_check(spec, q, params):
     pvals = resolve_params(spec, params)
     _check_at_root(spec, q, pvals)
     power = invariant_operator(spec, q, pvals)
-    change = _weight_change(spec, pvals, _shifted(spec, pvals, q))
+    change = _weight_change(spec, q)
 
     def failing(gens):
         residuals = ((gen, _residual(spec, gen, power, pvals, change)) for gen in gens)

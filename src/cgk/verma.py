@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
-from operator import add, itemgetter, mul
+from operator import add, mul
 from types import MappingProxyType
 
 from .algebra import (
@@ -62,32 +62,31 @@ class InfiniteSelection(ValueError):
     """The requested constraint selects infinitely many basis monomials."""
 
 
-class PbwMonomial(tuple):
+class PbwMonomial(namedtuple("PbwMonomial", "h a b")):
     """Exponent vector of one basis monomial.
 
     ``h`` counts the leftmost factor (H, or C for the centerless family);
     ``a`` and ``b`` hold the exponents of the two creation strings in
     ascending index order (``b`` is empty when the family has a single
-    string).  The monomial is the tuple ``(h, a, b)``, so it hashes and
-    compares at C level.
+    string).  The monomial is the named tuple ``(h, a, b)``, so it hashes
+    and compares at C level.  Its constructor takes exact, nonnegative
+    ``int`` exponents in tuples only; ``_mono`` and the inherited ``_make``
+    and ``_replace`` skip the check.
     """
 
     __slots__ = ()
 
     def __new__(cls, h, a, b):
-        if h < 0 or any(e < 0 for e in a + b):
-            raise ValueError("negative exponent in %s" % (_mono_repr((h, a, b)),))
-        return tuple.__new__(cls, (h, a, b))
-
-    h = property(itemgetter(0))
-    a = property(itemgetter(1))
-    b = property(itemgetter(2))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return _mono_repr(self)
+        if type(a) is not tuple or type(b) is not tuple:
+            raise TypeError("exponent strings must be tuples, got %r and %r" % (a, b))
+        m = tuple.__new__(cls, (h, a, b))
+        # bool is an int subclass, and the actions never peel a float down to 0
+        for e in (h,) + a + b:
+            if type(e) is not int:
+                raise TypeError("exponent %r in %r is not an int" % (e, m))
+            if e < 0:
+                raise ValueError("negative exponent in %r" % (m,))
+        return m
 
     def __str__(self):
         parts = [str(self.h)]
@@ -96,11 +95,7 @@ class PbwMonomial(tuple):
         return "|%s>" % ";".join(parts)
 
 
-def _mono_repr(hab):
-    return "PbwMonomial(h=%r, a=%r, b=%r)" % tuple(hab)
-
-
-# A PbwMonomial from an (h, a, b) tuple known to hold no negative exponent.
+# A PbwMonomial from an (h, a, b) tuple known to hold nonnegative int exponents.
 _mono = partial(tuple.__new__, PbwMonomial)
 
 

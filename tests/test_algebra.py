@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -20,8 +21,9 @@ from cgk.algebra import (
     parse_gen,
     supported_specs,
 )
+from cgk.diffop import Var
 from cgk.scalars import Scalar, central_constant
-from cgk.verma import _images
+from cgk.verma import PbwMonomial, _images
 
 
 def names(gens):
@@ -47,6 +49,26 @@ def test_spec_rejects_non_integers(d, two_ell):
     ext = "exotic" if two_ell == 2 else "mass"
     with pytest.raises(InvalidSpec):
         AlgebraSpec(d, two_ell, ext)
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((0.5, (0,), ()), 0.5), ((True, (0,), ()), True), ((1.0, (0,), ()), 1.0),
+    ((0, (1.5,), ()), 1.5), ((0, (0, True), ()), True), ((0, (0,), (2.0,)), 2.0),
+    ((0, [1], ()), [1]), ((0, (1,), None), None)])
+def test_monomial_rejects_non_integers(args, bad):
+    # the actions peel a factor off with -= 1, which never reaches 0 from
+    # 0.5, so a float exponent made act_generic loop; bool prints as True
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        PbwMonomial(*args)
+
+
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "1", None])
+def test_var_rejects_non_integer_indices(index):
+    # Var("x", 0.5) printed as x0, so a chart could render two variables
+    # by one name and render_diffop output no longer parsed back
+    for kind in ("x", "y"):
+        with pytest.raises(TypeError, match=re.escape(repr(index))):
+            Var(kind, index)
 
 
 def test_spec_and_gen_are_tuples_with_the_dataclass_face():
@@ -78,6 +100,14 @@ def test_spec_and_gen_are_tuples_with_the_dataclass_face():
             setattr(obj, field, 1)
     with pytest.raises(AttributeError):
         spec.label = "x"
+    # named tuples: the documented layout, destructured by position
+    assert AlgebraSpec._fields == ("d", "twoEll", "ext")
+    assert Gen._fields == ("tag", "n", "sign")
+    match spec, gen:
+        case AlgebraSpec(d, two_ell, ext), Gen(tag, n, sign):
+            assert (d, two_ell, ext, tag, n, sign) == (2, 3, "mass", "P", 1, "+")
+        case _:
+            pytest.fail("the records do not destructure by position")
 
 
 @pytest.mark.parametrize("kwargs, message", [

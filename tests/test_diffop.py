@@ -76,6 +76,12 @@ def test_var_is_a_tuple_with_the_dataclass_face():
             assert twin == obj and type(twin) is Var, (obj, twin)
     with pytest.raises(AttributeError):
         x3.n = 4
+    assert Var._fields == ("kind", "n")
+    match x3:
+        case Var(kind, n):
+            assert (kind, n) == ("x", 3)
+        case _:
+            pytest.fail("Var does not destructure by position")
 
 
 def test_leibniz_base_case():

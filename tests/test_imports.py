@@ -6,7 +6,9 @@ standard ``ast`` module: a name bound by a top-level import must be read
 somewhere in the module, or listed in its ``__all__``; and a function,
 class or non-dunder method defined in ``cgk`` must be named by some
 source or benchmark file.  A use in a test does not count: code that only
-the tests reach is not part of the program.
+the tests reach is not part of the program.  And no class lists ``tuple``
+itself as a base: a tuple record derives from a ``namedtuple``, which
+supplies its fields, pickling and repr.
 """
 
 import ast
@@ -103,3 +105,23 @@ def test_the_check_sees_a_dead_definition():
 def test_no_dead_definitions():
     sources = [(path.name, path.read_text()) for path in SOURCES]
     assert dead_definitions(sources, [path.read_text() for path in READERS]) == []
+
+
+def bare_tuple_classes(sources):
+    """(label, line, name) of each class in the (label, text) pairs of
+    ``sources`` that lists ``tuple`` itself as a base."""
+    return [(label, node.lineno, node.name) for label, text in sources
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "tuple" for base in node.bases)]
+
+
+def test_the_check_sees_a_bare_tuple_base():
+    source = ("from collections import namedtuple\n\n\nclass A(tuple):\n    pass\n\n\n"
+              "class B(namedtuple('B', 'x')):\n    pass\n\n\n"
+              "def f():\n    class C(int, tuple):\n        pass\n")
+    assert bare_tuple_classes([("m", source)]) == [("m", 4, "A"), ("m", 13, "C")]
+
+
+def test_no_bare_tuple_classes():
+    sources = [(path.name, path.read_text()) for path in SOURCES]
+    assert bare_tuple_classes(sources) == []

@@ -165,7 +165,7 @@ def test_weight_change_correction_matches_two_realizations(at_root):
                 params = dict(params, delta=delta_at_condition(spec, q))
             pvals = resolve_params(spec, params)
             shifted = _shifted_params(pvals, q)
-            change = inv._weight_change(spec, pvals, inv._shifted(spec, pvals, q))
+            change = inv._weight_change(spec, q)
             nonzero = set()
             for gen in enumerate_generators(spec):
                 got = left_action_change(spec, gen, change)

@@ -664,6 +664,12 @@ def test_monomial_is_a_tuple_with_the_dataclass_face():
         mono(0, (1, -1))
     with pytest.raises(AttributeError):
         m.h = 3
+    assert PbwMonomial._fields == ("h", "a", "b")
+    match m:
+        case PbwMonomial(h, a, b):
+            assert (h, a, b) == (2, (0, 1), (3,))
+        case _:
+            pytest.fail("PbwMonomial does not destructure by position")
 
 
 def test_layout_never_reads_the_brackets(monkeypatch):
